@@ -10,6 +10,7 @@ canonical sorted order and floats use a fixed format.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import analytic, chains, gamma, mahler, measures, padics, rationals, zetabranch
 
-CSV_SCHEMA = "# schema=1"
+CSV_SCHEMA = "# schema=2"
 
 # Which library operations each subcommand reaches; the test suite checks
 # this table covers every public operation exactly once.
@@ -93,10 +94,12 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
     print(CSV_SCHEMA, file=out)
     if not rows:
         return
-    header = list(rows[0].keys())
-    print(",".join(header), file=out)
+    # every key of every row, in first-seen order: rows may add fields
+    header = list(dict.fromkeys(k for row in rows for k in row))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        print(",".join(str(row.get(k, "")) for k in header), file=out)
+        writer.writerow([str(row.get(k, "")) for k in header])
 
 
 def _float(x: float) -> str:

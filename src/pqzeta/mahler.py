@@ -253,47 +253,50 @@ def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
     return PadicNumber(p, acc.valuation, acc.unit, min(acc.precision, digits_kept))
 
 
+def characteristic_rows(p: int, n: int, upto: int):
+    """Yield, for k = 0..upto, the Mahler coefficients a_k(b) of the indicators
+    of all classes b mod p^n at once, as one list indexed by b.
+
+    a_k(b) = sum over j <= k with j = b mod p^n of (-1)^(k-j) C(k, j).  Pascal's
+    rule C(k, j) = C(k-1, j-1) + C(k-1, j), summed over a class and folded mod
+    p^n, gives a_k(b) = a_(k-1)(b-1) - a_(k-1)(b) with b - 1 taken mod p^n,
+    starting from a_0 = the indicator of b = 0.  Each row is therefore O(p^n)
+    exact integer operations instead of a Pascal row of length k.  No class
+    b > upto holds a j <= upto, so when p^n > upto + 1 a row stops after
+    b = upto (the entries past it are all zero) and the fold reads a zero.
+    Every yielded row is a fresh list.
+    """
+    width = min(p**n, upto + 1)
+    row = [1] + [0] * (width - 1)
+    yield row
+    for _ in range(upto):
+        row = [row[b - 1] - row[b] for b in range(width)]
+        yield row
+
+
+def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list[int]:
+    """Integer Mahler coefficients of the indicator of b mod p^n, for all k <= upto:
+    column b of ``characteristic_rows``."""
+    if not 0 <= b < p**n:
+        raise ValueError("need 0 <= b < p^n")
+    if b > upto:
+        return [0] * (upto + 1)
+    return [row[b] for row in characteristic_rows(p, n, upto)]
+
+
 def characteristic_mahler(b: int, n: int, p: int, upto: int) -> MahlerSeries:
     """Mahler coefficients of the indicator of the class b mod p^n.
 
-    a_k = sum over j <= k with j = b mod p^n of (-1)^(k-j) C(k,j).  The
-    indicator is locally constant of modulus p^n, so the decay certificate
+    The exact coefficients of ``characteristic_coefficients_exact``, reduced.
+    The indicator is locally constant of modulus p^n, so the decay certificate
     (upto // p^n, n) holds for every sigma up to the window's reach.
     """
     pn = p**n
-    if not 0 <= b < pn:
-        raise ValueError("need 0 <= b < p^n")
-    coeffs = []
-    row = [1]
-    for k in range(upto + 1):
-        if k > 0:
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        acc = 0
-        start = b % pn
-        for j in range(start, k + 1, pn):
-            acc += row[j] if (k - j) % 2 == 0 else -row[j]
-        coeffs.append(acc)
+    coeffs = characteristic_coefficients_exact(b, n, p, upto)
     # reduce at a precision wide enough to keep every certified digit exact
     precision = max(1, upto // pn + 2)
     reduced = [_to_padic_mod(c, p, precision) for c in coeffs]
     return MahlerSeries(p=p, precision=precision, coeffs=reduced, decay=(upto // pn, n))
-
-
-def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list[int]:
-    """Integer Mahler coefficients of the indicator of b mod p^n, for all k <= upto."""
-    pn = p**n
-    if not 0 <= b < pn:
-        raise ValueError("need 0 <= b < p^n")
-    out = []
-    row = [1]
-    for k in range(upto + 1):
-        if k > 0:
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        acc = 0
-        for j in range(b % pn, k + 1, pn):
-            acc += row[j] if (k - j) % 2 == 0 else -row[j]
-        out.append(acc)
-    return out
 
 
 def binomial_coefficient_padic(x: PadicNumber, n: int) -> PadicNumber:

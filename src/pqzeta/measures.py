@@ -2,22 +2,26 @@
 
 The generator Psi_r(t) = (1 - t^(ra))^(-1) sum_b xi_r(br) t^(br) has the
 property that (t d/dt)^m Psi_r at t = 1 equals (1 - a^(m+1)) r^m zeta(-m).
-Because 1 - t^(ra) vanishes at t = 1, every evaluation at 1 in this module
-goes through the substitution t = e^z and exact series arithmetic in z; the
-singularity is removable since the xi weights sum to zero over a period.
+Because 1 - t^(ra) vanishes at t = 1, the monomial moments and the
+locally-constant twists go through the substitution t = e^z and exact series
+arithmetic in z; the singularity is removable since the xi weights sum to
+zero over a period.
 
-The same machinery yields the binomial moments d_k = integral of C(x, k),
-locally-constant twists, and the numerical action of the measure on the
-compact-open sets b + p^n Z_p.
+The binomial moments d_k = integral of C(x, k) are the Taylor coefficients
+of Psi_1 at t = 1, d_k = [T^k] Psi_1(1 + T) (Mahler's theorem), where Psi_1
+is already a quotient P/Q of integer polynomials with Q(1) = a a p-unit: one
+integer power-series division gives all of them.  Pairing them with the
+indicator coefficients of ``mahler.characteristic_rows`` gives the action of
+the measure on the compact-open sets b + p^n Z_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
-from .mahler import characteristic_coefficients_exact
+from .mahler import characteristic_coefficients_exact, characteristic_rows
 from .padics import PadicNumber, padic_reduce_abs, padic_valuation
 from .rationals import PolyRational, zeta_neg
 
@@ -305,31 +309,47 @@ def delta_operator(element: RPrimeElement, n: int) -> RPrimeElement:
 # -- binomial moments and open sets -------------------------------------------
 
 
+def _taylor_at_one(poly: PolyRational) -> list[int]:
+    """Coefficients of poly(1 + T) for a polynomial with integer coefficients."""
+    coeffs = [int(c) for c in poly.coeffs]
+    return [
+        sum(c * comb(i, j) for i, c in enumerate(coeffs[j:], start=j))
+        for j in range(len(coeffs))
+    ]
+
+
 def binomial_moments(a: int, p: int, upto: int) -> list[Fraction]:
     """d_k = integral of C(x, k) against the measure with moments
     (1-a^(m+1)) zeta(-m), for k = 0..upto.
 
-    Computed through the delta operator acting on Psi_1 (an iterated
-    quotient-rule triangle evaluated at 1); the textbook expansion
-    d_k = sum_m c_{k,m} (1-a^(m+1)) zeta(-m) is checked against this in the
-    test suite, term by term.
+    d_k = (delta_k Psi_1)(1) is the k-th Taylor coefficient of Psi_1 = P/Q at
+    t = 1.  P(1 + T) and Q(1 + T) have integer coefficients and degree a - 1,
+    and Q(1 + T) starts with Q(1) = a, a p-unit, so one power-series division
+    in integers gives every d_k: with d_k = N_k / a^(k+1),
+    N_k = a^k P~_k - sum_{i>=1} Q~_i a^(i-1) N_(k-i).  That is O(upto * a)
+    integer operations on numbers of O(upto log a) bits.  The textbook
+    expansion d_k = sum_m c_{k,m} (1-a^(m+1)) zeta(-m) and the delta operator
+    are checked against this in the test suite, term by term.
     """
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to p")
     base = psi_r_rational(a, 1, p)
-    P = base.numerator
-    Q = base.denominator
-    Qd = Q.derivative()
-    q1 = Q(1)
-    out = [P(1) / q1]
-    k = 1
-    for j in range(1, upto + 1):
-        P = P.derivative() * Q - P.scale(k) * Qd
-        k += 1
-        d_j = P(1) / (factorial(j) * q1**k)
-        if padic_valuation(d_j, p) < 0:
+    P = _taylor_at_one(base.numerator)
+    Q = _taylor_at_one(base.denominator)  # Q[0] = Q(1) = a
+    q_scaled = [Q[i] * a ** (i - 1) for i in range(1, len(Q))]
+    numerators: list[int] = []
+    out = []
+    a_k = 1
+    for k in range(upto + 1):
+        acc = a_k * P[k] if k < len(P) else 0
+        for i, c in enumerate(q_scaled[:k], start=1):
+            acc -= c * numerators[k - i]
+        numerators.append(acc)
+        d_k = Fraction(acc, a_k * a)
+        if padic_valuation(d_k, p) < 0:
             raise ArithmeticError("binomial moment escaped Z_p")
-        out.append(d_j)
+        out.append(d_k)
+        a_k *= a
     return out
 
 
@@ -391,36 +411,35 @@ def measure_open_set_table(
 
     Truncation follows the indicator's decay certificate: with
     L = (target_digits + guard) * p^n terms the dropped tail is below
-    p^-(target_digits + guard).  One binomial-row pass feeds all residues.
+    p^-(target_digits + guard).  The pairing sum_k a_k(b) d_k runs in integers
+    over the common denominator a^(L+1) of the d_k, one indicator row of
+    ``characteristic_rows`` per k feeding all residues.
     """
     pn = p**n
     upto = (target_digits + guard) * pn
     d = binomial_moments(a, p, upto)
-    sums = [Fraction(0)] * pn
-    row = [1]
-    for k in range(upto + 1):
-        if k > 0:
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        if d[k]:
-            buckets = [0] * pn
-            for j in range(k + 1):
-                buckets[j % pn] += row[j] if (k - j) % 2 == 0 else -row[j]
-            for b in range(pn):
-                if buckets[b]:
-                    sums[b] += buckets[b] * d[k]
+    # each d_k = N_k / a^(k+1), so every denominator divides a^(upto+1)
+    den = a ** (upto + 1)
+    scaled = [d_k.numerator * (den // d_k.denominator) for d_k in d]
+    sums = [0] * pn
+    for row, s_k in zip(characteristic_rows(p, n, upto), scaled):
+        if s_k:
+            for b, c in enumerate(row):
+                if c:
+                    sums[b] += c * s_k
     certified = target_digits + guard
     out = {}
     for b in range(pn):
-        value = padic_reduce_abs(sums[b], p, certified)
+        series_sum = Fraction(sums[b], den)
         out[b] = OpenSetMeasure(
             a=a,
             p=p,
             n=n,
             b=b,
-            series_sum=sums[b],
+            series_sum=series_sum,
             certified_digits=certified,
             conjectured=open_set_closed_form(a, p, n, b),
-            value=value,
+            value=padic_reduce_abs(series_sum, p, certified),
         )
     return out
 
@@ -428,28 +447,14 @@ def measure_open_set_table(
 def measure_on_open_set(
     a: int, p: int, n: int, b: int, target_digits: int = 4, guard: int = 3
 ) -> OpenSetMeasure:
-    """Measure of b + p^n Z_p by the truncated Mahler pairing sum_k a_k(b,n) d_k."""
-    pn = p**n
-    if not 0 <= b < pn:
+    """Measure of b + p^n Z_p by the truncated Mahler pairing sum_k a_k(b,n) d_k.
+
+    The entry b of ``measure_open_set_table``: one column of the indicator
+    recurrence already costs every row of it.
+    """
+    if not 0 <= b < p**n:
         raise ValueError("need 0 <= b < p^n")
-    if gcd(a, p) != 1:
-        raise ValueError("a must be coprime to p")
-    upto = (target_digits + guard) * pn
-    d = binomial_moments(a, p, upto)
-    a_k = characteristic_coefficients_exact(b, n, p, upto)
-    series_sum = sum((a_k[k] * d[k] for k in range(upto + 1)), Fraction(0))
-    certified = target_digits + guard
-    value = padic_reduce_abs(series_sum, p, certified)
-    return OpenSetMeasure(
-        a=a,
-        p=p,
-        n=n,
-        b=b,
-        series_sum=series_sum,
-        certified_digits=certified,
-        conjectured=open_set_closed_form(a, p, n, b),
-        value=value,
-    )
+    return measure_open_set_table(a, p, n, target_digits, guard)[b]
 
 
 def open_set_from_moments(moments: list[Fraction], p: int, n: int, b: int) -> Fraction:

@@ -160,7 +160,8 @@ class PadicNumber:
         vmin = min(self.valuation, other.valuation)
         digits = abs_prec - vmin
         if digits <= 0:
-            raise PrecisionError("sum retains no tracked digits")
+            # both terms are 0 mod p^abs_prec and nothing finer is known
+            return PadicNumber.zero_mod(p, abs_prec)
         mod = p**digits
         a = self.unit * p ** (self.valuation - vmin) % mod
         b = other.unit * p ** (other.valuation - vmin) % mod

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -115,6 +116,36 @@ def test_analytic_commands():
     assert code == 0
     code, out = _run(["weil", "--p", "3"])
     assert code == 0
+
+
+def _csv_rows(out):
+    lines = out.splitlines()
+    assert lines[0] == CSV_SCHEMA == "# schema=2"
+    return list(csv.reader(lines[1:]))
+
+
+def test_csv_fields_with_commas_parse():
+    first = {}
+    for argv in (
+        ["padic", "--value", "22/7", "--p", "5", "--precision", "8"],
+        ["chain-propagate", "--kernel", "real-beta:alpha=2,beta=2", "--layers", "6",
+         "--closed-form"],
+    ):
+        code, out = _run(argv)
+        assert code == 0
+        header, *rows = _csv_rows(out)
+        assert rows and all(len(row) == len(header) for row in rows), argv
+        first[argv[0]] = dict(zip(header, rows[0]))
+    assert first["padic"]["triple"] == "(0, 279021, 8)"
+    assert first["chain-propagate"]["state"] == "(0, 6)"
+
+
+def test_csv_header_is_the_union_of_row_keys():
+    code, out = _run(["lambda-check", "--grid", "0.25,2"])
+    assert code == 0
+    header, low, high = _csv_rows(out)
+    assert header == ["s", "lhs", "rhs", "residual", "dirichlet_residual"]
+    assert low[-1] == "" and high[-1] != ""
 
 
 def test_unknown_command_and_flags_exit_2():

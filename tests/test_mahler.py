@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,7 +10,9 @@ from pqzeta.mahler import (
     MahlerSeries,
     binomial_coefficient_padic,
     binomial_inversion,
+    characteristic_coefficients_exact,
     characteristic_mahler,
+    characteristic_rows,
     difference_operator,
     evaluate_mahler,
     forward_binomial_sum,
@@ -149,6 +152,41 @@ def test_characteristic_series():
     series = characteristic_mahler(0, 1, 2, 40)
     assert evaluate_mahler(series, 2).residue(2) == 1
     assert evaluate_mahler(series, 3).unit == 0 or evaluate_mahler(series, 3).is_exact_zero
+
+
+def test_characteristic_coefficients_match_alternating_sum():
+    """The folded Pascal recurrence against the explicit class sums; (3, 4)
+    has p^n > upto + 1, where a row stops at b = upto."""
+    upto = 60
+    for p, n in ((2, 3), (3, 2), (5, 0), (5, 1), (5, 2), (7, 2), (3, 4)):
+        pn = p**n
+        rows = list(characteristic_rows(p, n, upto))
+        assert len(rows) == upto + 1
+        for b in range(pn):
+            explicit = [
+                sum((-1) ** (k - j) * comb(k, j) for j in range(b, k + 1, pn))
+                for k in range(upto + 1)
+            ]
+            assert characteristic_coefficients_exact(b, n, p, upto) == explicit, (p, n, b)
+            if b < len(rows[0]):
+                assert [row[b] for row in rows] == explicit, (p, n, b)
+    with pytest.raises(ValueError):
+        characteristic_coefficients_exact(9, 2, 3, upto)
+
+
+def test_characteristic_series_at_padic_points():
+    """The indicator series evaluates to the indicator at p-adic points,
+    0 mod p^precision off the class included."""
+    rng = random.Random(11)
+    for p, n, b in ((3, 1, 1), (3, 2, 4), (5, 1, 2), (5, 2, 7), (7, 1, 3)):
+        pn = p**n
+        series = characteristic_mahler(b, n, p, 4 * pn)
+        points = [b + pn * rng.randrange(p**6) for _ in range(3)]
+        points += [b + j + pn * rng.randrange(p**6) for j in range(1, pn, max(1, pn // 6))]
+        for r in points:
+            value = evaluate_mahler(series, padic_of_rational(r, p, 8))
+            assert value.abs_precision >= 4
+            assert value.residue(4) == (1 if r % pn == b else 0), (p, n, b, r)
 
 
 def test_characteristic_decay_certificate():

@@ -145,11 +145,24 @@ def test_delta_series_route_matches_rational_route():
     assert series.coeffs == direct.coeffs
 
 
+# a in {2, 3, 4, 6} against p in {5, 7, 11}, skipping the pairs with p | a
+MOMENT_GRID = [(a, p) for a in (2, 3, 4, 6) for p in (5, 7, 11) if a % p]
+
+
 def test_binomial_moments_match_expansion():
-    for a in (2, 3):
-        d = binomial_moments(a, 5, 24)
-        for k in range(25):
-            assert d[k] == binomial_moment_expansion(a, k)
+    expansions = {a: [binomial_moment_expansion(a, k) for k in range(41)] for a in (2, 3, 4, 6)}
+    for a, p in MOMENT_GRID:
+        assert binomial_moments(a, p, 40) == expansions[a], (a, p)
+
+
+def test_binomial_moments_match_delta_operator():
+    """The Taylor-at-1 division against the paper's delta operator at t = 1."""
+    routes = {}
+    for a in (2, 3, 4, 6):
+        psi = psi_r_rational(a, 1, 5)
+        routes[a] = [delta_operator(psi, k).value_at_one() for k in range(41)]
+    for a, p in MOMENT_GRID:
+        assert binomial_moments(a, p, 40) == routes[a], (a, p)
 
 
 def test_binomial_moments_bounded():
@@ -208,6 +221,28 @@ def test_open_set_from_moments_uniqueness():
         assert open_set_from_moments(route_one, p, 1, b) == open_set_from_moments(
             route_two, p, 1, b
         )
+
+
+def test_open_set_table_matches_fraction_pairing():
+    """The table's integer common-denominator pairing equals the plain
+    Fraction pairing of open_set_from_moments, exactly."""
+    for a in (2, 3):
+        for p in (5, 7):
+            for n in (0, 1, 2):
+                table = measure_open_set_table(a, p, n, target_digits=4, guard=3)
+                d = binomial_moments(a, p, 7 * p**n)
+                for b, entry in table.items():
+                    assert entry.series_sum == open_set_from_moments(d, p, n, b), (a, p, n, b)
+
+
+def test_measure_on_open_set_is_the_table_entry():
+    table = measure_open_set_table(3, 5, 1)
+    for b in range(5):
+        assert measure_on_open_set(3, 5, 1, b) == table[b]
+    with pytest.raises(ValueError):
+        measure_on_open_set(3, 5, 1, 5)
+    with pytest.raises(ValueError):
+        measure_on_open_set(5, 5, 1, 0)
 
 
 def test_open_set_closed_form_shape():

@@ -94,6 +94,14 @@ def test_ultrametric_norm():
         assert prod.norm() == xa.norm() * xb.norm()
 
 
+def test_sum_of_inexact_zeros_is_inexact_zero():
+    z = PadicNumber.zero_mod(5, 3) + PadicNumber.zero_mod(5, 3)
+    assert z.is_inexact_zero and z.valuation == 3  # O(5^3)
+    # any term of valuation >= 3 added to O(5^3) leaves only O(5^3)
+    w = PadicNumber.zero_mod(5, 3) + padic_of_rational(250, 5, 2)
+    assert w.is_inexact_zero and w.valuation == 3
+
+
 def test_division_rules():
     p = 5
     x = padic_of_rational(7, p, 4)
