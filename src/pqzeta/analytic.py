@@ -4,7 +4,9 @@ The completed zeta Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s) is evaluated
 through the rapidly convergent theta integral on [1, inf); the symmetric
 form makes the s <-> 1-s invariance structural, so the substantive checks
 are the cross-oracles: the Dirichlet-series value for Re(s) >= 2, the value
-pi/6 at s = 2, and the trivial zero recovered near s = -2.
+pi/6 at s = 2, and the trivial zero recovered near s = -2.  The
+Gauss-Legendre nodes come from Newton's method on the Legendre three-term
+recurrence, so the module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 TERM_FLOOR = 1e-17
 
@@ -33,10 +33,34 @@ def theta(y: float, term_floor: float = TERM_FLOOR) -> float:
     return total
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """(P_n(x), P_n'(x)) by k P_k = (2k-1) x P_(k-1) - (k-1) P_(k-2)."""
+    prev, cur = 1.0, x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _gauss_nodes(count: int):
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method from cos(pi (i + 3/4) / (n + 1/2)) finds the nodes in
+    (0, 1), which are mirrored; w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    nodes, weights = [0.0] * count, [0.0] * count
+    for i in range((count + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (count + 0.5))
+        for _ in range(100):
+            value, slope = _legendre(count, x)
+            step = value / slope
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        slope = _legendre(count, x)[1]
+        nodes[i], nodes[count - 1 - i] = -x, x
+        weights[i] = weights[count - 1 - i] = 2.0 / ((1.0 - x * x) * slope * slope)
+    return tuple(nodes), tuple(weights)
 
 
 def completed_zeta(s: float, nodes: int = 200) -> float:

@@ -10,61 +10,43 @@ p^r avoid divisibility by q (and symmetrically).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
-
-class RestrictedFactorial:
-    """Growing cache of exact Gamma_p values for one prime."""
-
-    def __init__(self, p: int) -> None:
-        if p == 2:
-            raise ValueError("p = 2 is excluded")
-        self.p = p
-        self._vals = [1, -1]  # Gamma_p(0), Gamma_p(1)
-        self._lock = threading.Lock()
-
-    def value(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n >= len(self._vals):
-            with self._lock:
-                prod = abs(self._vals[-1])
-                for m in range(len(self._vals), n + 1):
-                    j = m - 1
-                    if j % self.p:
-                        prod *= j
-                    self._vals.append(prod if m % 2 == 0 else -prod)
-        return self._vals[n]
+from .padics import is_prime
 
 
-_FACTORIALS: dict[int, RestrictedFactorial] = {}
-_FACT_LOCK = threading.Lock()
+def _require_prime(p: int, odd: bool = True) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if odd and p == 2:
+        raise ValueError("p = 2 is excluded")
 
 
-def _factorial_cache(p: int) -> RestrictedFactorial:
-    with _FACT_LOCK:
-        if p not in _FACTORIALS:
-            _FACTORIALS[p] = RestrictedFactorial(p)
-        return _FACTORIALS[p]
+def _unit_product(n: int, p: int, mod: int | None = None) -> int:
+    """prod_{1 <= j < n, p does not divide j} j, reduced mod `mod` when given."""
+    prod = 1
+    for j in range(1, n):
+        if j % p:
+            prod = prod * j % mod if mod else prod * j
+    return prod
 
 
 def morita_gamma_exact(n: int, p: int) -> int:
     """Gamma_p(n) as an exact integer."""
-    return _factorial_cache(p).value(n)
+    _require_prime(p)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    prod = _unit_product(n, p)
+    return -prod if n % 2 else prod
 
 
 def morita_gamma(n: int, p: int, modulus_exp: int) -> int:
     """Gamma_p(n) reduced mod p^modulus_exp, as a residue in [0, p^s)."""
     if modulus_exp < 1:
         raise ValueError("modulus exponent must be >= 1")
-    if p == 2:
-        raise ValueError("p = 2 is excluded")
+    _require_prime(p)
     mod = p**modulus_exp
-    prod = 1
-    for j in range(1, n):
-        if j % p:
-            prod = prod * j % mod
+    prod = _unit_product(n, p, mod)
     if n % 2:
         prod = -prod
     return prod % mod
@@ -74,6 +56,7 @@ def gamma_functional_step(n: int, p: int) -> int:
     """Multiplier h_p(n) with Gamma_p(n+1) = h_p(n) * Gamma_p(n): -n off pZ, else -1."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    _require_prime(p, odd=False)
     return -1 if n % p == 0 else -n
 
 
@@ -94,8 +77,7 @@ def gamma_continuity_check(p: int, s: int, upto: int, restricted: bool = True) -
     sign congruence breaks as soon as one side picks up p-divisibility the
     other side lacks).
     """
-    if p == 2:
-        raise ValueError("p = 2 is excluded")
+    _require_prime(p)
     mod = p**s
     span = upto + p**s + 1
     a = [1] * (span + 1)
@@ -135,8 +117,7 @@ def inverse_of_half_pr_plus_one(p: int, r: int, s: int) -> int:
     x = 2 * sum_{m=0}^{n} (-1)^m p^(mr) with n maximal under nr < s, plus p^s
     when n is odd; the result lies in (0, p^s).
     """
-    if p == 2 or p < 3:
-        raise ValueError("p must be an odd prime")
+    _require_prime(p)
     if not (r >= 1 and s > r):
         raise ValueError("need 1 <= r < s")
     n = (s - 1) // r
@@ -153,6 +134,7 @@ def inverse_general(m: int, r: int, t: int, v: int, p: int, s: int) -> int:
     reduced into [0, p^s); t_s is the inverse of t mod p^s and n is maximal
     under nr < s.
     """
+    _require_prime(p, odd=False)
     if (m * p**r + t) % v != 0:
         raise ValueError("v must divide m*p^r + t")
     if t % p == 0:
@@ -178,10 +160,6 @@ class ExclusionWitness:
     divisor: int
 
 
-_WITNESS_CACHE: dict[tuple[int, int, int], ExclusionWitness] = {}
-_WITNESS_LOCK = threading.Lock()
-
-
 def s_pq_membership(j: int, p: int, q: int, depth: int = 12):
     """Search for an exclusion witness for j along the chain of inverses.
 
@@ -192,26 +170,18 @@ def s_pq_membership(j: int, p: int, q: int, depth: int = 12):
     """
     if j < 2:
         raise ValueError("j must be >= 2 (1 is its own inverse everywhere)")
+    _require_prime(p, odd=False)
+    _require_prime(q, odd=False)
     if j % p == 0 or j % q == 0:
         raise ValueError("j must be coprime to pq")
-    key = (j, p, q)
-    cached = _WITNESS_CACHE.get(key)
-    if cached is not None and cached.exponent <= depth:
-        return cached
     for r in range(1, depth + 1):
         x = pow(j, -1, p**r)
         if x % q == 0:
-            w = ExclusionWitness("p-side", r, x, q)
-            with _WITNESS_LOCK:
-                _WITNESS_CACHE[key] = w
-            return w
+            return ExclusionWitness("p-side", r, x, q)
     for s in range(1, depth + 1):
         x = pow(j, -1, q**s)
         if x % p == 0:
-            w = ExclusionWitness("q-side", s, x, p)
-            with _WITNESS_LOCK:
-                _WITNESS_CACHE[key] = w
-            return w
+            return ExclusionWitness("q-side", s, x, p)
     return None
 
 
@@ -229,60 +199,17 @@ class TrivialityReport:
         return not self.undecided
 
 
-def _cache_path():
-    import os
-
-    root = os.environ.get("PQZETA_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, "spq_witnesses.json")
-
-
-def _load_witness_cache() -> None:
-    path = _cache_path()
-    if path is None:
-        return
-    import json
-    import os
-
-    if not os.path.exists(path):
-        return
-    with open(path) as fh:
-        raw = json.load(fh)
-    with _WITNESS_LOCK:
-        for key, vals in raw.items():
-            j, p, q = (int(x) for x in key.split(":"))
-            _WITNESS_CACHE.setdefault((j, p, q), ExclusionWitness(*vals))
-
-
-def _store_witness_cache() -> None:
-    path = _cache_path()
-    if path is None:
-        return
-    import json
-    import os
-
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with _WITNESS_LOCK:
-        raw = {
-            f"{j}:{p}:{q}": [w.side, w.exponent, w.inverse, w.divisor]
-            for (j, p, q), w in _WITNESS_CACHE.items()
-        }
-    with open(path, "w") as fh:
-        json.dump(raw, fh, sort_keys=True)
-
-
 def verify_triviality_theorem(p: int, q: int, j_bound: int, depth: int = 12) -> TrivialityReport:
     """Sweep 2 <= j <= j_bound coprime to pq for exclusion witnesses.
 
     An undecided j is reported as such (prompting a deeper search); the sweep
-    never asserts membership.  Witnesses are cached in memory, and persisted
-    under PQZETA_CACHE_DIR when that directory override is set, so repeated
-    sweeps are incremental.
+    never asserts membership.  Nothing is cached: each j is searched afresh,
+    so the report depends only on the arguments.
     """
     if p == q:
         raise ValueError("primes must be distinct")
-    _load_witness_cache()
+    _require_prime(p, odd=False)
+    _require_prime(q, odd=False)
     report = TrivialityReport(p=p, q=q, j_bound=j_bound, depth=depth)
     for j in range(2, j_bound + 1):
         if j % p == 0 or j % q == 0:
@@ -292,5 +219,4 @@ def verify_triviality_theorem(p: int, q: int, j_bound: int, depth: int = 12) -> 
             report.undecided.append(j)
         else:
             report.witnesses[j] = w
-    _store_witness_cache()
     return report

@@ -40,6 +40,18 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     return v
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; the primes here are small."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
 class PadicNumber:
     __slots__ = ("p", "valuation", "unit", "precision")
 
@@ -361,14 +373,6 @@ def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumb
     if v >= abs_precision:
         return PadicNumber.zero_mod(p, abs_precision)
     return PadicNumber.from_rational(x, p, int(abs_precision - v))
-
-
-def padic_norm(x: PadicNumber) -> Fraction:
-    return x.norm()
-
-
-def digits(x: PadicNumber, count: int) -> list[int]:
-    return x.digits(count)
 
 
 def teichmuller(n: int, p: int, precision: int) -> PadicNumber:

@@ -7,7 +7,6 @@ values; equality tests downstream are structural.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -41,13 +40,11 @@ class BernoulliTable:
     """Cache of B_0..B_max computed by the defining recurrence.
 
     Convention B_1 = -1/2 (generating function t/(exp(t)-1)).  The table only
-    grows; extending is guarded by a lock so concurrent readers are safe once
-    a write completes.
+    grows, and holds no lock: the package starts no threads.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
-        self._lock = threading.Lock()
 
     @property
     def max_index(self) -> int:
@@ -60,15 +57,14 @@ class BernoulliTable:
     def extend(self, upto: int) -> None:
         if upto <= self.max_index:
             return
-        with self._lock:
-            vals = self._values
-            for m in range(len(vals), upto + 1):
-                # sum_{j=0}^{m-1} C(m+1, j) B_j + (m+1) B_m = 0
-                acc = Fraction(0)
-                for j in range(m):
-                    if vals[j]:
-                        acc += comb(m + 1, j) * vals[j]
-                vals.append(-acc / (m + 1))
+        vals = self._values
+        for m in range(len(vals), upto + 1):
+            # sum_{j=0}^{m-1} C(m+1, j) B_j + (m+1) B_m = 0
+            acc = Fraction(0)
+            for j in range(m):
+                if vals[j]:
+                    acc += comb(m + 1, j) * vals[j]
+            vals.append(-acc / (m + 1))
 
     def get(self, k: int) -> Fraction:
         if k < 0:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .padics import PadicNumber, angle_bracket, padic_valuation
+from .padics import PadicNumber, angle_bracket, is_prime, padic_valuation
 from .rationals import bernoulli, binomial_poly
 
 
@@ -76,17 +76,6 @@ def extended_kummer_check(p: int, q: int, i: int, j: int, n: int) -> dict[int, C
     return out
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 @dataclass(frozen=True)
 class KLBranch:
     """One branch of the p-adic zeta function: indices n = s0 + (p-1)t.
@@ -105,7 +94,7 @@ class KLBranch:
     precision: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError("p must be prime")
         if self.p in (2, 3):
             if self.s0 != 0:
@@ -168,7 +157,7 @@ class DoubleBranch:
 
     def __post_init__(self):
         p, q, s0 = self.p, self.q, self.sigma0
-        if p == q or not (_is_prime(p) and _is_prime(q)):
+        if p == q or not (is_prime(p) and is_prime(q)):
             raise ValueError("p, q must be distinct primes")
         if p < 5 or q < 5:
             raise ValueError("double branches need p, q >= 5")

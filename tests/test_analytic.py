@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from pqzeta import analytic
 from pqzeta.analytic import (
+    _gauss_nodes,
     completed_zeta,
     completed_zeta_dirichlet,
     euler_product_check,
@@ -104,3 +110,30 @@ def test_weil_tail_stability():
     v1 = weil_finite(g, 2, 30)
     v2 = weil_finite(g, 2, 60)
     assert abs(v1 - v2) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 200])
+def test_gauss_nodes_integrate_polynomials(n):
+    xs, ws = _gauss_nodes(n)
+    assert list(xs) == sorted(xs)
+    assert abs(sum(ws) - 2.0) < 1e-14
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(sum(w * x**k for x, w in zip(xs, ws)) - exact) < 1e-14, k
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 200])
+def test_gauss_nodes_match_numpy(n):
+    np = pytest.importorskip("numpy")
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    xs, ws = _gauss_nodes(n)
+    assert max(abs(a - b) for a, b in zip(xs, nodes)) < 1e-13
+    assert max(abs(a - b) for a, b in zip(ws, weights)) < 1e-13
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(analytic.__file__).parents[1]))
+    code = "import sys, pqzeta.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

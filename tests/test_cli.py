@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
-
-from pqzeta import chains, gamma, mahler, measures, padics, rationals, zetabranch
-from pqzeta.analytic import completed_zeta, euler_product_check, theta, weil_finite
-from pqzeta.cli import COMMAND_OPERATIONS, CSV_SCHEMA, build_parser, run
+import pqzeta
+from pqzeta import mahler
+from pqzeta.cli import CSV_SCHEMA, build_parser, run
 
 
 def _run(argv):
@@ -167,77 +169,44 @@ def test_every_subcommand_registered():
     sub = next(
         a for a in parser._actions if isinstance(a, type(parser._actions[-1])) and hasattr(a, "choices")
     )
-    registered = set(sub.choices)
-    assert registered == set(COMMAND_OPERATIONS)
+    assert list(sub.choices) == [
+        "bernoulli", "zeta-neg", "padic", "teichmuller", "mahler-coeffs", "mahler-eval",
+        "decay-check", "gamma-p", "gamma-continuity", "spq-sweep", "kummer", "kl-branch",
+        "double-branch", "universal-power", "pq-hurwitz", "moments", "open-set-measure",
+        "chain-propagate", "chain-limits", "heisenberg", "hahn-basis", "q-zeta",
+        "theta-check", "lambda-check", "weil",
+    ]
 
 
-def test_operation_coverage_table():
-    """Every public operation is reachable from exactly one subcommand."""
-    expected = {
-        "bernoulli": rationals.bernoulli,
-        "bernoulli_polynomial": rationals.bernoulli_polynomial,
-        "binomial": rationals.binomial,
-        "binomial_poly": rationals.binomial_poly,
-        "zeta_neg": rationals.zeta_neg,
-        "zeta_one_minus": rationals.zeta_one_minus,
-        "rising_factorial": rationals.rising_factorial,
-        "padic_of_rational": padics.padic_of_rational,
-        "padic_norm": padics.padic_norm,
-        "digits": padics.digits,
-        "teichmuller": padics.teichmuller,
-        "crt_pair": padics.crt_pair,
-        "double_teichmuller": padics.double_teichmuller,
-        "angle_bracket": padics.angle_bracket,
-        "ideal_shadow": padics.ideal_shadow,
-        "mahler_coefficients": mahler.mahler_coefficients,
-        "binomial_inversion": mahler.binomial_inversion,
-        "difference_operator": mahler.difference_operator,
-        "verify_decay": mahler.verify_decay,
-        "evaluate_mahler": mahler.evaluate_mahler,
-        "characteristic_mahler": mahler.characteristic_mahler,
-        "morita_gamma": gamma.morita_gamma,
-        "gamma_functional_step": gamma.gamma_functional_step,
-        "gamma_continuity_check": gamma.gamma_continuity_check,
-        "inverse_of_half_pr_plus_one": gamma.inverse_of_half_pr_plus_one,
-        "inverse_general": gamma.inverse_general,
-        "s_pq_membership": gamma.s_pq_membership,
-        "verify_triviality_theorem": gamma.verify_triviality_theorem,
-        "kl_value": zetabranch.kl_value,
-        "kummer_check": zetabranch.kummer_check,
-        "kl_branch_eval": zetabranch.kl_branch_eval,
-        "double_value": zetabranch.double_value,
-        "extended_kummer_check": zetabranch.extended_kummer_check,
-        "double_branch_eval": zetabranch.double_branch_eval,
-        "universal_power": zetabranch.universal_power,
-        "pq_hurwitz": zetabranch.pq_hurwitz,
-        "xi": measures.xi,
-        "xi_sum_zero": measures.xi_sum_zero,
-        "psi_r_series": measures.psi_r_series,
-        "moment": measures.moment,
-        "double_moment": measures.double_moment,
-        "restricted_moment": measures.restricted_moment,
-        "measure_on_open_set": measures.measure_on_open_set,
-        "delta_operator": measures.delta_operator,
-        "kernel_padic_beta": chains.kernel_padic_beta,
-        "kernel_q_beta": chains.kernel_q_beta,
-        "kernel_real_beta": chains.kernel_real_beta,
-        "kernel_q_gamma": chains.kernel_q_gamma,
-        "kernel_basic": chains.kernel_basic,
-        "kernel_u_gamma": chains.kernel_u_gamma,
-        "propagate": chains.propagate,
-        "real_beta_layer_closed_form": chains.real_beta_layer_closed_form,
-        "limit_check": chains.limit_check,
-        "heisenberg_check": chains.heisenberg_check,
-        "hahn_basis": chains.hahn_basis,
-        "q_integer": chains.q_integer,
-        "q_zeta": chains.q_zeta,
-        "theta": theta,
-        "completed_zeta": completed_zeta,
-        "euler_product_check": euler_product_check,
-        "weil_finite": weil_finite,
-    }
-    covered = [op for ops in COMMAND_OPERATIONS.values() for op in ops]
-    assert len(covered) == len(set(covered))  # nothing reachable twice
-    assert set(covered) == set(expected)  # everything reachable once
-    for name, fn in expected.items():
-        assert callable(fn), name
+def test_composite_primes_are_usage_errors():
+    for argv in (["gamma-p", "--p", "4"], ["gamma-continuity", "--p", "9"]):
+        code, out = _run(argv)
+        assert code == 2 and out == "", argv
+
+
+def _pqzeta(argv, stdin=""):
+    """One ``python -m pqzeta.cli`` process on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pqzeta.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "pqzeta.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_precision_errors_exit_2_without_traceback():
+    short = mahler.mahler_coefficients([1, 2, 3], 2, 5, 6).serialize()
+    for argv, stdin in (
+        (["padic", "--value", "3", "--p", "3", "--precision", "0"], ""),
+        (["mahler-eval", "--x", "5"], short),
+    ):
+        proc = _pqzeta(argv, stdin)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("precision error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_spq_sweep_ignores_earlier_sweeps(tmp_path, monkeypatch):
+    monkeypatch.setenv("PQZETA_CACHE_DIR", str(tmp_path))
+    deep = ["spq-sweep", "--p", "3", "--q", "5", "--jmax", "50", "--depth", "12"]
+    alone = _run(deep)
+    _run(deep[:-1] + ["2"])
+    assert _run(deep) == alone

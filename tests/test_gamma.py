@@ -153,3 +153,32 @@ def test_two_power_non_exclusion_is_structural():
     for s in range(1, 25):
         assert euclid_inverse(4, 5**s) % 3 == 1
     assert s_pq_membership(4, 3, 5, depth=24) is None
+
+
+def test_membership_is_independent_of_earlier_queries():
+    first = s_pq_membership(7, 3, 5, 16)
+    assert (first.side, first.exponent) == ("p-side", 6)
+    s_pq_membership(7, 3, 5, 3)
+    assert s_pq_membership(7, 3, 5, 16) == first
+
+
+def test_reduced_gamma_is_exact_gamma_reduced():
+    for p in (3, 5, 7, 11):
+        for e in (1, 2, 3, 5):
+            for n in range(0, 300, 7):
+                assert morita_gamma(n, p, e) == morita_gamma_exact(n, p) % p**e
+
+
+def test_composite_primes_rejected():
+    for call in (
+        lambda: morita_gamma(5, 9, 1),
+        lambda: morita_gamma_exact(5, 4),
+        lambda: gamma_functional_step(3, 6),
+        lambda: gamma_continuity_check(9, 1, 10),
+        lambda: inverse_of_half_pr_plus_one(9, 1, 2),
+        lambda: inverse_general(1, 1, 1, 2, 9, 2),
+        lambda: s_pq_membership(7, 4, 5),
+        lambda: verify_triviality_theorem(3, 15, 10),
+    ):
+        with pytest.raises(ValueError):
+            call()

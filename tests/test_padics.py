@@ -8,10 +8,9 @@ from pqzeta.padics import (
     PrecisionError,
     angle_bracket,
     crt_pair,
-    digits,
     double_teichmuller,
     ideal_shadow,
-    padic_norm,
+    is_prime,
     padic_of_rational,
     padic_reduce_abs,
     padic_valuation,
@@ -30,18 +29,18 @@ def test_of_rational_examples():
 
 
 def test_norm():
-    assert padic_norm(padic_of_rational(50, 5, 2)) == Fraction(1, 25)
-    assert padic_norm(padic_of_rational(0, 5, 2)) == 0
-    assert padic_norm(padic_of_rational(Fraction(1, 3), 3, 2)) == 3
+    assert padic_of_rational(50, 5, 2).norm() == Fraction(1, 25)
+    assert padic_of_rational(0, 5, 2).norm() == 0
+    assert padic_of_rational(Fraction(1, 3), 3, 2).norm() == 3
 
 
 def test_digits():
     x = padic_of_rational(Fraction(1, 3), 5, 3)
-    assert digits(x, 3) == [2, 3, 1]
-    assert digits(padic_of_rational(7, 5, 2), 2) == [2, 1]
-    assert digits(padic_of_rational(0, 5, 4), 3) == [0, 0, 0]
+    assert x.digits(3) == [2, 3, 1]
+    assert padic_of_rational(7, 5, 2).digits(2) == [2, 1]
+    assert padic_of_rational(0, 5, 4).digits(3) == [0, 0, 0]
     with pytest.raises(PrecisionError):
-        digits(padic_of_rational(7, 5, 2), 9)
+        padic_of_rational(7, 5, 2).digits(9)
 
 
 def test_ring_homomorphism_against_exact_arithmetic():
@@ -217,3 +216,7 @@ def test_valuation_helper():
     assert padic_valuation(Fraction(50), 5) == 2
     assert padic_valuation(Fraction(1, 25), 5) == -2
     assert padic_valuation(Fraction(0), 5) > 10**6
+
+
+def test_is_prime():
+    assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
