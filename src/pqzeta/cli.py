@@ -62,7 +62,8 @@ def _cmd_bernoulli(args):
         if args.poly:
             row["B_k_of_x"] = " ".join(str(c) for c in rationals.bernoulli_polynomial(k).coeffs)
         rows.append(row)
-    # recurrence spot check rides along: sum C(m+1, j) B_j = 0
+    # spot check against the defining recurrence sum C(m+1, j) B_j = 0, an
+    # algorithm independent of the tangent-number table
     m = max(args.upto, 1)
     acc = sum(
         rationals.binomial(m + 1, j) * rationals.bernoulli(j) for j in range(m + 1)

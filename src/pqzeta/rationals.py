@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .padics import is_prime
+
 
 def binomial(n: int, k: int) -> Fraction:
     """C(n, k) = n!/(k!(n-k)!) for 0 <= k <= n, and 0 otherwise."""
@@ -37,10 +39,19 @@ def binomial_poly(x: Fraction | int, k: int) -> Fraction:
 
 
 class BernoulliTable:
-    """Cache of B_0..B_max computed by the defining recurrence.
+    """Cache of B_0..B_max built from tangent numbers in integer arithmetic.
 
-    Convention B_1 = -1/2 (generating function t/(exp(t)-1)).  The table only
-    grows, and holds no lock: the package starts no threads.
+    Convention B_1 = -1/2 (generating function t/(exp(t)-1)); B_k = 0 for odd
+    k >= 3.  The even values come from the tangent numbers T_1..T_K by
+    Brent & Harvey's in-place integer pass (arXiv:1108.0286):
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+
+    The pass is not incremental, so a table that must grow is rebuilt to
+    max(upto, 2 * max_index): reading B_0..B_n in order costs O(log n)
+    rebuilds.  Every rebuild checks each denominator against von
+    Staudt-Clausen (the product of the primes p with (p - 1) | 2k) and
+    raises ArithmeticError on a mismatch.  The table only grows, and holds
+    no lock: the package starts no threads.
     """
 
     def __init__(self) -> None:
@@ -57,20 +68,44 @@ class BernoulliTable:
     def extend(self, upto: int) -> None:
         if upto <= self.max_index:
             return
-        vals = self._values
-        for m in range(len(vals), upto + 1):
-            # sum_{j=0}^{m-1} C(m+1, j) B_j + (m+1) B_m = 0
-            acc = Fraction(0)
-            for j in range(m):
-                if vals[j]:
-                    acc += comb(m + 1, j) * vals[j]
-            vals.append(-acc / (m + 1))
+        top = max(upto, 2 * self.max_index)
+        half = top // 2
+        # tangent numbers T_1..T_half, in place (T[0] is unused)
+        T = [0, 1] + [0] * (half - 1)
+        for k in range(2, half + 1):
+            T[k] = (k - 1) * T[k - 1]
+        for k in range(2, half + 1):
+            for j in range(k, half + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        vals = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (top - 1)
+        for k in range(1, half + 1):
+            four_k = 4**k
+            b = Fraction(2 * k * T[k], four_k * (four_k - 1))
+            if b.denominator != _staudt_clausen_denominator(2 * k):
+                raise ArithmeticError(f"B_{2 * k} = {b} fails von Staudt-Clausen")
+            vals[2 * k] = b if k % 2 else -b
+        self._values = vals
 
     def get(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("Bernoulli index must be >= 0")
-        self.extend(k)
+        if k >= len(self._values):
+            self.extend(k)
         return self._values[k]
+
+
+def _staudt_clausen_denominator(n: int) -> int:
+    """Product of the primes p with (p - 1) | n, the denominator of B_n for
+    even n >= 2 (von Staudt-Clausen)."""
+    den = 1
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            for e in {d, n // d}:
+                if is_prime(e + 1):
+                    den *= e + 1
+        d += 1
+    return den
 
 
 _TABLE = BernoulliTable()

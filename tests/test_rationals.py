@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, log2
 
 import pytest
 
+from pqzeta import rationals
 from pqzeta.rationals import (
     BernoulliTable,
     PolyRational,
@@ -60,6 +61,56 @@ def test_bernoulli_cache_determinism():
     fresh = BernoulliTable()
     fresh.extend(80)
     assert fresh.values(80) == shared.values(80)
+
+
+def _recurrence_bernoulli(upto):
+    """B_0..B_upto by the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0,
+    in Fractions: the reference the tangent-number table must reproduce."""
+    vals = [Fraction(1)]
+    for m in range(1, upto + 1):
+        acc = sum(comb(m + 1, j) * vals[j] for j in range(m) if vals[j])
+        vals.append(-acc / (m + 1))
+    return vals
+
+
+def test_bernoulli_table_matches_recurrence():
+    assert BernoulliTable().values(300) == _recurrence_bernoulli(300)
+
+
+def test_bernoulli_table_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    expected = [Fraction(int(b.p), int(b.q)) for b in map(sympy.bernoulli, range(1001))]
+    expected[1] = Fraction(-1, 2)  # sympy uses B_1 = +1/2
+    assert BernoulliTable().values(1000) == expected
+
+
+def test_bernoulli_sequential_reads_rebuild_logarithmically():
+    table = BernoulliTable()
+    rebuilds, seen = 0, table.max_index
+    for k in range(1001):
+        table.get(k)
+        if table.max_index != seen:
+            rebuilds, seen = rebuilds + 1, table.max_index
+    assert rebuilds <= ceil(log2(1000)) + 2
+
+
+@pytest.mark.parametrize("upto", [0, 1, 2, 3])
+def test_bernoulli_values_small(upto):
+    got = BernoulliTable().values(upto)
+    assert got == [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0)][: upto + 1]
+
+
+def test_bernoulli_extend_steps_match_fresh_table():
+    table = BernoulliTable()
+    for upto in (7, 8, 100, 513):
+        table.extend(upto)
+    assert table.values(513) == BernoulliTable().values(513)
+
+
+def test_bernoulli_denominator_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(rationals, "_staudt_clausen_denominator", lambda n: 1)
+    with pytest.raises(ArithmeticError, match="von Staudt-Clausen"):
+        BernoulliTable().values(2)
 
 
 def test_bernoulli_polynomial_values():
