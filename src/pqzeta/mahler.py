@@ -1,11 +1,14 @@
 """Mahler interpolation on a finite window.
 
 Functions N -> Q_p are supplied as exact values (int/Fraction) or
-``PadicNumber``s on a window [0, L].  Coefficients are the iterated forward
-differences at 0; a continuous function is recovered as
-f(x) = sum_n C(x, n) a_n.  Decay certificates record the bound
-|a_n|_p <= p^(-s) for n >= s * p^t coming from a uniform-continuity modulus.
-"""
+``PadicNumber``s on a window [0, L].  By Mahler's theorem the coefficients
+are the forward differences a_n = D^n f(0) and a continuous function is
+recovered as f(x) = sum_n C(x, n) a_n.  Both directions work on exact
+rational representatives, each paired with the absolute precision it is
+known to, and reduce once at the end: ``_differences`` is the one
+difference loop (coefficients, decay checks) and ``_pair`` the one binomial
+pairing (evaluation).  Decay certificates record the bound
+|a_n|_p <= p^(-s) for n >= s * p^t coming from a uniform-continuity modulus."""
 
 from __future__ import annotations
 
@@ -13,9 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .padics import PadicNumber, PrecisionError, padic_reduce_abs, padic_valuation
-
-Exact = Fraction | int
+from .padics import INFINITY, PadicNumber, PrecisionError, padic_reduce_abs, padic_valuation
 
 
 def _window(f, upto: int) -> list:
@@ -25,44 +26,6 @@ def _window(f, upto: int) -> list:
     if len(vals) < upto + 1:
         raise ValueError(f"window too short: need values on [0, {upto}]")
     return vals[: upto + 1]
-
-
-def binomial_inversion(b: list) -> list:
-    """a_n = sum_k C(n,k) (-1)^(n-k) b_k; inverse of the forward transform."""
-    out = []
-    for n in range(len(b)):
-        acc = None
-        for k in range(n + 1):
-            term = comb(n, k) * b[k] if (n - k) % 2 == 0 else -(comb(n, k) * b[k])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def forward_binomial_sum(a: list) -> list:
-    """b_n = sum_k C(n,k) a_k, the transform inverted by binomial_inversion."""
-    out = []
-    for n in range(len(a)):
-        acc = None
-        for k in range(n + 1):
-            term = comb(n, k) * a[k]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def difference_operator(f, n: int, x: int = 0):
-    """D^n f(x) = sum_k C(n,k)(-1)^(n-k) f(x+k); D^n f(0) is the n-th coefficient."""
-    if n < 0 or x < 0:
-        raise ValueError("difference_operator needs n, x >= 0")
-    vals = _window(f, x + n)
-    acc = None
-    for k in range(n + 1):
-        term = comb(n, k) * vals[x + k]
-        if (n - k) % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 @dataclass
@@ -118,35 +81,60 @@ class MahlerSeries:
         return cls(p=p, precision=precision, coeffs=coeffs)
 
 
-def _to_padic_mod(value, p: int, abs_prec: int) -> PadicNumber:
-    """Reduce an exact value (or compatible PadicNumber) mod p^abs_prec."""
-    if isinstance(value, PadicNumber):
-        return value
+def _differences(values: list) -> list:
+    """The leading diagonal D^n v(0), n = 0..L, of exact values v(0..L).
+
+    The one forward-difference loop: after pass n, row[i] holds D^n v(i - n)
+    for i >= n, so row[n] is finished and never touched again.
+    """
+    row = list(values)
+    for n in range(1, len(row)):
+        for i in range(len(row) - 1, n - 1, -1):
+            row[i] -= row[i - 1]
+    return row
+
+
+def _representative(x: PadicNumber):
+    """An exact rational in the class of x (0 for either kind of zero)."""
+    if x.unit == 0:
+        return 0
+    if x.valuation >= 0:
+        return x.unit * x.p**x.valuation
+    return Fraction(x.unit, x.p**-x.valuation)
+
+
+def _reduce(value, p: int, abs_prec: int) -> PadicNumber:
+    """The class of an exact value mod p^abs_prec; a zero is ``zero_mod``."""
+    if value == 0:
+        return PadicNumber.zero_mod(p, abs_prec)
     return padic_reduce_abs(value, p, abs_prec)
 
 
 def mahler_coefficients(f, upto: int, p: int, precision: int) -> MahlerSeries:
-    """Coefficients a_0..a_upto of f, each reduced mod p^precision.
+    """Coefficients a_0..a_upto of f, a_n = D^n f(0).
 
-    Computed by the forward-difference recurrence (one row of pairwise
-    differences per index) rather than the explicit alternating sum; equality
-    with the alternating sum is a test, not an assumption.  Exact windows are
-    differenced exactly and reduced at the end; PadicNumber windows propagate
-    tracked precision, with full cancellation representable as an inexact zero.
+    A window of ints and Fractions is differenced exactly and each a_n is
+    reduced mod p^precision.  Otherwise every entry becomes an exact
+    representative with an absolute precision: a PadicNumber its own (an
+    exact zero infinite), an exact entry its reduction mod p^precision.  a_n
+    depends on entries 0..n only, so it is reduced at the least precision
+    among them, and a difference that cancels every tracked digit is an
+    inexact zero.  Equality with the explicit alternating sum is a test.
     """
     vals = _window(f, upto)
-    exact = all(isinstance(x, (int, Fraction)) for x in vals)
-    coeffs: list[PadicNumber] = []
-    row = list(vals)
-    if exact:
-        for _ in range(upto + 1):
-            coeffs.append(_to_padic_mod(row[0], p, precision))
-            row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    else:
-        row = [x if isinstance(x, PadicNumber) else _to_padic_mod(x, p, precision) for x in row]
-        for _ in range(upto + 1):
-            coeffs.append(row[0])
-            row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    if all(isinstance(x, (int, Fraction)) for x in vals):
+        return MahlerSeries(
+            p=p,
+            precision=precision,
+            coeffs=[padic_reduce_abs(d, p, precision) for d in _differences(vals)],
+        )
+    entries = [x if isinstance(x, PadicNumber) else padic_reduce_abs(x, p, precision) for x in vals]
+    if any(x.p != p for x in entries):
+        raise ValueError(f"window entries must be {p}-adic")
+    coeffs, known = [], INFINITY
+    for d, x in zip(_differences([_representative(x) for x in entries]), entries):
+        known = min(known, x.abs_precision)
+        coeffs.append(PadicNumber.exact_zero(p) if known == INFINITY else _reduce(d, p, known))
     return MahlerSeries(p=p, precision=precision, coeffs=coeffs)
 
 
@@ -172,20 +160,40 @@ def verify_decay(f, p: int, s: int, t: int, upto: int) -> DecayReport:
     vals = _window(f, upto)
     if not all(isinstance(x, (int, Fraction)) for x in vals):
         raise TypeError("verify_decay needs an exact-valued window")
-    row = [Fraction(x) for x in vals]
     pt = p**t
-    for n in range(upto + 1):
-        a_n = row[0]
+    for n, a_n in enumerate(_differences(vals)):
         v = padic_valuation(a_n, p)
         for sigma in range(1, s + 1):
             if n >= sigma * pt and v < sigma:
                 return DecayReport(ok=False, s=s, t=t, upto=upto, violation=(n, sigma, int(v)))
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
     return DecayReport(ok=True, s=s, t=t, upto=upto)
 
 
 class InsufficientTailError(PrecisionError):
     """Evaluation requested without a certificate and with a non-null tail."""
+
+
+def _pair(series: MahlerSeries, r: int, top: int):
+    """sum_{n <= top} C(r, n) a_n on exact representatives, and the absolute
+    precision it is known to.
+
+    The one binomial pairing.  Term n is known mod p^(abs(a_n) + v_p(C)) and,
+    as C enters only mod p^precision, mod p^(precision + v(a_n)); a term with
+    v_p(C) >= precision is skipped.  No term leaves the precision infinite.
+    """
+    p, prec = series.p, series.precision
+    mod = p**prec
+    total, known = 0, INFINITY
+    for n in range(top + 1):
+        a = series.coeffs[n]
+        if a.is_exact_zero:
+            continue
+        c = comb(r, n)
+        if c % mod == 0:
+            continue
+        known = min(known, a.abs_precision + padic_valuation(c, p), prec + a.valuation)
+        total += _representative(a) * c
+    return total, known
 
 
 def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
@@ -204,13 +212,8 @@ def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
             raise ValueError("integer evaluation needs x >= 0")
         if x >= len(series.coeffs):
             raise InsufficientTailError(f"window of {len(series.coeffs)} ends before x={x}")
-        acc = PadicNumber.exact_zero(p)
-        for n in range(x + 1):
-            c = comb(x, n)
-            if c % p**n_prec == 0:
-                continue
-            acc = acc + series.coeffs[n] * _to_padic_mod(c, p, n_prec)
-        return acc
+        total, known = _pair(series, x, x)
+        return PadicNumber.exact_zero(p) if known == INFINITY else _reduce(total, p, known)
 
     if not isinstance(x, PadicNumber) or x.p != p:
         raise TypeError("x must be an int or a PadicNumber over the same prime")
@@ -221,36 +224,15 @@ def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
         guard = 1
         while p**guard < len(series.coeffs):
             guard += 1
-        tail = series.coeffs[-guard:]
-        flat = all(
-            c.is_exact_zero or (c.unit == 0 and c.valuation >= n_prec) or c.valuation >= n_prec
-            for c in tail
-        )
-        if not (heuristic and flat):
+        if not (heuristic and all(c.valuation >= n_prec for c in series.coeffs[-guard:])):
             raise InsufficientTailError(
                 "no decay certificate; pass heuristic=True once trailing "
                 "coefficients vanish at working precision"
             )
         sigma = n_prec
-    out_prec = min(n_prec, sigma)
     r = x.residue(min(x.abs_precision, n_prec))
-    acc = PadicNumber.exact_zero(p)
-    for n, a_n in enumerate(series.coeffs):
-        if a_n.is_exact_zero:
-            continue
-        c = comb(r, n)  # C(x, n) mod p^(N - v_p(n!)) via any representative
-        red = _to_padic_mod(c, p, n_prec)
-        if red.is_exact_zero or (red.unit == 0 and red.valuation >= n_prec):
-            continue
-        acc = acc + a_n * red
-    if acc.is_exact_zero:
-        return PadicNumber.zero_mod(p, out_prec)
-    if acc.unit == 0:
-        return PadicNumber.zero_mod(p, min(acc.valuation, out_prec))
-    digits_kept = out_prec - acc.valuation
-    if digits_kept <= 0:
-        return PadicNumber.zero_mod(p, out_prec)
-    return PadicNumber(p, acc.valuation, acc.unit, min(acc.precision, digits_kept))
+    total, known = _pair(series, r, len(series.coeffs) - 1)
+    return _reduce(total, p, min(known, n_prec, sigma))
 
 
 def characteristic_rows(p: int, n: int, upto: int):
@@ -295,7 +277,7 @@ def characteristic_mahler(b: int, n: int, p: int, upto: int) -> MahlerSeries:
     coeffs = characteristic_coefficients_exact(b, n, p, upto)
     # reduce at a precision wide enough to keep every certified digit exact
     precision = max(1, upto // pn + 2)
-    reduced = [_to_padic_mod(c, p, precision) for c in coeffs]
+    reduced = [padic_reduce_abs(c, p, precision) for c in coeffs]
     return MahlerSeries(p=p, precision=precision, coeffs=reduced, decay=(upto // pn, n))
 
 
@@ -314,4 +296,4 @@ def binomial_coefficient_padic(x: PadicNumber, n: int) -> PadicNumber:
     keep = int(A - loss)
     if keep <= 0:
         raise PrecisionError("binomial loses all tracked digits")
-    return _to_padic_mod(value, x.p, keep)
+    return padic_reduce_abs(value, x.p, keep)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pqzeta
 from pqzeta import mahler
 from pqzeta.cli import CSV_SCHEMA, build_parser, run
+from pqzeta.padics import padic_reduce_abs
 
 
 def _run(argv):
@@ -43,6 +44,23 @@ def test_teichmuller_command():
     code, out = _run(["teichmuller", "--n", "2", "--p", "3", "--q", "5", "--precision", "2"])
     assert code == 0
     assert "107" in out
+
+
+def test_mahler_coeffs_checks_the_printed_series(monkeypatch):
+    """--window sums the printed series back at every window integer and
+    exits 1 when an entry does not come back at the claimed digits."""
+    argv = ["mahler-coeffs", "--window", "1,4,9,16,1/3", "--p", "3", "--precision", "4"]
+    code, out = _run(argv)
+    assert code == 0 and out.splitlines()[2] == "3 4 5"
+    evaluate = mahler.evaluate_mahler
+
+    def off_by_one(series, x):
+        value = evaluate(series, x)
+        return value + padic_reduce_abs(1, series.p, series.precision) if x == 4 else value
+
+    monkeypatch.setattr(mahler, "evaluate_mahler", off_by_one)
+    code, out = _run(argv)
+    assert code == 1 and "window entry at 4" in out
 
 
 def test_kummer_command_pass_and_usage():

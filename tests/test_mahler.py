@@ -3,23 +3,54 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqzeta.gamma import morita_gamma_exact
 from pqzeta.mahler import (
     InsufficientTailError,
     MahlerSeries,
     binomial_coefficient_padic,
-    binomial_inversion,
     characteristic_coefficients_exact,
     characteristic_mahler,
     characteristic_rows,
-    difference_operator,
     evaluate_mahler,
-    forward_binomial_sum,
     mahler_coefficients,
     verify_decay,
 )
-from pqzeta.padics import PadicNumber, padic_of_rational
+from pqzeta.padics import (
+    INFINITY,
+    PadicNumber,
+    padic_of_rational,
+    padic_reduce_abs,
+    padic_valuation,
+)
+
+
+def alternating_sums(values: list) -> list:
+    """The explicit a_n = sum_k (-1)^(n-k) C(n, k) v_k: the reference the
+    library's forward-difference loop is checked against."""
+    return [
+        sum((-1) ** (n - k) * comb(n, k) * values[k] for k in range(n + 1))
+        for n in range(len(values))
+    ]
+
+
+def binomial_sums(coeffs: list) -> list:
+    """v_m = sum_n C(m, n) a_n, the transform alternating_sums inverts."""
+    return [sum(comb(m, n) * coeffs[n] for n in range(m + 1)) for m in range(len(coeffs))]
+
+
+def representative(x: PadicNumber):
+    return 0 if x.unit == 0 else x.unit * Fraction(x.p) ** x.valuation
+
+
+def agrees(value: PadicNumber, exact) -> bool:
+    """True when the exact rational has every digit that value claims."""
+    if value.is_exact_zero:
+        return exact == 0
+    diff = Fraction(exact) - representative(value)
+    return diff == 0 or padic_valuation(diff, value.p) >= value.abs_precision
 
 
 def test_coefficients_constant_and_linear():
@@ -41,8 +72,7 @@ def test_coefficients_match_alternating_sum():
     rng = random.Random(3)
     window = [Fraction(rng.randint(-30, 30)) for _ in range(14)]
     series = mahler_coefficients(window, 13, 5, 6)
-    direct = binomial_inversion(window)
-    for got, want in zip(series.coeffs, direct):
+    for got, want in zip(series.coeffs, alternating_sums(window)):
         if want == 0:
             assert got.is_exact_zero
         else:
@@ -52,32 +82,88 @@ def test_coefficients_match_alternating_sum():
 
 
 def test_binomial_inversion_round_trip():
-    assert binomial_inversion([1, 1, 1]) == [1, 0, 0]
-    assert binomial_inversion([0, 1, 2]) == [0, 1, 0]
+    """The oracle pair inverts each other, and the library's coefficients and
+    integer evaluation reproduce them on Fraction windows."""
+    assert alternating_sums([1, 1, 1]) == [1, 0, 0]
+    assert alternating_sums([0, 1, 2]) == [0, 1, 0]
     rng = random.Random(17)
     for _ in range(10):
         data = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(12)]
-        assert forward_binomial_sum(binomial_inversion(data)) == data
-        assert binomial_inversion(forward_binomial_sum(data)) == data
+        assert binomial_sums(alternating_sums(data)) == data
+        assert alternating_sums(binomial_sums(data)) == data
+        series = mahler_coefficients(data, 11, 7, 5)
+        assert all(agrees(c, a) for c, a in zip(series.coeffs, alternating_sums(data)))
+        assert all(agrees(evaluate_mahler(series, m), data[m]) for m in range(12))
 
 
 def test_difference_operator():
     square = [k * k for k in range(10)]
-    assert difference_operator(square, 2, 0) == 2
-    assert difference_operator(square, 0, 4) == 16
-    # shift identity: sum_j C(m,j) a_{n+j} = sum_k (-1)^(n-k) C(n,k) f(k+m)
-    from math import comb
-
+    coeffs = mahler_coefficients(square, 9, 5, 4).coeffs
+    assert coeffs[2].residue(4) == 2
+    assert all(c.is_exact_zero for c in coeffs[3:])
+    # shift identity: sum_j C(m,j) a_{n+j} = D^n f(m) = sum_k (-1)^(n-k) C(n,k) f(k+m)
     rng = random.Random(23)
     f = [Fraction(rng.randint(-9, 9)) for _ in range(16)]
-    a = binomial_inversion(f)
-    for n in range(4):
-        for m in range(4):
+    a = alternating_sums(f)
+    for m in range(4):
+        shifted = mahler_coefficients(f[m:], 15 - m, 5, 6).coeffs
+        for n in range(4):
             lhs = sum(comb(m, j) * a[n + j] for j in range(m + 1))
-            rhs = sum(
-                (-1) ** (n - k) * comb(n, k) * f[k + m] for k in range(n + 1)
-            )
-            assert lhs == rhs
+            assert lhs == alternating_sums(f[m:])[n]
+            assert agrees(shifted[n], lhs)
+
+
+def _entries(p: int, precision: int):
+    """Window entries of every kind mahler_coefficients takes."""
+    units = st.integers(1, p**8).filter(lambda u: u % p)
+    return st.one_of(
+        st.integers(-60, 60),
+        st.builds(Fraction, st.integers(-60, 60), st.sampled_from((1, p, p * p, 2 * p + 1))),
+        st.just(PadicNumber.exact_zero(p)),
+        st.builds(PadicNumber.zero_mod, st.just(p), st.integers(-2, precision + 2)),
+        st.builds(lambda v, u, n: PadicNumber(p, v, u, n), st.integers(-2, 3), units,
+                  st.integers(1, precision + 2)),
+    )
+
+
+@st.composite
+def mixed_windows(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    precision = draw(st.integers(1, 6))
+    window = draw(st.lists(_entries(p, precision), min_size=1, max_size=12))
+    return p, precision, window
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_windows(), st.data())
+def test_coefficients_agree_with_alternating_sums_at_claimed_digits(case, data):
+    """On mixed windows, coefficient n claims the least precision of entries
+    0..n, and the alternating sum of any representatives of the entries
+    agrees with it at every claimed digit."""
+    p, precision, window = case
+    series = mahler_coefficients(window, len(window) - 1, p, precision)
+    exact = all(isinstance(x, (int, Fraction)) for x in window)
+    known, values = INFINITY, []
+    for x in window:
+        if isinstance(x, PadicNumber):
+            if x.is_exact_zero:
+                values.append(0)
+            else:
+                shift = data.draw(st.integers(-(p**3), p**3))
+                values.append(representative(x) + shift * Fraction(p) ** x.abs_precision)
+            known = min(known, x.abs_precision)
+        else:
+            values.append(x)
+            known = min(known, INFINITY if exact or x == 0 else precision)
+        want = alternating_sums(values)[-1]
+        got = series.coeffs[len(values) - 1]
+        assert agrees(got, want), (values, got)
+        if exact:
+            assert got == padic_reduce_abs(want, p, precision)
+        elif known == INFINITY:
+            assert got.is_exact_zero
+        else:
+            assert got.abs_precision == known
 
 
 def test_round_trip_padic_windows():
