@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .padics import INFINITY, PadicNumber, PrecisionError, padic_reduce_abs, padic_valuation
 
@@ -173,13 +173,28 @@ class InsufficientTailError(PrecisionError):
     """Evaluation requested without a certificate and with a non-null tail."""
 
 
-def _pair(series: MahlerSeries, r: int, top: int):
+def _log_floor(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1, the digits C(x, n) loses to x's precision.
+
+    By Vandermonde, C(x + y, n) - C(x, n) = sum_{j >= 1} C(x, n - j) C(y, j),
+    and |C(y, j)|_p <= |y / j|_p <= |y|_p p^floor(log_p n) for j <= n.
+    """
+    k = 0
+    while p ** (k + 1) <= n:
+        k += 1
+    return k
+
+
+def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     """sum_{n <= top} C(r, n) a_n on exact representatives, and the absolute
     precision it is known to.
 
     The one binomial pairing.  Term n is known mod p^(abs(a_n) + v_p(C)) and,
     as C enters only mod p^precision, mod p^(precision + v(a_n)); a term with
-    v_p(C) >= precision is skipped.  No term leaves the precision infinite.
+    v_p(C) >= precision is skipped.  When r stands for any x = r mod p^digits
+    rather than for r itself, term n (n >= 1) is known only mod
+    p^(v(a_n) + digits - floor(log_p n)), skipped or not.  No term leaves the
+    precision infinite.
     """
     p, prec = series.p, series.precision
     mod = p**prec
@@ -188,6 +203,8 @@ def _pair(series: MahlerSeries, r: int, top: int):
         a = series.coeffs[n]
         if a.is_exact_zero:
             continue
+        if n and digits != INFINITY:
+            known = min(known, a.valuation + digits - _log_floor(n, p))
         c = comb(r, n)
         if c % mod == 0:
             continue
@@ -204,7 +221,9 @@ def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
     v >= 0 the series is truncated where the decay certificate puts the tail
     below the working precision; without a certificate the call fails unless
     ``heuristic=True`` and the last ceil(log_p L) coefficients vanish at the
-    working precision.
+    working precision.  The value also claims no digit that another
+    representative of x could change (see ``_log_floor``), and a value left
+    with no digit raises PrecisionError.
     """
     p, n_prec = series.p, series.precision
     if isinstance(x, int):
@@ -230,9 +249,12 @@ def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
                 "coefficients vanish at working precision"
             )
         sigma = n_prec
-    r = x.residue(min(x.abs_precision, n_prec))
-    total, known = _pair(series, r, len(series.coeffs) - 1)
-    return _reduce(total, p, min(known, n_prec, sigma))
+    digits = min(x.abs_precision, n_prec)
+    total, known = _pair(series, x.residue(digits), len(series.coeffs) - 1, digits)
+    known = min(known, n_prec, sigma)
+    if known < 1:
+        raise PrecisionError(f"no {p}-adic digit of the value is certified")
+    return _reduce(total, p, known)
 
 
 def characteristic_rows(p: int, n: int, upto: int):
@@ -284,16 +306,13 @@ def characteristic_mahler(b: int, n: int, p: int, upto: int) -> MahlerSeries:
 def binomial_coefficient_padic(x: PadicNumber, n: int) -> PadicNumber:
     """C(x, n) for a p-adic integer x, via an integer representative.
 
-    Well defined mod p^(A - v_p(n!)) when x is known mod p^A; always a p-adic
-    integer (|C(x,n)|_p <= 1).
+    Well defined mod p^(A - floor(log_p n)) when x is known mod p^A (see
+    ``_log_floor``); always a p-adic integer (|C(x,n)|_p <= 1).
     """
     if x.valuation < 0:
         raise ValueError("binomial symbol needs a p-adic integer")
     A = x.abs_precision
-    r = x.residue(A)
-    value = comb(r, n)
-    loss = padic_valuation(Fraction(factorial(n)), x.p)
-    keep = int(A - loss)
+    keep = int(A - _log_floor(n, x.p)) if n else int(A)
     if keep <= 0:
         raise PrecisionError("binomial loses all tracked digits")
-    return padic_reduce_abs(value, x.p, keep)
+    return _reduce(comb(x.residue(A), n), x.p, keep)

@@ -21,6 +21,7 @@ from pqzeta.mahler import (
 from pqzeta.padics import (
     INFINITY,
     PadicNumber,
+    PrecisionError,
     padic_of_rational,
     padic_reduce_abs,
     padic_valuation,
@@ -301,6 +302,80 @@ def test_binomial_symbol_bounded():
             c = binomial_coefficient_padic(x, n)
             if not c.is_exact_zero and c.unit != 0:
                 assert c.valuation >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 40), st.integers(1, 7), st.integers(0, 10**6))
+def test_binomial_symbol_agrees_at_every_representative(p, n, digits, r):
+    """C(x, n) claims A - floor(log_p n) digits for x known mod p^A, and
+    C(r + k p^A, n) has every one of them."""
+    x = padic_reduce_abs(r % p**digits + p**digits, p, digits)
+    try:
+        c = binomial_coefficient_padic(x, n)
+    except PrecisionError:
+        assert n >= p**digits
+        return
+    lost, m = 0, n // p  # floor(log_p n): one digit per base-p place of n past the first
+    while m:
+        lost, m = lost + 1, m // p
+    assert c.abs_precision == digits - lost
+    for k in range(p**2):
+        assert agrees(c, comb(r % p**digits + k * p**digits, n)), k
+
+
+def test_padic_point_with_few_digits_claims_none_it_lacks():
+    """x = 1 + O(3) stands for 4 as well, where the indicator of 4 mod 9 is
+    1: no digit of the value at x is certified."""
+    series = characteristic_mahler(4, 2, 3, 36)
+    with pytest.raises(PrecisionError):
+        evaluate_mahler(series, PadicNumber(3, 0, 1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 2), st.integers(0, 10**6), st.integers(1, 4),
+       st.integers(0, 10**6), st.integers(1, 4))
+def test_indicator_at_padic_point_agrees_at_every_representative(p, n, b, scale, r, digits):
+    """The value at x = r + O(p^A) agrees, at every digit it claims, with the
+    indicator at every representative r + k p^A."""
+    pn = p**n
+    b %= pn
+    series = characteristic_mahler(b, n, p, scale * pn * p)
+    x = padic_reduce_abs(r % p**digits + p**digits, p, digits)
+    try:
+        value = evaluate_mahler(series, x)
+    except PrecisionError:
+        return
+    for k in range(pn * p):
+        y = r % p**digits + k * p**digits
+        assert agrees(value, 1 if y % pn == b else 0), (y, value)
+        assert value.congruent_mod(evaluate_mahler(series, padic_of_rational(y, p, 12)),
+                                   value.abs_precision)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+       st.integers(2, 8), st.integers(0, 10**6), st.integers(1, 6))
+def test_polynomial_at_padic_point_agrees_at_every_representative(p, poly, precision, r, digits):
+    """A polynomial of degree d has a_n = 0 for n > d, so the certificate
+    (precision, t) with p^t > d holds; its value at x = r + O(p^A) agrees
+    with the polynomial at every representative r + k p^A."""
+    def f(k):
+        return sum(c * k**i for i, c in enumerate(poly))
+
+    t = 0
+    while p**t < len(poly):
+        t += 1
+    upto = precision * p**t
+    series = mahler_coefficients([f(k) for k in range(upto + 1)], upto, p, precision)
+    series.decay = (precision, t)
+    x = padic_reduce_abs(r % p**digits + p**digits, p, digits)
+    try:
+        value = evaluate_mahler(series, x)
+    except PrecisionError:
+        assert digits <= len(poly) - 1
+        return
+    for k in range(p**3):
+        assert agrees(value, f(r % p**digits + k * p**digits)), k
 
 
 def test_ultrametric_tail_bound():
