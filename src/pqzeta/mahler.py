@@ -190,14 +190,13 @@ def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     precision it is known to.
 
     The one binomial pairing.  Term n is known mod p^(abs(a_n) + v_p(C)) and,
-    as C enters only mod p^precision, mod p^(precision + v(a_n)); a term with
-    v_p(C) >= precision is skipped.  When r stands for any x = r mod p^digits
-    rather than for r itself, term n (n >= 1) is known only mod
-    p^(v(a_n) + digits - floor(log_p n)), skipped or not.  No term leaves the
-    precision infinite.
+    as C enters only mod p^precision, mod p^(precision + v(a_n)).  No term is
+    dropped for v_p(C) >= precision: a_n may have negative valuation.  When r
+    stands for any x = r mod p^digits rather than for r itself, term n
+    (n >= 1) is known only mod p^(v(a_n) + digits - floor(log_p n)), even
+    where C(r, n) = 0.  No term leaves the precision infinite.
     """
     p, prec = series.p, series.precision
-    mod = p**prec
     total, known = 0, INFINITY
     for n in range(top + 1):
         a = series.coeffs[n]
@@ -206,10 +205,9 @@ def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
         if n and digits != INFINITY:
             known = min(known, a.valuation + digits - _log_floor(n, p))
         c = comb(r, n)
-        if c % mod == 0:
-            continue
-        known = min(known, a.abs_precision + padic_valuation(c, p), prec + a.valuation)
-        total += _representative(a) * c
+        if c:
+            known = min(known, a.abs_precision + padic_valuation(c, p), prec + a.valuation)
+            total += _representative(a) * c
     return total, known
 
 

@@ -167,6 +167,21 @@ def test_coefficients_agree_with_alternating_sums_at_claimed_digits(case, data):
             assert got.abs_precision == known
 
 
+@settings(max_examples=150, deadline=None)
+@given(mixed_windows())
+def test_evaluation_at_window_integers_gives_the_window_back(case):
+    """Summing the coefficients back at m = 0..L gives entry m at every digit
+    the value claims, and claims no more than the entries 0..m hold."""
+    p, precision, window = case
+    series = mahler_coefficients(window, len(window) - 1, p, precision)
+    for m, x in enumerate(window):
+        value = evaluate_mahler(series, m)
+        if isinstance(x, PadicNumber):
+            assert value.abs_precision <= x.abs_precision, (m, value)
+            x = representative(x)
+        assert agrees(value, x), (m, value)
+
+
 def test_round_trip_padic_windows():
     rng = random.Random(41)
     p, N, L = 5, 6, 24
