@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .padics import INFINITY, PadicNumber, PrecisionError, padic_reduce_abs, padic_valuation
+from .padics import (
+    INFINITY,
+    PadicNumber,
+    PrecisionError,
+    is_prime,
+    padic_reduce_abs,
+    padic_valuation,
+)
 
 
 def _window(f, upto: int) -> list:
@@ -64,20 +71,26 @@ class MahlerSeries:
 
     @classmethod
     def deserialize(cls, text: str) -> "MahlerSeries":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        p, precision, length = (int(x) for x in lines[0].split())
+        """Read ``serialize`` output back; anything else raises ValueError."""
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+        if not lines or len(lines[0]) != 3:
+            raise ValueError("a Mahler series starts with the line 'p precision length'")
+        p, precision, length = (int(x) for x in lines[0])
+        if not is_prime(p) or precision < 1 or length < 0:
+            raise ValueError(f"header '{p} {precision} {length}' needs a prime, precision >= 1, length >= 0")
+        if len(lines) != length + 1:
+            raise ValueError(f"the header declares {length} coefficients, {len(lines) - 1} follow")
         coeffs = []
-        for ln in lines[1 : length + 1]:
-            idx, v, unit = ln.split()
-            if v == "inf":
+        for i, fields in enumerate(lines[1:]):
+            if len(fields) != 3 or int(fields[0]) != i:
+                raise ValueError(f"coefficient line {i} must read '{i} valuation unit'")
+            _, v, unit = fields
+            if v == "inf" and unit == "0":
                 coeffs.append(PadicNumber.exact_zero(p))
             elif unit == "0":
                 coeffs.append(PadicNumber.zero_mod(p, int(v)))
             else:
-                v = int(v)
-                coeffs.append(PadicNumber(p, v, int(unit), precision - v))
-        if len(coeffs) != length:
-            raise ValueError("truncated serialization")
+                coeffs.append(PadicNumber(p, int(v), int(unit), precision - int(v)))
         return cls(p=p, precision=precision, coeffs=coeffs)
 
 

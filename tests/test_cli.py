@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pqzeta
 from pqzeta import mahler
 from pqzeta.cli import CSV_SCHEMA, build_parser, run
@@ -220,6 +222,26 @@ def test_precision_errors_exit_2_without_traceback():
         assert proc.stdout == ""
         assert proc.stderr.startswith("precision error: ")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        "",  # no header
+        "4 3 2\n0 0 1\n1 0 1\n",  # 4 is not a prime
+        "5 0 1\n0 0 1\n",  # precision below 1
+        "5 3\n0 0 1\n",  # a header of two fields
+        "5 3 2\n0 0 1\n0 0 2\n",  # index 0 twice
+        "5 3 1\n0 0 1\n1 0 2\n",  # a line past the declared length
+        "5 3 2\n0 0 1\n",  # a line short of it
+    ],
+)
+def test_mahler_eval_rejects_malformed_series(stdin):
+    proc = _pqzeta(["mahler-eval", "--x", "0"], stdin)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_spq_sweep_ignores_earlier_sweeps(tmp_path, monkeypatch):
