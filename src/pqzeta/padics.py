@@ -376,22 +376,20 @@ def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumb
 
 
 def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
-    """The (p-1)-st root of unity congruent to n mod p, by p-power iteration.
+    """The (p-1)-st root of unity congruent to n mod p: n^(p^(N-1)) mod p^N.
 
-    Iterating x <- x^p mod p^N converges quadratically; N iterations are
-    always enough and the fixed point is asserted.
+    Each step of x <- x^p gains one p-adic digit (n = omega u with
+    u = 1 mod p, and u^(p^k) = 1 mod p^(k+1)), so N - 1 steps reach the lift
+    mod p^N; one modular power takes them all.  The fixed point is asserted.
     """
     if n % p == 0:
         raise ValueError("teichmuller needs gcd(n, p) = 1; see teichmuller_total")
+    if precision < 1:
+        raise ValueError("teichmuller needs precision >= 1")
     mod = p**precision
-    x = n % mod
-    for _ in range(precision + 1):
-        nxt = pow(x, p, mod)
-        if nxt == x:
-            break
-        x = nxt
+    x = pow(n, p ** (precision - 1), mod)
     if pow(x, p, mod) != x:
-        raise ArithmeticError("teichmuller iteration failed to stabilize")
+        raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
     return PadicNumber(p, 0, x, precision)
 
 

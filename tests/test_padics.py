@@ -122,6 +122,8 @@ def test_teichmuller_examples():
     assert v.unit == 80  # i.e. -1 mod 81
     with pytest.raises(ValueError):
         teichmuller(10, 5, 3)
+    with pytest.raises(ValueError):
+        teichmuller(2, 5, 0)
     assert teichmuller_total(10, 5, 3).is_exact_zero
 
 
