@@ -107,18 +107,6 @@ class ExpSeries:
                 work[k] -= c * d[k - m]
         return ExpSeries(out)
 
-    def serialize(self) -> str:
-        return "; ".join([str(self.order)] + [str(c) for c in self.coeffs])
-
-    @classmethod
-    def deserialize(cls, text: str) -> "ExpSeries":
-        parts = [s.strip() for s in text.split(";")]
-        order = int(parts[0])
-        coeffs = [Fraction(s) for s in parts[1:]]
-        if len(coeffs) != order + 1:
-            raise ValueError("order does not match coefficient count")
-        return cls(coeffs)
-
 
 def xi(n: int, a: int, r: int) -> int:
     """The periodic weight: 0 off multiples of r, 1 - a on multiples of ra, else 1."""

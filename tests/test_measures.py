@@ -57,12 +57,6 @@ def test_exp_series_removable_division():
         bad.divide(den, 2)
 
 
-def test_exp_series_serialization():
-    s = ExpSeries([Fraction(1, 2), Fraction(-3), Fraction(0)])
-    assert s.serialize() == "2; 1/2; -3; 0"
-    assert ExpSeries.deserialize(s.serialize()) == s
-
-
 def test_psi_series_slots():
     series = psi_r_series(2, 1, 4)
     assert series.coeffs[0] == Fraction(1, 2)  # (1-a) zeta(0) for a=2
