@@ -139,8 +139,7 @@ def _cmd_mahler_coeffs(args):
     elif args.window:
         window = _parse_window(args.window)
         series = mahler.mahler_coefficients(window, len(window) - 1, args.p, args.precision)
-        # the printed series, summed back by the binomial pairing (not by
-        # differences), must give every window entry at the digits it claims
+        # independent of the differences: the printed series, summed back, gives each entry
         printed = mahler.MahlerSeries.deserialize(series.serialize())
         for m, entry in enumerate(window):
             if not _agrees(mahler.evaluate_mahler(printed, m), entry):

@@ -76,8 +76,8 @@ class MahlerSeries:
         if not lines or len(lines[0]) != 3:
             raise ValueError("a Mahler series starts with the line 'p precision length'")
         p, precision, length = (int(x) for x in lines[0])
-        if not is_prime(p) or precision < 1 or length < 0:
-            raise ValueError(f"header '{p} {precision} {length}' needs a prime, precision >= 1, length >= 0")
+        if not is_prime(p) or precision < 1:
+            raise ValueError(f"header '{p} {precision} {length}': need a prime and precision >= 1")
         if len(lines) != length + 1:
             raise ValueError(f"the header declares {length} coefficients, {len(lines) - 1} follow")
         coeffs = []
@@ -107,8 +107,11 @@ def _differences(values: list) -> list:
     return row
 
 
-def _representative(x: PadicNumber):
-    """An exact rational in the class of x (0 for either kind of zero)."""
+def _representative(x):
+    """An exact rational in the class of x: x itself when it is exact, 0 for
+    either kind of PadicNumber zero."""
+    if not isinstance(x, PadicNumber):
+        return x
     if x.unit == 0:
         return 0
     if x.valuation >= 0:
@@ -126,28 +129,23 @@ def _reduce(value, p: int, abs_prec: int) -> PadicNumber:
 def mahler_coefficients(f, upto: int, p: int, precision: int) -> MahlerSeries:
     """Coefficients a_0..a_upto of f, a_n = D^n f(0).
 
-    A window of ints and Fractions is differenced exactly and each a_n is
-    reduced mod p^precision.  Otherwise every entry becomes an exact
-    representative with an absolute precision: a PadicNumber its own (an
-    exact zero infinite), an exact entry its reduction mod p^precision.  a_n
-    depends on entries 0..n only, so it is reduced at the least precision
-    among them, and a difference that cancels every tracked digit is an
-    inexact zero.  Equality with the explicit alternating sum is a test.
+    Each entry is an exact representative with an absolute precision: ints
+    and Fractions of an exact window are exact; otherwise a PadicNumber
+    carries its own and an exact entry is reduced mod p^precision first.
+    a_n is reduced at the least precision of entries 0..n (at precision
+    when all are exact); a difference that cancels every tracked digit is
+    an inexact zero.
     """
     vals = _window(f, upto)
-    if all(isinstance(x, (int, Fraction)) for x in vals):
-        return MahlerSeries(
-            p=p,
-            precision=precision,
-            coeffs=[padic_reduce_abs(d, p, precision) for d in _differences(vals)],
-        )
-    entries = [x if isinstance(x, PadicNumber) else padic_reduce_abs(x, p, precision) for x in vals]
-    if any(x.p != p for x in entries):
-        raise ValueError(f"window entries must be {p}-adic")
+    if not all(isinstance(x, (int, Fraction)) for x in vals):
+        vals = [x if isinstance(x, PadicNumber) else padic_reduce_abs(x, p, precision) for x in vals]
+        if any(x.p != p for x in vals):
+            raise ValueError(f"window entries must be {p}-adic")
     coeffs, known = [], INFINITY
-    for d, x in zip(_differences([_representative(x) for x in entries]), entries):
-        known = min(known, x.abs_precision)
-        coeffs.append(PadicNumber.exact_zero(p) if known == INFINITY else _reduce(d, p, known))
+    for d, x in zip(_differences([_representative(x) for x in vals]), vals):
+        if isinstance(x, PadicNumber):
+            known = min(known, x.abs_precision)
+        coeffs.append(padic_reduce_abs(d, p, precision) if known == INFINITY else _reduce(d, p, known))
     return MahlerSeries(p=p, precision=precision, coeffs=coeffs)
 
 
@@ -173,12 +171,11 @@ def verify_decay(f, p: int, s: int, t: int, upto: int) -> DecayReport:
     vals = _window(f, upto)
     if not all(isinstance(x, (int, Fraction)) for x in vals):
         raise TypeError("verify_decay needs an exact-valued window")
-    pt = p**t
     for n, a_n in enumerate(_differences(vals)):
         v = padic_valuation(a_n, p)
-        for sigma in range(1, s + 1):
-            if n >= sigma * pt and v < sigma:
-                return DecayReport(ok=False, s=s, t=t, upto=upto, violation=(n, sigma, int(v)))
+        sigma = max(1, v + 1)  # the least sigma with v < sigma; n is bound for sigma <= n // p^t
+        if sigma <= min(s, n // p**t):
+            return DecayReport(ok=False, s=s, t=t, upto=upto, violation=(n, sigma, int(v)))
     return DecayReport(ok=True, s=s, t=t, upto=upto)
 
 
@@ -187,7 +184,7 @@ class InsufficientTailError(PrecisionError):
 
 
 def _log_floor(n: int, p: int) -> int:
-    """floor(log_p n) for n >= 1, the digits C(x, n) loses to x's precision.
+    """floor(log_p n) for n >= 1 (0 below): the digits C(x, n) loses to x's precision.
 
     By Vandermonde, C(x + y, n) - C(x, n) = sum_{j >= 1} C(x, n - j) C(y, j),
     and |C(y, j)|_p <= |y / j|_p <= |y|_p p^floor(log_p n) for j <= n.
@@ -200,14 +197,13 @@ def _log_floor(n: int, p: int) -> int:
 
 def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     """sum_{n <= top} C(r, n) a_n on exact representatives, and the absolute
-    precision it is known to.
+    precision it is known to: the one binomial pairing.
 
-    The one binomial pairing.  Term n is known mod p^(abs(a_n) + v_p(C)) and,
-    as C enters only mod p^precision, mod p^(precision + v(a_n)).  No term is
-    dropped for v_p(C) >= precision: a_n may have negative valuation.  When r
-    stands for any x = r mod p^digits rather than for r itself, term n
-    (n >= 1) is known only mod p^(v(a_n) + digits - floor(log_p n)), even
-    where C(r, n) = 0.  No term leaves the precision infinite.
+    Term n is known mod p^(abs(a_n) + v_p(C)) and, as C enters only mod
+    p^precision, mod p^(precision + v(a_n)); no term is skipped, since with
+    v(a_n) < 0 one with v_p(C) >= precision still counts.  When r stands for
+    every x = r mod p^digits, term n >= 1 is known only mod
+    p^(v(a_n) + digits - floor(log_p n)), even where C(r, n) = 0.
     """
     p, prec = series.p, series.precision
     total, known = 0, INFINITY
@@ -251,9 +247,7 @@ def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
         raise ValueError("evaluation needs a p-adic integer")
     sigma = series.tail_bound_exponent()
     if sigma is None:
-        guard = 1
-        while p**guard < len(series.coeffs):
-            guard += 1
+        guard = _log_floor(len(series.coeffs) - 1, p) + 1  # ceil(log_p L), at least 1
         if not (heuristic and all(c.valuation >= n_prec for c in series.coeffs[-guard:])):
             raise InsufficientTailError(
                 "no decay certificate; pass heuristic=True once trailing "
@@ -323,7 +317,7 @@ def binomial_coefficient_padic(x: PadicNumber, n: int) -> PadicNumber:
     if x.valuation < 0:
         raise ValueError("binomial symbol needs a p-adic integer")
     A = x.abs_precision
-    keep = int(A - _log_floor(n, x.p)) if n else int(A)
+    keep = int(A - _log_floor(n, x.p))
     if keep <= 0:
         raise PrecisionError("binomial loses all tracked digits")
     return _reduce(comb(x.residue(A), n), x.p, keep)

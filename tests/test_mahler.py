@@ -135,7 +135,7 @@ def mixed_windows(draw):
     return p, precision, window
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(mixed_windows(), st.data())
 def test_coefficients_agree_with_alternating_sums_at_claimed_digits(case, data):
     """On mixed windows, coefficient n claims the least precision of entries
@@ -167,7 +167,7 @@ def test_coefficients_agree_with_alternating_sums_at_claimed_digits(case, data):
             assert got.abs_precision == known
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(mixed_windows())
 def test_evaluation_at_window_integers_gives_the_window_back(case):
     """Summing the coefficients back at m = 0..L gives entry m at every digit
@@ -346,7 +346,7 @@ def test_padic_point_with_few_digits_claims_none_it_lacks():
         evaluate_mahler(series, PadicNumber(3, 0, 1, 1))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from((2, 3, 5)), st.integers(0, 2), st.integers(0, 10**6), st.integers(1, 4),
        st.integers(0, 10**6), st.integers(1, 4))
 def test_indicator_at_padic_point_agrees_at_every_representative(p, n, b, scale, r, digits):
