@@ -8,7 +8,8 @@ rational representatives, each paired with the absolute precision it is
 known to, and reduce once at the end: ``_differences`` is the one
 difference loop (coefficients, decay checks) and ``_pair`` the one binomial
 pairing (evaluation).  Decay certificates record the bound
-|a_n|_p <= p^(-s) for n >= s * p^t coming from a uniform-continuity modulus."""
+|a_n|_p <= p^(-s) for n >= s * p^t coming from a uniform-continuity modulus.
+"""
 
 from __future__ import annotations
 
@@ -76,10 +77,9 @@ class MahlerSeries:
         if not lines or len(lines[0]) != 3:
             raise ValueError("a Mahler series starts with the line 'p precision length'")
         p, precision, length = (int(x) for x in lines[0])
-        if not is_prime(p) or precision < 1:
-            raise ValueError(f"header '{p} {precision} {length}': need a prime and precision >= 1")
-        if len(lines) != length + 1:
-            raise ValueError(f"the header declares {length} coefficients, {len(lines) - 1} follow")
+        if not is_prime(p) or precision < 1 or len(lines) != length + 1:
+            raise ValueError(f"header '{p} {precision} {length}' needs a prime, precision >= 1 "
+                             f"and {length} coefficient lines after it; {len(lines) - 1} follow")
         coeffs = []
         for i, fields in enumerate(lines[1:]):
             if len(fields) != 3 or int(fields[0]) != i:
