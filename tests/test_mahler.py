@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqzeta.gamma import morita_gamma_exact
@@ -169,6 +169,7 @@ def test_coefficients_agree_with_alternating_sums_at_claimed_digits(case, data):
 
 @settings(max_examples=100, deadline=None)
 @given(mixed_windows())
+@example(case=(2, 1, [0, Fraction(1, 2), 0]))  # C(2, 1) = 2 once dropped a term worth 1
 def test_evaluation_at_window_integers_gives_the_window_back(case):
     """Summing the coefficients back at m = 0..L gives entry m at every digit
     the value claims, and claims no more than the entries 0..m hold."""
@@ -321,6 +322,7 @@ def test_binomial_symbol_bounded():
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 40), st.integers(1, 7), st.integers(0, 10**6))
+@example(p=2, n=1, digits=1, r=0)  # C(O(2), 1) is O(2), not an exact 0
 def test_binomial_symbol_agrees_at_every_representative(p, n, digits, r):
     """C(x, n) claims A - floor(log_p n) digits for x known mod p^A, and
     C(r + k p^A, n) has every one of them."""
