@@ -172,7 +172,7 @@ def test_coefficients_agree_with_alternating_sums_at_claimed_digits(case, data):
 @example(case=(2, 1, [0, Fraction(1, 2), 0]))  # C(2, 1) = 2 once dropped a term worth 1
 def test_evaluation_at_window_integers_gives_the_window_back(case):
     """Summing the coefficients back at m = 0..L gives entry m at every digit
-    the value claims, and claims no more than the entries 0..m hold."""
+    the value claims, and claims no more than entry m holds."""
     p, precision, window = case
     series = mahler_coefficients(window, len(window) - 1, p, precision)
     for m, x in enumerate(window):
