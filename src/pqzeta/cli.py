@@ -330,15 +330,14 @@ def _cmd_moments(args):
                 )
                 rows.append({"m": m, "value": value})
         else:
-            measures.xi_sum_zero(args.a, args.r)
             psi = measures.psi_r_series(args.a, args.r, args.mmax)
-            for m in range(args.mmax + 1):
+            for m, slot in enumerate(psi):
                 rows.append(
                     {
                         "m": m,
-                        "value": measures.moment(args.a, args.r, m),
+                        "value": slot * math.factorial(m),
                         "xi_at_m": measures.xi(m, args.a, args.r),
-                        "psi_slot": psi.coeffs[m],
+                        "psi_slot": slot,
                     }
                 )
             if args.delta is not None:

@@ -2,17 +2,17 @@
 
 The generator Psi_r(t) = (1 - t^(ra))^(-1) sum_b xi_r(br) t^(br) has the
 property that (t d/dt)^m Psi_r at t = 1 equals (1 - a^(m+1)) r^m zeta(-m).
-Because 1 - t^(ra) vanishes at t = 1, the monomial moments and the
-locally-constant twists go through the substitution t = e^z and exact series
-arithmetic in z; the singularity is removable since the xi weights sum to
-zero over a period.
+Every generating function here is sum_{n=1}^{P} w_n t^n / (1 - t^P) for
+periodic integer weights w whose period sum vanishes, so its pole at t = 1 is
+removable, and ``taylor_numerators`` is the one series division that expands
+it there: its Taylor coefficients d_k = [T^k] F(1 + T) are the binomial
+moments, the integrals of C(x, k) (Mahler's theorem).
 
-The binomial moments d_k = integral of C(x, k) are the Taylor coefficients
-of Psi_1 at t = 1, d_k = [T^k] Psi_1(1 + T) (Mahler's theorem), where Psi_1
-is already a quotient P/Q of integer polynomials with Q(1) = a a p-unit: one
-integer power-series division gives all of them.  Pairing them with the
-indicator coefficients of ``mahler.characteristic_rows`` gives the action of
-the measure on the compact-open sets b + p^n Z_p.
+Every other moment is a Mahler pairing against the d_k: x^m pairs with its
+forward differences D^k(x^m)(0), which gives the monomial moments of Psi_r,
+of the two-prime measure and of its restriction to the p-units (the unit
+indicator twists the weights), and the indicator of b + p^n Z_p pairs with
+the rows of ``mahler.characteristic_rows``.
 """
 
 from __future__ import annotations
@@ -21,91 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .mahler import characteristic_coefficients_exact, characteristic_rows
+from .mahler import _differences, characteristic_coefficients_exact, characteristic_rows
 from .padics import PadicNumber, padic_reduce_abs, padic_valuation
 from .rationals import PolyRational, zeta_neg
-
-
-class ExpSeries:
-    """Truncated power series in z with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        self.coeffs = [Fraction(c) for c in coeffs]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExpSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"ExpSeries({self.coeffs})"
-
-    @classmethod
-    def from_exponential_sum(cls, weights: dict[int, Fraction | int], order: int) -> "ExpSeries":
-        """sum_n w_n e^(nz) expanded to the given order in z."""
-        out = [Fraction(0)] * (order + 1)
-        for n, w in weights.items():
-            if w == 0:
-                continue
-            w = Fraction(w)
-            power = Fraction(1)
-            for m in range(order + 1):
-                out[m] += w * power / factorial(m)
-                power *= n
-        return cls(out)
-
-    def __add__(self, other: "ExpSeries") -> "ExpSeries":
-        order = min(self.order, other.order)
-        return ExpSeries([self.coeffs[i] + other.coeffs[i] for i in range(order + 1)])
-
-    def __sub__(self, other: "ExpSeries") -> "ExpSeries":
-        order = min(self.order, other.order)
-        return ExpSeries([self.coeffs[i] - other.coeffs[i] for i in range(order + 1)])
-
-    def __mul__(self, other: "ExpSeries") -> "ExpSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a:
-                for j in range(order + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return ExpSeries(out)
-
-    def divide(self, den: "ExpSeries", order: int) -> "ExpSeries":
-        """Series division, allowing a removable singularity.
-
-        When the denominator starts with zero coefficients the numerator must
-        vanish to at least the same order (this is where the zero period-sum
-        of the xi weights is consumed); both are shifted before the ordinary
-        unit division.
-        """
-        num = list(self.coeffs)
-        d = list(den.coeffs)
-        shift = 0
-        while shift < len(d) and d[shift] == 0:
-            if num[shift] != 0:
-                raise ArithmeticError("non-removable singularity in series division")
-            shift += 1
-        num = num[shift:]
-        d = d[shift:]
-        if not d or d[0] == 0:
-            raise ZeroDivisionError("denominator series is zero")
-        if len(num) < order + 1 or len(d) < order + 1:
-            raise ValueError("insufficient series order for the requested quotient")
-        out = []
-        work = num[: order + 1 + len(d)]
-        for m in range(order + 1):
-            c = work[m] / d[0]
-            out.append(c)
-            for k in range(m, min(len(work), m + len(d))):
-                work[k] -= c * d[k - m]
-        return ExpSeries(out)
 
 
 def xi(n: int, a: int, r: int) -> int:
@@ -127,38 +45,76 @@ def xi_sum_zero(a: int, r: int) -> Fraction:
     return Fraction(total)
 
 
-def psi_r_series(a: int, r: int, order: int) -> ExpSeries:
-    """Psi_r(e^z) to the given order in z.
+def taylor_numerators(weights: list[int], upto: int) -> list[int]:
+    """N_k with d_k = N_k / P^(k+1) the Taylor coefficients at t = 1 of
+    sum_{n=1}^{P} w_n t^n / (1 - t^P), k = 0..upto, for weights = [w_1..w_P].
 
-    Built from the displayed quotient: numerator sum_b xi_r(br) t^(br),
-    denominator 1 - t^(ra), both composed with t = e^z.  The numerator's
-    constant term is the xi period sum, which vanishes, so the simple zero of
-    the denominator at z = 0 is removable.
+    At t = 1 + T the numerator is sum_j T^j sum_n w_n C(n, j), whose constant
+    term is the period sum; it must vanish (else ``ArithmeticError``), and
+    then T cancels against 1 - (1 + T)^P.  That leaves S_j = -sum_n w_n
+    C(n, j+1) over Q_i = C(P, i+1), with Q_0 = P, and one power-series
+    division in integers gives every d_k:
+    N_k = P^k S_k - sum_{i>=1} Q_i P^(i-1) N_(k-i).
+    """
+    period = len(weights)
+    if sum(weights):
+        raise ArithmeticError("non-removable singularity: the weights' period sum is not zero")
+    terms = [(n, w) for n, w in enumerate(weights, start=1) if w]
+    top = min(upto, period - 1)
+    num = [-sum(w * comb(n, j + 1) for n, w in terms) for j in range(top + 1)]
+    q_scaled = [comb(period, i + 1) * period ** (i - 1) for i in range(1, top + 1)]
+    numerators: list[int] = []
+    p_k = 1
+    for k in range(upto + 1):
+        acc = p_k * num[k] if k <= top else 0
+        for i, c in enumerate(q_scaled[:k], start=1):
+            acc -= c * numerators[k - i]
+        numerators.append(acc)
+        p_k *= period
+    return numerators
+
+
+def _monomial_moments(weights: list[int], order: int) -> list[Fraction]:
+    """(t d/dt)^m at t = 1 of the generating function of ``weights``,
+    m = 0..order: the pairing sum_k D^k(x^m)(0) d_k, since
+    x^m = sum_k D^k(x^m)(0) C(x, k), in integers over P^(order+1)."""
+    period = len(weights)
+    scaled = [
+        n_k * period ** (order - k) for k, n_k in enumerate(taylor_numerators(weights, order))
+    ]
+    den = period ** (order + 1)
+    return [
+        Fraction(sum(c * s for c, s in zip(_differences([x**m for x in range(m + 1)]), scaled)), den)
+        for m in range(order + 1)
+    ]
+
+
+def psi_r_series(a: int, r: int, order: int) -> list[Fraction]:
+    """Psi_r(e^z) to the given order in z: the coefficient of z^m is M_m / m!.
+
+    M_m = (t d/dt)^m Psi_r at t = 1 comes from the Taylor coefficients of the
+    weights xi_r on the period ra, and every M_m is asserted equal to
+    (1 - a^(m+1)) r^m zeta(-m); a mismatch is an internal error, never a
+    return.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    xi_sum_zero(a, r)
-    work = order + 1
-    num = ExpSeries.from_exponential_sum(
-        {b * r: xi(b * r, a, r) for b in range(1, a + 1)}, work
-    )
-    den = ExpSeries.from_exponential_sum({0: 1, r * a: -1}, work)
-    return num.divide(den, order)
+    weights = [xi(n, a, r) for n in range(1, r * a + 1)]
+    out = []
+    for m, lhs in enumerate(_monomial_moments(weights, order)):
+        rhs = (1 - a ** (m + 1)) * r**m * zeta_neg(m)
+        if lhs != rhs:
+            raise ArithmeticError(f"moment mismatch at (a={a}, r={r}, m={m}): {lhs} != {rhs}")
+        out.append(lhs / factorial(m))
+    return out
 
 
 def moment(a: int, r: int, m: int) -> Fraction:
-    """(t d/dt)^m Psi_r at t = 1, asserted equal to (1 - a^(m+1)) r^m zeta(-m).
-
-    Both sides are computed; a mismatch is an internal error, never a return.
-    """
+    """(t d/dt)^m Psi_r at t = 1, asserted equal to (1 - a^(m+1)) r^m zeta(-m)
+    by ``psi_r_series``."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    series = psi_r_series(a, r, m)
-    lhs = series.coeffs[m] * factorial(m)
-    rhs = (1 - Fraction(a) ** (m + 1)) * Fraction(r) ** m * zeta_neg(m)
-    if lhs != rhs:
-        raise ArithmeticError(f"moment mismatch at (a={a}, r={r}, m={m}): {lhs} != {rhs}")
-    return lhs
+    return psi_r_series(a, r, m)[m] * factorial(m)
 
 
 def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
@@ -177,33 +133,21 @@ def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
     return value
 
 
-def _twisted_series_value(a: int, r: int, p: int, m: int, keep) -> Fraction:
-    """(t d/dt)^m of [phi]Psi_r at t = 1, phi locally constant mod p of
-    indicator type given by ``keep``(residue) -> bool."""
-    period = a * r * p
-    weights: dict[int, int] = {}
-    for n in range(1, period + 1):
-        if keep(n % p):
-            w = xi(n, a, r)
-            if w:
-                weights[n] = weights.get(n, 0) + w
-    num = ExpSeries.from_exponential_sum(weights, m + 1)
-    den = ExpSeries.from_exponential_sum({0: 1, period: -1}, m + 1)
-    return num.divide(den, m).coeffs[m] * factorial(m)
-
-
 def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
     """Moment of x^m over the p-units: (1-a^(m+1))(1-p^m)(1-q^m) zeta(-m).
 
-    The locally-constant twist by the unit indicator is evaluated through the
-    series route and compared against the closed form; both must agree.
+    The unit indicator twists the weights of Psi_1 and Psi_q on the period
+    a r p; the twisted moments are compared against the closed form, and
+    both must agree.
     """
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
-    keep_units = lambda res: res != 0
-    twisted = _twisted_series_value(a, 1, p, m, keep_units) - _twisted_series_value(
-        a, q, p, m, keep_units
-    )
+
+    def unit_twist(r: int) -> Fraction:
+        weights = [xi(n, a, r) if n % p else 0 for n in range(1, a * r * p + 1)]
+        return _monomial_moments(weights, m)[m]
+
+    twisted = unit_twist(1) - unit_twist(q)
     closed = (
         (1 - Fraction(a) ** (m + 1))
         * (1 - Fraction(p) ** m)
@@ -242,15 +186,6 @@ class RPrimeElement:
 
     def value_at_one(self) -> Fraction:
         return self.numerator(1) / self.denominator(1) ** self.q_power
-
-    def series_at_exp(self, order: int) -> ExpSeries:
-        work = order + self.q_power + 1
-        num = ExpSeries.from_exponential_sum(dict(enumerate(self.numerator.coeffs)), work)
-        den = ExpSeries.from_exponential_sum(dict(enumerate(self.denominator.coeffs)), work)
-        acc = den
-        for _ in range(self.q_power - 1):
-            acc = acc * den
-        return num.divide(acc, order)
 
 
 def psi_r_rational(a: int, r: int, p: int) -> RPrimeElement:
@@ -297,47 +232,27 @@ def delta_operator(element: RPrimeElement, n: int) -> RPrimeElement:
 # -- binomial moments and open sets -------------------------------------------
 
 
-def _taylor_at_one(poly: PolyRational) -> list[int]:
-    """Coefficients of poly(1 + T) for a polynomial with integer coefficients."""
-    coeffs = [int(c) for c in poly.coeffs]
-    return [
-        sum(c * comb(i, j) for i, c in enumerate(coeffs[j:], start=j))
-        for j in range(len(coeffs))
-    ]
-
-
 def binomial_moments(a: int, p: int, upto: int) -> list[Fraction]:
     """d_k = integral of C(x, k) against the measure with moments
     (1-a^(m+1)) zeta(-m), for k = 0..upto.
 
-    d_k = (delta_k Psi_1)(1) is the k-th Taylor coefficient of Psi_1 = P/Q at
-    t = 1.  P(1 + T) and Q(1 + T) have integer coefficients and degree a - 1,
-    and Q(1 + T) starts with Q(1) = a, a p-unit, so one power-series division
-    in integers gives every d_k: with d_k = N_k / a^(k+1),
-    N_k = a^k P~_k - sum_{i>=1} Q~_i a^(i-1) N_(k-i).  That is O(upto * a)
-    integer operations on numbers of O(upto log a) bits.  The textbook
-    expansion d_k = sum_m c_{k,m} (1-a^(m+1)) zeta(-m) and the delta operator
-    are checked against this in the test suite, term by term.
+    d_k = (delta_k Psi_1)(1) is the k-th Taylor coefficient of Psi_1 at
+    t = 1, read from ``taylor_numerators`` on the weights xi_1 of period a:
+    d_k = N_k / a^(k+1), a p-unit power.  That is O(upto * a) integer
+    operations on numbers of O(upto log a) bits.  The textbook expansion
+    d_k = sum_m c_{k,m} (1-a^(m+1)) zeta(-m) and the delta operator are
+    checked against this in the test suite, term by term.
     """
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to p")
-    base = psi_r_rational(a, 1, p)
-    P = _taylor_at_one(base.numerator)
-    Q = _taylor_at_one(base.denominator)  # Q[0] = Q(1) = a
-    q_scaled = [Q[i] * a ** (i - 1) for i in range(1, len(Q))]
-    numerators: list[int] = []
     out = []
-    a_k = 1
-    for k in range(upto + 1):
-        acc = a_k * P[k] if k < len(P) else 0
-        for i, c in enumerate(q_scaled[:k], start=1):
-            acc -= c * numerators[k - i]
-        numerators.append(acc)
-        d_k = Fraction(acc, a_k * a)
+    den = a
+    for n_k in taylor_numerators([xi(n, a, 1) for n in range(1, a + 1)], upto):
+        d_k = Fraction(n_k, den)
         if padic_valuation(d_k, p) < 0:
             raise ArithmeticError("binomial moment escaped Z_p")
         out.append(d_k)
-        a_k *= a
+        den *= a
     return out
 
 
@@ -362,8 +277,9 @@ def open_set_twist_value(a: int, p: int, n: int, b: int) -> Fraction:
     """Measure of b + p^n Z_p through the locally-constant twist of Psi_1.
 
     This is the generating-function route: the indicator of the class b mod
-    p^n twists Psi_1 and the result is read off at t = 1.  It serves as the
-    independent oracle for the Mahler-series route.
+    p^n twists the weights of Psi_1 on the period a p^n, and the value at
+    t = 1 is d_0 of the twisted weights.  It serves as the independent oracle
+    for the Mahler-series route.
     """
     pn = p**n
     if not 0 <= b < pn:
@@ -371,10 +287,8 @@ def open_set_twist_value(a: int, p: int, n: int, b: int) -> Fraction:
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to p")
     period = a * pn
-    weights = {m: xi(m, a, 1) for m in range(1, period + 1) if m % pn == b % pn}
-    num = ExpSeries.from_exponential_sum(weights, 1)
-    den = ExpSeries.from_exponential_sum({0: 1, period: -1}, 1)
-    return num.divide(den, 0).coeffs[0]
+    weights = [xi(m, a, 1) if m % pn == b else 0 for m in range(1, period + 1)]
+    return Fraction(taylor_numerators(weights, 0)[0], period)
 
 
 @dataclass
@@ -403,6 +317,8 @@ def measure_open_set_table(
     over the common denominator a^(L+1) of the d_k, one indicator row of
     ``characteristic_rows`` per k feeding all residues.
     """
+    if n < 0 or target_digits < 0:
+        raise ValueError("need n >= 0 and target_digits >= 0")
     pn = p**n
     upto = (target_digits + guard) * pn
     d = binomial_moments(a, p, upto)

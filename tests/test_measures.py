@@ -5,7 +5,6 @@ from math import factorial
 import pytest
 
 from pqzeta.measures import (
-    ExpSeries,
     RPrimeElement,
     binomial_moment_expansion,
     binomial_moments,
@@ -20,6 +19,7 @@ from pqzeta.measures import (
     psi_r_rational,
     psi_r_series,
     restricted_moment,
+    taylor_numerators,
     xi,
     xi_sum_zero,
 )
@@ -38,31 +38,23 @@ def test_xi_sum_zero():
         assert xi_sum_zero(a, r) == 0
 
 
-def test_exp_series_arithmetic():
-    e2z = ExpSeries.from_exponential_sum({2: 1}, 4)
-    ez = ExpSeries.from_exponential_sum({1: 1}, 4)
-    assert (ez * ez).coeffs == e2z.coeffs
-    assert (e2z - ez).coeffs[0] == 0
-    quotient = e2z.divide(ez, 3)
-    assert quotient.coeffs == ExpSeries.from_exponential_sum({1: 1}, 3).coeffs
-
-
 def test_exp_series_removable_division():
-    # (e^z - 1)/(e^z - 1) = 1 after the shared simple zero is removed
-    num = ExpSeries.from_exponential_sum({1: 1, 0: -1}, 4)
-    den = ExpSeries.from_exponential_sum({1: 1, 0: -1}, 4)
-    assert num.divide(den, 2).coeffs == [1, 0, 0]
-    bad = ExpSeries.from_exponential_sum({0: 1}, 4)
+    # t - t^2 over 1 - t^2 is t / (1 + t): 1/2 + T/4 - T^2/8 at t = 1 + T
+    numerators = taylor_numerators([1, -1], 2)
+    assert [Fraction(n, 2 ** (k + 1)) for k, n in enumerate(numerators)] == [
+        Fraction(1, 2), Fraction(1, 4), Fraction(-1, 8)]
     with pytest.raises(ArithmeticError):
-        bad.divide(den, 2)
+        taylor_numerators([1, 0], 2)
+    with pytest.raises(ArithmeticError):
+        taylor_numerators([1, 2, -2], 0)
 
 
 def test_psi_series_slots():
     series = psi_r_series(2, 1, 4)
-    assert series.coeffs[0] == Fraction(1, 2)  # (1-a) zeta(0) for a=2
-    assert series.coeffs[1] * factorial(1) == Fraction(1, 4)  # (1-a^2) zeta(-1)
+    assert series[0] == Fraction(1, 2)  # (1-a) zeta(0) for a=2
+    assert series[1] * factorial(1) == Fraction(1, 4)  # (1-a^2) zeta(-1)
     series = psi_r_series(2, 3, 3)
-    assert series.coeffs[1] * factorial(1) == Fraction(3, 4)
+    assert series[1] * factorial(1) == Fraction(3, 4)
 
 
 def test_moment_both_sides():
@@ -78,7 +70,7 @@ def test_moment_both_sides():
 def test_moment_even_slots_vanish():
     series = psi_r_series(3, 2, 10)
     for m in range(2, 10, 2):
-        assert series.coeffs[m] == 0
+        assert series[m] == 0
 
 
 def test_double_moment():
@@ -134,9 +126,9 @@ def test_delta_operator_stability_grid():
 
 def test_delta_series_route_matches_rational_route():
     psi = psi_r_rational(3, 2, 5)
-    series = psi.series_at_exp(5)
-    direct = psi_r_series(3, 2, 5)
-    assert series.coeffs == direct.coeffs
+    numerators = taylor_numerators([xi(n, 3, 2) for n in range(1, 7)], 5)
+    for k, n_k in enumerate(numerators):
+        assert delta_operator(psi, k).value_at_one() == Fraction(n_k, 6 ** (k + 1)), k
 
 
 # a in {2, 3, 4, 6} against p in {5, 7, 11}, skipping the pairs with p | a
