@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .padics import PadicNumber, angle_bracket, is_prime, padic_valuation
-from .rationals import bernoulli, binomial_poly
+from .rationals import bernoulli, bernoulli_polynomial, binomial_poly
 
 
 def kl_value(p: int, n: int) -> Fraction:
@@ -255,9 +255,8 @@ def pq_hurwitz(
     if gcd(b, p * q) != 1:
         raise ValueError("b must be coprime to pq")
     m = 1 - n
-    acc = Fraction(0)
-    for k in range(m + 1):
-        acc += binomial_poly(m, k) * Fraction(F, b) ** k * bernoulli(k)
+    # sum_k C(m, k) (F/b)^k B_k = (F/b)^m B_m(b/F)
+    acc = Fraction(F, b) ** m * bernoulli_polynomial(m)(Fraction(b, F))
     if padic_valuation(acc, p) < 0 or padic_valuation(acc, q) < 0:
         raise ArithmeticError("binomial Bernoulli sum lost integrality")
     bp, bq = angle_bracket(b, p, q, precision, precision)
