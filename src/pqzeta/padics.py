@@ -25,12 +25,17 @@ class PrecisionError(ArithmeticError):
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int | float:
-    """v_p(x) for a rational x; +inf for x = 0."""
-    x = Fraction(x)
-    if x == 0:
+    """v_p(x) for a rational x, an int or a ``Fraction``; +inf for x = 0.
+
+    Reads ``numerator`` and ``denominator``, which ints have too, so an int
+    is never converted.
+    """
+    if p < 2:
+        raise ValueError("p must be a prime >= 2")
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return INFINITY
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -382,6 +387,8 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     u = 1 mod p, and u^(p^k) = 1 mod p^(k+1)), so N - 1 steps reach the lift
     mod p^N; one modular power takes them all.  The fixed point is asserted.
     """
+    if not is_prime(p):
+        raise ValueError(f"teichmuller needs a prime p, got {p}")
     if n % p == 0:
         raise ValueError("teichmuller needs gcd(n, p) = 1; see teichmuller_total")
     if precision < 1:
@@ -442,8 +449,4 @@ def ideal_shadow(m: int, p: int) -> int:
     """Exponent r with the reduction of the ideal mZ landing on p^r Z_p."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    r = 0
-    while m % p == 0:
-        m //= p
-        r += 1
-    return r
+    return padic_valuation(m, p)
