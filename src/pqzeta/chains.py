@@ -424,18 +424,24 @@ def parse_kernel_spec(spec: str) -> ChainKernel:
             except ValueError:
                 params[key.strip()] = float(val)
     family = family.strip()
+
+    def param(key: str):
+        if key not in params:
+            raise ValueError(f"chain family {family!r} needs the parameter {key!r}")
+        return params[key]
+
     if family == "p-beta":
-        return kernel_padic_beta(params["p"], params["alpha"], params["beta"])
+        return kernel_padic_beta(param("p"), param("alpha"), param("beta"))
     if family == "q-beta":
-        return kernel_q_beta(params["q"], params["alpha"], params["beta"])
+        return kernel_q_beta(param("q"), param("alpha"), param("beta"))
     if family == "real-beta":
-        return kernel_real_beta(params["alpha"], params["beta"])
+        return kernel_real_beta(param("alpha"), param("beta"))
     if family == "q-gamma":
-        return kernel_q_gamma(params["q"], params["beta"])
+        return kernel_q_gamma(param("q"), param("beta"))
     if family == "p-gamma":
-        return kernel_q_gamma(Fraction(1, params["p"]), params["beta"])
+        return kernel_q_gamma(Fraction(1, param("p")), param("beta"))
     if family == "basic":
-        return kernel_basic(params["q"], params["beta"])
+        return kernel_basic(param("q"), param("beta"))
     if family == "u-gamma":
-        return kernel_u_gamma(params["u"], params["beta"])
+        return kernel_u_gamma(param("u"), param("beta"))
     raise ValueError(f"unknown chain family {family!r}")

@@ -429,6 +429,11 @@ def _cmd_q_zeta(args):
 
 
 def _cmd_theta_check(args):
+    # the grid x = xmin, xmin * step, ... must climb past a finite xmax
+    if not all(math.isfinite(v) for v in (args.xmin, args.xmax, args.step)):
+        raise _Usage("--xmin, --xmax and --step must be finite")
+    if args.step <= 1 or args.xmin <= 0 or args.xmin > args.xmax:
+        raise _Usage("need --step > 1 and 0 < --xmin <= --xmax")
     rows = []
     worst = 0.0
     x = args.xmin

@@ -199,7 +199,11 @@ def test_every_subcommand_registered():
 
 
 def test_composite_primes_are_usage_errors():
-    for argv in (["gamma-p", "--p", "4"], ["gamma-continuity", "--p", "9"]):
+    for argv in (
+        ["gamma-p", "--p", "4"],
+        ["gamma-continuity", "--p", "9"],
+        ["teichmuller", "--n", "2", "--p", "4"],
+    ):
         code, out = _run(argv)
         assert code == 2 and out == "", argv
 
@@ -222,6 +226,30 @@ def test_precision_errors_exit_2_without_traceback():
         assert proc.stdout == ""
         assert proc.stderr.startswith("precision error: ")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # theta grids that never end or never start
+        ["theta-check", "--step", "1"],
+        ["theta-check", "--xmax", "inf"],
+        ["theta-check", "--xmin", "4", "--xmax", "2"],
+        # a negative level or digit count, and a missing kernel parameter
+        ["open-set-measure", "--a", "2", "--p", "5", "--n", "-1"],
+        ["open-set-measure", "--a", "2", "--p", "5", "--n", "1", "--digits", "-10"],
+        ["chain-propagate", "--kernel", "real-beta:alpha=2"],
+        # no valuation exists at p = 1
+        ["padic", "--ideal", "12", "--p", "1"],
+        ["padic", "--value", "3", "--p", "1", "--precision", "2"],
+    ],
+)
+def test_bad_arguments_are_usage_errors(argv):
+    proc = _pqzeta(argv)
+    assert proc.returncode == 2, (argv, proc.stderr)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
