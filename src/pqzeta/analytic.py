@@ -15,18 +15,21 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .padics import is_prime
+from .rationals import bernoulli
+
 TERM_FLOOR = 1e-17
 
 
-def theta(y: float, term_floor: float = TERM_FLOOR) -> float:
-    """omega(y) = 1 + 2 sum_{n>=1} exp(-pi n^2 y), truncated below term_floor."""
+def theta(y: float) -> float:
+    """omega(y) = 1 + 2 sum_{n>=1} exp(-pi n^2 y), truncated below TERM_FLOOR."""
     if y <= 0:
         raise ValueError("theta needs y > 0")
     total = 1.0
     n = 1
     while True:
         term = 2.0 * math.exp(-math.pi * n * n * y)
-        if term < term_floor:
+        if term < TERM_FLOOR:
             break
         total += term
         n += 1
@@ -63,7 +66,7 @@ def _gauss_nodes(count: int):
     return tuple(nodes), tuple(weights)
 
 
-def completed_zeta(s: float, nodes: int = 200) -> float:
+def completed_zeta(s: float) -> float:
     """Lambda(s) = -1/s - 1/(1-s) + (1/2) * integral over [1, inf) of
     (theta(iy) - 1)(y^(s/2-1) + y^((1-s)/2-1)) dy.
 
@@ -72,7 +75,7 @@ def completed_zeta(s: float, nodes: int = 200) -> float:
     """
     if s in (0.0, 1.0):
         raise ZeroDivisionError("poles at s = 0 and s = 1")
-    xs, ws = _gauss_nodes(nodes)
+    xs, ws = _gauss_nodes(200)
     total = 0.0
     for x, w in zip(xs, ws):
         u = 0.5 * (x + 1.0)
@@ -83,14 +86,16 @@ def completed_zeta(s: float, nodes: int = 200) -> float:
     return -1.0 / s - 1.0 / (1.0 - s) + 0.5 * total
 
 
-def zeta_dirichlet(s: float, cutoff: int = 60) -> float:
-    """zeta(s) for s > 1 by a truncated sum with Euler-Maclaurin tail terms."""
+def zeta_dirichlet(s: float) -> float:
+    """zeta(s) for s > 1 by the sum over n <= 60 with Euler-Maclaurin tail terms
+    up to B_8."""
     if s <= 1:
         raise ValueError("the Dirichlet oracle needs s > 1")
+    cutoff = 60
     total = sum(n ** -s for n in range(1, cutoff + 1))
     total += cutoff ** (1 - s) / (s - 1) - 0.5 * cutoff**-s
-    corrections = ((2, 1 / 6), (4, -1 / 30), (6, 1 / 42), (8, -1 / 30))
-    for order, b in corrections:
+    for order in (2, 4, 6, 8):
+        b = float(bernoulli(order))
         rise = 1.0
         for i in range(order - 1):
             rise *= s + i
@@ -106,7 +111,7 @@ def completed_zeta_dirichlet(s: float) -> float:
     return math.exp(-0.5 * s * math.log(math.pi) + math.lgamma(s / 2.0)) * zeta_dirichlet(s)
 
 
-def zeta_from_lambda(s: float, nodes: int = 200) -> float:
+def zeta_from_lambda(s: float) -> float:
     """zeta recovered from the continuation: Lambda(s) pi^(s/2) / Gamma(s/2).
 
     1/Gamma is computed by lifting the argument past the poles, so the
@@ -117,7 +122,7 @@ def zeta_from_lambda(s: float, nodes: int = 200) -> float:
     while x < 1.0:
         prefactor *= x
         x += 1.0
-    return completed_zeta(s, nodes=nodes) * math.pi ** (s / 2.0) * prefactor / math.gamma(x)
+    return completed_zeta(s) * math.pi ** (s / 2.0) * prefactor / math.gamma(x)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -166,6 +171,8 @@ def euler_product_check(s: float, prime_bound: int, term_bound: int) -> EulerPro
 
 def weil_finite(f, p: int, n_bound: int) -> float:
     """log(p) * sum_{0 < |n| <= n_bound} p^(-|n|/2) f(p^n)."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if n_bound < 1:
         raise ValueError("n_bound must be >= 1")
     total = 0.0

@@ -11,7 +11,7 @@ sums are only required to hold within 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -53,13 +53,13 @@ class ChainKernel:
     def row_sum(self, state):
         return sum(pr for _, pr in self.step(state))
 
-    def is_row_stochastic(self, depth: int, tol: float = FLOAT_TOL) -> bool:
+    def is_row_stochastic(self, depth: int) -> bool:
         for state in reachable_states(self, depth):
             s = self.row_sum(state)
             if self.exact:
                 if s != 1:
                     return False
-            elif abs(s - 1.0) > tol:
+            elif abs(s - 1.0) > FLOAT_TOL:
                 return False
         return True
 
@@ -181,11 +181,6 @@ class LayerDistribution:
     def total(self):
         return sum(self.weights.values())
 
-    def by_second_coordinate(self) -> list:
-        """Weights listed by j for two-coordinate layered chains."""
-        items = sorted(self.weights.items(), key=lambda kv: kv[0][1] if isinstance(kv[0], tuple) else kv[0])
-        return [w for _, w in items]
-
 
 def propagate(kernel: ChainKernel, n: int) -> LayerDistribution:
     """Exact law of the chain after n steps from the root."""
@@ -242,12 +237,11 @@ def limit_check(
     schedule: list[int],
     tol: float,
     depth: int = 6,
-    q_base: float = 0.5,
 ) -> LimitReport:
     """Sup-norm distance between the reparametrized q-beta kernel and a target.
 
     p-adic target: q = p^-N, parameters divided by N (exact rationals, the
-    distance decays geometrically in N).  Real target: q = q_base^(2/N) with
+    distance decays geometrically in N).  Real target: q = 0.5^(2/N) with
     halved parameters (float mode, first-order decay in 1/N).
     """
     if target not in ("p-adic-beta", "real-beta"):
@@ -270,7 +264,7 @@ def limit_check(
                     abs(float(right - tk.transition((i, j), (i + 1, j)))),
                 )
         else:
-            qq = q_base ** (2.0 / N)
+            qq = 0.5 ** (2.0 / N)
             approx = kernel_q_beta(qq, alpha / 2, beta / 2)
             tk = kernel_real_beta(alpha, beta)
             for i, j in states:
@@ -385,16 +379,16 @@ def q_integer_limit(s, q):
     return q_integer(s, q)
 
 
-def q_zeta(s: float, q: float, tail: float = 1e-14) -> float:
+def q_zeta(s: float, q: float) -> float:
     """prod_{n>=0} (1 - q^(s+n))^(-1), truncated once the multiplicative tail
-    is below ``tail``."""
+    is below 1e-14."""
     if not 0 < q < 1:
         raise ValueError("need 0 < q < 1")
     prod = 1.0
     n = 0
     while True:
         term = q ** (s + n)
-        if term / (1.0 - q) < tail:
+        if term / (1.0 - q) < 1e-14:
             break
         prod /= 1.0 - term
         n += 1

@@ -21,9 +21,6 @@ from . import analytic, chains, gamma, mahler, measures, padics, rationals, zeta
 
 CSV_SCHEMA = "# schema=2"
 
-class _Usage(Exception):
-    pass
-
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
     if fmt == "json":
@@ -46,10 +43,6 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 def _float(x: float) -> str:
     return f"{x:.12e}"
-
-
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 # -- handlers (return (exit_code, rows)) ---------------------------------------
@@ -82,7 +75,7 @@ def _cmd_zeta_neg(args):
 def _cmd_padic(args):
     if args.ideal is not None:
         return 0, [{"m": args.ideal, "p": args.p, "exponent": padics.ideal_shadow(args.ideal, args.p)}]
-    x = padics.padic_of_rational(_fraction(args.value), args.p, args.precision)
+    x = padics.padic_of_rational(Fraction(args.value), args.p, args.precision)
     row = {
         "value": args.value,
         "p": args.p,
@@ -145,7 +138,7 @@ def _cmd_mahler_coeffs(args):
             if not _agrees(mahler.evaluate_mahler(printed, m), entry):
                 return 1, [{"error": f"the series does not give the window entry at {m} back"}]
     else:
-        raise _Usage("provide --window or --char")
+        raise ValueError("provide --window or --char")
     rows = [{"serialized": line} for line in series.serialize().splitlines()]
     return 0, rows
 
@@ -217,30 +210,27 @@ def _cmd_spq_sweep(args):
 
 
 def _cmd_kummer(args):
-    try:
-        if args.q is None:
-            res = zetabranch.kummer_check(args.p, args.i, args.j, args.n)
-            ok = res.ok
-            rows = [
-                {
-                    "p": args.p,
-                    "i": args.i,
-                    "j": args.j,
-                    "n": args.n,
-                    "valuation": res.valuation,
-                    "required": res.required,
-                    "ok": ok,
-                }
-            ]
-        else:
-            out = zetabranch.extended_kummer_check(args.p, args.q, args.i, args.j, args.n)
-            ok = all(r.ok for r in out.values())
-            rows = [
-                {"prime": prime, "valuation": r.valuation, "required": r.required, "ok": r.ok}
-                for prime, r in sorted(out.items())
-            ]
-    except zetabranch.HypothesisError as exc:
-        raise _Usage(str(exc))
+    if args.q is None:
+        res = zetabranch.kummer_check(args.p, args.i, args.j, args.n)
+        ok = res.ok
+        rows = [
+            {
+                "p": args.p,
+                "i": args.i,
+                "j": args.j,
+                "n": args.n,
+                "valuation": res.valuation,
+                "required": res.required,
+                "ok": ok,
+            }
+        ]
+    else:
+        out = zetabranch.extended_kummer_check(args.p, args.q, args.i, args.j, args.n)
+        ok = all(r.ok for r in out.values())
+        rows = [
+            {"prime": prime, "valuation": r.valuation, "required": r.required, "ok": r.ok}
+            for prime, r in sorted(out.items())
+        ]
     return (0 if ok else 1), rows
 
 
@@ -431,9 +421,14 @@ def _cmd_q_zeta(args):
 def _cmd_theta_check(args):
     # the grid x = xmin, xmin * step, ... must climb past a finite xmax
     if not all(math.isfinite(v) for v in (args.xmin, args.xmax, args.step)):
-        raise _Usage("--xmin, --xmax and --step must be finite")
+        raise ValueError("--xmin, --xmax and --step must be finite")
     if args.step <= 1 or args.xmin <= 0 or args.xmin > args.xmax:
-        raise _Usage("need --step > 1 and 0 < --xmin <= --xmax")
+        raise ValueError("need --step > 1 and 0 < --xmin <= --xmax")
+    # theta(1/x) sums about sqrt(x) terms, so the grid stays in [1e-4, 1e4]
+    if args.xmin < 1e-4 or args.xmax > 1e4:
+        raise ValueError("need 1e-4 <= --xmin <= --xmax <= 1e4")
+    if math.log(args.xmax / args.xmin) / math.log(args.step) >= 10_000:
+        raise ValueError("the grid has more than 10000 points; raise --step")
     rows = []
     worst = 0.0
     x = args.xmin
@@ -679,7 +674,7 @@ def run(argv: list[str], out=None) -> int:
     except padics.PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return 2
-    except (_Usage, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args.format, out)

@@ -97,11 +97,6 @@ def gamma_continuity_check(p: int, s: int, upto: int, restricted: bool = True) -
 # -- inverse formulas ---------------------------------------------------------
 
 
-def euclid_inverse(u: int, modulus: int) -> int:
-    """Reference inverse by extended Euclid (pow(-1) under the hood)."""
-    return pow(u, -1, modulus)
-
-
 def euclid_division_steps(a: int, b: int) -> int:
     """Number of division steps of the Euclidean algorithm on (a, b), a > b."""
     steps = 0

@@ -38,7 +38,8 @@ def _window(f, upto: int) -> list:
 
 @dataclass
 class MahlerSeries:
-    """Coefficients a_0..a_L of a Mahler expansion, all known mod p^precision.
+    """Coefficients a_0..a_L of a Mahler expansion at working precision
+    p^precision; each coefficient carries the absolute precision it is known to.
 
     ``decay`` is an optional certificate (s, t): |a_n|_p <= p^(-sigma) for
     n >= sigma * p^t, for every sigma <= s.
@@ -60,12 +61,17 @@ class MahlerSeries:
         return min(s, len(self.coeffs) // self.p**t)
 
     def serialize(self) -> str:
+        """A header 'p precision length', then one line 'i valuation unit' per
+        coefficient; a nonzero coefficient known mod p^A with A != precision
+        adds A as a fourth field."""
         lines = [f"{self.p} {self.precision} {len(self.coeffs)}"]
         for i, c in enumerate(self.coeffs):
             if c.is_exact_zero:
                 lines.append(f"{i} inf 0")
             elif c.unit == 0:
                 lines.append(f"{i} {c.valuation} 0")
+            elif c.abs_precision != self.precision:
+                lines.append(f"{i} {c.valuation} {c.unit} {c.abs_precision}")
             else:
                 lines.append(f"{i} {c.valuation} {c.unit}")
         return "\n".join(lines) + "\n"
@@ -82,15 +88,18 @@ class MahlerSeries:
                              f"and {length} coefficient lines after it; {len(lines) - 1} follow")
         coeffs = []
         for i, fields in enumerate(lines[1:]):
-            if len(fields) != 3 or int(fields[0]) != i:
-                raise ValueError(f"coefficient line {i} must read '{i} valuation unit'")
-            _, v, unit = fields
+            if (len(fields) not in (3, 4) or int(fields[0]) != i
+                    or len(fields) == 4 and fields[2] == "0"):
+                raise ValueError(f"coefficient line {i} must read '{i} valuation unit [abs_precision]', "
+                                 "with abs_precision only after a nonzero unit")
+            v, unit = fields[1], fields[2]
             if v == "inf" and unit == "0":
                 coeffs.append(PadicNumber.exact_zero(p))
             elif unit == "0":
                 coeffs.append(PadicNumber.zero_mod(p, int(v)))
             else:
-                coeffs.append(PadicNumber(p, int(v), int(unit), precision - int(v)))
+                known = int(fields[3]) if len(fields) == 4 else precision
+                coeffs.append(PadicNumber(p, int(v), int(unit), known - int(v)))
         return cls(p=p, precision=precision, coeffs=coeffs)
 
 
@@ -168,6 +177,8 @@ def verify_decay(f, p: int, s: int, t: int, upto: int) -> DecayReport:
     A violation is a legitimate return value: it signals that f does not have
     the claimed uniform-continuity modulus (s, t).
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     vals = _window(f, upto)
     if not all(isinstance(x, (int, Fraction)) for x in vals):
         raise TypeError("verify_decay needs an exact-valued window")

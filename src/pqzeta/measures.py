@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .mahler import _differences, characteristic_coefficients_exact, characteristic_rows
-from .padics import PadicNumber, padic_reduce_abs, padic_valuation
+from .mahler import _differences, _reduce, characteristic_coefficients_exact, characteristic_rows
+from .padics import PadicNumber, is_prime, padic_valuation
 from .rationals import PolyRational, zeta_neg
 
 
@@ -35,14 +35,6 @@ def xi(n: int, a: int, r: int) -> int:
     if n % (r * a) == 0:
         return 1 - a
     return 1
-
-
-def xi_sum_zero(a: int, r: int) -> Fraction:
-    """sum_{b=1}^{a} xi_r(br), asserted to vanish (the removability lemma)."""
-    total = sum(xi(b * r, a, r) for b in range(1, a + 1))
-    if total != 0:
-        raise ArithmeticError(f"xi period sum is {total}, expected 0")
-    return Fraction(total)
 
 
 def taylor_numerators(weights: list[int], upto: int) -> list[int]:
@@ -319,6 +311,8 @@ def measure_open_set_table(
     """
     if n < 0 or target_digits < 0:
         raise ValueError("need n >= 0 and target_digits >= 0")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     pn = p**n
     upto = (target_digits + guard) * pn
     d = binomial_moments(a, p, upto)
@@ -343,7 +337,7 @@ def measure_open_set_table(
             series_sum=series_sum,
             certified_digits=certified,
             conjectured=open_set_closed_form(a, p, n, b),
-            value=padic_reduce_abs(series_sum, p, certified),
+            value=_reduce(series_sum, p, certified),
         )
     return out
 

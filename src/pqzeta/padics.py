@@ -14,7 +14,6 @@ propagates the minimum guaranteed absolute precision of its inputs.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 INFINITY = math.inf
@@ -97,18 +96,6 @@ class PadicNumber:
     def zero_mod(cls, p: int, abs_precision: int) -> "PadicNumber":
         """The class of values congruent to 0 mod p^abs_precision."""
         return cls(p, abs_precision, 0, 0)
-
-    @classmethod
-    def from_rational(cls, x: Fraction | int, p: int, precision: int) -> "PadicNumber":
-        """Reduce a rational to valuation + unit mod p^precision."""
-        x = Fraction(x)
-        if x == 0:
-            return cls.exact_zero(p)
-        v = padic_valuation(x, p)
-        scaled = x / Fraction(p) ** v
-        mod = p**precision
-        unit = scaled.numerator * pow(scaled.denominator, -1, mod) % mod
-        return cls(p, v, unit, precision)
 
     # -- inspection --------------------------------------------------------
 
@@ -231,7 +218,7 @@ class PadicNumber:
             inv = pow(self.unit, -1, self.p**self.precision)
             return PadicNumber(self.p, 0, inv, self.precision) ** (-e)
         if self.is_exact_zero:
-            return self if e else PadicNumber.from_rational(1, self.p, 1)
+            return self if e else PadicNumber(self.p, 0, 1, 1)
         if self.unit == 0:
             if e == 0:
                 raise PrecisionError("0^0 undetermined for approximate zero")
@@ -310,51 +297,6 @@ class PadicNumber:
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O({self.p}^{self.abs_precision})"
 
-    @classmethod
-    def parse_triple(cls, text: str, p: int) -> "PadicNumber":
-        m = re.fullmatch(r"\(\s*(inf|-?\d+)\s*,\s*(\d+)\s*,\s*(inf|\d+)\s*\)", text.strip())
-        if not m:
-            raise ValueError(f"not a (v, unit, N) triple: {text!r}")
-        if m.group(1) == "inf":
-            return cls.exact_zero(p)
-        v, unit = int(m.group(1)), int(m.group(2))
-        if unit == 0:
-            return cls.zero_mod(p, v)
-        return cls(p, v, unit, int(m.group(3)))
-
-    @classmethod
-    def parse_digit_string(cls, text: str, p: int) -> "PadicNumber":
-        text = text.strip()
-        if text == "0":
-            return cls.exact_zero(p)
-        m = re.fullmatch(rf"O\({p}\^(-?\d+)\)", text)
-        if m:
-            return cls.zero_mod(p, int(m.group(1)))
-        m = re.fullmatch(rf"(.*?)\s*\+\s*O\({p}\^(-?\d+)\)", text)
-        if not m:
-            raise ValueError(f"missing precision marker in {text!r}")
-        abs_prec = int(m.group(2))
-        total = Fraction(0)
-        for term in m.group(1).split("+"):
-            term = term.strip()
-            if term == "0":
-                continue
-            tm = re.fullmatch(rf"(\d+)(?:\*{p}(?:\^(-?\d+))?)?", term)
-            if not tm:
-                raise ValueError(f"bad digit term {term!r}")
-            d = int(tm.group(1))
-            if "*" not in term:
-                e = 0
-            elif tm.group(2) is None:
-                e = 1
-            else:
-                e = int(tm.group(2))
-            total += d * Fraction(p) ** e
-        if total == 0:
-            return cls.zero_mod(p, abs_prec)
-        v = padic_valuation(total, p)
-        return cls.from_rational(total, p, abs_prec - v)
-
     def __repr__(self) -> str:
         if self.is_exact_zero:
             return f"PadicNumber(p={self.p}, 0)"
@@ -365,8 +307,17 @@ class PadicNumber:
 
 
 def padic_of_rational(x: Fraction | int, p: int, precision: int) -> PadicNumber:
-    """Truncate a rational to a p-adic number at the given relative precision."""
-    return PadicNumber.from_rational(x, p, precision)
+    """Truncate a rational to valuation + unit mod p^precision (relative precision)."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    x = Fraction(x)
+    if x == 0:
+        return PadicNumber.exact_zero(p)
+    v = padic_valuation(x, p)
+    scaled = x / Fraction(p) ** v
+    mod = p**precision
+    unit = scaled.numerator * pow(scaled.denominator, -1, mod) % mod
+    return PadicNumber(p, v, unit, precision)
 
 
 def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumber:
@@ -377,7 +328,7 @@ def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumb
     v = padic_valuation(x, p)
     if v >= abs_precision:
         return PadicNumber.zero_mod(p, abs_precision)
-    return PadicNumber.from_rational(x, p, int(abs_precision - v))
+    return padic_of_rational(x, p, int(abs_precision - v))
 
 
 def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
@@ -449,4 +400,6 @@ def ideal_shadow(m: int, p: int) -> int:
     """Exponent r with the reduction of the ideal mZ landing on p^r Z_p."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return padic_valuation(m, p)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .padics import PadicNumber, angle_bracket, is_prime, padic_valuation
+from .padics import PadicNumber, angle_bracket, is_prime, padic_of_rational, padic_valuation
 from .rationals import bernoulli, bernoulli_polynomial, binomial_poly
 
 
@@ -137,7 +137,7 @@ def kl_branch_eval(branch: KLBranch, s) -> PadicNumber:
     if branch.s0 + (p - 1) * t < 1:
         t += p**N
     n = branch.s0 + (p - 1) * t
-    return PadicNumber.from_rational(kl_value(p, n), p, branch.certified_precision)
+    return padic_of_rational(kl_value(p, n), p, branch.certified_precision)
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,11 @@ def double_branch_eval(
         raise ZeroDivisionError("pole branch at sigma = 0")
     p, q = branch.p, branch.q
     k = branch.sigma0 + sigma * (p - 1) * (q - 1)
-    value = -(1 - Fraction(p) ** k) * (1 - Fraction(q) ** k) * bernoulli(k + 1) / (k + 1)
+    # at k = 0 both Euler factors vanish
+    value = double_value(p, q, k + 1) if k else Fraction(0)
     return (
-        PadicNumber.from_rational(value, p, precision),
-        PadicNumber.from_rational(value, q, precision),
+        padic_of_rational(value, p, precision),
+        padic_of_rational(value, q, precision),
     )
 
 
@@ -226,13 +227,13 @@ def universal_power(
     for p in primes:
         v = padic_valuation(n - 1, p) if n != 1 else None
         if n == 1:
-            out[p] = PadicNumber.from_rational(1, p, precision)
+            out[p] = padic_of_rational(1, p, precision)
             continue
         cutoff = precision // v + 1
         acc = Fraction(0)
         for k in range(cutoff + 1):
             acc += binomial_poly(s, k) * (n - 1) ** k
-        out[p] = PadicNumber.from_rational(acc, p, precision)
+        out[p] = padic_of_rational(acc, p, precision)
     return out
 
 
@@ -264,9 +265,9 @@ def pq_hurwitz(
     out = []
     for prime, bracket in ((p, bp), (q, bq)):
         val = (
-            PadicNumber.from_rational(prefactor, prime, precision)
+            padic_of_rational(prefactor, prime, precision)
             * bracket**m
-            * PadicNumber.from_rational(acc, prime, precision)
+            * padic_of_rational(acc, prime, precision)
         )
         out.append(val)
     return out[0], out[1]

@@ -236,7 +236,7 @@ def test_criterion_07a_inverse_formulas_vs_euclid():
             if u % p == 0:
                 continue
             x = gamma.inverse_general(m, r, t, v, p, s)
-        assert x % p**s == gamma.euclid_inverse(u % p**s, p**s), (p, r, s)
+        assert x % p**s == pow(u % p**s, -1, p**s), (p, r, s)
         checked += 1
     assert _report("7a", True, f"{checked} inverse-formula cases equal extended Euclid")
 

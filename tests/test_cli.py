@@ -203,6 +203,11 @@ def test_composite_primes_are_usage_errors():
         ["gamma-p", "--p", "4"],
         ["gamma-continuity", "--p", "9"],
         ["teichmuller", "--n", "2", "--p", "4"],
+        ["padic", "--value", "3", "--p", "4", "--precision", "2"],
+        ["padic", "--ideal", "12", "--p", "4"],
+        ["open-set-measure", "--a", "3", "--p", "4", "--n", "1"],
+        ["decay-check", "--window", "1,0,1", "--p", "4", "--s", "1", "--t", "0"],
+        ["weil", "--p", "4"],
     ):
         code, out = _run(argv)
         assert code == 2 and out == "", argv
@@ -235,6 +240,9 @@ def test_precision_errors_exit_2_without_traceback():
         ["theta-check", "--step", "1"],
         ["theta-check", "--xmax", "inf"],
         ["theta-check", "--xmin", "4", "--xmax", "2"],
+        # theta grids too fine or too wide to finish
+        ["theta-check", "--step", "1.0000001"],
+        ["theta-check", "--xmax", "1e20"],
         # a negative level or digit count, and a missing kernel parameter
         ["open-set-measure", "--a", "2", "--p", "5", "--n", "-1"],
         ["open-set-measure", "--a", "2", "--p", "5", "--n", "1", "--digits", "-10"],

@@ -424,6 +424,23 @@ def test_series_serialization_round_trip():
     assert back.serialize() == text
 
 
+def test_serialization_keeps_coefficient_precision():
+    # coefficients known mod 5^2 in a series of precision 6 say so in a
+    # fourth field, and come back known mod 5^2, not 5^6
+    series = mahler_coefficients([PadicNumber(5, 0, 1, 2), PadicNumber(5, 0, 3, 2)], 1, 5, 6)
+    text = series.serialize()
+    assert text == "5 6 2\n0 0 1 2\n1 0 2 2\n"
+    back = MahlerSeries.deserialize(text)
+    assert back.coeffs == series.coeffs
+    assert [c.abs_precision for c in back.coeffs] == [2, 2]
+    assert back.serialize() == text
+    # an exact window keeps its three-field lines
+    assert mahler_coefficients([1, 4], 1, 5, 6).serialize() == "5 6 2\n0 0 1\n1 0 3\n"
+    for bad in ("5 6 1\n0 0 0 2\n", "5 6 1\n0 0 1 2 2\n", "5 6 1\n0 2 1 2\n"):
+        with pytest.raises(ValueError):
+            MahlerSeries.deserialize(bad)
+
+
 def test_zero_mod_serialization():
     series = MahlerSeries(
         p=5, precision=3, coeffs=[PadicNumber.zero_mod(5, 3), padic_of_rational(2, 5, 3)]

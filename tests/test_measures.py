@@ -21,9 +21,8 @@ from pqzeta.measures import (
     restricted_moment,
     taylor_numerators,
     xi,
-    xi_sum_zero,
 )
-from pqzeta.padics import padic_valuation
+from pqzeta.padics import PadicNumber, padic_valuation
 from pqzeta.rationals import PolyRational, zeta_neg
 
 
@@ -34,8 +33,11 @@ def test_xi_cases():
 
 
 def test_xi_sum_zero():
+    # the removability lemma: taylor_numerators raises on a nonzero period
+    # sum, so the xi_r weights pass, and Psi_r(1) = (1 - a) zeta(0)
     for a, r in ((2, 1), (3, 2), (5, 1), (4, 3)):
-        assert xi_sum_zero(a, r) == 0
+        weights = [xi(n, a, r) for n in range(1, r * a + 1)]
+        assert Fraction(taylor_numerators(weights, 0)[0], r * a) == (1 - a) * zeta_neg(0)
 
 
 def test_exp_series_removable_division():
@@ -219,6 +221,15 @@ def test_open_set_table_matches_fraction_pairing():
                 d = binomial_moments(a, p, 7 * p**n)
                 for b, entry in table.items():
                     assert entry.series_sum == open_set_from_moments(d, p, n, b), (a, p, n, b)
+
+
+def test_open_set_zero_partial_sum_is_not_exact():
+    # for a = 7, p = 2, n = 1 the truncated sum for b = 1 happens to be 0 at
+    # 4 digits; only 4 + 3 digits are certified, so the value is O(2^7)
+    entry = measure_open_set_table(7, 2, 1, target_digits=4)[1]
+    assert entry.series_sum == 0
+    assert entry.value == PadicNumber.zero_mod(2, 7)
+    assert entry.value.to_digit_string() == "O(2^7)"
 
 
 def test_measure_on_open_set_is_the_table_entry():

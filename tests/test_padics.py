@@ -188,22 +188,17 @@ def test_ideal_shadow():
 
 
 def test_text_round_trips():
+    # the two text forms are output only; pin what each renders
     cases = [
-        padic_of_rational(Fraction(1, 3), 5, 3),
-        padic_of_rational(50, 5, 4),
-        padic_of_rational(Fraction(7, 5), 5, 3),
-        padic_of_rational(0, 5, 3),
-        PadicNumber.zero_mod(5, 4),
+        (padic_of_rational(Fraction(1, 3), 5, 3), "(0, 42, 3)", "2 + 3*5 + 1*5^2 + O(5^3)"),
+        (padic_of_rational(50, 5, 4), "(2, 2, 4)", "2*5^2 + O(5^6)"),
+        (padic_of_rational(Fraction(7, 5), 5, 3), "(-1, 7, 3)", "2*5^-1 + 1 + O(5^2)"),
+        (padic_of_rational(0, 5, 3), "(inf, 0, inf)", "0"),
+        (PadicNumber.zero_mod(5, 4), "(4, 0, 0)", "O(5^4)"),
     ]
-    for x in cases:
-        assert PadicNumber.parse_triple(x.to_triple_string(), 5) == x if not x.is_exact_zero else True
-        back = PadicNumber.parse_digit_string(x.to_digit_string(), 5)
-        if x.is_exact_zero:
-            assert back.is_exact_zero
-        elif x.unit == 0:
-            assert back.unit == 0 and back.valuation == x.valuation
-        else:
-            assert (back.valuation, back.unit) == (x.valuation, x.unit)
+    for x, triple, digits in cases:
+        assert x.to_triple_string() == triple
+        assert x.to_digit_string() == digits
 
 
 def test_digit_string_format():
