@@ -12,10 +12,9 @@ recurrence, so the module needs nothing beyond the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .padics import is_prime
+from .padics import Record, is_prime
 from .rationals import bernoulli
 
 TERM_FLOOR = 1e-17
@@ -136,13 +135,15 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
-@dataclass
-class EulerProductReport:
-    s: float
-    prime_bound: int
-    term_bound: int
-    residual: float
-    tail_bound: float
+class EulerProductReport(Record):
+    __slots__ = ("s", "prime_bound", "term_bound", "residual", "tail_bound")
+
+    def __init__(self, s: float, prime_bound: int, term_bound: int, residual: float, tail_bound: float):
+        self.s = s
+        self.prime_bound = prime_bound
+        self.term_bound = term_bound
+        self.residual = residual
+        self.tail_bound = tail_bound
 
     @property
     def ok(self) -> bool:

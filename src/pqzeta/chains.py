@@ -11,10 +11,10 @@ sums are only required to hold within 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .padics import Record
 from .rationals import binomial, rising_factorial
 
 FLOAT_TOL = 1e-12
@@ -35,13 +35,15 @@ def _pow(base, exponent):
     return float(base) ** float(exponent)
 
 
-@dataclass
-class ChainKernel:
-    family: str
-    params: dict
-    step: callable  # state -> list[(state, probability)]
-    root: State | int = (0, 0)
-    exact: bool = True
+class ChainKernel(Record):
+    __slots__ = ("family", "params", "step", "root", "exact")
+
+    def __init__(self, family: str, params: dict, step, root: State | int = (0, 0), exact: bool = True):
+        self.family = family
+        self.params = params
+        self.step = step  # state -> list[(state, probability)]
+        self.root = root
+        self.exact = exact
 
     def transition(self, source, target):
         for st, pr in self.step(source):
@@ -173,10 +175,12 @@ def kernel_u_gamma(u: int, beta: int) -> ChainKernel:
     return ChainKernel(family="u-gamma", params={"u": u, "beta": beta}, step=step)
 
 
-@dataclass
-class LayerDistribution:
-    n: int
-    weights: dict  # state -> probability
+class LayerDistribution(Record):
+    __slots__ = ("n", "weights")
+
+    def __init__(self, n: int, weights: dict):
+        self.n = n
+        self.weights = weights  # state -> probability
 
     def total(self):
         return sum(self.weights.values())
@@ -209,12 +213,14 @@ def real_beta_layer_closed_form(alpha, beta, n: int) -> LayerDistribution:
     return LayerDistribution(n=n, weights=weights)
 
 
-@dataclass
-class LimitReport:
-    target: str
-    schedule: list[int]
-    residuals: list[float]
-    tol: float
+class LimitReport(Record):
+    __slots__ = ("target", "schedule", "residuals", "tol")
+
+    def __init__(self, target: str, schedule: list[int], residuals: list[float], tol: float):
+        self.target = target
+        self.schedule = schedule
+        self.residuals = residuals
+        self.tol = tol
 
     @property
     def decreasing(self) -> bool:

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from fractions import Fraction
 
-from . import analytic, chains, gamma, mahler, measures, padics, rationals, zetabranch
+from . import padics  # run() catches its PrecisionError; each handler imports its own module
 
 CSV_SCHEMA = "# schema=2"
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
     if fmt == "json":
+        import json
         print(json.dumps(rows, default=str, sort_keys=True), file=out)
         return
     if fmt == "plain":
@@ -49,6 +49,9 @@ def _float(x: float) -> str:
 
 
 def _cmd_bernoulli(args):
+    from . import rationals
+    if args.upto < 0:
+        raise ValueError("need --upto >= 0")
     rows = []
     for k in range(args.upto + 1):
         row = {"k": k, "B_k": rationals.bernoulli(k)}
@@ -67,6 +70,7 @@ def _cmd_bernoulli(args):
 
 
 def _cmd_zeta_neg(args):
+    from . import rationals
     if args.one_minus is not None:
         return 0, [{"k": args.one_minus, "zeta(1-k)": rationals.zeta_one_minus(args.one_minus)}]
     return 0, [{"m": args.m, "zeta(-m)": rationals.zeta_neg(args.m)}]
@@ -126,6 +130,7 @@ def _agrees(value: padics.PadicNumber, exact: Fraction) -> bool:
 
 
 def _cmd_mahler_coeffs(args):
+    from . import mahler
     if args.char:
         b, n = (int(x) for x in args.char.split(","))
         series = mahler.characteristic_mahler(b, n, args.p, args.upto)
@@ -144,6 +149,7 @@ def _cmd_mahler_coeffs(args):
 
 
 def _cmd_mahler_eval(args):
+    from . import mahler
     series = mahler.MahlerSeries.deserialize(sys.stdin.read())
     if args.decay:
         s, t = (int(x) for x in args.decay.split(","))
@@ -153,6 +159,7 @@ def _cmd_mahler_eval(args):
 
 
 def _cmd_decay_check(args):
+    from . import mahler
     window = _parse_window(args.window)
     report = mahler.verify_decay(window, args.p, args.s, args.t, len(window) - 1)
     row = {"p": args.p, "s": args.s, "t": args.t, "ok": report.ok}
@@ -162,6 +169,7 @@ def _cmd_decay_check(args):
 
 
 def _cmd_gamma_p(args):
+    from . import gamma
     rows = []
     for n in range(args.upto + 1):
         rows.append(
@@ -176,6 +184,7 @@ def _cmd_gamma_p(args):
 
 
 def _cmd_gamma_continuity(args):
+    from . import gamma
     report = gamma.gamma_continuity_check(args.p, args.s, args.upto, restricted=not args.unrestricted)
     row = {"p": args.p, "s": args.s, "upto": args.upto, "ok": report.ok}
     if not report.ok:
@@ -184,6 +193,7 @@ def _cmd_gamma_continuity(args):
 
 
 def _cmd_spq_sweep(args):
+    from . import gamma
     if args.inverse:
         r, s = (int(x) for x in args.inverse.split(","))
         x1 = gamma.inverse_of_half_pr_plus_one(args.p, r, s)
@@ -210,6 +220,7 @@ def _cmd_spq_sweep(args):
 
 
 def _cmd_kummer(args):
+    from . import zetabranch
     if args.q is None:
         res = zetabranch.kummer_check(args.p, args.i, args.j, args.n)
         ok = res.ok
@@ -235,6 +246,7 @@ def _cmd_kummer(args):
 
 
 def _cmd_kl_branch(args):
+    from . import zetabranch
     branch = zetabranch.KLBranch(p=args.p, s0=args.s0, precision=args.precision)
     rows = []
     for t in range(args.tmax + 1):
@@ -256,6 +268,7 @@ def _cmd_kl_branch(args):
 
 
 def _cmd_double_branch(args):
+    from . import zetabranch
     branch = zetabranch.DoubleBranch(p=args.p, q=args.q, sigma0=args.sigma0)
     rows = []
     for sigma in range(args.smax + 1):
@@ -275,6 +288,7 @@ def _cmd_double_branch(args):
 
 
 def _cmd_universal_power(args):
+    from . import zetabranch
     primes = tuple(int(x) for x in args.primes.split(","))
     values = zetabranch.universal_power(args.n, args.s, primes, args.precision)
     rows = []
@@ -295,6 +309,7 @@ def _cmd_universal_power(args):
 
 
 def _cmd_pq_hurwitz(args):
+    from . import zetabranch
     vp, vq = zetabranch.pq_hurwitz(args.n, args.b, args.F, args.p, args.q, args.precision)
     return 0, [
         {
@@ -308,6 +323,7 @@ def _cmd_pq_hurwitz(args):
 
 
 def _cmd_moments(args):
+    from . import measures
     rows = []
     try:
         if args.pair:
@@ -340,6 +356,7 @@ def _cmd_moments(args):
 
 
 def _cmd_open_set_measure(args):
+    from . import measures
     table = measures.measure_open_set_table(args.a, args.p, args.n, args.digits)
     rows = []
     for b in sorted(table):
@@ -356,6 +373,7 @@ def _cmd_open_set_measure(args):
 
 
 def _cmd_chain_propagate(args):
+    from . import chains
     kernel = chains.parse_kernel_spec(args.kernel)
     if not kernel.is_row_stochastic(min(args.layers, 12)):
         return 1, [{"error": "kernel rows do not sum to 1"}]
@@ -375,6 +393,7 @@ def _cmd_chain_propagate(args):
 
 
 def _cmd_chain_limits(args):
+    from . import chains
     schedule = [int(x) for x in args.schedule.split(",")]
     report = chains.limit_check(
         args.target, args.p, args.alpha, args.beta, schedule, args.tol, depth=args.depth
@@ -387,6 +406,7 @@ def _cmd_chain_limits(args):
 
 
 def _cmd_heisenberg(args):
+    from . import chains
     residual = chains.heisenberg_check(args.alpha, args.beta, args.n)
     return (0 if residual == 0 else 1), [
         {"alpha": args.alpha, "beta": args.beta, "n": args.n, "residual": residual}
@@ -394,6 +414,7 @@ def _cmd_heisenberg(args):
 
 
 def _cmd_hahn_basis(args):
+    from . import chains
     basis = chains.hahn_basis(args.alpha, args.beta, args.n)
     law = chains.real_beta_layer_closed_form(args.alpha, args.beta, args.n)
     rows = []
@@ -409,6 +430,7 @@ def _cmd_hahn_basis(args):
 
 
 def _cmd_q_zeta(args):
+    from . import chains
     value = chains.q_zeta(args.s, args.q)
     rows = [{"s": args.s, "q": args.q, "q_zeta": _float(value)}]
     if args.integer is not None:
@@ -419,6 +441,7 @@ def _cmd_q_zeta(args):
 
 
 def _cmd_theta_check(args):
+    from . import analytic
     # the grid x = xmin, xmin * step, ... must climb past a finite xmax
     if not all(math.isfinite(v) for v in (args.xmin, args.xmax, args.step)):
         raise ValueError("--xmin, --xmax and --step must be finite")
@@ -443,6 +466,7 @@ def _cmd_theta_check(args):
 
 
 def _cmd_lambda_check(args):
+    from . import analytic
     rows = []
     ok = True
     for s in (float(x) for x in args.grid.split(",")):
@@ -471,6 +495,7 @@ def _cmd_lambda_check(args):
 
 
 def _cmd_weil(args):
+    from . import analytic
     f = {
         "gauss-log": lambda x: math.exp(-(math.log(x) ** 2)),
         "indicator-p": lambda x: 1.0 if abs(x - args.p) < 1e-9 else 0.0,

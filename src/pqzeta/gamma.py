@@ -10,9 +10,7 @@ p^r avoid divisibility by q (and symmetrically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .padics import is_prime
+from .padics import Record, is_prime
 
 
 def _require_prime(p: int, odd: bool = True) -> None:
@@ -60,13 +58,15 @@ def gamma_functional_step(n: int, p: int) -> int:
     return -1 if n % p == 0 else -n
 
 
-@dataclass
-class ContinuityReport:
-    p: int
-    s: int
-    upto: int
-    ok: bool
-    first_failure: int | None = None
+class ContinuityReport(Record):
+    __slots__ = ("p", "s", "upto", "ok", "first_failure")
+
+    def __init__(self, p: int, s: int, upto: int, ok: bool, first_failure: int | None = None):
+        self.p = p
+        self.s = s
+        self.upto = upto
+        self.ok = ok
+        self.first_failure = first_failure
 
 
 def gamma_continuity_check(p: int, s: int, upto: int, restricted: bool = True) -> ContinuityReport:
@@ -147,12 +147,14 @@ def inverse_general(m: int, r: int, t: int, v: int, p: int, s: int) -> int:
 # -- the inverse-chain membership search --------------------------------------
 
 
-@dataclass(frozen=True)
-class ExclusionWitness:
-    side: str  # "p-side" or "q-side"
-    exponent: int
-    inverse: int
-    divisor: int
+class ExclusionWitness(Record):
+    __slots__ = ("side", "exponent", "inverse", "divisor")
+
+    def __init__(self, side: str, exponent: int, inverse: int, divisor: int):
+        self.side = side  # "p-side" or "q-side"
+        self.exponent = exponent
+        self.inverse = inverse
+        self.divisor = divisor
 
 
 def s_pq_membership(j: int, p: int, q: int, depth: int = 12):
@@ -180,14 +182,16 @@ def s_pq_membership(j: int, p: int, q: int, depth: int = 12):
     return None
 
 
-@dataclass
-class TrivialityReport:
-    p: int
-    q: int
-    j_bound: int
-    depth: int
-    witnesses: dict[int, ExclusionWitness] = field(default_factory=dict)
-    undecided: list[int] = field(default_factory=list)
+class TrivialityReport(Record):
+    __slots__ = ("p", "q", "j_bound", "depth", "witnesses", "undecided")
+
+    def __init__(self, p: int, q: int, j_bound: int, depth: int):
+        self.p = p
+        self.q = q
+        self.j_bound = j_bound
+        self.depth = depth
+        self.witnesses: dict[int, ExclusionWitness] = {}
+        self.undecided: list[int] = []
 
     @property
     def all_excluded(self) -> bool:

@@ -13,7 +13,6 @@ pairing (evaluation).  Decay certificates record the bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +20,7 @@ from .padics import (
     INFINITY,
     PadicNumber,
     PrecisionError,
+    Record,
     is_prime,
     padic_reduce_abs,
     padic_valuation,
@@ -36,8 +36,7 @@ def _window(f, upto: int) -> list:
     return vals[: upto + 1]
 
 
-@dataclass
-class MahlerSeries:
+class MahlerSeries(Record):
     """Coefficients a_0..a_L of a Mahler expansion at working precision
     p^precision; each coefficient carries the absolute precision it is known to.
 
@@ -45,10 +44,13 @@ class MahlerSeries:
     n >= sigma * p^t, for every sigma <= s.
     """
 
-    p: int
-    precision: int
-    coeffs: list[PadicNumber]
-    decay: tuple[int, int] | None = None
+    __slots__ = ("p", "precision", "coeffs", "decay")
+
+    def __init__(self, p: int, precision: int, coeffs: list[PadicNumber], decay: tuple[int, int] | None = None):
+        self.p = p
+        self.precision = precision
+        self.coeffs = coeffs
+        self.decay = decay
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -158,13 +160,15 @@ def mahler_coefficients(f, upto: int, p: int, precision: int) -> MahlerSeries:
     return MahlerSeries(p=p, precision=precision, coeffs=coeffs)
 
 
-@dataclass
-class DecayReport:
-    ok: bool
-    s: int
-    t: int
-    upto: int
-    violation: tuple[int, int, int] | None = None  # (index, sigma, actual valuation)
+class DecayReport(Record):
+    __slots__ = ("ok", "s", "t", "upto", "violation")
+
+    def __init__(self, ok: bool, s: int, t: int, upto: int, violation: tuple[int, int, int] | None = None):
+        self.ok = ok
+        self.s = s
+        self.t = t
+        self.upto = upto
+        self.violation = violation  # (index, sigma, actual valuation)
 
     @property
     def certificate(self) -> tuple[int, int] | None:

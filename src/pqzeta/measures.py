@@ -17,12 +17,11 @@ the rows of ``mahler.characteristic_rows``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .mahler import _differences, _reduce, characteristic_coefficients_exact, characteristic_rows
-from .padics import PadicNumber, is_prime, padic_valuation
+from .padics import PadicNumber, Record, is_prime, padic_valuation
 from .rationals import PolyRational, zeta_neg
 
 
@@ -109,11 +108,18 @@ def moment(a: int, r: int, m: int) -> Fraction:
     return psi_r_series(a, r, m)[m] * factorial(m)
 
 
+def _require_primes(p: int, q: int) -> None:
+    for name, prime in (("p", p), ("q", q)):
+        if not is_prime(prime):
+            raise ValueError(f"{name} must be prime, got {prime}")
+
+
 def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
     """Monomial moment of the two-prime measure: (1-a^(m+1))(1-q^m) zeta(-m).
 
     Computed as moment(a, 1, m) - moment(a, q, m); p-integrality is asserted.
     """
+    _require_primes(p, q)
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
     value = moment(a, 1, m) - moment(a, q, m)
@@ -132,6 +138,7 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
     a r p; the twisted moments are compared against the closed form, and
     both must agree.
     """
+    _require_primes(p, q)
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
 
@@ -156,25 +163,25 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
 # -- the ring of p-integral rational functions --------------------------------
 
 
-@dataclass
-class RPrimeElement:
+class RPrimeElement(Record):
     """P(t) / Q(t) with p-integral coefficients and |Q(1)|_p = 1.
 
     ``q_power`` tracks denominators of the form Q^q_power so repeated
     differentiation stays polynomial-sized.
     """
 
-    numerator: PolyRational
-    denominator: PolyRational
-    p: int
-    q_power: int = 1
+    __slots__ = ("numerator", "denominator", "p", "q_power")
 
-    def __post_init__(self):
-        for c in self.numerator.coeffs + self.denominator.coeffs:
-            if padic_valuation(c, self.p) < 0:
+    def __init__(self, numerator: PolyRational, denominator: PolyRational, p: int, q_power: int = 1):
+        for c in numerator.coeffs + denominator.coeffs:
+            if padic_valuation(c, p) < 0:
                 raise ValueError("coefficients must be p-integral")
-        if padic_valuation(self.denominator(1), self.p) != 0:
+        if padic_valuation(denominator(1), p) != 0:
             raise ValueError("|Q(1)|_p must equal 1")
+        self.numerator = numerator
+        self.denominator = denominator
+        self.p = p
+        self.q_power = q_power
 
     def value_at_one(self) -> Fraction:
         return self.numerator(1) / self.denominator(1) ** self.q_power
@@ -184,6 +191,8 @@ def psi_r_rational(a: int, r: int, p: int) -> RPrimeElement:
     """Psi_r in lowest-order rational form: the (1 - t^r) factor is cancelled
     so the denominator 1 + t^r + ... + t^(r(a-1)) is a p-unit at 1 (needs
     gcd(a, p) = 1)."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to p")
     num_coeffs = [Fraction(0)] * (r * (a - 1) + 1)
@@ -283,16 +292,19 @@ def open_set_twist_value(a: int, p: int, n: int, b: int) -> Fraction:
     return Fraction(taylor_numerators(weights, 0)[0], period)
 
 
-@dataclass
-class OpenSetMeasure:
-    a: int
-    p: int
-    n: int
-    b: int
-    series_sum: Fraction  # exact partial sum of sum_k a_k(b, n) d_k
-    certified_digits: int  # the tail is certified below p^(-certified_digits)
-    conjectured: Fraction  # the floor-formula value
-    value: PadicNumber
+class OpenSetMeasure(Record):
+    __slots__ = ("a", "p", "n", "b", "series_sum", "certified_digits", "conjectured", "value")
+
+    def __init__(self, a: int, p: int, n: int, b: int, series_sum: Fraction, certified_digits: int,
+                 conjectured: Fraction, value: PadicNumber):
+        self.a = a
+        self.p = p
+        self.n = n
+        self.b = b
+        self.series_sum = series_sum  # exact partial sum of sum_k a_k(b, n) d_k
+        self.certified_digits = certified_digits  # the tail is certified below p^(-certified_digits)
+        self.conjectured = conjectured  # the floor-formula value
+        self.value = value
 
     def matches_conjecture(self, digits: int) -> bool:
         return padic_valuation(self.series_sum - self.conjectured, self.p) >= digits

@@ -56,6 +56,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class Record:
+    """Base of the library's plain records: field-wise ``==`` and a
+    ``Name(field=value, ...)`` repr, both over the subclass's ``__slots__``.
+
+    A record equals only an instance of its own class, and is unhashable.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
 class PadicNumber:
     __slots__ = ("p", "valuation", "unit", "precision")
 

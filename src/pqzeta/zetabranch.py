@@ -6,11 +6,10 @@ function, and the two-prime Hurwitz values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .padics import PadicNumber, angle_bracket, is_prime, padic_of_rational, padic_valuation
+from .padics import PadicNumber, Record, angle_bracket, is_prime, padic_of_rational, padic_valuation
 from .rationals import bernoulli, bernoulli_polynomial, binomial_poly
 
 
@@ -34,11 +33,13 @@ class HypothesisError(ValueError):
     """A congruence-check precondition failed (not a congruence failure)."""
 
 
-@dataclass
-class CongruenceResult:
-    ok: bool
-    required: int
-    valuation: int | float  # +inf when the difference is exactly 0
+class CongruenceResult(Record):
+    __slots__ = ("ok", "required", "valuation")
+
+    def __init__(self, ok: bool, required: int, valuation: int | float):
+        self.ok = ok
+        self.required = required
+        self.valuation = valuation  # +inf when the difference is exactly 0
 
 
 def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
@@ -47,6 +48,8 @@ def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
     Hypotheses: (p-1) does not divide i, and i = j mod p^n (p-1); violations
     raise HypothesisError so they cannot masquerade as congruence failures.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if i < 2 or j < 2:
         raise HypothesisError("need i, j >= 2")
     if i % (p - 1) == 0:
@@ -60,6 +63,9 @@ def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
 
 def extended_kummer_check(p: int, q: int, i: int, j: int, n: int) -> dict[int, CongruenceResult]:
     """Two-prime congruence on (1-p^(.-1))(1-q^(.-1))B_./., mod p^(n+1) and q^(n+1)."""
+    for name, prime in (("p", p), ("q", q)):
+        if not is_prime(prime):
+            raise ValueError(f"{name} must be prime, got {prime}")
     if p == q:
         raise HypothesisError("primes must be distinct")
     if i < 2 or j < 2:
@@ -76,8 +82,7 @@ def extended_kummer_check(p: int, q: int, i: int, j: int, n: int) -> dict[int, C
     return out
 
 
-@dataclass(frozen=True)
-class KLBranch:
+class KLBranch(Record):
     """One branch of the p-adic zeta function: indices n = s0 + (p-1)t.
 
     For p >= 5 any s0 in {0..p-2} is allowed; for p in {2, 3} the only
@@ -89,20 +94,21 @@ class KLBranch:
     p in {2, 3} representative-independence is not certified at all.
     """
 
-    p: int
-    s0: int
-    precision: int
+    __slots__ = ("p", "s0", "precision")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __init__(self, p: int, s0: int, precision: int):
+        if not is_prime(p):
             raise ValueError("p must be prime")
-        if self.p in (2, 3):
-            if self.s0 != 0:
+        if p in (2, 3):
+            if s0 != 0:
                 raise ValueError("for p in {2, 3} the only branch is s0 = 0")
-        elif not 0 <= self.s0 <= self.p - 2:
+        elif not 0 <= s0 <= p - 2:
             raise ValueError("s0 must lie in {0..p-2}")
-        if self.precision < 1:
+        if precision < 1:
             raise ValueError("precision must be >= 1")
+        self.p = p
+        self.s0 = s0
+        self.precision = precision
 
     @property
     def certified_precision(self) -> int:
@@ -140,8 +146,7 @@ def kl_branch_eval(branch: KLBranch, s) -> PadicNumber:
     return padic_of_rational(kl_value(p, n), p, branch.certified_precision)
 
 
-@dataclass(frozen=True)
-class DoubleBranch:
+class DoubleBranch(Record):
     """A branch of the two-prime zeta: Bernoulli indices s0 + sigma(p-1)(q-1) + 1.
 
     Regular branches must keep both Kummer hypotheses alive, so s0 = -1 (the
@@ -150,26 +155,25 @@ class DoubleBranch:
     ``pole=True`` to construct the pole branch explicitly.
     """
 
-    p: int
-    q: int
-    sigma0: int
-    pole: bool = False
+    __slots__ = ("p", "q", "sigma0", "pole")
 
-    def __post_init__(self):
-        p, q, s0 = self.p, self.q, self.sigma0
+    def __init__(self, p: int, q: int, sigma0: int, pole: bool = False):
         if p == q or not (is_prime(p) and is_prime(q)):
             raise ValueError("p, q must be distinct primes")
         if p < 5 or q < 5:
             raise ValueError("double branches need p, q >= 5")
         top = (p - 1) * (q - 1) - 2
-        if not -1 <= s0 <= top:
+        if not -1 <= sigma0 <= top:
             raise ValueError(f"sigma0 must lie in [-1, {top}]")
-        if self.pole:
-            if s0 != -1:
+        if pole:
+            if sigma0 != -1:
                 raise ValueError("only sigma0 = -1 is the pole branch")
-            return
-        if s0 in excluded_sigma0(p, q):
-            raise ValueError(f"sigma0 = {s0} is excluded for (p, q) = ({p}, {q})")
+        elif sigma0 in excluded_sigma0(p, q):
+            raise ValueError(f"sigma0 = {sigma0} is excluded for (p, q) = ({p}, {q})")
+        self.p = p
+        self.q = q
+        self.sigma0 = sigma0
+        self.pole = pole
 
 
 def excluded_sigma0(p: int, q: int) -> set[int]:

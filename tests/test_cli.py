@@ -208,6 +208,10 @@ def test_composite_primes_are_usage_errors():
         ["open-set-measure", "--a", "3", "--p", "4", "--n", "1"],
         ["decay-check", "--window", "1,0,1", "--p", "4", "--s", "1", "--t", "0"],
         ["weil", "--p", "4"],
+        ["kummer", "--p", "4", "--i", "2", "--j", "2", "--n", "0"],
+        ["kummer", "--p", "9", "--q", "7", "--i", "2", "--j", "2", "--n", "0"],
+        ["moments", "--a", "5", "--pair", "4,9", "--mmax", "2"],
+        ["moments", "--a", "3", "--mmax", "2", "--delta", "2", "--delta-prime", "4"],
     ):
         code, out = _run(argv)
         assert code == 2 and out == "", argv
@@ -218,6 +222,27 @@ def _pqzeta(argv, stdin=""):
     env = dict(os.environ, PYTHONPATH=str(Path(pqzeta.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "pqzeta.cli", *argv], input=stdin,
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _modules_after(code):
+    """The modules a fresh interpreter holds after running code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pqzeta.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_library_module_and_no_dataclasses():
+    bare = _modules_after("pass")
+    library = {f"pqzeta.{m}" for m in ("analytic", "chains", "gamma", "mahler", "measures", "zetabranch")}
+    loaded = _modules_after("import pqzeta.cli") - bare
+    assert "pqzeta.cli" in loaded
+    assert not loaded & ({"dataclasses", "inspect", "json"} | library)
+    # a subcommand loads its own module and no other
+    loaded = _modules_after("from pqzeta import cli; cli.run(['kummer', '--p', '5', '--i', '2', '--j', '6'])")
+    assert loaded & library == {"pqzeta.zetabranch"}
+    everything = _modules_after("import " + ", ".join(sorted(library | {"pqzeta.cli"})))
+    assert library <= everything and "dataclasses" not in everything - bare
 
 
 def test_precision_errors_exit_2_without_traceback():
@@ -250,6 +275,8 @@ def test_precision_errors_exit_2_without_traceback():
         # no valuation exists at p = 1
         ["padic", "--ideal", "12", "--p", "1"],
         ["padic", "--value", "3", "--p", "1", "--precision", "2"],
+        # an empty table is no answer
+        ["bernoulli", "--upto", "-1"],
     ],
 )
 def test_bad_arguments_are_usage_errors(argv):
