@@ -65,8 +65,10 @@ class Record:
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def _fields(self) -> list:
+        # a list, not tuple(generator): the tuple would be resized, and the
+        # resized tuples pile up in the interpreter's tuple free list
+        return [getattr(self, name) for name in self.__slots__]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
