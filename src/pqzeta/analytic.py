@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .padics import Record, is_prime
+from .padics import Record, require_primes
 from .rationals import bernoulli
 
 TERM_FLOOR = 1e-17
@@ -172,8 +172,7 @@ def euler_product_check(s: float, prime_bound: int, term_bound: int) -> EulerPro
 
 def weil_finite(f, p: int, n_bound: int) -> float:
     """log(p) * sum_{0 < |n| <= n_bound} p^(-|n|/2) f(p^n)."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_primes(p)
     if n_bound < 1:
         raise ValueError("n_bound must be >= 1")
     total = 0.0

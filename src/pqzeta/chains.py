@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .padics import Record
+from .padics import Record, require_primes
 from .rationals import binomial, rising_factorial
 
 FLOAT_TOL = 1e-12
@@ -82,6 +82,7 @@ def reachable_states(kernel: ChainKernel, depth: int) -> list:
 
 def kernel_padic_beta(p: int, alpha, beta) -> ChainKernel:
     """The six-case p-adic beta kernel on layers {(i, j): i + j = n}."""
+    require_primes(p)
     exact = isinstance(alpha, int) and isinstance(beta, int)
     pb = _pow(p, -beta)
     pa = _pow(p, -alpha)
@@ -439,6 +440,7 @@ def parse_kernel_spec(spec: str) -> ChainKernel:
     if family == "q-gamma":
         return kernel_q_gamma(param("q"), param("beta"))
     if family == "p-gamma":
+        require_primes(param("p"))
         return kernel_q_gamma(Fraction(1, param("p")), param("beta"))
     if family == "basic":
         return kernel_basic(param("q"), param("beta"))

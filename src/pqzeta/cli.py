@@ -151,10 +151,7 @@ def _cmd_mahler_coeffs(args):
 def _cmd_mahler_eval(args):
     from . import mahler
     series = mahler.MahlerSeries.deserialize(sys.stdin.read())
-    if args.decay:
-        s, t = (int(x) for x in args.decay.split(","))
-        series.decay = (s, t)
-    value = mahler.evaluate_mahler(series, args.x, heuristic=args.heuristic)
+    value = mahler.evaluate_mahler(series, args.x)
     return 0, [{"x": args.x, "value": value.to_digit_string()}]
 
 
@@ -543,8 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mahler-eval")
     sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--decay", default="")
-    sp.add_argument("--heuristic", action="store_true")
     sp.set_defaults(handler=_cmd_mahler_eval)
 
     sp = sub.add_parser("decay-check")

@@ -10,14 +10,7 @@ p^r avoid divisibility by q (and symmetrically).
 
 from __future__ import annotations
 
-from .padics import Record, is_prime
-
-
-def _require_prime(p: int, odd: bool = True) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if odd and p == 2:
-        raise ValueError("p = 2 is excluded")
+from .padics import Record, require_primes
 
 
 def _unit_product(n: int, p: int, mod: int | None = None) -> int:
@@ -31,7 +24,9 @@ def _unit_product(n: int, p: int, mod: int | None = None) -> int:
 
 def morita_gamma_exact(n: int, p: int) -> int:
     """Gamma_p(n) as an exact integer."""
-    _require_prime(p)
+    require_primes(p)
+    if p == 2:
+        raise ValueError("p = 2 is excluded")
     if n < 0:
         raise ValueError("n must be >= 0")
     prod = _unit_product(n, p)
@@ -40,9 +35,11 @@ def morita_gamma_exact(n: int, p: int) -> int:
 
 def morita_gamma(n: int, p: int, modulus_exp: int) -> int:
     """Gamma_p(n) reduced mod p^modulus_exp, as a residue in [0, p^s)."""
+    require_primes(p)
+    if p == 2:
+        raise ValueError("p = 2 is excluded")
     if modulus_exp < 1:
         raise ValueError("modulus exponent must be >= 1")
-    _require_prime(p)
     mod = p**modulus_exp
     prod = _unit_product(n, p, mod)
     if n % 2:
@@ -52,9 +49,9 @@ def morita_gamma(n: int, p: int, modulus_exp: int) -> int:
 
 def gamma_functional_step(n: int, p: int) -> int:
     """Multiplier h_p(n) with Gamma_p(n+1) = h_p(n) * Gamma_p(n): -n off pZ, else -1."""
+    require_primes(p)
     if n < 0:
         raise ValueError("n must be >= 0")
-    _require_prime(p, odd=False)
     return -1 if n % p == 0 else -n
 
 
@@ -77,7 +74,9 @@ def gamma_continuity_check(p: int, s: int, upto: int, restricted: bool = True) -
     sign congruence breaks as soon as one side picks up p-divisibility the
     other side lacks).
     """
-    _require_prime(p)
+    require_primes(p)
+    if p == 2:
+        raise ValueError("p = 2 is excluded")
     mod = p**s
     span = upto + p**s + 1
     a = [1] * (span + 1)
@@ -112,7 +111,9 @@ def inverse_of_half_pr_plus_one(p: int, r: int, s: int) -> int:
     x = 2 * sum_{m=0}^{n} (-1)^m p^(mr) with n maximal under nr < s, plus p^s
     when n is odd; the result lies in (0, p^s).
     """
-    _require_prime(p)
+    require_primes(p)
+    if p == 2:
+        raise ValueError("p = 2 is excluded")
     if not (r >= 1 and s > r):
         raise ValueError("need 1 <= r < s")
     n = (s - 1) // r
@@ -129,7 +130,7 @@ def inverse_general(m: int, r: int, t: int, v: int, p: int, s: int) -> int:
     reduced into [0, p^s); t_s is the inverse of t mod p^s and n is maximal
     under nr < s.
     """
-    _require_prime(p, odd=False)
+    require_primes(p)
     if (m * p**r + t) % v != 0:
         raise ValueError("v must divide m*p^r + t")
     if t % p == 0:
@@ -165,10 +166,9 @@ def s_pq_membership(j: int, p: int, q: int, depth: int = 12):
     ExclusionWitness, or None when undecided at this depth.  No claim of
     membership is ever made.
     """
+    require_primes(p, q)
     if j < 2:
         raise ValueError("j must be >= 2 (1 is its own inverse everywhere)")
-    _require_prime(p, odd=False)
-    _require_prime(q, odd=False)
     if j % p == 0 or j % q == 0:
         raise ValueError("j must be coprime to pq")
     for r in range(1, depth + 1):
@@ -205,10 +205,7 @@ def verify_triviality_theorem(p: int, q: int, j_bound: int, depth: int = 12) -> 
     never asserts membership.  Nothing is cached: each j is searched afresh,
     so the report depends only on the arguments.
     """
-    if p == q:
-        raise ValueError("primes must be distinct")
-    _require_prime(p, odd=False)
-    _require_prime(q, odd=False)
+    require_primes(p, q)
     report = TrivialityReport(p=p, q=q, j_bound=j_bound, depth=depth)
     for j in range(2, j_bound + 1):
         if j % p == 0 or j % q == 0:

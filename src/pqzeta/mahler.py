@@ -24,6 +24,7 @@ from .padics import (
     is_prime,
     padic_reduce_abs,
     padic_valuation,
+    require_primes,
 )
 
 
@@ -181,8 +182,7 @@ def verify_decay(f, p: int, s: int, t: int, upto: int) -> DecayReport:
     A violation is a legitimate return value: it signals that f does not have
     the claimed uniform-continuity modulus (s, t).
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_primes(p)
     vals = _window(f, upto)
     if not all(isinstance(x, (int, Fraction)) for x in vals):
         raise TypeError("verify_decay needs an exact-valued window")
@@ -235,17 +235,15 @@ def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     return total, known
 
 
-def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
+def evaluate_mahler(series: MahlerSeries, x):
     """Evaluate sum_n C(x, n) a_n.
 
     For an integer x >= 0 the sum is finite (binomials vanish past x) and is
     computed exactly from the stored residues.  For a PadicNumber x with
     v >= 0 the series is truncated where the decay certificate puts the tail
-    below the working precision; without a certificate the call fails unless
-    ``heuristic=True`` and the last ceil(log_p L) coefficients vanish at the
-    working precision.  The value also claims no digit that another
-    representative of x could change (see ``_log_floor``), and a value left
-    with no digit raises PrecisionError.
+    below the working precision; without a certificate the call fails.  The
+    value also claims no digit that another representative of x could change
+    (see ``_log_floor``), and a value left with no digit raises PrecisionError.
     """
     p, n_prec = series.p, series.precision
     if isinstance(x, int):
@@ -262,13 +260,7 @@ def evaluate_mahler(series: MahlerSeries, x, heuristic: bool = False):
         raise ValueError("evaluation needs a p-adic integer")
     sigma = series.tail_bound_exponent()
     if sigma is None:
-        guard = _log_floor(len(series.coeffs) - 1, p) + 1  # ceil(log_p L), at least 1
-        if not (heuristic and all(c.valuation >= n_prec for c in series.coeffs[-guard:])):
-            raise InsufficientTailError(
-                "no decay certificate; pass heuristic=True once trailing "
-                "coefficients vanish at working precision"
-            )
-        sigma = n_prec
+        raise InsufficientTailError("no decay certificate bounds the tail of the series")
     digits = min(x.abs_precision, n_prec)
     total, known = _pair(series, x.residue(digits), len(series.coeffs) - 1, digits)
     known = min(known, n_prec, sigma)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .mahler import _differences, _reduce, characteristic_coefficients_exact, characteristic_rows
-from .padics import PadicNumber, Record, is_prime, padic_valuation
+from .padics import PadicNumber, Record, padic_valuation, require_primes
 from .rationals import PolyRational, zeta_neg
 
 
@@ -108,18 +108,12 @@ def moment(a: int, r: int, m: int) -> Fraction:
     return psi_r_series(a, r, m)[m] * factorial(m)
 
 
-def _require_primes(p: int, q: int) -> None:
-    for name, prime in (("p", p), ("q", q)):
-        if not is_prime(prime):
-            raise ValueError(f"{name} must be prime, got {prime}")
-
-
 def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
     """Monomial moment of the two-prime measure: (1-a^(m+1))(1-q^m) zeta(-m).
 
     Computed as moment(a, 1, m) - moment(a, q, m); p-integrality is asserted.
     """
-    _require_primes(p, q)
+    require_primes(p, q)
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
     value = moment(a, 1, m) - moment(a, q, m)
@@ -138,7 +132,7 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
     a r p; the twisted moments are compared against the closed form, and
     both must agree.
     """
-    _require_primes(p, q)
+    require_primes(p, q)
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
 
@@ -191,8 +185,7 @@ def psi_r_rational(a: int, r: int, p: int) -> RPrimeElement:
     """Psi_r in lowest-order rational form: the (1 - t^r) factor is cancelled
     so the denominator 1 + t^r + ... + t^(r(a-1)) is a p-unit at 1 (needs
     gcd(a, p) = 1)."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_primes(p)
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to p")
     num_coeffs = [Fraction(0)] * (r * (a - 1) + 1)
@@ -321,10 +314,9 @@ def measure_open_set_table(
     over the common denominator a^(L+1) of the d_k, one indicator row of
     ``characteristic_rows`` per k feeding all residues.
     """
+    require_primes(p)
     if n < 0 or target_digits < 0:
         raise ValueError("need n >= 0 and target_digits >= 0")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     pn = p**n
     upto = (target_digits + guard) * pn
     d = binomial_moments(a, p, upto)

@@ -45,8 +45,8 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; the primes here are small."""
-    if n < 2:
+    """Trial division; the primes here are small.  Only an int can be prime."""
+    if not isinstance(n, int) or n < 2:
         return False
     f = 2
     while f * f <= n:
@@ -54,6 +54,16 @@ def is_prime(n: int) -> bool:
             return False
         f += 1
     return True
+
+
+def require_primes(*primes: int) -> None:
+    """The one prime check of every entry point: ValueError unless each
+    argument is an int prime and no prime repeats."""
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
+    if len(primes) > 1 and len(set(primes)) < len(primes):
+        raise ValueError("the primes must be distinct, got " + ", ".join(map(str, primes)))
 
 
 class Record:
@@ -332,8 +342,7 @@ class PadicNumber:
 
 def padic_of_rational(x: Fraction | int, p: int, precision: int) -> PadicNumber:
     """Truncate a rational to valuation + unit mod p^precision (relative precision)."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_primes(p)
     x = Fraction(x)
     if x == 0:
         return PadicNumber.exact_zero(p)
@@ -362,17 +371,21 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     u = 1 mod p, and u^(p^k) = 1 mod p^(k+1)), so N - 1 steps reach the lift
     mod p^N; one modular power takes them all.  The fixed point is asserted.
     """
-    if not is_prime(p):
-        raise ValueError(f"teichmuller needs a prime p, got {p}")
+    require_primes(p)
     if n % p == 0:
         raise ValueError("teichmuller needs gcd(n, p) = 1; see teichmuller_total")
+    return PadicNumber(p, 0, _teichmuller_unit(n, p, precision), precision)
+
+
+def _teichmuller_unit(n: int, p: int, precision: int) -> int:
+    """The lift of ``teichmuller`` as an int, for a prime p checked by the caller."""
     if precision < 1:
         raise ValueError("teichmuller needs precision >= 1")
     mod = p**precision
     x = pow(n, p ** (precision - 1), mod)
     if pow(x, p, mod) != x:
         raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
-    return PadicNumber(p, 0, x, precision)
+    return x
 
 
 def teichmuller_total(n: int, p: int, precision: int) -> PadicNumber:
@@ -397,12 +410,11 @@ def double_teichmuller(n: int, p: int, q: int, prec_p: int, prec_q: int) -> int:
     Satisfies x = n mod p and mod q, x^(p-1) = 1 mod p^prec_p and
     x^(q-1) = 1 mod q^prec_q.  Any other lift is congruent at this precision.
     """
-    if p == q:
-        raise ValueError("primes must be distinct")
+    require_primes(p, q)
     if n % p == 0 or n % q == 0:
         raise ValueError("double_teichmuller needs gcd(n, pq) = 1")
-    wp = teichmuller(n, p, prec_p).unit
-    wq = teichmuller(n, q, prec_q).unit
+    wp = _teichmuller_unit(n, p, prec_p)
+    wq = _teichmuller_unit(n, q, prec_q)
     return crt_pair(wp, p**prec_p, wq, q**prec_q)
 
 
@@ -422,8 +434,7 @@ def angle_bracket(
 
 def ideal_shadow(m: int, p: int) -> int:
     """Exponent r with the reduction of the ideal mZ landing on p^r Z_p."""
+    require_primes(p)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     return padic_valuation(m, p)

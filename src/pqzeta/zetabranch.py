@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .padics import PadicNumber, Record, angle_bracket, is_prime, padic_of_rational, padic_valuation
+from .padics import PadicNumber, Record, angle_bracket, padic_of_rational, padic_valuation, require_primes
 from .rationals import bernoulli, bernoulli_polynomial, binomial_poly
 
 
@@ -22,10 +22,14 @@ def kl_value(p: int, n: int) -> Fraction:
 
 def double_value(p: int, q: int, n: int) -> Fraction:
     """zeta_{p,q}(1-n) = (1 - p^(n-1))(1 - q^(n-1)) * (-B_n/n) for n >= 2."""
+    require_primes(p, q)
+    return _double_value(p, q, n)
+
+
+def _double_value(p: int, q: int, n: int) -> Fraction:
+    """``double_value`` for primes checked by the caller."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if p == q:
-        raise ValueError("primes must be distinct")
     return (1 - Fraction(p) ** (n - 1)) * (1 - Fraction(q) ** (n - 1)) * (-bernoulli(n) / n)
 
 
@@ -48,8 +52,7 @@ def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
     Hypotheses: (p-1) does not divide i, and i = j mod p^n (p-1); violations
     raise HypothesisError so they cannot masquerade as congruence failures.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_primes(p)
     if i < 2 or j < 2:
         raise HypothesisError("need i, j >= 2")
     if i % (p - 1) == 0:
@@ -63,18 +66,14 @@ def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
 
 def extended_kummer_check(p: int, q: int, i: int, j: int, n: int) -> dict[int, CongruenceResult]:
     """Two-prime congruence on (1-p^(.-1))(1-q^(.-1))B_./., mod p^(n+1) and q^(n+1)."""
-    for name, prime in (("p", p), ("q", q)):
-        if not is_prime(prime):
-            raise ValueError(f"{name} must be prime, got {prime}")
-    if p == q:
-        raise HypothesisError("primes must be distinct")
+    require_primes(p, q)
     if i < 2 or j < 2:
         raise HypothesisError("need i, j >= 2")
     if i % (p - 1) == 0 or i % (q - 1) == 0:
         raise HypothesisError("neither (p-1) nor (q-1) may divide i")
     if (i - j) % (p**n * (p - 1)) != 0 or (i - j) % (q**n * (q - 1)) != 0:
         raise HypothesisError("i != j mod p^n(p-1) and q^n(q-1)")
-    diff = double_value(p, q, i) - double_value(p, q, j) if i != j else Fraction(0)
+    diff = _double_value(p, q, i) - _double_value(p, q, j) if i != j else Fraction(0)
     out = {}
     for prime in (p, q):
         v = padic_valuation(diff, prime)
@@ -97,8 +96,7 @@ class KLBranch(Record):
     __slots__ = ("p", "s0", "precision")
 
     def __init__(self, p: int, s0: int, precision: int):
-        if not is_prime(p):
-            raise ValueError("p must be prime")
+        require_primes(p)
         if p in (2, 3):
             if s0 != 0:
                 raise ValueError("for p in {2, 3} the only branch is s0 = 0")
@@ -158,8 +156,7 @@ class DoubleBranch(Record):
     __slots__ = ("p", "q", "sigma0", "pole")
 
     def __init__(self, p: int, q: int, sigma0: int, pole: bool = False):
-        if p == q or not (is_prime(p) and is_prime(q)):
-            raise ValueError("p, q must be distinct primes")
+        require_primes(p, q)
         if p < 5 or q < 5:
             raise ValueError("double branches need p, q >= 5")
         top = (p - 1) * (q - 1) - 2
@@ -206,7 +203,7 @@ def double_branch_eval(
     p, q = branch.p, branch.q
     k = branch.sigma0 + sigma * (p - 1) * (q - 1)
     # at k = 0 both Euler factors vanish
-    value = double_value(p, q, k + 1) if k else Fraction(0)
+    value = _double_value(p, q, k + 1) if k else Fraction(0)
     return (
         padic_of_rational(value, p, precision),
         padic_of_rational(value, q, precision),
@@ -222,6 +219,7 @@ def universal_power(
     |(n-1)^k|_p < p^-precision; for s >= 0 the partial sum is congruent to
     the exact power mod p^precision.
     """
+    require_primes(*primes)
     P = 1
     for p in primes:
         P *= p
@@ -251,6 +249,7 @@ def pq_hurwitz(
     whole expression reduced per prime.  The binomial sum is p- and
     q-integral (von Staudt-Clausen), which is asserted.
     """
+    require_primes(p, q)
     if n > 0:
         raise ValueError("n must be <= 0 (n = 1 is the pole)")
     if not 0 < b < F:

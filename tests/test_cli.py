@@ -198,23 +198,50 @@ def test_every_subcommand_registered():
     ]
 
 
-def test_composite_primes_are_usage_errors():
-    for argv in (
-        ["gamma-p", "--p", "4"],
-        ["gamma-continuity", "--p", "9"],
-        ["teichmuller", "--n", "2", "--p", "4"],
-        ["padic", "--value", "3", "--p", "4", "--precision", "2"],
-        ["padic", "--ideal", "12", "--p", "4"],
-        ["open-set-measure", "--a", "3", "--p", "4", "--n", "1"],
-        ["decay-check", "--window", "1,0,1", "--p", "4", "--s", "1", "--t", "0"],
-        ["weil", "--p", "4"],
-        ["kummer", "--p", "4", "--i", "2", "--j", "2", "--n", "0"],
-        ["kummer", "--p", "9", "--q", "7", "--i", "2", "--j", "2", "--n", "0"],
-        ["moments", "--a", "5", "--pair", "4,9", "--mmax", "2"],
-        ["moments", "--a", "3", "--mmax", "2", "--delta", "2", "--delta-prime", "4"],
+def _rejected(argv, capsys):
+    """The one stderr line of an in-process run that must exit 2 with no output."""
+    capsys.readouterr()
+    code, out = _run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and out == "" and captured.out == "", argv
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n"), (argv, captured.err)
+    return lines[0]
+
+
+def test_composite_primes_are_usage_errors(capsys):
+    for argv, bad in (
+        (["gamma-p", "--p", "4"], "4"),
+        (["gamma-continuity", "--p", "9"], "9"),
+        (["teichmuller", "--n", "2", "--p", "4"], "4"),
+        (["padic", "--value", "3", "--p", "4", "--precision", "2"], "4"),
+        (["padic", "--ideal", "12", "--p", "4"], "4"),
+        (["open-set-measure", "--a", "3", "--p", "4", "--n", "1"], "4"),
+        (["decay-check", "--window", "1,0,1", "--p", "4", "--s", "1", "--t", "0"], "4"),
+        (["weil", "--p", "4"], "4"),
+        (["kummer", "--p", "4", "--i", "2", "--j", "2", "--n", "0"], "4"),
+        (["kummer", "--p", "9", "--q", "7", "--i", "2", "--j", "2", "--n", "0"], "9"),
+        (["moments", "--a", "5", "--pair", "4,9", "--mmax", "2"], "4"),
+        (["moments", "--a", "3", "--mmax", "2", "--delta", "2", "--delta-prime", "4"], "4"),
+        (["chain-limits", "--target", "p-adic-beta", "--p", "4"], "4"),
+        (["chain-propagate", "--kernel", "p-beta:p=4,alpha=1,beta=1"], "4"),
+        (["chain-propagate", "--kernel", "p-gamma:p=4,beta=1"], "4"),
+        (["chain-propagate", "--kernel", "p-beta:p=5/2,alpha=1,beta=1"], "5/2"),
     ):
-        code, out = _run(argv)
-        assert code == 2 and out == "", argv
+        assert _rejected(argv, capsys) == f"usage error: {bad} is not a prime", argv
+
+
+def test_repeated_primes_are_usage_errors(capsys):
+    for argv in (
+        ["moments", "--a", "3", "--pair", "5,5", "--mmax", "2"],
+        ["moments", "--a", "3", "--pair", "5,5", "--mmax", "2", "--restricted"],
+        ["universal-power", "--n", "5", "--s", "3", "--primes", "2,2"],
+        ["kummer", "--p", "5", "--q", "5", "--i", "2", "--j", "2", "--n", "0"],
+        ["teichmuller", "--n", "2", "--p", "5", "--q", "5"],
+        ["spq-sweep", "--p", "5", "--q", "5"],
+        ["double-branch", "--p", "5", "--q", "5", "--sigma0", "1"],
+    ):
+        assert _rejected(argv, capsys).startswith("usage error: the primes must be distinct"), argv
 
 
 def _pqzeta(argv, stdin=""):

@@ -14,6 +14,7 @@ from pqzeta.padics import (
     padic_of_rational,
     padic_reduce_abs,
     padic_valuation,
+    require_primes,
     teichmuller,
     teichmuller_total,
 )
@@ -217,3 +218,25 @@ def test_valuation_helper():
 
 def test_is_prime():
     assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # only an int is prime, whatever value it compares equal to
+    assert not is_prime(2.5)
+    assert not is_prime(7.0)
+    assert not is_prime(Fraction(7, 2))
+
+
+def test_require_primes_messages():
+    require_primes()
+    require_primes(2)
+    require_primes(2, 3, 5, 7)
+    for args, message in (
+        ((4,), "4 is not a prime"),
+        ((7.0,), "7.0 is not a prime"),
+        ((Fraction(5, 2),), "5/2 is not a prime"),
+        ((5, 9), "9 is not a prime"),
+        ((4, 4), "4 is not a prime"),
+        ((5, 5), "the primes must be distinct, got 5, 5"),
+        ((2, 3, 2), "the primes must be distinct, got 2, 3, 2"),
+    ):
+        with pytest.raises(ValueError) as info:
+            require_primes(*args)
+        assert str(info.value) == message, args
