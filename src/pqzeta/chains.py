@@ -163,7 +163,7 @@ def kernel_basic(q, beta) -> ChainKernel:
 def kernel_u_gamma(u: int, beta: int) -> ChainKernel:
     """Gamma chain driven by a composite base u (the CRT stand-in for a
     generic prime): u^(-beta) keeps j = 0, otherwise j locks upward."""
-    if u < 2 or beta < 1:
+    if not (isinstance(u, int) and isinstance(beta, int)) or u < 2 or beta < 1:
         raise ValueError("need u >= 2 and integer beta >= 1")
     w = Fraction(1, u**beta)
 

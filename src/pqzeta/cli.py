@@ -46,8 +46,24 @@ def _float(x: float) -> str:
 
 
 # -- handlers (return (exit_code, rows)) ---------------------------------------
+#
+# @command(name, *flags) registers a handler as subcommand name.  A flag is
+# (flag, type, default[, help]): the default REQUIRED makes it required, the
+# type bool a store_true switch, and a tuple of strings its choices.
+
+REQUIRED = object()
+COMMANDS: dict = {}  # name -> (handler, flags), in registration order
 
 
+def command(name: str, *flags: tuple):
+    """Register the decorated handler as subcommand name with its flags."""
+    def register(handler):
+        COMMANDS[name] = (handler, flags)
+        return handler
+    return register
+
+
+@command("bernoulli", ("--upto", int, 12), ("--poly", bool, False))
 def _cmd_bernoulli(args):
     from . import rationals
     if args.upto < 0:
@@ -69,6 +85,7 @@ def _cmd_bernoulli(args):
     return 0, rows
 
 
+@command("zeta-neg", ("--m", int, 1), ("--one-minus", int, None))
 def _cmd_zeta_neg(args):
     from . import rationals
     if args.one_minus is not None:
@@ -76,6 +93,8 @@ def _cmd_zeta_neg(args):
     return 0, [{"m": args.m, "zeta(-m)": rationals.zeta_neg(args.m)}]
 
 
+@command("padic", ("--value", str, "1/3"), ("--p", int, 5), ("--precision", int, 5),
+         ("--ideal", int, None))
 def _cmd_padic(args):
     if args.ideal is not None:
         return 0, [{"m": args.ideal, "p": args.p, "exponent": padics.ideal_shadow(args.ideal, args.p)}]
@@ -92,6 +111,8 @@ def _cmd_padic(args):
     return 0, [row]
 
 
+@command("teichmuller", ("--n", int, REQUIRED), ("--p", int, REQUIRED), ("--q", int, None),
+         ("--precision", int, 4))
 def _cmd_teichmuller(args):
     if args.q is None:
         w = padics.teichmuller(args.n, args.p, args.precision)
@@ -129,6 +150,8 @@ def _agrees(value: padics.PadicNumber, exact: Fraction) -> bool:
     return value.congruent_mod(padics.padic_reduce_abs(exact, value.p, digits), digits)
 
 
+@command("mahler-coeffs", ("--window", str, ""), ("--char", str, ""), ("--p", int, REQUIRED),
+         ("--precision", int, 6), ("--upto", int, 30))
 def _cmd_mahler_coeffs(args):
     from . import mahler
     if args.char:
@@ -148,6 +171,7 @@ def _cmd_mahler_coeffs(args):
     return 0, rows
 
 
+@command("mahler-eval", ("--x", int, REQUIRED))
 def _cmd_mahler_eval(args):
     from . import mahler
     series = mahler.MahlerSeries.deserialize(sys.stdin.read())
@@ -155,6 +179,8 @@ def _cmd_mahler_eval(args):
     return 0, [{"x": args.x, "value": value.to_digit_string()}]
 
 
+@command("decay-check", ("--window", str, REQUIRED), ("--p", int, REQUIRED), ("--s", int, REQUIRED),
+         ("--t", int, REQUIRED))
 def _cmd_decay_check(args):
     from . import mahler
     window = _parse_window(args.window)
@@ -165,6 +191,7 @@ def _cmd_decay_check(args):
     return (0 if report.ok else 1), [row]
 
 
+@command("gamma-p", ("--p", int, REQUIRED), ("--upto", int, 20), ("--modulus-exp", int, 3))
 def _cmd_gamma_p(args):
     from . import gamma
     rows = []
@@ -180,6 +207,8 @@ def _cmd_gamma_p(args):
     return 0, rows
 
 
+@command("gamma-continuity", ("--p", int, REQUIRED), ("--s", int, 1), ("--upto", int, 50),
+         ("--unrestricted", bool, False))
 def _cmd_gamma_continuity(args):
     from . import gamma
     report = gamma.gamma_continuity_check(args.p, args.s, args.upto, restricted=not args.unrestricted)
@@ -189,6 +218,8 @@ def _cmd_gamma_continuity(args):
     return (0 if report.ok else 1), [row]
 
 
+@command("spq-sweep", ("--p", int, REQUIRED), ("--q", int, 5), ("--jmax", int, 50),
+         ("--depth", int, 12), ("--inverse", str, ""))
 def _cmd_spq_sweep(args):
     from . import gamma
     if args.inverse:
@@ -216,6 +247,8 @@ def _cmd_spq_sweep(args):
     return (0 if report.all_excluded else 1), rows
 
 
+@command("kummer", ("--p", int, REQUIRED), ("--q", int, None), ("--i", int, REQUIRED),
+         ("--j", int, REQUIRED), ("--n", int, 0))
 def _cmd_kummer(args):
     from . import zetabranch
     if args.q is None:
@@ -242,6 +275,8 @@ def _cmd_kummer(args):
     return (0 if ok else 1), rows
 
 
+@command("kl-branch", ("--p", int, REQUIRED), ("--s0", int, REQUIRED), ("--tmax", int, 5),
+         ("--precision", int, 3))
 def _cmd_kl_branch(args):
     from . import zetabranch
     branch = zetabranch.KLBranch(p=args.p, s0=args.s0, precision=args.precision)
@@ -264,6 +299,8 @@ def _cmd_kl_branch(args):
     return 0, rows
 
 
+@command("double-branch", ("--p", int, REQUIRED), ("--q", int, REQUIRED),
+         ("--sigma0", int, REQUIRED), ("--smax", int, 3), ("--precision", int, 3))
 def _cmd_double_branch(args):
     from . import zetabranch
     branch = zetabranch.DoubleBranch(p=args.p, q=args.q, sigma0=args.sigma0)
@@ -284,6 +321,8 @@ def _cmd_double_branch(args):
     return 0, rows
 
 
+@command("universal-power", ("--n", int, REQUIRED), ("--s", int, REQUIRED),
+         ("--primes", str, "2,3,5,7"), ("--precision", int, 4))
 def _cmd_universal_power(args):
     from . import zetabranch
     primes = tuple(int(x) for x in args.primes.split(","))
@@ -305,6 +344,8 @@ def _cmd_universal_power(args):
     return (0 if ok else 1), rows
 
 
+@command("pq-hurwitz", ("--n", int, REQUIRED), ("--b", int, REQUIRED), ("--F", int, REQUIRED),
+         ("--p", int, REQUIRED), ("--q", int, REQUIRED), ("--precision", int, 3))
 def _cmd_pq_hurwitz(args):
     from . import zetabranch
     vp, vq = zetabranch.pq_hurwitz(args.n, args.b, args.F, args.p, args.q, args.precision)
@@ -319,6 +360,9 @@ def _cmd_pq_hurwitz(args):
     ]
 
 
+@command("moments", ("--a", int, REQUIRED), ("--r", int, 1), ("--mmax", int, 8),
+         ("--pair", str, ""), ("--restricted", bool, False), ("--delta", int, None),
+         ("--delta-prime", int, 5))
 def _cmd_moments(args):
     from . import measures
     rows = []
@@ -352,6 +396,8 @@ def _cmd_moments(args):
     return 0, rows
 
 
+@command("open-set-measure", ("--a", int, REQUIRED), ("--p", int, REQUIRED), ("--n", int, REQUIRED),
+         ("--digits", int, 4))
 def _cmd_open_set_measure(args):
     from . import measures
     table = measures.measure_open_set_table(args.a, args.p, args.n, args.digits)
@@ -369,6 +415,9 @@ def _cmd_open_set_measure(args):
     return 0, rows
 
 
+@command("chain-propagate",
+         ("--kernel", str, REQUIRED, "family:key=value,... e.g. real-beta:alpha=2,beta=2"),
+         ("--layers", int, 4), ("--closed-form", bool, False))
 def _cmd_chain_propagate(args):
     from . import chains
     kernel = chains.parse_kernel_spec(args.kernel)
@@ -389,6 +438,9 @@ def _cmd_chain_propagate(args):
     return 0, rows
 
 
+@command("chain-limits", ("--target", ("p-adic-beta", "real-beta"), REQUIRED), ("--p", int, None),
+         ("--alpha", int, 1), ("--beta", int, 1), ("--schedule", str, "4,8,16,32"),
+         ("--tol", float, 1e-6), ("--depth", int, 6))
 def _cmd_chain_limits(args):
     from . import chains
     schedule = [int(x) for x in args.schedule.split(",")]
@@ -402,6 +454,7 @@ def _cmd_chain_limits(args):
     return (0 if report.ok else 1), rows
 
 
+@command("heisenberg", ("--alpha", int, 2), ("--beta", int, 2), ("--n", int, 2))
 def _cmd_heisenberg(args):
     from . import chains
     residual = chains.heisenberg_check(args.alpha, args.beta, args.n)
@@ -410,6 +463,7 @@ def _cmd_heisenberg(args):
     ]
 
 
+@command("hahn-basis", ("--alpha", int, 2), ("--beta", int, 2), ("--n", int, 3))
 def _cmd_hahn_basis(args):
     from . import chains
     basis = chains.hahn_basis(args.alpha, args.beta, args.n)
@@ -426,6 +480,7 @@ def _cmd_hahn_basis(args):
     return (0 if ok else 1), rows
 
 
+@command("q-zeta", ("--s", float, REQUIRED), ("--q", float, REQUIRED), ("--integer", int, None))
 def _cmd_q_zeta(args):
     from . import chains
     value = chains.q_zeta(args.s, args.q)
@@ -437,6 +492,8 @@ def _cmd_q_zeta(args):
     return 0, rows
 
 
+@command("theta-check", ("--xmin", float, 0.125), ("--xmax", float, 8.0), ("--step", float, 1.5),
+         ("--tol", float, 1e-12))
 def _cmd_theta_check(args):
     from . import analytic
     # the grid x = xmin, xmin * step, ... must climb past a finite xmax
@@ -462,6 +519,8 @@ def _cmd_theta_check(args):
     return (0 if ok else 1), rows
 
 
+@command("lambda-check", ("--grid", str, "0.25,0.4,0.75,2,3"), ("--tol", float, 1e-10),
+         ("--euler", bool, False))
 def _cmd_lambda_check(args):
     from . import analytic
     rows = []
@@ -491,6 +550,8 @@ def _cmd_lambda_check(args):
     return (0 if ok else 1), rows
 
 
+@command("weil", ("--p", int, REQUIRED), ("--profile", ("gauss-log", "indicator-p"), "gauss-log"),
+         ("--n-bound", int, 60))
 def _cmd_weil(args):
     from . import analytic
     f = {
@@ -501,196 +562,54 @@ def _cmd_weil(args):
     return 0, [{"p": args.p, "profile": args.profile, "value": _float(value)}]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The pqzeta parser with a subparser for each of names; its usage text
+    lists every subcommand whichever are built."""
+    names = list(names)
+    # the full parser keeps argparse's own metavar, which reads the same in
+    # the usage and names the action "command" in errors
+    metavar = None if names == list(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
     ap = argparse.ArgumentParser(prog="pqzeta", description=__doc__)
     ap.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("bernoulli")
-    sp.add_argument("--upto", type=int, default=12)
-    sp.add_argument("--poly", action="store_true")
-    sp.set_defaults(handler=_cmd_bernoulli)
-
-    sp = sub.add_parser("zeta-neg")
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--one-minus", type=int, default=None)
-    sp.set_defaults(handler=_cmd_zeta_neg)
-
-    sp = sub.add_parser("padic")
-    sp.add_argument("--value", default="1/3")
-    sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--precision", type=int, default=5)
-    sp.add_argument("--ideal", type=int, default=None)
-    sp.set_defaults(handler=_cmd_padic)
-
-    sp = sub.add_parser("teichmuller")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--precision", type=int, default=4)
-    sp.set_defaults(handler=_cmd_teichmuller)
-
-    sp = sub.add_parser("mahler-coeffs")
-    sp.add_argument("--window", default="")
-    sp.add_argument("--char", default="")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=6)
-    sp.add_argument("--upto", type=int, default=30)
-    sp.set_defaults(handler=_cmd_mahler_coeffs)
-
-    sp = sub.add_parser("mahler-eval")
-    sp.add_argument("--x", type=int, required=True)
-    sp.set_defaults(handler=_cmd_mahler_eval)
-
-    sp = sub.add_parser("decay-check")
-    sp.add_argument("--window", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.set_defaults(handler=_cmd_decay_check)
-
-    sp = sub.add_parser("gamma-p")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--upto", type=int, default=20)
-    sp.add_argument("--modulus-exp", type=int, default=3)
-    sp.set_defaults(handler=_cmd_gamma_p)
-
-    sp = sub.add_parser("gamma-continuity")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--upto", type=int, default=50)
-    sp.add_argument("--unrestricted", action="store_true")
-    sp.set_defaults(handler=_cmd_gamma_continuity)
-
-    sp = sub.add_parser("spq-sweep")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, default=5)
-    sp.add_argument("--jmax", type=int, default=50)
-    sp.add_argument("--depth", type=int, default=12)
-    sp.add_argument("--inverse", default="")
-    sp.set_defaults(handler=_cmd_spq_sweep)
-
-    sp = sub.add_parser("kummer")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--n", type=int, default=0)
-    sp.set_defaults(handler=_cmd_kummer)
-
-    sp = sub.add_parser("kl-branch")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--s0", type=int, required=True)
-    sp.add_argument("--tmax", type=int, default=5)
-    sp.add_argument("--precision", type=int, default=3)
-    sp.set_defaults(handler=_cmd_kl_branch)
-
-    sp = sub.add_parser("double-branch")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--sigma0", type=int, required=True)
-    sp.add_argument("--smax", type=int, default=3)
-    sp.add_argument("--precision", type=int, default=3)
-    sp.set_defaults(handler=_cmd_double_branch)
-
-    sp = sub.add_parser("universal-power")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--primes", default="2,3,5,7")
-    sp.add_argument("--precision", type=int, default=4)
-    sp.set_defaults(handler=_cmd_universal_power)
-
-    sp = sub.add_parser("pq-hurwitz")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--F", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=3)
-    sp.set_defaults(handler=_cmd_pq_hurwitz)
-
-    sp = sub.add_parser("moments")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--r", type=int, default=1)
-    sp.add_argument("--mmax", type=int, default=8)
-    sp.add_argument("--pair", default="")
-    sp.add_argument("--restricted", action="store_true")
-    sp.add_argument("--delta", type=int, default=None)
-    sp.add_argument("--delta-prime", type=int, default=5)
-    sp.set_defaults(handler=_cmd_moments)
-
-    sp = sub.add_parser("open-set-measure")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--digits", type=int, default=4)
-    sp.set_defaults(handler=_cmd_open_set_measure)
-
-    sp = sub.add_parser("chain-propagate")
-    sp.add_argument("--kernel", required=True, help="family:key=value,... e.g. real-beta:alpha=2,beta=2")
-    sp.add_argument("--layers", type=int, default=4)
-    sp.add_argument("--closed-form", action="store_true")
-    sp.set_defaults(handler=_cmd_chain_propagate)
-
-    sp = sub.add_parser("chain-limits")
-    sp.add_argument("--target", choices=("p-adic-beta", "real-beta"), required=True)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--alpha", type=int, default=1)
-    sp.add_argument("--beta", type=int, default=1)
-    sp.add_argument("--schedule", default="4,8,16,32")
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--depth", type=int, default=6)
-    sp.set_defaults(handler=_cmd_chain_limits)
-
-    sp = sub.add_parser("heisenberg")
-    sp.add_argument("--alpha", type=int, default=2)
-    sp.add_argument("--beta", type=int, default=2)
-    sp.add_argument("--n", type=int, default=2)
-    sp.set_defaults(handler=_cmd_heisenberg)
-
-    sp = sub.add_parser("hahn-basis")
-    sp.add_argument("--alpha", type=int, default=2)
-    sp.add_argument("--beta", type=int, default=2)
-    sp.add_argument("--n", type=int, default=3)
-    sp.set_defaults(handler=_cmd_hahn_basis)
-
-    sp = sub.add_parser("q-zeta")
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--integer", type=int, default=None)
-    sp.set_defaults(handler=_cmd_q_zeta)
-
-    sp = sub.add_parser("theta-check")
-    sp.add_argument("--xmin", type=float, default=0.125)
-    sp.add_argument("--xmax", type=float, default=8.0)
-    sp.add_argument("--step", type=float, default=1.5)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.set_defaults(handler=_cmd_theta_check)
-
-    sp = sub.add_parser("lambda-check")
-    sp.add_argument("--grid", default="0.25,0.4,0.75,2,3")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--euler", action="store_true")
-    sp.set_defaults(handler=_cmd_lambda_check)
-
-    sp = sub.add_parser("weil")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--profile", choices=("gauss-log", "indicator-p"), default="gauss-log")
-    sp.add_argument("--n-bound", type=int, default=60)
-    sp.set_defaults(handler=_cmd_weil)
-
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        sp = sub.add_parser(name)
+        for flag, kind, default, *text in COMMANDS[name][1]:
+            spec = {"help": text[0]} if text else {}
+            if kind is bool:
+                spec["action"] = "store_true"
+            elif isinstance(kind, tuple):
+                spec["choices"] = kind
+            else:
+                spec["type"] = kind
+            if default is REQUIRED:
+                spec["required"] = True
+            else:
+                spec["default"] = default
+            sp.add_argument(flag, **spec)
     return ap
+
+
+def _named(argv: list[str]) -> list[str]:
+    """The one subcommand argv runs when it opens with it, after at most
+    "--format X" or "--format=X"; else every subcommand, for argparse to
+    report on."""
+    if argv[:1] == ["--format"]:
+        argv = argv[2:]
+    elif argv[:1] and argv[0].startswith("--format="):
+        argv = argv[1:]
+    return argv[:1] if argv[:1] and argv[0] in COMMANDS else list(COMMANDS)
 
 
 def run(argv: list[str], out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    parser = build_parser(_named(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        code, rows = args.handler(args)
+        code, rows = COMMANDS[args.command][0](args)
     except padics.PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return 2

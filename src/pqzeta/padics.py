@@ -27,10 +27,11 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     """v_p(x) for a rational x, an int or a ``Fraction``; +inf for x = 0.
 
     Reads ``numerator`` and ``denominator``, which ints have too, so an int
-    is never converted.
+    is never converted.  Only p >= 2 is checked: that p is a prime is left
+    to the public entry points, which call ``require_primes``.
     """
     if p < 2:
-        raise ValueError("p must be a prime >= 2")
+        raise ValueError("p must be >= 2")
     num, den = x.numerator, x.denominator
     if num == 0:
         return INFINITY
@@ -91,11 +92,18 @@ class Record:
 
 
 class PadicNumber:
+    """p^valuation * unit, the unit known mod p^precision.
+
+    Only p >= 2 is checked: that p is a prime is left to the public entry
+    points, which call ``require_primes``, since a check per construction
+    would be paid on every arithmetic result.
+    """
+
     __slots__ = ("p", "valuation", "unit", "precision")
 
     def __init__(self, p: int, valuation, unit: int, precision) -> None:
         if p < 2:
-            raise ValueError("p must be a prime >= 2")
+            raise ValueError("p must be >= 2")
         self.p = p
         if valuation is INFINITY or valuation == INFINITY:
             # exact zero

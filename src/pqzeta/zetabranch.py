@@ -165,7 +165,7 @@ class DoubleBranch(Record):
         if pole:
             if sigma0 != -1:
                 raise ValueError("only sigma0 = -1 is the pole branch")
-        elif sigma0 in excluded_sigma0(p, q):
+        elif _is_excluded(sigma0, p, q):
             raise ValueError(f"sigma0 = {sigma0} is excluded for (p, q) = ({p}, {q})")
         self.p = p
         self.q = q
@@ -181,14 +181,16 @@ def excluded_sigma0(p: int, q: int) -> set[int]:
     or mod (q-1), where the index s0 + sigma(p-1)(q-1) + 1 falls out of the
     Kummer hypotheses.
     """
-    out = {-1}
-    top = (p - 1) * (q - 1) - 2
-    out.update(k * (p - 1) for k in range(1, q - 1))
-    out.update(k * (q - 1) for k in range(1, p - 1))
-    for s0 in range(0, top + 1):
-        if (s0 + 1) % (p - 1) == 0 or (s0 + 1) % (q - 1) == 0:
-            out.add(s0)
-    return out
+    return {s0 for s0 in range(-1, (p - 1) * (q - 1) - 1) if _is_excluded(s0, p, q)}
+
+
+def _is_excluded(sigma0: int, p: int, q: int) -> bool:
+    """sigma0 in excluded_sigma0(p, q), for sigma0 in [-1, (p-1)(q-1) - 2]."""
+    return (
+        sigma0 == -1
+        or (sigma0 > 0 and (sigma0 % (p - 1) == 0 or sigma0 % (q - 1) == 0))
+        or (sigma0 >= 0 and ((sigma0 + 1) % (p - 1) == 0 or (sigma0 + 1) % (q - 1) == 0))
+    )
 
 
 def double_branch_eval(

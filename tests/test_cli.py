@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import pqzeta
 from pqzeta import mahler
-from pqzeta.cli import CSV_SCHEMA, build_parser, run
+from pqzeta.cli import COMMANDS, CSV_SCHEMA, build_parser, run
 from pqzeta.padics import padic_reduce_abs
 
 
@@ -170,9 +172,10 @@ def test_csv_header_is_the_union_of_row_keys():
     assert low[-1] == "" and high[-1] != ""
 
 
-def test_unknown_command_and_flags_exit_2():
+def test_unknown_command_and_flags_exit_2(capsys):
     code, _ = _run(["no-such-command"])
     assert code == 2
+    assert "error: argument command: invalid choice: 'no-such-command'" in capsys.readouterr().err
     code, _ = _run(["zeta-neg", "--bogus", "1"])
     assert code == 2
 
@@ -185,17 +188,68 @@ def test_determinism():
 
 
 def test_every_subcommand_registered():
-    parser = build_parser()
-    sub = next(
-        a for a in parser._actions if isinstance(a, type(parser._actions[-1])) and hasattr(a, "choices")
-    )
-    assert list(sub.choices) == [
+    names = [
         "bernoulli", "zeta-neg", "padic", "teichmuller", "mahler-coeffs", "mahler-eval",
         "decay-check", "gamma-p", "gamma-continuity", "spq-sweep", "kummer", "kl-branch",
         "double-branch", "universal-power", "pq-hurwitz", "moments", "open-set-measure",
         "chain-propagate", "chain-limits", "heisenberg", "hahn-basis", "q-zeta",
         "theta-check", "lambda-check", "weil",
     ]
+    assert list(COMMANDS) == names
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, type(parser._actions[-1])) and hasattr(a, "choices")
+    )
+    assert list(sub.choices) == names
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("Subcommands:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", paragraph) == list(COMMANDS)
+
+
+def _parsed(parser, argv):
+    """(exit code, stdout, stderr) of parsing argv; code None when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_subparser_reads_as_the_full_parser(name):
+    alone, full = build_parser([name]), build_parser()
+    assert alone.format_help() == full.format_help()
+    for argv in ([name, "--help"], [name, "--bogus"], ["--help"], ["--format", "xml", name]):
+        assert _parsed(alone, argv) == _parsed(full, argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["--bogus", "zeta-neg"],
+        ["-5", "zeta-neg"],
+        ["--", "zeta-neg"],
+        ["--form", "json", "zeta-neg", "--bogus"],
+        ["--format", "xml", "zeta-neg"],
+        ["--format=xml", "zeta-neg"],
+        ["--format", "--", "zeta-neg"],
+        ["zeta-neg", "--m", "x"],
+    ],
+)
+def test_run_rejects_argv_as_the_full_parser_does(argv, capsys):
+    code, _, err = _parsed(build_parser(), argv)
+    assert code == 2
+    capsys.readouterr()
+    assert _run(argv) == (2, "")
+    assert capsys.readouterr().err == err
 
 
 def _rejected(argv, capsys):
@@ -299,6 +353,9 @@ def test_precision_errors_exit_2_without_traceback():
         ["open-set-measure", "--a", "2", "--p", "5", "--n", "-1"],
         ["open-set-measure", "--a", "2", "--p", "5", "--n", "1", "--digits", "-10"],
         ["chain-propagate", "--kernel", "real-beta:alpha=2"],
+        # a composite base u and an exponent beta that are not ints
+        ["chain-propagate", "--kernel", "u-gamma:u=6,beta=3/2", "--layers", "2"],
+        ["chain-propagate", "--kernel", "u-gamma:u=5/2,beta=1"],
         # no valuation exists at p = 1
         ["padic", "--ideal", "12", "--p", "1"],
         ["padic", "--value", "3", "--p", "1", "--precision", "2"],
@@ -334,8 +391,7 @@ def test_mahler_eval_rejects_malformed_series(stdin):
     assert "Traceback" not in proc.stderr
 
 
-def test_spq_sweep_ignores_earlier_sweeps(tmp_path, monkeypatch):
-    monkeypatch.setenv("PQZETA_CACHE_DIR", str(tmp_path))
+def test_spq_sweep_ignores_earlier_sweeps():
     deep = ["spq-sweep", "--p", "3", "--q", "5", "--jmax", "50", "--depth", "12"]
     alone = _run(deep)
     _run(deep[:-1] + ["2"])

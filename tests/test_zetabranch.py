@@ -17,6 +17,7 @@ from pqzeta.zetabranch import (
     kummer_check,
     pq_hurwitz,
     universal_power,
+    _is_excluded,
 )
 
 
@@ -127,6 +128,37 @@ def test_excluded_sigma0_set():
     assert 3 in exc and 7 in exc  # s0 = -1 mod (p-1)
     assert 5 in exc and 11 in exc  # s0 = -1 mod (q-1)
     assert 0 not in exc and 1 not in exc and 2 not in exc
+
+
+def _excluded_by_enumeration(p, q):
+    """The excluded set listed out: -1, the multiples k(p-1) and k(q-1), and
+    the classes sigma0 = -1 mod (p-1) or mod (q-1)."""
+    out = {-1}
+    top = (p - 1) * (q - 1) - 2
+    out.update(k * (p - 1) for k in range(1, q - 1))
+    out.update(k * (q - 1) for k in range(1, p - 1))
+    for s0 in range(0, top + 1):
+        if (s0 + 1) % (p - 1) == 0 or (s0 + 1) % (q - 1) == 0:
+            out.add(s0)
+    return out
+
+
+def test_exclusion_predicate_matches_the_enumeration():
+    primes = [5, 7, 11, 13, 17, 19, 23]
+    for p in primes:
+        for q in primes:
+            if p == q:
+                continue
+            listed = _excluded_by_enumeration(p, q)
+            top = (p - 1) * (q - 1) - 2
+            assert {s for s in range(-1, top + 1) if _is_excluded(s, p, q)} == listed, (p, q)
+            assert excluded_sigma0(p, q) == listed, (p, q)
+            for s0 in range(-1, top + 1):
+                if s0 in listed:
+                    with pytest.raises(ValueError, match="excluded"):
+                        DoubleBranch(p=p, q=q, sigma0=s0)
+                else:
+                    DoubleBranch(p=p, q=q, sigma0=s0)
 
 
 def test_double_branch_construction_and_pole():
