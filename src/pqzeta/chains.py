@@ -12,7 +12,7 @@ sums are only required to hold within 1e-12.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 from .padics import Record, require_primes
 from .rationals import binomial, rising_factorial
@@ -56,8 +56,13 @@ class ChainKernel(Record):
         return sum(pr for _, pr in self.step(state))
 
     def is_row_stochastic(self, depth: int) -> bool:
+        """Every row reachable within depth steps has weights in [0, 1] (so
+        none is nan) that sum to 1."""
         for state in reachable_states(self, depth):
-            s = self.row_sum(state)
+            row = [pr for _, pr in self.step(state)]
+            if not all(0 <= pr <= 1 for pr in row):
+                return False
+            s = sum(row)
             if self.exact:
                 if s != 1:
                     return False
@@ -391,6 +396,12 @@ def q_zeta(s: float, q: float) -> float:
     is below 1e-14."""
     if not 0 < q < 1:
         raise ValueError("need 0 < q < 1")
+    if not isfinite(s):
+        raise ValueError("need a finite s")
+    try:
+        q**s  # the largest factor's power
+    except OverflowError:
+        raise ValueError(f"q^s overflows a float at s = {s}, q = {q}") from None
     prod = 1.0
     n = 0
     while True:
@@ -400,7 +411,7 @@ def q_zeta(s: float, q: float) -> float:
         prod /= 1.0 - term
         n += 1
         if n > 10**6:
-            raise ArithmeticError("q-zeta truncation did not converge")
+            raise ValueError(f"the q-zeta product needs more than 10^6 factors at s = {s}, q = {q}")
     return prod
 
 

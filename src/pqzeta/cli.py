@@ -422,7 +422,7 @@ def _cmd_chain_propagate(args):
     from . import chains
     kernel = chains.parse_kernel_spec(args.kernel)
     if not kernel.is_row_stochastic(min(args.layers, 12)):
-        return 1, [{"error": "kernel rows do not sum to 1"}]
+        return 1, [{"error": "kernel rows are not laws: weights must lie in [0, 1] and sum to 1"}]
     law = chains.propagate(kernel, args.layers)
     rows = []
     for state in sorted(law.weights):

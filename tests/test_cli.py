@@ -263,6 +263,33 @@ def _rejected(argv, capsys):
     return lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Lambda(s) is evaluated only for s in [-14.5, 15.5]
+        *(["lambda-check", f"--grid={s}"] for s in ("15.6", "-15", "1e6", "-1e6", "nan", "inf", "-inf")),
+        # 5^442 overflows a float
+        ["weil", "--p", "5", "--n-bound", "442"],
+        # q-zeta products that cannot be reached
+        ["q-zeta", "--s", "nan", "--q", "0.5", "--integer", "3"],
+        ["q-zeta", "--s", "2", "--q", "0.9999999"],
+        ["q-zeta", "--s", "-3000000", "--q", "0.5"],
+    ],
+)
+def test_unreachable_float_arguments_are_usage_errors(argv, capsys):
+    line = _rejected(argv, capsys)
+    assert line.startswith("usage error: ") and "Traceback" not in line, line
+
+
+@pytest.mark.parametrize(
+    "kernel", ["basic:q=1/2,beta=-1", "q-gamma:q=inf,beta=1", "real-beta:alpha=nan,beta=2"]
+)
+def test_chain_propagate_refuses_weights_outside_0_1(kernel):
+    code, out = _run(["chain-propagate", "--kernel", kernel, "--layers", "2"])
+    assert code == 1
+    assert _csv_rows(out)[1:] == [["kernel rows are not laws: weights must lie in [0, 1] and sum to 1"]]
+
+
 def test_composite_primes_are_usage_errors(capsys):
     for argv, bad in (
         (["gamma-p", "--p", "4"], "4"),
