@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isfinite
 
-from .padics import Record, require_primes
+from .padics import Record, require_primes, require_tolerance
 from .rationals import binomial, rising_factorial
 
 FLOAT_TOL = 1e-12
@@ -258,6 +258,7 @@ def limit_check(
     """
     if target not in ("p-adic-beta", "real-beta"):
         raise ValueError("target must be 'p-adic-beta' or 'real-beta'")
+    require_tolerance(tol)
     states = [(i, j) for i in range(depth + 1) for j in range(depth + 1 - i)]
     residuals = []
     for N in schedule:
@@ -393,7 +394,13 @@ def q_integer_limit(s, q):
 
 def q_zeta(s: float, q: float) -> float:
     """prod_{n>=0} (1 - q^(s+n))^(-1), truncated once the multiplicative tail
-    is below 1e-14."""
+    is below 1e-14.
+
+    Both refusals come before the loop.  At a non-positive integer s the
+    factor n = -s is 1/(1 - 1): a pole.  The tail test q^(s+n)/(1 - q) <
+    1e-14 gets easier as n grows, so when it fails at n = 10^6 it fails at
+    every n below, and the product would need more than 10^6 factors.
+    """
     if not 0 < q < 1:
         raise ValueError("need 0 < q < 1")
     if not isfinite(s):
@@ -402,17 +409,18 @@ def q_zeta(s: float, q: float) -> float:
         q**s  # the largest factor's power
     except OverflowError:
         raise ValueError(f"q^s overflows a float at s = {s}, q = {q}") from None
+    if s <= 0 and s == int(s):
+        raise ValueError(f"the q-zeta product has a pole at the non-positive integer s = {s}")
+    if not q ** (s + 10**6) / (1.0 - q) < 1e-14:
+        raise ValueError(f"the q-zeta product needs more than 10^6 factors at s = {s}, q = {q}")
     prod = 1.0
     n = 0
     while True:
         term = q ** (s + n)
         if term / (1.0 - q) < 1e-14:
-            break
+            return prod
         prod /= 1.0 - term
         n += 1
-        if n > 10**6:
-            raise ValueError(f"the q-zeta product needs more than 10^6 factors at s = {s}, q = {q}")
-    return prod
 
 
 # -- kernel spec parsing -------------------------------------------------------

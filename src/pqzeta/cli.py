@@ -496,6 +496,7 @@ def _cmd_q_zeta(args):
          ("--tol", float, 1e-12))
 def _cmd_theta_check(args):
     from . import analytic
+    padics.require_tolerance(args.tol)
     # the grid x = xmin, xmin * step, ... must climb past a finite xmax
     if not all(math.isfinite(v) for v in (args.xmin, args.xmax, args.step)):
         raise ValueError("--xmin, --xmax and --step must be finite")
@@ -523,6 +524,7 @@ def _cmd_theta_check(args):
          ("--euler", bool, False))
 def _cmd_lambda_check(args):
     from . import analytic
+    padics.require_tolerance(args.tol)
     rows = []
     ok = True
     for s in (float(x) for x in args.grid.split(",")):

@@ -219,18 +219,26 @@ def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     v(a_n) < 0 one with v_p(C) >= precision still counts.  When r stands for
     every x = r mod p^digits, term n >= 1 is known only mod
     p^(v(a_n) + digits - floor(log_p n)), even where C(r, n) = 0.
+
+    C(r, n) is carried from C(r, n - 1) by C(r, n) = C(r, n - 1)(r - n + 1)/n,
+    an exact division.  v_p(C) >= 0, so it is computed only for a term with
+    abs(a_n) below the precision known so far: no other term can lower it.
     """
     p, prec = series.p, series.precision
     total, known = 0, INFINITY
+    c = 1
     for n in range(top + 1):
+        if n:
+            c = c * (r - n + 1) // n
         a = series.coeffs[n]
         if a.is_exact_zero:
             continue
         if n and digits != INFINITY:
             known = min(known, a.valuation + digits - _log_floor(n, p))
-        c = comb(r, n)
         if c:
-            known = min(known, a.abs_precision + padic_valuation(c, p), prec + a.valuation)
+            known = min(known, prec + a.valuation)
+            if a.abs_precision < known:
+                known = min(known, a.abs_precision + padic_valuation(c, p))
             total += _representative(a) * c
     return total, known
 

@@ -32,9 +32,15 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    num, den = x.numerator, x.denominator
+    num = x.numerator
     if num == 0:
         return INFINITY
+    return _split(num, x.denominator, p)[0]
+
+
+def _split(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(v, a, b) with num/den = p^v a/b and p dividing neither a nor b, for
+    num != 0 and p >= 2."""
     v = 0
     while num % p == 0:
         num //= p
@@ -42,7 +48,7 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     while den % p == 0:
         den //= p
         v -= 1
-    return v
+    return v, num, den
 
 
 def is_prime(n: int) -> bool:
@@ -65,6 +71,13 @@ def require_primes(*primes: int) -> None:
             raise ValueError(f"{p} is not a prime")
     if len(primes) > 1 and len(set(primes)) < len(primes):
         raise ValueError("the primes must be distinct, got " + ", ".join(map(str, primes)))
+
+
+def require_tolerance(tol: float) -> None:
+    """The one tolerance check: ValueError unless tol is a finite number >= 0,
+    so that a nan or negative tolerance is a usage error, not a failed check."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"a tolerance must be a finite number >= 0, got {tol}")
 
 
 class Record:
@@ -348,36 +361,52 @@ class PadicNumber:
 # -- module-level operations -------------------------------------------------
 
 
+def _exact(x) -> tuple[int, int]:
+    """Numerator and denominator of x: read off an int or a ``Fraction``,
+    anything else ``Fraction`` accepts converted first."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _padic_unit(p: int, v: int, num: int, den: int, precision: int) -> PadicNumber:
+    """p^v num/den, num and den prime to p, truncated to relative precision."""
+    if not isinstance(precision, int) or precision < 0:
+        raise ValueError(f"precision must be an int >= 0, got {precision}")
+    mod = p**precision
+    unit = num % mod if den == 1 else num * pow(den, -1, mod) % mod
+    return PadicNumber(p, v, unit, precision)
+
+
 def padic_of_rational(x: Fraction | int, p: int, precision: int) -> PadicNumber:
     """Truncate a rational to valuation + unit mod p^precision (relative precision)."""
     require_primes(p)
-    x = Fraction(x)
-    if x == 0:
+    num, den = _exact(x)
+    if num == 0:
         return PadicNumber.exact_zero(p)
-    v = padic_valuation(x, p)
-    scaled = x / Fraction(p) ** v
-    mod = p**precision
-    unit = scaled.numerator * pow(scaled.denominator, -1, mod) % mod
-    return PadicNumber(p, v, unit, precision)
+    return _padic_unit(p, *_split(num, den, p), precision)
 
 
 def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumber:
     """Reduce an exact rational modulo p^abs_precision (absolute precision)."""
-    x = Fraction(x)
-    if x == 0:
+    num, den = _exact(x)
+    if num == 0:
         return PadicNumber.exact_zero(p)
-    v = padic_valuation(x, p)
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    v, num, den = _split(num, den, p)
     if v >= abs_precision:
         return PadicNumber.zero_mod(p, abs_precision)
-    return padic_of_rational(x, p, int(abs_precision - v))
+    require_primes(p)
+    return _padic_unit(p, v, num, den, int(abs_precision - v))
 
 
 def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
-    """The (p-1)-st root of unity congruent to n mod p: n^(p^(N-1)) mod p^N.
+    """The (p-1)-st root of unity congruent to n mod p, mod p^N.
 
-    Each step of x <- x^p gains one p-adic digit (n = omega u with
-    u = 1 mod p, and u^(p^k) = 1 mod p^(k+1)), so N - 1 steps reach the lift
-    mod p^N; one modular power takes them all.  The fixed point is asserted.
+    It is the root of x^(p-1) = 1 that Hensel's lemma lifts from n mod p;
+    ``_teichmuller_unit`` finds it by Newton's method, and the fixed point
+    of x -> x^p is asserted.
     """
     require_primes(p)
     if n % p == 0:
@@ -386,11 +415,24 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
 
 
 def _teichmuller_unit(n: int, p: int, precision: int) -> int:
-    """The lift of ``teichmuller`` as an int, for a prime p checked by the caller."""
+    """The lift of ``teichmuller`` as an int, for a prime p checked by the caller.
+
+    Newton's method on f(x) = x^(p-1) - 1, from x = n mod p.  The step
+    x - f/f' is x - (x^p - x)/((p-1) x^(p-1)).  At a root mod p^k both
+    x^p - x = 0 and x^(p-1) = 1 hold mod p^k, so dropping x^(p-1) moves
+    the step only mod p^2k: x + (x - x^p)/(p - 1) is a root mod p^2k.  The
+    precision doubles per step, with 1/(p - 1) inverted once, and the
+    result is n^(p^(N-1)) mod p^N, the one root in the class of n.
+    """
     if precision < 1:
         raise ValueError("teichmuller needs precision >= 1")
     mod = p**precision
-    x = pow(n, p ** (precision - 1), mod)
+    inv = pow(p - 1, -1, mod)
+    x, k = n % p, 1
+    while k < precision:
+        k = min(2 * k, precision)
+        m = p**k
+        x = (x + (x - pow(x, p, m)) * inv) % m
     if pow(x, p, mod) != x:
         raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
     return x
@@ -431,13 +473,19 @@ def angle_bracket(
 ) -> tuple[PadicNumber, PadicNumber]:
     """<b> = b / omega_{p,q}(b), reduced mod p^prec_p and mod q^prec_q.
 
+    Each prime on its own: omega_p(b)^(p-1) = 1, so mod p^prec_p
+    <b> = b omega_p(b)^(p-2), with no CRT and no inverse (likewise at q).
     Each component lies in 1 + pZ_p resp. 1 + qZ_q.
     """
-    w = double_teichmuller(b, p, q, prec_p, prec_q)
-    mp, mq = p**prec_p, q**prec_q
-    up = b * pow(w % mp, -1, mp) % mp
-    uq = b * pow(w % mq, -1, mq) % mq
-    return PadicNumber(p, 0, up, prec_p), PadicNumber(q, 0, uq, prec_q)
+    require_primes(p, q)
+    if b % p == 0 or b % q == 0:
+        raise ValueError("angle_bracket needs gcd(b, pq) = 1")
+    out = []
+    for prime, prec in ((p, prec_p), (q, prec_q)):
+        w = _teichmuller_unit(b, prime, prec)
+        mod = prime**prec
+        out.append(PadicNumber(prime, 0, b * pow(w, prime - 2, mod) % mod, prec))
+    return out[0], out[1]
 
 
 def ideal_shadow(m: int, p: int) -> int:

@@ -247,8 +247,7 @@ def pq_hurwitz(
     """Two-prime Hurwitz value at a non-positive integer n.
 
     -(1/(1-n)) (1/F) <b>^(1-n) sum_{k=0}^{1-n} C(1-n,k) (F/b)^k B_k, with the
-    angle bracket taken through the CRT Teichmuller representative and the
-    whole expression reduced per prime.  The binomial sum is p- and
+    angle bracket and the whole expression taken per prime.  The binomial sum is p- and
     q-integral (von Staudt-Clausen), which is asserted.
     """
     require_primes(p, q)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -224,6 +225,44 @@ def test_q_zeta_limits():
         abs(q_zeta(1.0 / N, 2.0**-N) - 2.0) for N in (5, 10, 20, 40)
     ]
     assert errs == sorted(errs, reverse=True)
+
+
+def q_zeta_by_loop(s, q):
+    """q_zeta as first written: factors until the tail test passes, and out
+    of reach once 10^6 + 1 factors have not passed it."""
+    prod, n = 1.0, 0
+    while True:
+        term = q ** (s + n)
+        if term / (1.0 - q) < 1e-14:
+            return prod
+        prod /= 1.0 - term
+        n += 1
+        if n > 10**6:
+            return "out of reach"
+
+
+def test_q_zeta_decides_reach_as_the_loop_did():
+    """At the edge of 10^6 factors the up-front refusal agrees with the loop
+    that counted them, and an accepted product is the loop's, bit for bit."""
+    for q, shift in ((1 - 3e-5, -0.6), (1 - 3e-5, 0.6), (1 - 2e-5, 0.3)):
+        s = math.log(1e-14 * (1 - q)) / math.log(q) - 10**6 + shift
+        want = q_zeta_by_loop(s, q)
+        if want == "out of reach":
+            with pytest.raises(ValueError, match="needs more than 10"):
+                q_zeta(s, q)
+        else:
+            assert q_zeta(s, q) == want
+    for s, q in ((2.0, 0.5), (0.5, 0.99), (-2.5, 0.3), (1e-3, 0.9)):
+        assert q_zeta(s, q) == q_zeta_by_loop(s, q)
+    for s in (0.0, -1.0, -4.0):
+        with pytest.raises(ValueError, match="pole"):
+            q_zeta(s, 0.5)
+
+
+def test_limit_check_rejects_a_nan_or_negative_tolerance():
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            limit_check("p-adic-beta", 5, 1, 1, [4], tol)
 
 
 def test_parse_kernel_spec():

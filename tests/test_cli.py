@@ -282,6 +282,32 @@ def test_unreachable_float_arguments_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda-check", "--tol", "nan"],
+        ["lambda-check", "--tol", "-1"],
+        ["theta-check", "--tol", "nan"],
+        ["chain-limits", "--target", "real-beta", "--tol", "nan"],
+    ],
+)
+def test_a_nan_or_negative_tolerance_is_a_usage_error(argv, capsys):
+    """A check against such a tolerance could only fail, which would read as
+    a counterexample (exit 1)."""
+    line = _rejected(argv, capsys)
+    assert line == f"usage error: a tolerance must be a finite number >= 0, got {float(argv[-1])}", line
+
+
+def test_q_zeta_names_a_pole_and_an_out_of_reach_product(capsys):
+    for s in ("-1", "0", "-7"):
+        assert _rejected(["q-zeta", "--s", s, "--q", "0.5"], capsys) == (
+            f"usage error: the q-zeta product has a pole at the non-positive integer s = {float(s)}")
+    assert _rejected(["q-zeta", "--s", "2", "--q", "0.9999999"], capsys) == (
+        "usage error: the q-zeta product needs more than 10^6 factors at s = 2.0, q = 0.9999999")
+    # next to a pole the product is finite
+    assert _run(["q-zeta", "--s", "-2.5", "--q", "0.5"])[0] == 0
+
+
+@pytest.mark.parametrize(
     "kernel", ["basic:q=1/2,beta=-1", "q-gamma:q=inf,beta=1", "real-beta:alpha=nan,beta=2"]
 )
 def test_chain_propagate_refuses_weights_outside_0_1(kernel):

@@ -10,6 +10,8 @@ from pqzeta.gamma import morita_gamma_exact
 from pqzeta.mahler import (
     InsufficientTailError,
     MahlerSeries,
+    _log_floor,
+    _pair,
     binomial_coefficient_padic,
     characteristic_coefficients_exact,
     characteristic_mahler,
@@ -192,6 +194,55 @@ def test_round_trip_padic_windows():
         val = evaluate_mahler(series, m)
         got = val.residue(min(val.abs_precision, N)) if not val.is_exact_zero else 0
         assert got == window[m].residue(min(val.abs_precision, N) if not val.is_exact_zero else N)
+
+
+def pair_by_comb(series, r, top, digits=INFINITY):
+    """mahler._pair as first written: math.comb for every term and v_p of
+    every nonzero binomial.  The oracle the incremental pairing is checked
+    against, (total, known) for (total, known)."""
+    p, prec = series.p, series.precision
+    total, known = 0, INFINITY
+    for n in range(top + 1):
+        a = series.coeffs[n]
+        if a.is_exact_zero:
+            continue
+        if n and digits != INFINITY:
+            known = min(known, a.valuation + digits - _log_floor(n, p))
+        c = comb(r, n)
+        if c:
+            known = min(known, a.abs_precision + padic_valuation(c, p), prec + a.valuation)
+            total += representative(a) * c
+    return total, known
+
+
+@st.composite
+def mixed_series(draw):
+    """A series whose coefficients mix exact zeros, inexact zeros, negative
+    valuations and absolute precisions above and below the series'."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    precision = draw(st.integers(1, 6))
+    units = st.integers(1, p**8).filter(lambda u: u % p)
+    coefficient = st.one_of(
+        st.just(PadicNumber.exact_zero(p)),
+        st.builds(PadicNumber.zero_mod, st.just(p), st.integers(-2, precision + 2)),
+        st.builds(lambda v, u, n: PadicNumber(p, v, u, n), st.integers(-3, 3), units,
+                  st.integers(1, precision + 3)),
+    )
+    return MahlerSeries(p, precision, draw(st.lists(coefficient, min_size=1, max_size=30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mixed_series(), mixed_windows().map(lambda c: mahler_coefficients(c[2], len(c[2]) - 1, c[0], c[1]))),
+       st.integers(0, 10**6), st.integers(1, 8))
+def test_pair_equals_the_comb_pairing(series, r, digits):
+    """At every integer point the pairing gives the oracle's (total, known);
+    at a p-adic point r + O(p^digits) too, its residue below and above the
+    window's length both."""
+    top = len(series) - 1
+    for m in range(top + 1):
+        assert _pair(series, m, m) == pair_by_comb(series, m, m), m
+    for point in (r % (top + 1), r):
+        assert _pair(series, point, top, digits) == pair_by_comb(series, point, top, digits), point
 
 
 def test_verify_decay_linear_vacuous():

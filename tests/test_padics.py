@@ -15,6 +15,7 @@ from pqzeta.padics import (
     padic_reduce_abs,
     padic_valuation,
     require_primes,
+    require_tolerance,
     teichmuller,
     teichmuller_total,
 )
@@ -240,3 +241,98 @@ def test_require_primes_messages():
         with pytest.raises(ValueError) as info:
             require_primes(*args)
         assert str(info.value) == message, args
+
+
+# -- the kernels against the formulas they replaced ---------------------------
+
+
+def lift_by_power(n, p, N):
+    """The Teichmuller lift as one modular power, n^(p^(N-1)) mod p^N: the
+    oracle the Newton lift is checked against."""
+    return pow(n, p ** (N - 1), p**N)
+
+
+def bracket_by_crt(b, p, q, Np, Nq):
+    """<b> as first computed: the two lifts CRT-ed into one integer, that
+    integer reduced mod p^Np and q^Nq, and b divided by each part."""
+    mp, mq = p**Np, q**Nq
+    w = crt_pair(lift_by_power(b, p, Np), mp, lift_by_power(b, q, Nq), mq)
+    return b * pow(w % mp, -1, mp) % mp, b * pow(w % mq, -1, mq) % mq
+
+
+def of_rational_by_fraction(x, p, N):
+    """padic_of_rational as first written, through ``Fraction``."""
+    x = Fraction(x)
+    if x == 0:
+        return PadicNumber.exact_zero(p)
+    v = padic_valuation(x, p)
+    scaled = x / Fraction(p) ** v
+    mod = p**N
+    return PadicNumber(p, v, scaled.numerator * pow(scaled.denominator, -1, mod) % mod, N)
+
+
+def test_newton_lift_equals_one_modular_power():
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for N in range(1, 31):
+            for n in range(1, min(p * p, 200)):
+                if n % p:
+                    assert teichmuller(n, p, N) == PadicNumber(p, 0, lift_by_power(n, p, N), N), (n, p, N)
+    # negative and large arguments land in the class of n mod p
+    for n in (-1, -7, -(10**6) - 3, 10**12 + 1):
+        for p in (2, 3, 5, 101):
+            if n % p:
+                assert teichmuller(n, p, 17).unit == lift_by_power(n, p, 17)
+
+
+def test_angle_bracket_equals_crt_and_inverse():
+    rng = random.Random(13)
+    pairs = ((2, 3), (3, 2), (3, 5), (5, 7), (7, 11), (5, 13), (11, 13), (2, 101))
+    for _ in range(1500):
+        p, q = rng.choice(pairs)
+        b = rng.choice((rng.randrange(-60, 60), rng.randrange(2, 10**6)))
+        if b % p == 0 or b % q == 0:
+            with pytest.raises(ValueError):
+                angle_bracket(b, p, q, 3, 3)
+            continue
+        Np, Nq = rng.randrange(1, 21), rng.randrange(1, 21)
+        up, uq = bracket_by_crt(b, p, q, Np, Nq)
+        assert angle_bracket(b, p, q, Np, Nq) == (PadicNumber(p, 0, up, Np), PadicNumber(q, 0, uq, Nq))
+    for args in ((2, 5, 5, 3, 3), (2, 4, 5, 3, 3), (2, 5, 7, 0, 3), (2, 5, 7, 3, 0)):
+        with pytest.raises(ValueError):
+            angle_bracket(*args)
+
+
+def test_of_rational_equals_fraction_path():
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7, 101):
+        values = [-1, -p, -(p**3) * 7, p**4, 3 * p**2, 10**9 + 7, Fraction(-5, p**3), Fraction(7, p)]
+        for _ in range(150):
+            num = rng.randrange(-(10**6), 10**6) * p ** rng.randrange(0, 5)
+            den = rng.choice((1, rng.randrange(1, 500), p ** rng.randrange(1, 5) * rng.randrange(1, 40)))
+            values.append(Fraction(num, den))
+            values.append(num)
+        for x in values:
+            for N in (0, 1, 2, 7):
+                assert padic_of_rational(x, p, N) == of_rational_by_fraction(x, p, N), (x, p, N)
+            for A in (-2, 0, 1, 5, 9):
+                v = padic_valuation(Fraction(x), p)
+                want = PadicNumber.zero_mod(p, A) if v >= A else of_rational_by_fraction(x, p, A - v)
+                assert padic_reduce_abs(x, p, A) == want, (x, p, A)
+    # the other values Fraction accepts are still read through it
+    for x in ("22/7", 0.5, True, Fraction(-50)):
+        assert padic_of_rational(x, 5, 4) == of_rational_by_fraction(x, 5, 4)
+        assert padic_reduce_abs(x, 5, 4) == padic_of_rational(Fraction(x), 5, 4 - padic_valuation(Fraction(x), 5))
+
+
+def test_of_rational_rejects_a_negative_precision():
+    for x in (3, Fraction(1, 3)):
+        with pytest.raises(ValueError, match="precision must be an int >= 0"):
+            padic_of_rational(x, 5, -1)
+
+
+def test_require_tolerance():
+    for tol in (0, 0.0, 1e-12, 3, Fraction(1, 2)):
+        require_tolerance(tol)
+    for tol in (float("nan"), float("inf"), -1e-300, -1):
+        with pytest.raises(ValueError, match="a tolerance must be a finite number >= 0"):
+            require_tolerance(tol)
