@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, isfinite
+from sys import float_info
 
 from .padics import Record, require_primes, require_tolerance
 from .rationals import binomial, rising_factorial
@@ -51,9 +52,6 @@ class ChainKernel(Record):
                 return pr
         zero = Fraction(0) if self.exact else 0.0
         return zero
-
-    def row_sum(self, state):
-        return sum(pr for _, pr in self.step(state))
 
     def is_row_stochastic(self, depth: int) -> bool:
         """Every row reachable within depth steps has weights in [0, 1] (so
@@ -188,9 +186,6 @@ class LayerDistribution(Record):
         self.n = n
         self.weights = weights  # state -> probability
 
-    def total(self):
-        return sum(self.weights.values())
-
 
 def propagate(kernel: ChainKernel, n: int) -> LayerDistribution:
     """Exact law of the chain after n steps from the root."""
@@ -254,11 +249,13 @@ def limit_check(
 
     p-adic target: q = p^-N, parameters divided by N (exact rationals, the
     distance decays geometrically in N).  Real target: q = 0.5^(2/N) with
-    halved parameters (float mode, first-order decay in 1/N).
+    halved parameters (float mode, first-order decay in 1/N).  Every N >= 1.
     """
     if target not in ("p-adic-beta", "real-beta"):
         raise ValueError("target must be 'p-adic-beta' or 'real-beta'")
     require_tolerance(tol)
+    if not schedule or min(schedule) < 1:
+        raise ValueError(f"a limit schedule needs every N >= 1, got {list(schedule)}")
     states = [(i, j) for i in range(depth + 1) for j in range(depth + 1 - i)]
     residuals = []
     for N in schedule:
@@ -320,26 +317,23 @@ def raising_operator(phi: dict, n: int, alpha, beta) -> dict:
     return out
 
 
-def heisenberg_check(alpha, beta, n: int, trial_vectors=None) -> Fraction:
+def heisenberg_check(alpha, beta, n: int) -> Fraction:
     """Max residual of D_n D_n^+ - D_{n-1}^+ D_{n-1} - ((alpha+beta)/2) id
-    on functions over layer n-1 (family alpha+2, beta+2); exactly 0."""
+    on the basis of layer n-1 (family alpha+2, beta+2), the indicators of the
+    states (k, n-1-k); exactly 0, so by linearity 0 on every function."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if trial_vectors is None:
-        trial_vectors = []
-        for k in range(n):
-            basis = {(i, n - 1 - i): Fraction(1 if i == k else 0) for i in range(n)}
-            trial_vectors.append(basis)
     worst = Fraction(0)
     half = Fraction(alpha + beta, 2)
-    for phi in trial_vectors:
+    for k in range(n):
+        phi = {(i, n - 1 - i): Fraction(1 if i == k else 0) for i in range(n)}
         down_up = lowering_operator(raising_operator(phi, n, alpha, beta), n, alpha, beta)
         if n >= 2:
             up_down = raising_operator(
                 lowering_operator(phi, n - 1, alpha + 2, beta + 2), n - 1, alpha + 2, beta + 2
             )
         else:
-            up_down = {k: Fraction(0) for k in phi}
+            up_down = dict.fromkeys(phi, Fraction(0))
         for key in phi:
             r = abs(down_up[key] - up_down[key] - half * phi[key])
             worst = max(worst, r)
@@ -376,30 +370,19 @@ def layer_inner_product(f: dict, g: dict, law: LayerDistribution) -> Fraction:
 def q_integer(s, q):
     """[s]_q = (1 - q^s)/(1 - q); exact for integer s and rational q."""
     if q == 1:
-        raise ZeroDivisionError("q = 1 is the classical limit; use q_integer_limit")
+        raise ZeroDivisionError("q = 1 is the classical limit")
     return (1 - _pow(q, s)) / (1 - q)
-
-
-def q_integer_limit(s, q):
-    """Total variant whose value at q = 1 is the limit s.
-
-    Only the two-sided limits q -> 1 and q -> 0 are asserted anywhere in the
-    test surface: joint limits along corners where both s and 1 - q shrink
-    together are genuinely discontinuous and are documented, not tested.
-    """
-    if q == 1:
-        return s
-    return q_integer(s, q)
 
 
 def q_zeta(s: float, q: float) -> float:
     """prod_{n>=0} (1 - q^(s+n))^(-1), truncated once the multiplicative tail
     is below 1e-14.
 
-    Both refusals come before the loop.  At a non-positive integer s the
-    factor n = -s is 1/(1 - 1): a pole.  The tail test q^(s+n)/(1 - q) <
-    1e-14 gets easier as n grows, so when it fails at n = 10^6 it fails at
-    every n below, and the product would need more than 10^6 factors.
+    Both refusals of reach come before the loop.  At a non-positive integer
+    s the factor n = -s is 1/(1 - 1): a pole.  The tail test q^(s+n)/(1 - q)
+    < 1e-14 gets easier as n grows, so when it fails at n = 10^6 it fails at
+    every n below, and the product would need more than 10^6 factors.  A
+    product that leaves the normal floats is refused after the loop.
     """
     if not 0 < q < 1:
         raise ValueError("need 0 < q < 1")
@@ -418,9 +401,12 @@ def q_zeta(s: float, q: float) -> float:
     while True:
         term = q ** (s + n)
         if term / (1.0 - q) < 1e-14:
-            return prod
+            break
         prod /= 1.0 - term
         n += 1
+    if not (isfinite(prod) and abs(prod) >= float_info.min):
+        raise ValueError(f"the q-zeta product leaves the normal floats at s = {s}, q = {q}: {prod}")
+    return prod
 
 
 # -- kernel spec parsing -------------------------------------------------------

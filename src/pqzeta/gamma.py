@@ -72,11 +72,14 @@ def gamma_continuity_check(p: int, s: int, upto: int, restricted: bool = True) -
     a_n is the running product of 1 <= k < n with p not dividing k (the
     unrestricted variant keeps multiples of p and is expected to fail: the
     sign congruence breaks as soon as one side picks up p-divisibility the
-    other side lacks).
+    other side lacks).  It needs s >= 1, upto >= 0 and p^s + upto <= 10^6; an
+    s >= 20 is refused without forming p^s, since 2^20 > 10^6 already.
     """
     require_primes(p)
     if p == 2:
         raise ValueError("p = 2 is excluded")
+    if s < 1 or upto < 0 or s >= 20 or p**s + upto > 10**6:
+        raise ValueError(f"need s >= 1, upto >= 0 and p^s + upto <= 10^6, got s = {s}, upto = {upto}")
     mod = p**s
     span = upto + p**s + 1
     a = [1] * (span + 1)
@@ -94,15 +97,6 @@ def gamma_continuity_check(p: int, s: int, upto: int, restricted: bool = True) -
 
 
 # -- inverse formulas ---------------------------------------------------------
-
-
-def euclid_division_steps(a: int, b: int) -> int:
-    """Number of division steps of the Euclidean algorithm on (a, b), a > b."""
-    steps = 0
-    while b:
-        a, b = b, a % b
-        steps += 1
-    return steps
 
 
 def inverse_of_half_pr_plus_one(p: int, r: int, s: int) -> int:
@@ -167,6 +161,8 @@ def s_pq_membership(j: int, p: int, q: int, depth: int = 12):
     membership is ever made.
     """
     require_primes(p, q)
+    if depth < 1:
+        raise ValueError(f"the search depth must be >= 1, got {depth}")
     if j < 2:
         raise ValueError("j must be >= 2 (1 is its own inverse everywhere)")
     if j % p == 0 or j % q == 0:
@@ -206,6 +202,8 @@ def verify_triviality_theorem(p: int, q: int, j_bound: int, depth: int = 12) -> 
     so the report depends only on the arguments.
     """
     require_primes(p, q)
+    if depth < 1:
+        raise ValueError(f"the search depth must be >= 1, got {depth}")
     report = TrivialityReport(p=p, q=q, j_bound=j_bound, depth=depth)
     for j in range(2, j_bound + 1):
         if j % p == 0 or j % q == 0:

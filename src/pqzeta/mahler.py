@@ -14,7 +14,6 @@ pairing (evaluation).  Decay certificates record the bound
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .padics import (
     INFINITY,
@@ -171,18 +170,16 @@ class DecayReport(Record):
         self.upto = upto
         self.violation = violation  # (index, sigma, actual valuation)
 
-    @property
-    def certificate(self) -> tuple[int, int] | None:
-        return (self.s, self.t) if self.ok else None
-
 
 def verify_decay(f, p: int, s: int, t: int, upto: int) -> DecayReport:
     """Check |a_n(f)|_p <= p^(-sigma) for n >= sigma*p^t, for every sigma <= s.
 
     A violation is a legitimate return value: it signals that f does not have
-    the claimed uniform-continuity modulus (s, t).
+    the claimed uniform-continuity modulus (s, t).  It needs s >= 1 and t >= 0.
     """
     require_primes(p)
+    if s < 1 or t < 0:
+        raise ValueError(f"a decay modulus needs s >= 1 and t >= 0, got s = {s}, t = {t}")
     vals = _window(f, upto)
     if not all(isinstance(x, (int, Fraction)) for x in vals):
         raise TypeError("verify_decay needs an exact-valued window")
@@ -321,18 +318,3 @@ def characteristic_mahler(b: int, n: int, p: int, upto: int) -> MahlerSeries:
     precision = max(1, upto // pn + 2)
     reduced = [padic_reduce_abs(c, p, precision) for c in coeffs]
     return MahlerSeries(p=p, precision=precision, coeffs=reduced, decay=(upto // pn, n))
-
-
-def binomial_coefficient_padic(x: PadicNumber, n: int) -> PadicNumber:
-    """C(x, n) for a p-adic integer x, via an integer representative.
-
-    Well defined mod p^(A - floor(log_p n)) when x is known mod p^A (see
-    ``_log_floor``); always a p-adic integer (|C(x,n)|_p <= 1).
-    """
-    if x.valuation < 0:
-        raise ValueError("binomial symbol needs a p-adic integer")
-    A = x.abs_precision
-    keep = int(A - _log_floor(n, x.p))
-    if keep <= 0:
-        raise PrecisionError("binomial loses all tracked digits")
-    return _reduce(comb(x.residue(A), n), x.p, keep)

@@ -250,39 +250,9 @@ def binomial_moments(a: int, p: int, upto: int) -> list[Fraction]:
     return out
 
 
-def binomial_moment_expansion(a: int, k: int) -> Fraction:
-    """The same d_k via the falling-factorial expansion of C(x, k)."""
-    poly = PolyRational([1])
-    for i in range(k):
-        poly = poly * PolyRational([-i, 1])
-    acc = Fraction(0)
-    for m, c in enumerate(poly.coeffs):
-        if c:
-            acc += c * (1 - Fraction(a) ** (m + 1)) * zeta_neg(m)
-    return acc / factorial(k)
-
-
 def open_set_closed_form(a: int, p: int, n: int, b: int) -> Fraction:
     """The conjectured closed form (1/a) * floor(ab / p^n) + ((1/a) - 1) / 2."""
     return Fraction(1, a) * (a * b // p**n) + (Fraction(1, a) - 1) / 2
-
-
-def open_set_twist_value(a: int, p: int, n: int, b: int) -> Fraction:
-    """Measure of b + p^n Z_p through the locally-constant twist of Psi_1.
-
-    This is the generating-function route: the indicator of the class b mod
-    p^n twists the weights of Psi_1 on the period a p^n, and the value at
-    t = 1 is d_0 of the twisted weights.  It serves as the independent oracle
-    for the Mahler-series route.
-    """
-    pn = p**n
-    if not 0 <= b < pn:
-        raise ValueError("need 0 <= b < p^n")
-    if gcd(a, p) != 1:
-        raise ValueError("a must be coprime to p")
-    period = a * pn
-    weights = [xi(m, a, 1) if m % pn == b else 0 for m in range(1, period + 1)]
-    return Fraction(taylor_numerators(weights, 0)[0], period)
 
 
 class OpenSetMeasure(Record):

@@ -159,10 +159,6 @@ class PadicNumber:
         return self.valuation is INFINITY or self.valuation == INFINITY
 
     @property
-    def is_inexact_zero(self) -> bool:
-        return self.unit == 0 and not self.is_exact_zero
-
-    @property
     def abs_precision(self):
         """Exponent A such that the value is known modulo p^A."""
         if self.is_exact_zero:
@@ -410,7 +406,7 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     """
     require_primes(p)
     if n % p == 0:
-        raise ValueError("teichmuller needs gcd(n, p) = 1; see teichmuller_total")
+        raise ValueError("teichmuller needs gcd(n, p) = 1")
     return PadicNumber(p, 0, _teichmuller_unit(n, p, precision), precision)
 
 
@@ -436,13 +432,6 @@ def _teichmuller_unit(n: int, p: int, precision: int) -> int:
     if pow(x, p, mod) != x:
         raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
     return x
-
-
-def teichmuller_total(n: int, p: int, precision: int) -> PadicNumber:
-    """Total variant: multiples of p map to exact zero."""
-    if n % p == 0:
-        return PadicNumber.exact_zero(p)
-    return teichmuller(n, p, precision)
 
 
 def crt_pair(a: int, modulus_a: int, b: int, modulus_b: int) -> int:

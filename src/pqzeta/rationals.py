@@ -116,11 +116,6 @@ def bernoulli(k: int) -> Fraction:
     return _TABLE.get(k)
 
 
-def bernoulli_table() -> BernoulliTable:
-    """The shared module-level cache (read-only use recommended)."""
-    return _TABLE
-
-
 class PolyRational:
     """Dense polynomial over Q, coefficients ascending by degree.
 
@@ -134,10 +129,6 @@ class PolyRational:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -284,6 +284,35 @@ def test_unreachable_float_arguments_are_usage_errors(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        # gamma continuity needs s >= 1, upto >= 0 and p^s + upto <= 10^6
+        ["gamma-continuity", "--p", "5", "--s", "-1"],
+        ["gamma-continuity", "--p", "5", "--s", "0"],
+        ["gamma-continuity", "--p", "5", "--s", "12"],
+        ["gamma-continuity", "--p", "5", "--s", "13"],
+        ["gamma-continuity", "--p", "5", "--s", str(10**100)],
+        ["gamma-continuity", "--p", "5", "--upto", "-1"],
+        # a decay modulus needs s >= 1 and t >= 0
+        ["decay-check", "--window", "1,2", "--p", "5", "--s", "1", "--t", "-1"],
+        ["decay-check", "--window", "1,2", "--p", "5", "--s", "0", "--t", "1"],
+        # every N of a limit schedule is >= 1
+        ["chain-limits", "--target", "p-adic-beta", "--p", "5", "--schedule", "0"],
+        ["chain-limits", "--target", "real-beta", "--schedule", "0,4"],
+        ["chain-limits", "--target", "real-beta", "--schedule", "4,-8"],
+        # the inverse-chain search needs depth >= 1
+        ["spq-sweep", "--p", "3", "--q", "5", "--depth", "0", "--jmax", "5"],
+        ["spq-sweep", "--p", "3", "--q", "5", "--depth", "-2", "--jmax", "1"],
+    ],
+)
+def test_a_verifier_parameter_outside_its_domain_is_a_usage_error(argv, capsys):
+    """Such a call checked nothing (exit 0), reported a counterexample from a
+    meaningless input (exit 1), or died in a traceback or a huge list."""
+    line = _rejected(argv, capsys)
+    assert line.startswith("usage error: ") and "Traceback" not in line, line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["lambda-check", "--tol", "nan"],
         ["lambda-check", "--tol", "-1"],
         ["theta-check", "--tol", "nan"],
@@ -305,6 +334,13 @@ def test_q_zeta_names_a_pole_and_an_out_of_reach_product(capsys):
         "usage error: the q-zeta product needs more than 10^6 factors at s = 2.0, q = 0.9999999")
     # next to a pole the product is finite
     assert _run(["q-zeta", "--s", "-2.5", "--q", "0.5"])[0] == 0
+    # far below s = 0 the product underflows past the normal floats
+    for s, q in (("-400.5", "0.9"), ("-1000.5", "0.5")):
+        assert _rejected(["q-zeta", "--s", s, "--q", q], capsys) == (
+            f"usage error: the q-zeta product leaves the normal floats at s = {float(s)}, q = {float(q)}: -0.0")
+    # a tiny but normal product is still a value
+    code, out = _run(["q-zeta", "--s", "-30.5", "--q", "0.5"])
+    assert code == 0 and _csv_rows(out)[1:] == [["-30.5", "0.5", "-1.342399161445e-143"]]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from pqzeta.gamma import (
-    euclid_division_steps,
     gamma_continuity_check,
     gamma_functional_step,
     inverse_general,
@@ -44,6 +43,20 @@ def test_continuity_congruence():
     assert gamma_continuity_check(5, 1, 50).ok
     assert gamma_continuity_check(3, 2, 60).ok
     assert gamma_continuity_check(7, 2, 40).ok
+
+
+@pytest.mark.parametrize(
+    "s, upto",
+    [(0, 50), (-1, 50), (1, -1), (9, 0), (12, 50), (13, 50), (10**100, 50)],
+)
+def test_continuity_check_refuses_a_span_outside_its_domain(s, upto):
+    # s >= 1, upto >= 0 and p^s + upto <= 10^6 (5^9 = 1953125 already exceeds it)
+    with pytest.raises(ValueError, match=r"p\^s \+ upto <= 10\^6"):
+        gamma_continuity_check(5, s, upto)
+
+
+def test_continuity_check_takes_the_largest_span():
+    assert gamma_continuity_check(3, 12, 10**6 - 3**12).ok
 
 
 def test_unrestricted_factorial_fails_continuity():
@@ -104,6 +117,15 @@ def test_inverse_general_guards():
         inverse_general(1, 1, 3, 1, 3, 2)  # t shares the prime
 
 
+def euclid_division_steps(a: int, b: int) -> int:
+    """Number of division steps of the Euclidean algorithm on (a, b), a > b."""
+    steps = 0
+    while b:
+        a, b = b, a % b
+        steps += 1
+    return steps
+
+
 def test_euclid_parity_matches_alternation_depth():
     # the number of division steps on (u, p^s) has the parity of the maximal
     # n with nr < s; verified for p >= 5 (p = 3 has degenerate small cases)
@@ -126,6 +148,15 @@ def test_membership_witnesses():
         s_pq_membership(1, 3, 5)
     with pytest.raises(ValueError):
         s_pq_membership(6, 3, 5)
+
+
+def test_membership_search_needs_depth_one():
+    assert s_pq_membership(2, 3, 5, depth=1).side == "q-side"  # 2^-1 = 3 mod 5
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            s_pq_membership(2, 3, 5, depth=depth)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            verify_triviality_theorem(3, 5, 5, depth=depth)
 
 
 def test_triviality_sweep_reports_witnesses_and_undecided():

@@ -12,7 +12,7 @@ from pqzeta.mahler import (
     MahlerSeries,
     _log_floor,
     _pair,
-    binomial_coefficient_padic,
+    _reduce,
     characteristic_coefficients_exact,
     characteristic_mahler,
     characteristic_rows,
@@ -247,7 +247,13 @@ def test_pair_equals_the_comb_pairing(series, r, digits):
 
 def test_verify_decay_linear_vacuous():
     report = verify_decay(list(range(40)), 5, 3, 1, 39)
-    assert report.ok and report.certificate == (3, 1)
+    assert report.ok and (report.s, report.t) == (3, 1)
+
+
+@pytest.mark.parametrize("s, t", [(0, 1), (-1, 1), (1, -1)])
+def test_verify_decay_refuses_a_modulus_outside_its_domain(s, t):
+    with pytest.raises(ValueError, match="needs s >= 1 and t >= 0"):
+        verify_decay([1, 2], 5, s, t, 1)
 
 
 def test_verify_decay_morita_gamma_matching_modulus():
@@ -358,6 +364,21 @@ def test_characteristic_decay_certificate():
         for sigma in range(1, s + 1):
             if k >= sigma * p**n and c != 0:
                 assert padic_valuation(Fraction(c), p) >= sigma
+
+
+def binomial_coefficient_padic(x: PadicNumber, n: int) -> PadicNumber:
+    """C(x, n) for a p-adic integer x, via an integer representative.
+
+    Well defined mod p^(A - floor(log_p n)) when x is known mod p^A (see
+    ``_log_floor``); always a p-adic integer (|C(x,n)|_p <= 1).
+    """
+    if x.valuation < 0:
+        raise ValueError("binomial symbol needs a p-adic integer")
+    A = x.abs_precision
+    keep = int(A - _log_floor(n, x.p))
+    if keep <= 0:
+        raise PrecisionError("binomial loses all tracked digits")
+    return _reduce(comb(x.residue(A), n), x.p, keep)
 
 
 def test_binomial_symbol_bounded():

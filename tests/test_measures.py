@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from pqzeta.measures import (
     RPrimeElement,
-    binomial_moment_expansion,
     binomial_moments,
     delta_operator,
     double_moment,
@@ -15,7 +14,6 @@ from pqzeta.measures import (
     moment,
     open_set_closed_form,
     open_set_from_moments,
-    open_set_twist_value,
     psi_r_rational,
     psi_r_series,
     restricted_moment,
@@ -24,6 +22,37 @@ from pqzeta.measures import (
 )
 from pqzeta.padics import PadicNumber, padic_valuation
 from pqzeta.rationals import PolyRational, zeta_neg
+
+
+def binomial_moment_expansion(a: int, k: int) -> Fraction:
+    """d_k via the falling-factorial expansion of C(x, k): the textbook
+    sum_m c_{k,m} (1 - a^(m+1)) zeta(-m), the oracle for ``binomial_moments``."""
+    poly = PolyRational([1])
+    for i in range(k):
+        poly = poly * PolyRational([-i, 1])
+    acc = Fraction(0)
+    for m, c in enumerate(poly.coeffs):
+        if c:
+            acc += c * (1 - Fraction(a) ** (m + 1)) * zeta_neg(m)
+    return acc / factorial(k)
+
+
+def open_set_twist_value(a: int, p: int, n: int, b: int) -> Fraction:
+    """Measure of b + p^n Z_p through the locally-constant twist of Psi_1.
+
+    This is the generating-function route: the indicator of the class b mod
+    p^n twists the weights of Psi_1 on the period a p^n, and the value at
+    t = 1 is d_0 of the twisted weights.  It serves as the independent oracle
+    for the Mahler-series route.
+    """
+    pn = p**n
+    if not 0 <= b < pn:
+        raise ValueError("need 0 <= b < p^n")
+    if gcd(a, p) != 1:
+        raise ValueError("a must be coprime to p")
+    period = a * pn
+    weights = [xi(m, a, 1) if m % pn == b else 0 for m in range(1, period + 1)]
+    return Fraction(taylor_numerators(weights, 0)[0], period)
 
 
 def test_xi_cases():

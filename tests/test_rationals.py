@@ -10,7 +10,6 @@ from pqzeta.rationals import (
     PolyRational,
     bernoulli,
     bernoulli_polynomial,
-    bernoulli_table,
     binomial,
     binomial_poly,
     rising_factorial,
@@ -56,11 +55,8 @@ def test_bernoulli_recurrence_closure():
 
 
 def test_bernoulli_cache_determinism():
-    shared = bernoulli_table()
-    shared.extend(80)
-    fresh = BernoulliTable()
-    fresh.extend(80)
-    assert fresh.values(80) == shared.values(80)
+    # the shared table behind bernoulli() and a fresh one agree
+    assert [bernoulli(k) for k in range(81)] == BernoulliTable().values(80)
 
 
 def _recurrence_bernoulli(upto):
@@ -148,7 +144,7 @@ def test_poly_arithmetic():
     p = PolyRational([1, 2])  # 1 + 2t
     q = PolyRational([0, 0, 3])  # 3t^2
     assert (p * q).coeffs == [Fraction(0), Fraction(0), Fraction(3), Fraction(6)]
-    assert (p + q).degree == 2
+    assert len((p + q).coeffs) == 3  # degree 2
     assert p.derivative().coeffs == [Fraction(2)]
     assert PolyRational([1, 0, 0]).coeffs == [Fraction(1)]
     assert not PolyRational([0, 0])

@@ -4,9 +4,17 @@ The decision "is this a valid prime, and what do we say if not" lives in
 ``padics.require_primes`` alone; every entry point that takes a prime calls
 it.  ``is_prime`` is left to that helper and to two places where it is
 arithmetic or text validation, not argument checking.
+
+Every public name of the library has a consumer.  A public top-level
+function or class, or a public method or property of a top-level class, is
+referenced from ``src/pqzeta`` outside its own definition (a method by
+attribute, a top-level name by attribute or load, or by ``__all__``), or it
+is listed in ``OUTSIDE_CONSUMERS`` with the caller outside the library that
+runs it.  A reference oracle lives in the test that uses it, not in ``src/``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pqzeta
@@ -17,6 +25,13 @@ IS_PRIME_CALLERS = {
     "padics.require_primes",
     "rationals._staudt_clausen_denominator",
     "mahler.MahlerSeries.deserialize",
+}
+
+OUTSIDE_CONSUMERS = {
+    "gamma.morita_gamma_exact": "acceptance criterion 3 (tests/test_acceptance.py)",
+    "measures.measure_on_open_set": "perfbench/wl_open_set.py",
+    "measures.open_set_from_moments": "perfbench/wl_open_set.py",
+    "zetabranch.excluded_sigma0": "perfbench/wl_zeta_sweep.py and the acceptance tests",
 }
 
 
@@ -74,3 +89,50 @@ def test_no_private_prime_validator():
         if not isinstance(node, ast.ClassDef) and node.name.startswith("_require_prime")
     ]
     assert found == []
+
+
+def _references(node) -> tuple[Counter, Counter]:
+    """How often each name is read as an attribute, and as a plain name, under node."""
+    attrs, loads = Counter(), Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            attrs[child.attr] += 1
+        elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            loads[child.id] += 1
+    return attrs, loads
+
+
+def _public_definitions(module, tree):
+    """Yield (qualified name, node, is_method) for the public top-level
+    functions and classes and the public methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node, False
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield f"{module}.{node.name}.{method.name}", method, True
+
+
+def test_every_public_name_has_a_consumer():
+    trees = dict(_parsed())
+    attrs, loads = Counter(), Counter()
+    for tree in trees.values():
+        a, n = _references(tree)
+        attrs.update(a)
+        loads.update(n)
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in trees["__init__"].body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    )
+    unused = set()
+    for module, tree in trees.items():
+        for name, node, is_method in _public_definitions(module, tree):
+            inside_attrs, inside_loads = _references(node)
+            uses = attrs[node.name] - inside_attrs[node.name]
+            if not is_method:
+                uses += loads[node.name] - inside_loads[node.name] + (node.name in exported)
+            if not uses:
+                unused.add(name)
+    assert unused == set(OUTSIDE_CONSUMERS), sorted(unused ^ set(OUTSIDE_CONSUMERS))
