@@ -249,13 +249,16 @@ def limit_check(
 
     p-adic target: q = p^-N, parameters divided by N (exact rationals, the
     distance decays geometrically in N).  Real target: q = 0.5^(2/N) with
-    halved parameters (float mode, first-order decay in 1/N).  Every N >= 1.
+    halved parameters (float mode, first-order decay in 1/N).  Every N >= 1;
+    the sup runs over the states i + j <= depth, so depth >= 0.
     """
     if target not in ("p-adic-beta", "real-beta"):
         raise ValueError("target must be 'p-adic-beta' or 'real-beta'")
     require_tolerance(tol)
     if not schedule or min(schedule) < 1:
         raise ValueError(f"a limit schedule needs every N >= 1, got {list(schedule)}")
+    if depth < 0:
+        raise ValueError(f"the state depth must be >= 0, got {depth}")
     states = [(i, j) for i in range(depth + 1) for j in range(depth + 1 - i)]
     residuals = []
     for N in schedule:

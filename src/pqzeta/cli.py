@@ -72,7 +72,7 @@ def _cmd_bernoulli(args):
     for k in range(args.upto + 1):
         row = {"k": k, "B_k": rationals.bernoulli(k)}
         if args.poly:
-            row["B_k_of_x"] = " ".join(str(c) for c in rationals.bernoulli_polynomial(k).coeffs)
+            row["B_k_of_x"] = " ".join(str(c) for c in rationals.bernoulli_polynomial(k))
         rows.append(row)
     # spot check against the defining recurrence sum C(m+1, j) B_j = 0, an
     # algorithm independent of the tangent-number table
@@ -89,7 +89,9 @@ def _cmd_bernoulli(args):
 def _cmd_zeta_neg(args):
     from . import rationals
     if args.one_minus is not None:
-        return 0, [{"k": args.one_minus, "zeta(1-k)": rationals.zeta_one_minus(args.one_minus)}]
+        if args.one_minus < 2:
+            raise ValueError("zeta_one_minus requires k >= 2")
+        return 0, [{"k": args.one_minus, "zeta(1-k)": rationals.zeta_neg(args.one_minus - 1)}]
     return 0, [{"m": args.m, "zeta(-m)": rationals.zeta_neg(args.m)}]
 
 
@@ -388,9 +390,8 @@ def _cmd_moments(args):
                     }
                 )
             if args.delta is not None:
-                base = measures.psi_r_rational(args.a, args.r, args.delta_prime)
-                image = measures.delta_operator(base, args.delta)
-                rows.append({"m": f"delta_{args.delta}", "value": image.value_at_one(), "xi_at_m": "", "psi_slot": ""})
+                d = measures.binomial_moments(args.a, args.delta_prime, args.delta, args.r)
+                rows.append({"m": f"delta_{args.delta}", "value": d[args.delta], "xi_at_m": "", "psi_slot": ""})
     except ArithmeticError as exc:
         return 1, [{"error": str(exc)}]
     return 0, rows

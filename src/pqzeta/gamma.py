@@ -195,7 +195,8 @@ class TrivialityReport(Record):
 
 
 def verify_triviality_theorem(p: int, q: int, j_bound: int, depth: int = 12) -> TrivialityReport:
-    """Sweep 2 <= j <= j_bound coprime to pq for exclusion witnesses.
+    """Sweep 2 <= j <= j_bound coprime to pq for exclusion witnesses; a
+    j_bound below 2 sweeps nothing and is refused.
 
     An undecided j is reported as such (prompting a deeper search); the sweep
     never asserts membership.  Nothing is cached: each j is searched afresh,
@@ -204,6 +205,8 @@ def verify_triviality_theorem(p: int, q: int, j_bound: int, depth: int = 12) -> 
     require_primes(p, q)
     if depth < 1:
         raise ValueError(f"the search depth must be >= 1, got {depth}")
+    if j_bound < 2:
+        raise ValueError(f"the sweep needs j_bound >= 2, got {j_bound}")
     report = TrivialityReport(p=p, q=q, j_bound=j_bound, depth=depth)
     for j in range(2, j_bound + 1):
         if j % p == 0 or j % q == 0:

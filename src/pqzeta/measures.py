@@ -22,7 +22,7 @@ from math import comb, factorial, gcd
 
 from .mahler import _differences, _reduce, characteristic_coefficients_exact, characteristic_rows
 from .padics import PadicNumber, Record, padic_valuation, require_primes
-from .rationals import PolyRational, zeta_neg
+from .rationals import zeta_neg
 
 
 def xi(n: int, a: int, r: int) -> int:
@@ -154,99 +154,35 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
     return closed
 
 
-# -- the ring of p-integral rational functions --------------------------------
-
-
-class RPrimeElement(Record):
-    """P(t) / Q(t) with p-integral coefficients and |Q(1)|_p = 1.
-
-    ``q_power`` tracks denominators of the form Q^q_power so repeated
-    differentiation stays polynomial-sized.
-    """
-
-    __slots__ = ("numerator", "denominator", "p", "q_power")
-
-    def __init__(self, numerator: PolyRational, denominator: PolyRational, p: int, q_power: int = 1):
-        for c in numerator.coeffs + denominator.coeffs:
-            if padic_valuation(c, p) < 0:
-                raise ValueError("coefficients must be p-integral")
-        if padic_valuation(denominator(1), p) != 0:
-            raise ValueError("|Q(1)|_p must equal 1")
-        self.numerator = numerator
-        self.denominator = denominator
-        self.p = p
-        self.q_power = q_power
-
-    def value_at_one(self) -> Fraction:
-        return self.numerator(1) / self.denominator(1) ** self.q_power
-
-
-def psi_r_rational(a: int, r: int, p: int) -> RPrimeElement:
-    """Psi_r in lowest-order rational form: the (1 - t^r) factor is cancelled
-    so the denominator 1 + t^r + ... + t^(r(a-1)) is a p-unit at 1 (needs
-    gcd(a, p) = 1)."""
-    require_primes(p)
-    if gcd(a, p) != 1:
-        raise ValueError("a must be coprime to p")
-    num_coeffs = [Fraction(0)] * (r * (a - 1) + 1)
-    for b in range(1, a + 1):
-        w = xi(b * r, a, r)
-        if w:
-            for mth in range(b):  # -(1 + t^r + ... + t^(r(b-1))) per weight
-                if mth * r < len(num_coeffs):
-                    num_coeffs[mth * r] -= w
-    den_coeffs = [Fraction(0)] * (r * (a - 1) + 1)
-    for mth in range(a):
-        den_coeffs[mth * r] = Fraction(1)
-    return RPrimeElement(PolyRational(num_coeffs), PolyRational(den_coeffs), p)
-
-
-def delta_operator(element: RPrimeElement, n: int) -> RPrimeElement:
-    """delta_n = (t^n / n!) d^n/dt^n, applied symbolically.
-
-    Differentiation uses d(P/Q^k) = (P'Q - k P Q')/Q^(k+1); the final
-    division by n! must leave p-integral coefficients (the stability lemma),
-    which the constructor re-checks.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return element
-    P = element.numerator
-    Q = element.denominator
-    k = element.q_power
-    Qd = Q.derivative()
-    for _ in range(n):
-        P = P.derivative() * Q - P.scale(k) * Qd
-        k += 1
-    P = P.shift_up(n).scale(Fraction(1, factorial(n)))
-    return RPrimeElement(P, Q, element.p, q_power=k)
-
-
 # -- binomial moments and open sets -------------------------------------------
 
 
-def binomial_moments(a: int, p: int, upto: int) -> list[Fraction]:
-    """d_k = integral of C(x, k) against the measure with moments
-    (1-a^(m+1)) zeta(-m), for k = 0..upto.
+def binomial_moments(a: int, p: int, n: int, r: int = 1) -> list[Fraction]:
+    """d_k = (delta_k Psi_r)(1), the k-th Taylor coefficient of Psi_r at
+    t = 1, for k = 0..n; for r = 1 the integral of C(x, k) against the
+    measure with moments (1-a^(m+1)) zeta(-m).
 
-    d_k = (delta_k Psi_1)(1) is the k-th Taylor coefficient of Psi_1 at
-    t = 1, read from ``taylor_numerators`` on the weights xi_1 of period a:
-    d_k = N_k / a^(k+1), a p-unit power.  That is O(upto * a) integer
-    operations on numbers of O(upto log a) bits.  The textbook expansion
-    d_k = sum_m c_{k,m} (1-a^(m+1)) zeta(-m) and the delta operator are
-    checked against this in the test suite, term by term.
+    Read from ``taylor_numerators`` on the weights xi_r of period ra:
+    d_k = N_k / (ra)^(k+1).  That is O(n * ra) integer operations on numbers
+    of O(n log ra) bits.  Each d_k must lie in Z_p, the stability lemma of
+    the delta operator, else ``ArithmeticError``.  The textbook expansion
+    d_k = sum_m c_{k,m} (1-a^(m+1)) zeta(-m) and the delta operator itself
+    are checked against this in the test suite, term by term.
     """
+    require_primes(p)
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to p")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     out = []
-    den = a
-    for n_k in taylor_numerators([xi(n, a, 1) for n in range(1, a + 1)], upto):
+    period = r * a
+    den = period
+    for n_k in taylor_numerators([xi(m, a, r) for m in range(1, period + 1)], n):
         d_k = Fraction(n_k, den)
         if padic_valuation(d_k, p) < 0:
             raise ArithmeticError("binomial moment escaped Z_p")
         out.append(d_k)
-        den *= a
+        den *= period
     return out
 
 

@@ -1,5 +1,6 @@
 """Exact rational arithmetic: binomials, Bernoulli numbers, Bernoulli
-polynomials, zeta values at non-positive integers, rising factorials.
+polynomials as coefficient lists, zeta values at non-positive integers,
+rising factorials.
 
 Everything here is pure and returns fully reduced ``fractions.Fraction``
 values; equality tests downstream are structural.
@@ -8,7 +9,7 @@ values; equality tests downstream are structural.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .padics import is_prime
 
@@ -20,22 +21,6 @@ def binomial(n: int, k: int) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     return Fraction(comb(n, k))
-
-
-def binomial_poly(x: Fraction | int, k: int) -> Fraction:
-    """Falling-factorial binomial x(x-1)...(x-k+1)/k!, valid for any rational x.
-
-    Agrees with binomial() on integer x >= 0 and is integer-valued on all of Z.
-    """
-    if k < 0:
-        raise ValueError("binomial_poly requires k >= 0")
-    if k == 0:
-        return Fraction(1)
-    x = Fraction(x)
-    prod = Fraction(1)
-    for i in range(k):
-        prod *= x - i
-    return prod / factorial(k)
 
 
 class BernoulliTable:
@@ -116,78 +101,12 @@ def bernoulli(k: int) -> Fraction:
     return _TABLE.get(k)
 
 
-class PolyRational:
-    """Dense polynomial over Q, coefficients ascending by degree.
-
-    Trailing zero coefficients are stripped; the zero polynomial is [].
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyRational) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"PolyRational({self.coeffs})"
-
-    def __add__(self, other: "PolyRational") -> "PolyRational":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return PolyRational(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __sub__(self, other: "PolyRational") -> "PolyRational":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "PolyRational":
-        c = Fraction(c)
-        return PolyRational([c * x for x in self.coeffs])
-
-    def __mul__(self, other: "PolyRational") -> "PolyRational":
-        if not self or not other:
-            return PolyRational([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyRational(out)
-
-    def derivative(self) -> "PolyRational":
-        return PolyRational([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift_up(self, k: int) -> "PolyRational":
-        """Multiply by t^k."""
-        return PolyRational([Fraction(0)] * k + self.coeffs)
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def bernoulli_polynomial(k: int) -> PolyRational:
-    """B_k(x) = sum_j C(k,j) B_j x^(k-j), ascending coefficients."""
+def bernoulli_polynomial(k: int) -> list[Fraction]:
+    """The coefficients of B_k(x) = sum_j C(k,j) B_j x^(k-j), ascending by
+    degree: entry i is C(k, k-i) B_(k-i), and entry k is 1."""
     if k < 0:
         raise ValueError("index must be >= 0")
-    coeffs = [Fraction(0)] * (k + 1)
-    for j in range(k + 1):
-        coeffs[k - j] = comb(k, j) * bernoulli(j)
-    return PolyRational(coeffs)
+    return [comb(k, j) * bernoulli(j) for j in range(k, -1, -1)]
 
 
 def zeta_neg(m: int) -> Fraction:
@@ -195,13 +114,6 @@ def zeta_neg(m: int) -> Fraction:
     if m < 0:
         raise ValueError("zeta_neg expects m >= 0")
     return Fraction((-1) ** m) * bernoulli(m + 1) / (m + 1)
-
-
-def zeta_one_minus(k: int) -> Fraction:
-    """zeta(1-k) = -B_k/k for k >= 2; equals zeta_neg(k-1)."""
-    if k < 2:
-        raise ValueError("zeta_one_minus requires k >= 2")
-    return -bernoulli(k) / k
 
 
 def rising_factorial(x: Fraction | int, k: int) -> Fraction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from .padics import PadicNumber, Record, angle_bracket, padic_of_rational, padic_valuation, require_primes
-from .rationals import bernoulli, bernoulli_polynomial, binomial_poly
+from .rationals import bernoulli, bernoulli_polynomial
 
 
 def kl_value(p: int, n: int) -> Fraction:
@@ -234,9 +234,11 @@ def universal_power(
             out[p] = padic_of_rational(1, p, precision)
             continue
         cutoff = precision // v + 1
-        acc = Fraction(0)
+        acc = 0
+        c = 1  # C(s, k), carried as C(s, k) = C(s, k-1)(s-k+1)/k
         for k in range(cutoff + 1):
-            acc += binomial_poly(s, k) * (n - 1) ** k
+            acc += c * (n - 1) ** k
+            c = c * (s - k) // (k + 1)
         out[p] = padic_of_rational(acc, p, precision)
     return out
 
@@ -260,8 +262,12 @@ def pq_hurwitz(
     if gcd(b, p * q) != 1:
         raise ValueError("b must be coprime to pq")
     m = 1 - n
-    # sum_k C(m, k) (F/b)^k B_k = (F/b)^m B_m(b/F)
-    acc = Fraction(F, b) ** m * bernoulli_polynomial(m)(Fraction(b, F))
+    # sum_k C(m, k) B_k y^k at y = F/b by Horner's rule: the ascending
+    # coefficients of B_m(x) are C(m, k) B_k for k = m..0
+    y = Fraction(F, b)
+    acc = Fraction(0)
+    for c in bernoulli_polynomial(m):
+        acc = acc * y + c
     if padic_valuation(acc, p) < 0 or padic_valuation(acc, q) < 0:
         raise ArithmeticError("binomial Bernoulli sum lost integrality")
     bp, bq = angle_bracket(b, p, q, precision, precision)

@@ -296,6 +296,13 @@ def test_limit_check_rejects_a_nan_or_negative_tolerance():
             limit_check("p-adic-beta", 5, 1, 1, [4], tol)
 
 
+def test_limit_check_needs_a_depth_of_at_least_zero():
+    # depth -1 leaves no state, and its all-zero residuals read as a failure
+    for target, p in (("p-adic-beta", 5), ("real-beta", None)):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            limit_check(target, p, 1, 1, [4, 8], 1e-6, depth=-1)
+
+
 def test_parse_kernel_spec():
     k = parse_kernel_spec("real-beta:alpha=2,beta=2")
     assert k.family == "real-beta"

@@ -122,6 +122,38 @@ def test_moments_command():
     assert code == 0 and "16" in out
 
 
+def test_moments_delta_row_is_the_delta_operator_at_one():
+    """The delta_n row is the n-th Taylor coefficient of Psi_r at t = 1; the
+    symbolic quotient-rule chain of the delta operator is the oracle."""
+    from fractions import Fraction
+
+    from test_measures import delta_at_one, psi_r_fraction
+
+    ns = (0, 1, 2, 5, 9, 12)
+    for a in range(2, 7):
+        for r in (1, 2, 3):
+            want = delta_at_one(*psi_r_fraction(a, r), max(ns))
+            for p in (2, 3, 5, 7, 11):
+                if a % p == 0:
+                    continue
+                for n in ns:
+                    argv = ["moments", "--a", str(a), "--r", str(r), "--mmax", "0",
+                            "--delta", str(n), "--delta-prime", str(p)]
+                    code, out = _run(argv)
+                    assert code == 0, argv
+                    row = _csv_rows(out)[-1]
+                    assert row[0] == f"delta_{n}" and Fraction(row[1]) == want[n], argv
+
+
+def test_moments_delta_usage_errors(capsys):
+    for argv, line in (
+        (["moments", "--a", "3", "--delta", "-1"], "n must be >= 0"),
+        (["moments", "--a", "3", "--delta", "2", "--delta-prime", "4"], "4 is not a prime"),
+        (["moments", "--a", "5", "--delta", "2", "--delta-prime", "5"], "a must be coprime to p"),
+    ):
+        assert _rejected(argv, capsys) == f"usage error: {line}", argv
+
+
 def test_open_set_command():
     code, out = _run(["open-set-measure", "--a", "2", "--p", "5", "--n", "1"])
     assert code == 0
@@ -298,9 +330,14 @@ def test_unreachable_float_arguments_are_usage_errors(argv, capsys):
         ["chain-limits", "--target", "p-adic-beta", "--p", "5", "--schedule", "0"],
         ["chain-limits", "--target", "real-beta", "--schedule", "0,4"],
         ["chain-limits", "--target", "real-beta", "--schedule", "4,-8"],
+        # the sup over the states i + j <= depth needs depth >= 0
+        ["chain-limits", "--target", "p-adic-beta", "--p", "5", "--depth", "-1"],
         # the inverse-chain search needs depth >= 1
         ["spq-sweep", "--p", "3", "--q", "5", "--depth", "0", "--jmax", "5"],
         ["spq-sweep", "--p", "3", "--q", "5", "--depth", "-2", "--jmax", "1"],
+        # a sweep of 2 <= j <= jmax needs jmax >= 2
+        ["spq-sweep", "--p", "3", "--q", "5", "--jmax", "-5"],
+        ["spq-sweep", "--p", "3", "--q", "5", "--jmax", "1"],
     ],
 )
 def test_a_verifier_parameter_outside_its_domain_is_a_usage_error(argv, capsys):

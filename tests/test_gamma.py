@@ -159,6 +159,15 @@ def test_membership_search_needs_depth_one():
             verify_triviality_theorem(3, 5, 5, depth=depth)
 
 
+def test_triviality_sweep_needs_j_bound_two():
+    # no j lies in 2 <= j <= j_bound, so "all excluded" would hold vacuously
+    for j_bound in (1, 0, -5):
+        with pytest.raises(ValueError, match="j_bound >= 2"):
+            verify_triviality_theorem(3, 5, j_bound)
+    report = verify_triviality_theorem(3, 5, 2)
+    assert set(report.witnesses) | set(report.undecided) == {2}
+
+
 def test_triviality_sweep_reports_witnesses_and_undecided():
     report = verify_triviality_theorem(3, 5, 30, depth=12)
     assert set(report.witnesses) | set(report.undecided) == {

@@ -5,33 +5,95 @@ from math import factorial, gcd
 import pytest
 
 from pqzeta.measures import (
-    RPrimeElement,
     binomial_moments,
-    delta_operator,
     double_moment,
     measure_on_open_set,
     measure_open_set_table,
     moment,
     open_set_closed_form,
     open_set_from_moments,
-    psi_r_rational,
     psi_r_series,
     restricted_moment,
     taylor_numerators,
     xi,
 )
 from pqzeta.padics import PadicNumber, padic_valuation
-from pqzeta.rationals import PolyRational, zeta_neg
+from pqzeta.rationals import zeta_neg
+
+# Polynomials are lists of coefficients, ascending by degree.
+
+
+def poly_add(f: list, g: list) -> list:
+    n = max(len(f), len(g))
+    return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
+
+
+def poly_mul(f: list, g: list) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
+
+
+def poly_derivative(f: list) -> list:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def poly_eval(f: list, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def delta_numerators(P: list, Q: list, upto: int) -> list[list]:
+    """The delta operator delta_k = (t^k / k!) d^k/dt^k on P/Q, symbolically:
+    entry k is the numerator of (P/Q)^(k) / k! over Q^(k+1), so that
+    delta_k(P/Q) = t^k entry_k / Q^(k+1), for k = 0..upto.
+
+    One quotient-rule chain d(P_k/Q^(k+1)) = (P_k' Q - (k+1) P_k Q')/Q^(k+2)
+    serves every k; the stability lemma says each entry is p-integral when P
+    is and Q(1) is a p-unit.
+    """
+    Qd = poly_derivative(Q)
+    out = []
+    for k in range(upto + 1):
+        out.append([Fraction(c, factorial(k)) for c in P])
+        P = poly_add(poly_mul(poly_derivative(P), Q), [-(k + 1) * c for c in poly_mul(P, Qd)])
+    return out
+
+
+def delta_at_one(P: list, Q: list, upto: int) -> list[Fraction]:
+    """(delta_k P/Q)(1) for k = 0..upto, from one derivative chain."""
+    q1 = poly_eval(Q, 1)
+    return [poly_eval(N, 1) / q1 ** (k + 1) for k, N in enumerate(delta_numerators(P, Q, upto))]
+
+
+def psi_r_fraction(a: int, r: int) -> tuple[list, list]:
+    """Psi_r = P/Q with the factor 1 - t^r of 1 - t^(ra) cancelled: the
+    denominator Q = 1 + t^r + ... + t^(r(a-1)) is a p-unit at 1 for p prime
+    to a, and P = -sum_b xi_r(br)(1 + t^r + ... + t^(r(b-1)))."""
+    P = [0] * (r * (a - 1) + 1)
+    for b in range(1, a + 1):
+        w = xi(b * r, a, r)
+        for m in range(b):
+            P[m * r] -= w
+    Q = [0] * (r * (a - 1) + 1)
+    for m in range(a):
+        Q[m * r] = 1
+    return P, Q
 
 
 def binomial_moment_expansion(a: int, k: int) -> Fraction:
     """d_k via the falling-factorial expansion of C(x, k): the textbook
     sum_m c_{k,m} (1 - a^(m+1)) zeta(-m), the oracle for ``binomial_moments``."""
-    poly = PolyRational([1])
+    poly = [1]
     for i in range(k):
-        poly = poly * PolyRational([-i, 1])
+        poly = poly_mul(poly, [-i, 1])
     acc = Fraction(0)
-    for m, c in enumerate(poly.coeffs):
+    for m, c in enumerate(poly):
         if c:
             acc += c * (1 - Fraction(a) ** (m + 1)) * zeta_neg(m)
     return acc / factorial(k)
@@ -129,37 +191,53 @@ def test_restricted_moment_a_independence():
         assert va == vb
 
 
+def test_oracle_poly_arithmetic():
+    p = [1, 2]  # 1 + 2t
+    q = [0, 0, 3]  # 3t^2
+    assert poly_mul(p, q) == [0, 0, 3, 6]
+    assert len(poly_add(p, q)) == 3  # degree 2
+    assert poly_derivative(p) == [2]
+    assert poly_derivative([7]) == []
+
+
+def test_oracle_poly_random_ring_identities():
+    rng = random.Random(11)
+    for _ in range(20):
+        a = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+        x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        assert poly_eval(poly_mul(a, b), x) == poly_eval(a, x) * poly_eval(b, x)
+        assert poly_eval(poly_add(a, b), x) == poly_eval(a, x) + poly_eval(b, x)
+
+
 def test_delta_operator():
-    psi = psi_r_rational(2, 1, 5)
-    assert delta_operator(psi, 0) is psi
-    image = delta_operator(psi, 1)
+    values = delta_at_one(*psi_r_fraction(2, 1), 2)
+    # delta_0 is the identity: Psi_1(1) = (1 - a) zeta(0)
+    assert values[0] == moment(2, 1, 0)
     # delta_1 Psi at t=1 is the first moment
-    assert image.value_at_one() == moment(2, 1, 1)
-    image2 = delta_operator(psi, 2)
-    assert image2.value_at_one() == binomial_moment_expansion(2, 2)
+    assert values[1] == moment(2, 1, 1)
+    assert values[2] == binomial_moment_expansion(2, 2)
 
 
 def test_delta_operator_stability_grid():
     rng = random.Random(3)
     for _ in range(12):
         p = rng.choice([5, 7])
-        P = PolyRational([rng.randint(-4, 4) for _ in range(3)])
-        Q = PolyRational([1 + p * rng.randint(0, 2), rng.randint(0, 3), 1])
-        if padic_valuation(Q(1), p) != 0 or not P:
+        P = [rng.randint(-4, 4) for _ in range(3)]
+        Q = [1 + p * rng.randint(0, 2), rng.randint(0, 3), 1]
+        if padic_valuation(poly_eval(Q, 1), p) != 0 or not any(P):
             continue
-        element = RPrimeElement(P, Q, p)
-        for n in (1, 2, 3):
-            image = delta_operator(element, n)
-            assert padic_valuation(image.denominator(1), p) == 0
-            for c in image.numerator.coeffs:
+        for n, image in enumerate(delta_numerators(P, Q, 3)[1:], start=1):
+            assert padic_valuation(poly_eval(Q, 1) ** (n + 1), p) == 0
+            for c in image:
                 assert padic_valuation(c, p) >= 0
 
 
 def test_delta_series_route_matches_rational_route():
-    psi = psi_r_rational(3, 2, 5)
+    values = delta_at_one(*psi_r_fraction(3, 2), 5)
     numerators = taylor_numerators([xi(n, 3, 2) for n in range(1, 7)], 5)
     for k, n_k in enumerate(numerators):
-        assert delta_operator(psi, k).value_at_one() == Fraction(n_k, 6 ** (k + 1)), k
+        assert values[k] == Fraction(n_k, 6 ** (k + 1)), k
 
 
 # a in {2, 3, 4, 6} against p in {5, 7, 11}, skipping the pairs with p | a
@@ -174,10 +252,7 @@ def test_binomial_moments_match_expansion():
 
 def test_binomial_moments_match_delta_operator():
     """The Taylor-at-1 division against the paper's delta operator at t = 1."""
-    routes = {}
-    for a in (2, 3, 4, 6):
-        psi = psi_r_rational(a, 1, 5)
-        routes[a] = [delta_operator(psi, k).value_at_one() for k in range(41)]
+    routes = {a: delta_at_one(*psi_r_fraction(a, 1), 40) for a in (2, 3, 4, 6)}
     for a, p in MOMENT_GRID:
         assert binomial_moments(a, p, 40) == routes[a], (a, p)
 

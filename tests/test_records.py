@@ -13,16 +13,11 @@ from pqzeta.analytic import EulerProductReport
 from pqzeta.chains import ChainKernel, LayerDistribution, LimitReport, kernel_real_beta
 from pqzeta.gamma import ContinuityReport, ExclusionWitness, TrivialityReport
 from pqzeta.mahler import DecayReport, MahlerSeries
-from pqzeta.measures import OpenSetMeasure, RPrimeElement
+from pqzeta.measures import OpenSetMeasure
 from pqzeta.padics import PadicNumber, Record
-from pqzeta.rationals import PolyRational
 from pqzeta.zetabranch import CongruenceResult, DoubleBranch, KLBranch
 
 _STEP = kernel_real_beta(2, 2).step
-
-
-def _poly(*coeffs):
-    return PolyRational([Fraction(c) for c in coeffs])
 
 
 # (class, fields of a valid record as a fresh dict, {field: a different valid value})
@@ -54,9 +49,6 @@ CASES = [
     (DecayReport,
      lambda: dict(ok=False, s=2, t=1, upto=16, violation=(4, 1, 0)),
      dict(ok=True, s=3, t=0, upto=17, violation=None)),
-    (RPrimeElement,
-     lambda: dict(numerator=_poly(-1, 0, -1), denominator=_poly(1, 1, 1), p=5, q_power=1),
-     dict(numerator=_poly(1, 2), denominator=_poly(1, 0, 1), p=7, q_power=2)),
     (OpenSetMeasure,
      lambda: dict(a=2, p=5, n=1, b=3, series_sum=Fraction(-1, 4), certified_digits=7,
                   conjectured=Fraction(1, 4), value=PadicNumber(5, 0, 2, 4)),
@@ -76,7 +68,7 @@ _IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
 def test_every_record_is_a_slotted_record():
-    assert len(CASES) == 14
+    assert len(CASES) == 13
     for cls, fields, other in CASES:
         assert issubclass(cls, Record) and not hasattr(cls(**fields()), "__dict__"), cls
         assert set(other) <= set(cls.__slots__), cls
@@ -133,8 +125,6 @@ def test_positional_and_keyword_construction_agree():
         lambda: DoubleBranch(p=3, q=7, sigma0=0),
         lambda: DoubleBranch(p=5, q=5, sigma0=0),
         lambda: DoubleBranch(p=5, q=7, sigma0=0, pole=True),
-        lambda: RPrimeElement(_poly(Fraction(1, 5)), _poly(1), 5),  # a coefficient outside Z_5
-        lambda: RPrimeElement(_poly(1), _poly(4, 1), 5),  # Q(1) = 5 is not a 5-unit
     ],
 )
 def test_validating_constructors_raise(build):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -236,6 +237,32 @@ def test_universal_power_negative_exponent():
         assert out[p].residue(3) == direct
 
 
+def falling_binomial(x, k: int) -> Fraction:
+    """x(x-1)...(x-k+1)/k!, the binomial coefficient C(x, k) for any rational x."""
+    prod = Fraction(1)
+    for i in range(k):
+        prod *= Fraction(x) - i
+    return prod / factorial(k)
+
+
+def test_universal_power_carries_the_integer_binomial():
+    """The series sum_k C(s, k)(n-1)^k carries C(s, k) as an integer from term
+    to term; it must equal the falling-factorial binomial for every integer s,
+    negative ones included."""
+    assert falling_binomial(-1, 2) == 1  # (-1)(-2)/2
+    assert falling_binomial(Fraction(9, 7), 0) == 1
+    assert falling_binomial(3, 2) == comb(3, 2)
+    assert falling_binomial(-3, 4) == comb(6, 4)  # integer-valued on negative integers too
+    primes = (2, 3, 5, 7)
+    for s in range(-30, 31):
+        for n, N in ((211, 4), (421, 3), (841, 5)):
+            out = universal_power(n, s, primes, N)
+            for p in primes:
+                terms = N // padic_valuation(n - 1, p) + 2
+                series = sum(falling_binomial(s, k) * (n - 1) ** k for k in range(terms))
+                assert out[p] == padic_of_rational(series, p, N), (n, s, p)
+
+
 def test_universal_power_continuity():
     n = 211
     for p in (2, 3, 5, 7):
@@ -276,11 +303,9 @@ def test_pq_hurwitz_p_side_matches_single_prime_recomputation():
                 continue
             vp, _ = pq_hurwitz(n, b, F, p, q, 2)
             m = 1 - n
-            from pqzeta.rationals import bernoulli, binomial_poly
+            from pqzeta.rationals import bernoulli
 
-            acc = sum(
-                binomial_poly(m, k) * Fraction(F, b) ** k * bernoulli(k) for k in range(m + 1)
-            )
+            acc = sum(comb(m, k) * Fraction(F, b) ** k * bernoulli(k) for k in range(m + 1))
             wp = teichmuller(b, p, 2).unit
             bracket = b * pow(wp, -1, p**2) % p**2
             single = (
