@@ -225,7 +225,8 @@ class LimitReport(Record):
 
     @property
     def decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.residuals, self.residuals[1:]))
+        """Each residual below the one before, or both exactly 0 (exact agreement)."""
+        return all(b < a or a == b == 0 for a, b in zip(self.residuals, self.residuals[1:]))
 
     @property
     def final_ok(self) -> bool:

@@ -274,35 +274,30 @@ def evaluate_mahler(series: MahlerSeries, x):
     return _reduce(total, p, known)
 
 
-def characteristic_rows(p: int, n: int, upto: int):
-    """Yield, for k = 0..upto, the Mahler coefficients a_k(b) of the indicators
-    of all classes b mod p^n at once, as one list indexed by b.
+def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list[int]:
+    """Integer Mahler coefficients a_k(b), k = 0..upto, of the indicator of
+    the class b mod p^n.
 
     a_k(b) = sum over j <= k with j = b mod p^n of (-1)^(k-j) C(k, j).  Pascal's
     rule C(k, j) = C(k-1, j-1) + C(k-1, j), summed over a class and folded mod
-    p^n, gives a_k(b) = a_(k-1)(b-1) - a_(k-1)(b) with b - 1 taken mod p^n,
-    starting from a_0 = the indicator of b = 0.  Each row is therefore O(p^n)
-    exact integer operations instead of a Pascal row of length k.  No class
-    b > upto holds a j <= upto, so when p^n > upto + 1 a row stops after
-    b = upto (the entries past it are all zero) and the fold reads a zero.
-    Every yielded row is a fresh list.
+    p^n, gives a_k(c) = a_(k-1)(c-1) - a_(k-1)(c) with c - 1 taken mod p^n,
+    starting from a_0 = the indicator of c = 0.  Each row of all classes c is
+    therefore O(p^n) exact integer operations instead of a Pascal row of
+    length k.  No class c > upto holds a j <= upto, so when p^n > upto + 1 a
+    row stops after c = upto (the entries past it are all zero) and the fold
+    reads a zero.
     """
-    width = min(p**n, upto + 1)
-    row = [1] + [0] * (width - 1)
-    yield row
-    for _ in range(upto):
-        row = [row[b - 1] - row[b] for b in range(width)]
-        yield row
-
-
-def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list[int]:
-    """Integer Mahler coefficients of the indicator of b mod p^n, for all k <= upto:
-    column b of ``characteristic_rows``."""
     if not 0 <= b < p**n:
         raise ValueError("need 0 <= b < p^n")
     if b > upto:
         return [0] * (upto + 1)
-    return [row[b] for row in characteristic_rows(p, n, upto)]
+    width = min(p**n, upto + 1)
+    row = [1] + [0] * (width - 1)
+    coeffs = [row[b]]
+    for _ in range(upto):
+        row = [row[c - 1] - row[c] for c in range(width)]
+        coeffs.append(row[b])
+    return coeffs
 
 
 def characteristic_mahler(b: int, n: int, p: int, upto: int) -> MahlerSeries:

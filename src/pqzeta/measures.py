@@ -8,11 +8,12 @@ removable, and ``taylor_numerators`` is the one series division that expands
 it there: its Taylor coefficients d_k = [T^k] F(1 + T) are the binomial
 moments, the integrals of C(x, k) (Mahler's theorem).
 
-Every other moment is a Mahler pairing against the d_k: x^m pairs with its
+Every moment is a Mahler pairing against the d_k: x^m pairs with its
 forward differences D^k(x^m)(0), which gives the monomial moments of Psi_r,
 of the two-prime measure and of its restriction to the p-units (the unit
-indicator twists the weights), and the indicator of b + p^n Z_p pairs with
-the rows of ``mahler.characteristic_rows``.
+indicator twists the weights).  ``xi_weights`` builds every weight list and
+alone checks a and r.  The measure of b + p^n Z_p needs no pairing: one
+period of xi_1 gives it exactly (``measure_on_open_set``).
 """
 
 from __future__ import annotations
@@ -20,20 +21,27 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .mahler import _differences, _reduce, characteristic_coefficients_exact, characteristic_rows
+from .mahler import _differences, _reduce, characteristic_coefficients_exact
 from .padics import PadicNumber, Record, padic_valuation, require_primes
 from .rationals import zeta_neg
 
 
 def xi(n: int, a: int, r: int) -> int:
     """The periodic weight: 0 off multiples of r, 1 - a on multiples of ra, else 1."""
-    if a < 2 or r < 1:
-        raise ValueError("need a >= 2 and r >= 1")
     if n % r:
         return 0
     if n % (r * a) == 0:
         return 1 - a
     return 1
+
+
+def xi_weights(a: int, r: int) -> list[int]:
+    """One period of the weights, [xi_r(1), ..., xi_r(ra)], for a >= 2 and
+    r >= 1 (else ``ValueError``): the only check of a and r, made before
+    any weight is built."""
+    if a < 2 or r < 1:
+        raise ValueError("need a >= 2 and r >= 1")
+    return [xi(n, a, r) for n in range(1, r * a + 1)]
 
 
 def taylor_numerators(weights: list[int], upto: int) -> list[int]:
@@ -90,9 +98,8 @@ def psi_r_series(a: int, r: int, order: int) -> list[Fraction]:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    weights = [xi(n, a, r) for n in range(1, r * a + 1)]
     out = []
-    for m, lhs in enumerate(_monomial_moments(weights, order)):
+    for m, lhs in enumerate(_monomial_moments(xi_weights(a, r), order)):
         rhs = (1 - a ** (m + 1)) * r**m * zeta_neg(m)
         if lhs != rhs:
             raise ArithmeticError(f"moment mismatch at (a={a}, r={r}, m={m}): {lhs} != {rhs}")
@@ -137,7 +144,7 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
         raise ValueError("a must be coprime to pq")
 
     def unit_twist(r: int) -> Fraction:
-        weights = [xi(n, a, r) if n % p else 0 for n in range(1, a * r * p + 1)]
+        weights = [w if n % p else 0 for n, w in enumerate(xi_weights(a, r) * p, start=1)]
         return _monomial_moments(weights, m)[m]
 
     twisted = unit_twist(1) - unit_twist(q)
@@ -175,9 +182,9 @@ def binomial_moments(a: int, p: int, n: int, r: int = 1) -> list[Fraction]:
     if n < 0:
         raise ValueError("n must be >= 0")
     out = []
-    period = r * a
-    den = period
-    for n_k in taylor_numerators([xi(m, a, r) for m in range(1, period + 1)], n):
+    weights = xi_weights(a, r)
+    period = den = len(weights)
+    for n_k in taylor_numerators(weights, n):
         d_k = Fraction(n_k, den)
         if padic_valuation(d_k, p) < 0:
             raise ArithmeticError("binomial moment escaped Z_p")
@@ -200,8 +207,8 @@ class OpenSetMeasure(Record):
         self.p = p
         self.n = n
         self.b = b
-        self.series_sum = series_sum  # exact partial sum of sum_k a_k(b, n) d_k
-        self.certified_digits = certified_digits  # the tail is certified below p^(-certified_digits)
+        self.series_sum = series_sum  # the exact sum of the whole series sum_k a_k(b, n) d_k
+        self.certified_digits = certified_digits  # the digits that ``value`` keeps
         self.conjectured = conjectured  # the floor-formula value
         self.value = value
 
@@ -209,60 +216,53 @@ class OpenSetMeasure(Record):
         return padic_valuation(self.series_sum - self.conjectured, self.p) >= digits
 
 
-def measure_open_set_table(
-    a: int, p: int, n: int, target_digits: int = 4, guard: int = 3
-) -> dict[int, OpenSetMeasure]:
-    """Open-set values for every residue b mod p^n at once.
+def measure_on_open_set(
+    a: int, p: int, n: int, b: int, target_digits: int = 4, guard: int = 3
+) -> OpenSetMeasure:
+    """Measure of b + p^n Z_p, exactly, with ``value`` its reduction at
+    target_digits + guard digits.
 
-    Truncation follows the indicator's decay certificate: with
-    L = (target_digits + guard) * p^n terms the dropped tail is below
-    p^-(target_digits + guard).  The pairing sum_k a_k(b) d_k runs in integers
-    over the common denominator a^(L+1) of the d_k, one indicator row of
-    ``characteristic_rows`` per k feeding all residues.
+    The part of Psi_1 on the class is sum_j c_j t^(b + j p^n) with
+    c_j = xi_1(b + j p^n), j >= 0 (j >= 1 for b = 0, as Psi_1 starts at
+    t^1).  Since a is prime to p, c has period a in j and zero period sum,
+    so its value at t = 1 is -(1/a) sum_j j c_j over one period: O(a)
+    integer work.  It is the regularized Bernoulli distribution E_{1,a}
+    at -b (Washington, Cyclotomic Fields, section 12.1), and equals the
+    Mahler pairing sum_k a_k(b, n) d_k of ``open_set_from_moments``.
     """
     require_primes(p)
     if n < 0 or target_digits < 0:
         raise ValueError("need n >= 0 and target_digits >= 0")
     pn = p**n
-    upto = (target_digits + guard) * pn
-    d = binomial_moments(a, p, upto)
-    # each d_k = N_k / a^(k+1), so every denominator divides a^(upto+1)
-    den = a ** (upto + 1)
-    scaled = [d_k.numerator * (den // d_k.denominator) for d_k in d]
-    sums = [0] * pn
-    for row, s_k in zip(characteristic_rows(p, n, upto), scaled):
-        if s_k:
-            for b, c in enumerate(row):
-                if c:
-                    sums[b] += c * s_k
-    certified = target_digits + guard
-    out = {}
-    for b in range(pn):
-        series_sum = Fraction(sums[b], den)
-        out[b] = OpenSetMeasure(
-            a=a,
-            p=p,
-            n=n,
-            b=b,
-            series_sum=series_sum,
-            certified_digits=certified,
-            conjectured=open_set_closed_form(a, p, n, b),
-            value=_reduce(series_sum, p, certified),
-        )
-    return out
-
-
-def measure_on_open_set(
-    a: int, p: int, n: int, b: int, target_digits: int = 4, guard: int = 3
-) -> OpenSetMeasure:
-    """Measure of b + p^n Z_p by the truncated Mahler pairing sum_k a_k(b,n) d_k.
-
-    The entry b of ``measure_open_set_table``: one column of the indicator
-    recurrence already costs every row of it.
-    """
-    if not 0 <= b < p**n:
+    if not 0 <= b < pn:
         raise ValueError("need 0 <= b < p^n")
-    return measure_open_set_table(a, p, n, target_digits, guard)[b]
+    if gcd(a, p) != 1:
+        raise ValueError("a must be coprime to p")
+    weights = xi_weights(a, 1)  # weights[i] = xi_1(i + 1), of period a
+    start = 0 if b else 1
+    total = sum(j * weights[(b + j * pn - 1) % a] for j in range(start, start + a))
+    series_sum = Fraction(-total, a)
+    certified = target_digits + guard
+    return OpenSetMeasure(
+        a=a,
+        p=p,
+        n=n,
+        b=b,
+        series_sum=series_sum,
+        certified_digits=certified,
+        conjectured=open_set_closed_form(a, p, n, b),
+        value=_reduce(series_sum, p, certified),
+    )
+
+
+def measure_open_set_table(
+    a: int, p: int, n: int, target_digits: int = 4, guard: int = 3
+) -> dict[int, OpenSetMeasure]:
+    """``measure_on_open_set`` for every residue b mod p^n."""
+    table = {0: measure_on_open_set(a, p, n, 0, target_digits, guard)}  # checks p and n before p^n
+    for b in range(1, p**n):
+        table[b] = measure_on_open_set(a, p, n, b, target_digits, guard)
+    return table
 
 
 def open_set_from_moments(moments: list[Fraction], p: int, n: int, b: int) -> Fraction:

@@ -13,6 +13,7 @@ from pqzeta.chains import (
     kernel_q_gamma,
     kernel_real_beta,
     kernel_u_gamma,
+    LimitReport,
     layer_inner_product,
     limit_check,
     lowering_operator,
@@ -297,7 +298,7 @@ def test_limit_check_rejects_a_nan_or_negative_tolerance():
 
 
 def test_limit_check_needs_a_depth_of_at_least_zero():
-    # depth -1 leaves no state, and its all-zero residuals read as a failure
+    # depth -1 leaves no state, so its all-zero residuals would check nothing
     for target, p in (("p-adic-beta", 5), ("real-beta", None)):
         with pytest.raises(ValueError, match="depth must be >= 0"):
             limit_check(target, p, 1, 1, [4, 8], 1e-6, depth=-1)
@@ -322,3 +323,17 @@ def test_float_mode_row_sums():
     for i in range(4):
         for j in range(4):
             assert abs(row_sum(k, (i, j)) - 1.0) < 1e-12
+
+
+def test_exact_agreement_reads_as_converged():
+    # depth 0 keeps the one state (0, 0), which agrees exactly for every N
+    report = limit_check("p-adic-beta", 5, 1, 1, [4, 8, 16, 32], 1e-6, depth=0)
+    assert report.residuals == [0.0] * 4 and report.decreasing and report.ok
+    for residuals, decreasing in (
+        ([0.5, 0.0, 0.0], True),
+        ([0.5, 0.25], True),
+        ([0.5, 0.5], False),  # flat but nonzero
+        ([0.0, 0.5], False),
+        ([0.25, 0.5], False),
+    ):
+        assert LimitReport("p-adic-beta", [4] * len(residuals), residuals, 1e-6).decreasing is decreasing

@@ -154,6 +154,30 @@ def test_moments_delta_usage_errors(capsys):
         assert _rejected(argv, capsys) == f"usage error: {line}", argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no weight list exists for r < 1 or a < 2; each used to print the
+        # error row Fraction(0, 0) and exit 1, or a value from no weights
+        *(["moments", "--a", "3", "--r", r, *mode] for r in ("0", "-2")
+          for mode in ((), ("--restricted",), ("--delta", "3"))),
+        *(["moments", "--a", "-3", *mode]
+          for mode in ((), ("--pair", "5,7"), ("--pair", "5,7", "--restricted"), ("--restricted",),
+                       ("--delta", "3"))),
+        ["open-set-measure", "--a", "-2", "--p", "5", "--n", "0"],
+        ["open-set-measure", "--a", "-2", "--p", "5", "--n", "1"],
+    ],
+)
+def test_a_and_r_outside_their_domain_are_usage_errors(argv, capsys):
+    assert _rejected(argv, capsys) == "usage error: need a >= 2 and r >= 1", argv
+
+
+def test_chain_limits_exact_agreement_exits_0():
+    code, out = _run(["chain-limits", "--target", "p-adic-beta", "--p", "5", "--depth", "0"])
+    assert code == 0
+    assert _csv_rows(out)[1:] == [[str(n), "0.000000000000e+00"] for n in (4, 8, 16, 32)] + [["ok", "True"]]
+
+
 def test_open_set_command():
     code, out = _run(["open-set-measure", "--a", "2", "--p", "5", "--n", "1"])
     assert code == 0

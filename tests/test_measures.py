@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, floor, gcd
 
 import pytest
 
@@ -16,6 +16,7 @@ from pqzeta.measures import (
     restricted_moment,
     taylor_numerators,
     xi,
+    xi_weights,
 )
 from pqzeta.padics import PadicNumber, padic_valuation
 from pqzeta.rationals import zeta_neg
@@ -115,6 +116,18 @@ def open_set_twist_value(a: int, p: int, n: int, b: int) -> Fraction:
     period = a * pn
     weights = [xi(m, a, 1) if m % pn == b else 0 for m in range(1, period + 1)]
     return Fraction(taylor_numerators(weights, 0)[0], period)
+
+
+def regularized_bernoulli(a: int, p: int, n: int, b: int) -> Fraction:
+    """E_{1,a} at -b on b + p^n Z_p: B1(-b/p^n) - a B1(-(a^-1 b mod p^n)/p^n)
+    with the periodic B1(y) = {y} - 1/2 (Washington, Cyclotomic Fields,
+    section 12.1), the closed form of the measure on the class."""
+    pn = p**n
+
+    def b1(y: Fraction) -> Fraction:
+        return y - floor(y) - Fraction(1, 2)
+
+    return b1(Fraction(-b, pn)) - a * b1(Fraction(-(pow(a, -1, pn) * b % pn), pn))
 
 
 def test_xi_cases():
@@ -263,13 +276,23 @@ def test_binomial_moments_bounded():
             assert padic_valuation(dk, p) >= 0, k
 
 
+# a in {2, 3, 4, 6, 7} against p in {2, 3, 5, 7, 11} prime to it, n <= 2 with p^n <= 130
+OPEN_SET_GRID = [
+    (a, p, n) for a in (2, 3, 4, 6, 7) for p in (2, 3, 5, 7, 11) if a % p for n in (0, 1, 2) if p**n <= 130
+]
+
+
 def test_open_set_series_matches_twist_oracle():
-    for a, p, n in ((2, 5, 1), (3, 5, 1), (2, 7, 1), (3, 7, 1)):
-        table = measure_open_set_table(a, p, n, target_digits=4)
-        for b, entry in table.items():
-            oracle = open_set_twist_value(a, p, n, b)
-            v = padic_valuation(entry.series_sum - oracle, p)
-            assert v >= entry.certified_digits, (a, p, n, b, v)
+    """The exact value of the whole series, b = 0 included, against the
+    twisted-weight route and the regularized Bernoulli distribution."""
+    for a, p, n in OPEN_SET_GRID:
+        for digits in (0, 2, 4, 6):
+            table = measure_open_set_table(a, p, n, target_digits=digits)
+            assert sorted(table) == list(range(p**n)), (a, p, n)
+            for b, entry in table.items():
+                assert entry.certified_digits == digits + 3
+                assert entry.series_sum == open_set_twist_value(a, p, n, b), (a, p, n, b)
+                assert entry.series_sum == regularized_bernoulli(a, p, n, b), (a, p, n, b)
 
 
 def test_open_set_whole_space():
@@ -283,15 +306,12 @@ def test_open_set_additivity():
     for a, p in ((2, 5), (3, 7)):
         level1 = measure_open_set_table(a, p, 1, target_digits=4)
         whole = measure_on_open_set(a, p, 0, 0, target_digits=4)
-        total = sum(entry.series_sum for entry in level1.values())
-        v = padic_valuation(total - whole.series_sum, p)
-        assert v >= whole.certified_digits
+        assert sum(entry.series_sum for entry in level1.values()) == whole.series_sum
         # and level 2 refines level 1
         level2 = measure_open_set_table(a, p, 2, target_digits=4)
         for b in range(p):
             refined = sum(level2[c].series_sum for c in range(p * p) if c % p == b)
-            v = padic_valuation(refined - level1[b].series_sum, p)
-            assert v >= 4
+            assert refined == level1[b].series_sum, (a, p, b)
 
 
 def test_open_set_conjectured_floor_form_is_not_the_series_value():
@@ -316,20 +336,23 @@ def test_open_set_from_moments_uniqueness():
 
 
 def test_open_set_table_matches_fraction_pairing():
-    """The table's integer common-denominator pairing equals the plain
-    Fraction pairing of open_set_from_moments, exactly."""
+    """The truncated Mahler pairing of open_set_from_moments against
+    L = 7 p^n binomial moments agrees with the exact value at every
+    certified digit: its dropped tail is below p^-(4 + 3)."""
     for a in (2, 3):
         for p in (5, 7):
             for n in (0, 1, 2):
                 table = measure_open_set_table(a, p, n, target_digits=4, guard=3)
                 d = binomial_moments(a, p, 7 * p**n)
                 for b, entry in table.items():
-                    assert entry.series_sum == open_set_from_moments(d, p, n, b), (a, p, n, b)
+                    pairing = open_set_from_moments(d, p, n, b)
+                    v = padic_valuation(entry.series_sum - pairing, p)
+                    assert v >= entry.certified_digits == 7, (a, p, n, b, v)
 
 
 def test_open_set_zero_partial_sum_is_not_exact():
-    # for a = 7, p = 2, n = 1 the truncated sum for b = 1 happens to be 0 at
-    # 4 digits; only 4 + 3 digits are certified, so the value is O(2^7)
+    # for a = 7, p = 2, n = 1 the exact value for b = 1 is 0; the value
+    # keeps only the 4 + 3 certified digits, so it prints O(2^7), not 0
     entry = measure_open_set_table(7, 2, 1, target_digits=4)[1]
     assert entry.series_sum == 0
     assert entry.value == PadicNumber.zero_mod(2, 7)
@@ -344,6 +367,22 @@ def test_measure_on_open_set_is_the_table_entry():
         measure_on_open_set(3, 5, 1, 5)
     with pytest.raises(ValueError):
         measure_on_open_set(5, 5, 1, 0)
+
+
+def test_a_and_r_are_checked_before_any_weight():
+    assert xi_weights(3, 2) == [0, 1, 0, 1, 0, -2]
+    for call in (
+        lambda: xi_weights(1, 1),
+        lambda: psi_r_series(3, 0, 2),
+        lambda: moment(-3, 1, 1),
+        lambda: binomial_moments(3, 5, 2, r=-2),
+        lambda: double_moment(-3, 5, 7, 1),
+        lambda: restricted_moment(-3, 5, 7, 1),
+        lambda: measure_on_open_set(-2, 5, 0, 0),
+        lambda: measure_open_set_table(-2, 5, 1),
+    ):
+        with pytest.raises(ValueError, match=r"need a >= 2 and r >= 1"):
+            call()
 
 
 def test_open_set_closed_form_shape():
