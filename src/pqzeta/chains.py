@@ -230,7 +230,7 @@ class LimitReport(Record):
 
     @property
     def final_ok(self) -> bool:
-        return self.residuals[-1] < self.tol
+        return self.residuals[-1] <= self.tol
 
     @property
     def ok(self) -> bool:

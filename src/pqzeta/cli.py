@@ -90,7 +90,7 @@ def _cmd_zeta_neg(args):
     from . import rationals
     if args.one_minus is not None:
         if args.one_minus < 2:
-            raise ValueError("zeta_one_minus requires k >= 2")
+            raise ValueError(f"--one-minus needs k >= 2, got {args.one_minus}")
         return 0, [{"k": args.one_minus, "zeta(1-k)": rationals.zeta_neg(args.one_minus - 1)}]
     return 0, [{"m": args.m, "zeta(-m)": rationals.zeta_neg(args.m)}]
 
@@ -516,7 +516,7 @@ def _cmd_theta_check(args):
         worst = max(worst, residual)
         rows.append({"x": _float(x), "residual": _float(residual)})
         x *= args.step
-    ok = worst < args.tol
+    ok = worst <= args.tol
     rows.append({"x": "worst", "residual": _float(worst)})
     return (0 if ok else 1), rows
 
@@ -536,8 +536,8 @@ def _cmd_lambda_check(args):
         if s >= 2:
             cross = abs(lhs - analytic.completed_zeta_dirichlet(s))
             row["dirichlet_residual"] = _float(cross)
-            ok = ok and cross < args.tol
-        ok = ok and residual < args.tol
+            ok = ok and cross <= args.tol
+        ok = ok and residual <= args.tol
         rows.append(row)
     if args.euler:
         rep = analytic.euler_product_check(2.0, 10**4, 10**5)

@@ -28,8 +28,6 @@ from .padics import (
 
 
 def _window(f, upto: int) -> list:
-    if callable(f):
-        return [f(k) for k in range(upto + 1)]
     vals = list(f)
     if len(vals) < upto + 1:
         raise ValueError(f"window too short: need values on [0, {upto}]")

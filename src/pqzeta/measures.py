@@ -11,9 +11,11 @@ moments, the integrals of C(x, k) (Mahler's theorem).
 Every moment is a Mahler pairing against the d_k: x^m pairs with its
 forward differences D^k(x^m)(0), which gives the monomial moments of Psi_r,
 of the two-prime measure and of its restriction to the p-units (the unit
-indicator twists the weights).  ``xi_weights`` builds every weight list and
-alone checks a and r.  The measure of b + p^n Z_p needs no pairing: one
-period of xi_1 gives it exactly (``measure_on_open_set``).
+indicator twists the weights), each checked against its closed form
+(1 - a^(m+1)) times r^m zeta_neg(m), zeta_neg(m, (q,)) or zeta_neg(m, (p, q)).
+``xi_weights`` builds every weight list and alone checks a and r.  The
+measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
+(``measure_on_open_set``).
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
     value = moment(a, 1, m) - moment(a, q, m)
-    expected = (1 - Fraction(a) ** (m + 1)) * (1 - Fraction(q) ** m) * zeta_neg(m)
+    expected = (1 - a ** (m + 1)) * zeta_neg(m, (q,))
     if value != expected:
         raise ArithmeticError("double moment disagrees with its closed form")
     if padic_valuation(value, p) < 0:
@@ -148,12 +150,7 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
         return _monomial_moments(weights, m)[m]
 
     twisted = unit_twist(1) - unit_twist(q)
-    closed = (
-        (1 - Fraction(a) ** (m + 1))
-        * (1 - Fraction(p) ** m)
-        * (1 - Fraction(q) ** m)
-        * zeta_neg(m)
-    )
+    closed = (1 - a ** (m + 1)) * zeta_neg(m, (p, q))
     if twisted != closed:
         raise ArithmeticError(
             f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})"

@@ -1,6 +1,6 @@
 """Exact rational arithmetic: binomials, Bernoulli numbers, Bernoulli
-polynomials as coefficient lists, zeta values at non-positive integers,
-rising factorials.
+polynomials as coefficient lists, zeta values at non-positive integers with
+the Euler factors at a tuple of primes removed, rising factorials.
 
 Everything here is pure and returns fully reduced ``fractions.Fraction``
 values; equality tests downstream are structural.
@@ -109,11 +109,16 @@ def bernoulli_polynomial(k: int) -> list[Fraction]:
     return [comb(k, j) * bernoulli(j) for j in range(k, -1, -1)]
 
 
-def zeta_neg(m: int) -> Fraction:
-    """zeta(-m) = (-1)^m B_{m+1}/(m+1); zeta(0) = -1/2, zeta(-2k) = 0 for k >= 1."""
+def zeta_neg(m: int, primes: tuple[int, ...] = ()) -> Fraction:
+    """prod_{l in primes} (1 - l^m) * zeta(-m), zeta(-m) = (-1)^m B_{m+1}/(m+1):
+    zeta with the Euler factors at primes removed, so ``(p,)`` gives zeta_p(-m)
+    and ``(p, q)`` gives zeta_{p,q}(-m); each factor vanishes at m = 0."""
     if m < 0:
         raise ValueError("zeta_neg expects m >= 0")
-    return Fraction((-1) ** m) * bernoulli(m + 1) / (m + 1)
+    factor = (-1) ** m
+    for ell in primes:
+        factor *= 1 - ell**m
+    return factor * bernoulli(m + 1) / (m + 1)
 
 
 def rising_factorial(x: Fraction | int, k: int) -> Fraction:

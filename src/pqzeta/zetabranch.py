@@ -1,7 +1,8 @@
-"""Zeta branches: single-prime interpolation of -(1 - p^(n-1)) B_n / n along
-congruence classes mod (p-1), the two-prime analogue along classes mod
-(p-1)(q-1), Kummer congruence verifiers, the everywhere-interpolable power
-function, and the two-prime Hurwitz values.
+"""Zeta branches: single-prime interpolation of zeta_neg(n - 1, (p,)) along
+congruence classes mod (p-1), the two-prime analogue zeta_neg(n - 1, (p, q))
+along classes mod (p-1)(q-1), one Kummer congruence verifier for one or two
+primes, the everywhere-interpolable power function, and the two-prime
+Hurwitz values.
 """
 
 from __future__ import annotations
@@ -10,27 +11,22 @@ from fractions import Fraction
 from math import gcd
 
 from .padics import PadicNumber, Record, angle_bracket, padic_of_rational, padic_valuation, require_primes
-from .rationals import bernoulli, bernoulli_polynomial
+from .rationals import bernoulli_polynomial, zeta_neg
 
 
 def kl_value(p: int, n: int) -> Fraction:
     """zeta_p(1-n) = -(1 - p^(n-1)) B_n / n for n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
+    return zeta_neg(n - 1, (p,))
 
 
 def double_value(p: int, q: int, n: int) -> Fraction:
     """zeta_{p,q}(1-n) = (1 - p^(n-1))(1 - q^(n-1)) * (-B_n/n) for n >= 2."""
     require_primes(p, q)
-    return _double_value(p, q, n)
-
-
-def _double_value(p: int, q: int, n: int) -> Fraction:
-    """``double_value`` for primes checked by the caller."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return (1 - Fraction(p) ** (n - 1)) * (1 - Fraction(q) ** (n - 1)) * (-bernoulli(n) / n)
+    return zeta_neg(n - 1, (p, q))
 
 
 class HypothesisError(ValueError):
@@ -52,32 +48,32 @@ def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
     Hypotheses: (p-1) does not divide i, and i = j mod p^n (p-1); violations
     raise HypothesisError so they cannot masquerade as congruence failures.
     """
-    require_primes(p)
-    if i < 2 or j < 2:
-        raise HypothesisError("need i, j >= 2")
-    if i % (p - 1) == 0:
-        raise HypothesisError(f"(p-1) divides i = {i}")
-    if (i - j) % (p**n * (p - 1)) != 0:
-        raise HypothesisError(f"i != j mod p^n(p-1) for n={n}")
-    diff = kl_value(p, i) - kl_value(p, j)
-    v = padic_valuation(diff, p)
-    return CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
+    return _kummer((p,), i, j, n)[p]
 
 
 def extended_kummer_check(p: int, q: int, i: int, j: int, n: int) -> dict[int, CongruenceResult]:
     """Two-prime congruence on (1-p^(.-1))(1-q^(.-1))B_./., mod p^(n+1) and q^(n+1)."""
-    require_primes(p, q)
+    return _kummer((p, q), i, j, n)
+
+
+def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, CongruenceResult]:
+    """v_l of zeta_neg(i-1, primes) - zeta_neg(j-1, primes) against n+1, per l
+    in primes, under the hypotheses i, j >= 2, then (l-1) not dividing i for
+    every l, then i = j mod l^n (l-1) for every l (else HypothesisError)."""
+    require_primes(*primes)
     if i < 2 or j < 2:
         raise HypothesisError("need i, j >= 2")
-    if i % (p - 1) == 0 or i % (q - 1) == 0:
-        raise HypothesisError("neither (p-1) nor (q-1) may divide i")
-    if (i - j) % (p**n * (p - 1)) != 0 or (i - j) % (q**n * (q - 1)) != 0:
-        raise HypothesisError("i != j mod p^n(p-1) and q^n(q-1)")
-    diff = _double_value(p, q, i) - _double_value(p, q, j) if i != j else Fraction(0)
+    for ell in primes:
+        if i % (ell - 1) == 0:
+            raise HypothesisError(f"{ell} - 1 divides i = {i}")
+    for ell in primes:
+        if (i - j) % (ell**n * (ell - 1)) != 0:
+            raise HypothesisError(f"i != j mod {ell}^{n} ({ell} - 1)")
+    diff = zeta_neg(i - 1, primes) - zeta_neg(j - 1, primes)
     out = {}
-    for prime in (p, q):
-        v = padic_valuation(diff, prime)
-        out[prime] = CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
+    for ell in primes:
+        v = padic_valuation(diff, ell)
+        out[ell] = CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
     return out
 
 
@@ -203,9 +199,7 @@ def double_branch_eval(
     if branch.pole and sigma == 0:
         raise ZeroDivisionError("pole branch at sigma = 0")
     p, q = branch.p, branch.q
-    k = branch.sigma0 + sigma * (p - 1) * (q - 1)
-    # at k = 0 both Euler factors vanish
-    value = _double_value(p, q, k + 1) if k else Fraction(0)
+    value = zeta_neg(branch.sigma0 + sigma * (p - 1) * (q - 1), (p, q))
     return (
         padic_of_rational(value, p, precision),
         padic_of_rational(value, q, precision),

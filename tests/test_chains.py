@@ -337,3 +337,12 @@ def test_exact_agreement_reads_as_converged():
         ([0.25, 0.5], False),
     ):
         assert LimitReport("p-adic-beta", [4] * len(residuals), residuals, 1e-6).decreasing is decreasing
+
+
+def test_final_residual_may_equal_the_tolerance():
+    for residuals, tol, final_ok in (
+        ([0.0, 0.0], 0.0, True),
+        ([0.5, 0.25], 0.25, True),
+        ([0.5, 0.25], 0.125, False),
+    ):
+        assert LimitReport("p-adic-beta", [4, 8], residuals, tol).final_ok is final_ok

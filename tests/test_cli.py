@@ -387,6 +387,48 @@ def test_a_nan_or_negative_tolerance_is_a_usage_error(argv, capsys):
     assert line == f"usage error: a tolerance must be a finite number >= 0, got {float(argv[-1])}", line
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain-limits", "--target", "p-adic-beta", "--p", "5", "--depth", "0", "--tol", "0"],
+        ["lambda-check", "--grid", "0.25,0.4", "--tol", "0"],
+        ["theta-check", "--xmin", "1", "--xmax", "1", "--tol", "0"],
+    ],
+)
+def test_exact_agreement_meets_a_zero_tolerance(argv):
+    code, out = _run(argv)
+    assert code == 0, out
+    residuals = [float(row[-1]) for row in csv.reader(out.splitlines()[2:]) if row[0] != "ok"]
+    assert residuals and set(residuals) == {0.0}, out
+
+
+def test_a_residual_above_the_tolerance_is_a_counterexample(monkeypatch):
+    """Each check passes a residual equal to --tol and fails one above it."""
+    from pqzeta import analytic
+    # residuals |1 - sqrt(x)|: 0 at x = 1 and 1 at x = 4
+    monkeypatch.setattr(analytic, "theta", lambda x: 1.0)
+    theta = ["theta-check", "--xmin", "1", "--xmax", "4", "--step", "4", "--tol"]
+    assert _run([*theta, "1"])[0] == 0
+    assert _run([*theta, "0.5"])[0] == 1
+    # functional-equation residual 0, Dirichlet cross-check residual 0.5 at s = 2
+    monkeypatch.setattr(analytic, "completed_zeta", lambda s: 1.0)
+    monkeypatch.setattr(analytic, "completed_zeta_dirichlet", lambda s: 1.5)
+    assert _run(["lambda-check", "--grid", "2", "--tol", "0.5"])[0] == 0
+    assert _run(["lambda-check", "--grid", "2", "--tol", "0.25"])[0] == 1
+    assert _run(["lambda-check", "--grid", "0.75", "--tol", "0"])[0] == 0
+    monkeypatch.setattr(analytic, "completed_zeta", lambda s: s)  # residual |2s - 1| = 0.5
+    assert _run(["lambda-check", "--grid", "0.75", "--tol", "0.5"])[0] == 0
+    assert _run(["lambda-check", "--grid", "0.75", "--tol", "0.25"])[0] == 1
+    code, out = _run(["chain-limits", "--target", "real-beta", "--depth", "0", "--tol", "0"])
+    assert code == 1 and out.splitlines()[-1] == "ok,False"
+
+
+def test_one_minus_below_two_names_the_flag(capsys):
+    for k in ("1", "0", "-3"):
+        line = _rejected(["zeta-neg", "--one-minus", k], capsys)
+        assert line == f"usage error: --one-minus needs k >= 2, got {k}", line
+
+
 def test_q_zeta_names_a_pole_and_an_out_of_reach_product(capsys):
     for s in ("-1", "0", "-7"):
         assert _rejected(["q-zeta", "--s", s, "--q", "0.5"], capsys) == (

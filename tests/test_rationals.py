@@ -122,6 +122,34 @@ def test_zeta_neg_values():
     assert zeta_neg(2) == 0
 
 
+@pytest.mark.parametrize("primes", [(), (5,), (7,), (5, 7), (7, 13)])
+def test_zeta_neg_removes_the_euler_factors(primes):
+    """zeta_neg(m, primes) against the Fraction-power formulas it replaced:
+    the one-prime value -(1 - p^m) B_(m+1)/(m+1), the two-prime value
+    (1 - p^m)(1 - q^m)(-B_(m+1)/(m+1)) (0 at m = 0, where both factors
+    vanish), and the moment closed forms (1 - a^(m+1)) prod (1 - l^m) zeta(-m)."""
+    for m in range(301):
+        got = zeta_neg(m, primes)
+        b = bernoulli(m + 1)
+        plain = Fraction((-1) ** m) * b / (m + 1)
+        if not primes:
+            want = plain
+        elif len(primes) == 1:
+            want = -(1 - Fraction(primes[0]) ** m) * b / (m + 1)
+        elif m == 0:
+            want = Fraction(0)
+        else:
+            p, q = primes
+            want = (1 - Fraction(p) ** m) * (1 - Fraction(q) ** m) * (-b / (m + 1))
+        assert got == want, (m, primes)
+        euler = Fraction(1)
+        for ell in primes:
+            euler *= 1 - Fraction(ell) ** m
+        for a in (2, 3):
+            closed = (1 - Fraction(a) ** (m + 1)) * euler * plain
+            assert (1 - a ** (m + 1)) * got == closed, (m, primes, a)
+
+
 def test_rising_factorial():
     assert rising_factorial(Fraction(1, 2), 2) == Fraction(3, 4)
     assert rising_factorial(Fraction(22, 7), 0) == 1

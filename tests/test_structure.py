@@ -5,6 +5,12 @@ The decision "is this a valid prime, and what do we say if not" lives in
 it.  ``is_prime`` is left to that helper and to two places where it is
 arithmetic or text validation, not argument checking.
 
+Bernoulli values reach formulas through ``rationals.zeta_neg`` (zeta at a
+non-positive integer, with the Euler factors at a tuple of primes removed)
+and ``rationals.bernoulli_polynomial``; ``bernoulli`` itself is read only by
+those two, by the real-analytic Euler-Maclaurin tail and by the table
+printer, so no module writes out a Bernoulli-value formula of its own.
+
 Every public name of the library has a consumer.  A public top-level
 function or class, or a public method or property of a top-level class, is
 referenced from ``src/pqzeta`` outside its own definition (a method by
@@ -25,6 +31,13 @@ IS_PRIME_CALLERS = {
     "padics.require_primes",
     "rationals._staudt_clausen_denominator",
     "mahler.MahlerSeries.deserialize",
+}
+
+BERNOULLI_CALLERS = {
+    "rationals.bernoulli_polynomial",
+    "rationals.zeta_neg",
+    "analytic.zeta_dirichlet",
+    "cli._cmd_bernoulli",
 }
 
 OUTSIDE_CONSUMERS = {
@@ -49,17 +62,17 @@ def _definitions(tree, module):
     yield from walk(tree, module)
 
 
-def _calls_is_prime(node):
-    """True when the body of node itself (not a nested definition) calls is_prime."""
+def _calls(node, callee):
+    """True when the body of node itself (not a nested definition) calls callee."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if isinstance(child, ast.Call):
             func = child.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "is_prime":
+            if name == callee:
                 return True
-        if _calls_is_prime(child):
+        if _calls(child, callee):
             return True
     return False
 
@@ -70,14 +83,25 @@ def _parsed():
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
-def test_is_prime_is_called_only_by_the_one_check():
+def _callers(callee):
     callers = set()
     for module, tree in _parsed():
-        if _calls_is_prime(tree):
+        if _calls(tree, callee):
             callers.add(module)  # a call at module level
-        callers.update(name for name, node in _definitions(tree, module) if _calls_is_prime(node))
+        callers.update(name for name, node in _definitions(tree, module) if _calls(node, callee))
+    return callers
+
+
+def test_is_prime_is_called_only_by_the_one_check():
+    callers = _callers("is_prime")
     assert "padics.require_primes" in callers  # the walk does find calls
     assert callers <= IS_PRIME_CALLERS, sorted(callers - IS_PRIME_CALLERS)
+
+
+def test_bernoulli_values_reach_formulas_through_zeta_neg():
+    callers = _callers("bernoulli")
+    assert "rationals.zeta_neg" in callers  # the walk does find calls
+    assert callers <= BERNOULLI_CALLERS, sorted(callers - BERNOULLI_CALLERS)
 
 
 def test_no_private_prime_validator():

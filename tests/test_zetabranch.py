@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
 from pqzeta.padics import PadicNumber, padic_of_rational, padic_valuation
+from pqzeta.rationals import bernoulli
 from pqzeta.zetabranch import (
+    CongruenceResult,
     DoubleBranch,
     HypothesisError,
     KLBranch,
@@ -121,6 +123,82 @@ def test_extended_kummer():
         extended_kummer_check(5, 7, 6, 30, 0)  # (q-1) | i
 
 
+def _old_double_value(p, q, n):
+    return (1 - Fraction(p) ** (n - 1)) * (1 - Fraction(q) ** (n - 1)) * (-bernoulli(n) / n)
+
+
+def _old_kummer_check(p, i, j, n):
+    """The one-prime check as written with Fraction-power Euler factors."""
+    if i < 2 or j < 2:
+        raise HypothesisError("need i, j >= 2")
+    if i % (p - 1) == 0:
+        raise HypothesisError("(p-1) divides i")
+    if (i - j) % (p**n * (p - 1)) != 0:
+        raise HypothesisError("i != j mod p^n(p-1)")
+
+    def value(k):
+        return -(1 - Fraction(p) ** (k - 1)) * bernoulli(k) / k
+
+    v = padic_valuation(value(i) - value(j), p)
+    return CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
+
+
+def _old_extended_kummer_check(p, q, i, j, n):
+    """The two-prime check as written with Fraction-power Euler factors."""
+    if i < 2 or j < 2:
+        raise HypothesisError("need i, j >= 2")
+    if i % (p - 1) == 0 or i % (q - 1) == 0:
+        raise HypothesisError("neither (p-1) nor (q-1) may divide i")
+    if (i - j) % (p**n * (p - 1)) != 0 or (i - j) % (q**n * (q - 1)) != 0:
+        raise HypothesisError("i != j mod p^n(p-1) and q^n(q-1)")
+    diff = _old_double_value(p, q, i) - _old_double_value(p, q, j) if i != j else Fraction(0)
+    out = {}
+    for prime in (p, q):
+        v = padic_valuation(diff, prime)
+        out[prime] = CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
+    return out
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except HypothesisError:
+        return HypothesisError
+
+
+def test_kummer_checks_match_the_fraction_power_bodies():
+    seen = set()
+    for p in (2, 3, 5, 7, 11):
+        for i in range(16):
+            for j in {2, i, i + 4, i + 20, i + p * (p - 1), i + p * p * (p - 1)}:
+                for n in (0, 1, 2):
+                    want = _outcome(_old_kummer_check, p, i, j, n)
+                    assert _outcome(kummer_check, p, i, j, n) == want, (p, i, j, n)
+                    seen.add(want if want is HypothesisError else want.ok)
+    for p, q in ((5, 7), (7, 13), (3, 5), (5, 11)):
+        M = (p - 1) * (q - 1)
+        L = lcm(p * (p - 1), q * (q - 1))  # i = j mod L meets both hypotheses at n = 1
+        for i in range(16):
+            for j in {2, i, i + 12, i + M, i + L}:
+                for n in (0, 1):
+                    want = _outcome(_old_extended_kummer_check, p, q, i, j, n)
+                    assert _outcome(extended_kummer_check, p, q, i, j, n) == want, (p, q, i, j, n)
+    assert seen == {HypothesisError, True}  # the congruences are theorems
+
+
+def test_kummer_hypothesis_failures_name_the_prime():
+    for check, args, message in (
+        (kummer_check, (5, 4, 8, 0), "5 - 1 divides i = 4"),
+        (kummer_check, (5, 2, 3, 1), "i != j mod 5^1 (5 - 1)"),
+        (extended_kummer_check, (5, 7, 6, 30, 0), "7 - 1 divides i = 6"),
+        (extended_kummer_check, (5, 7, 2, 26, 1), "i != j mod 5^1 (5 - 1)"),
+        (extended_kummer_check, (5, 7, 2, 122, 1), "i != j mod 7^1 (7 - 1)"),
+    ):
+        with pytest.raises(HypothesisError) as info:
+            check(*args)
+        assert str(info.value) == message, args
+
+
 def test_excluded_sigma0_set():
     exc = excluded_sigma0(5, 7)
     assert -1 in exc
@@ -178,8 +256,9 @@ def test_double_branch_construction_and_pole():
 
 def test_double_branch_values():
     branch = DoubleBranch(p=5, q=7, sigma0=0)
-    vp, vq = double_branch_eval(branch, 0, 3)
-    assert vp.is_exact_zero and vq.is_exact_zero  # (1 - p^0) = 0
+    for N in (1, 2, 3, 6):
+        vp, vq = double_branch_eval(branch, 0, N)
+        assert vp.is_exact_zero and vq.is_exact_zero  # (1 - p^0) = 0
     branch = DoubleBranch(p=5, q=7, sigma0=1)
     vp, vq = double_branch_eval(branch, 0, 3)
     want = double_value(5, 7, 2)
