@@ -8,11 +8,11 @@ removable, and ``taylor_numerators`` is the one series division that expands
 it there: its Taylor coefficients d_k = [T^k] F(1 + T) are the binomial
 moments, the integrals of C(x, k) (Mahler's theorem).
 
-Every moment is a Mahler pairing against the d_k: x^m pairs with its
-forward differences D^k(x^m)(0), which gives the monomial moments of Psi_r,
-of the two-prime measure and of its restriction to the p-units (the unit
-indicator twists the weights), each checked against its closed form
-(1 - a^(m+1)) times r^m zeta_neg(m), zeta_neg(m, (q,)) or zeta_neg(m, (p, q)).
+Every moment is a Mahler pairing against the d_k: x^m pairs with the row
+D^k(x^m)(0) = k! S(m, k) of one Stirling triangle, which gives the monomial
+moments of Psi_r, of the two-prime measure and of its restriction to the
+p-units (the unit indicator twists the weights), each returned one checked
+against (1 - a^(m+1)) times r^m zeta_neg(m), zeta_neg(m, (q,)) or zeta_neg(m, (p, q)).
 ``xi_weights`` builds every weight list and alone checks a and r.  The
 measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
 (``measure_on_open_set``).
@@ -21,9 +21,9 @@ measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
-from .mahler import _differences, _reduce, characteristic_coefficients_exact
+from .mahler import _reduce, characteristic_coefficients_exact
 from .padics import PadicNumber, Record, padic_valuation, require_primes
 from .rationals import zeta_neg
 
@@ -75,46 +75,50 @@ def taylor_numerators(weights: list[int], upto: int) -> list[int]:
     return numerators
 
 
-def _monomial_moments(weights: list[int], order: int) -> list[Fraction]:
-    """(t d/dt)^m at t = 1 of the generating function of ``weights``,
-    m = 0..order: the pairing sum_k D^k(x^m)(0) d_k, since
-    x^m = sum_k D^k(x^m)(0) C(x, k), in integers over P^(order+1)."""
+def _stirling_triangle(order: int) -> list[list[int]]:
+    """Rows T(m, k) = D^k(x^m)(0) = k! S(m, k), k = 0..m, for m = 0..order, from T(0, 0) = 1
+    and T(m, k) = k (T(m-1, k) + T(m-1, k-1)) (Graham, Knuth and Patashnik, 6.1)."""
+    rows = [[1]]
+    for _ in range(order):
+        rows.append([k * (t + s) for k, (t, s) in enumerate(zip(rows[-1] + [0], [0] + rows[-1]))])
+    return rows
+
+
+def _monomial_moments(weights: list[int], order: int, first: int = 0) -> list[Fraction]:
+    """(t d/dt)^m at t = 1 of the generating function of ``weights``, m = first..order:
+    sum_k T(m, k) d_k, as x^m = sum_k T(m, k) C(x, k), paired in integers over P^(order+1)."""
     period = len(weights)
-    scaled = [
-        n_k * period ** (order - k) for k, n_k in enumerate(taylor_numerators(weights, order))
-    ]
+    scaled = [n * period ** (order - k) for k, n in enumerate(taylor_numerators(weights, order))]
     den = period ** (order + 1)
-    return [
-        Fraction(sum(c * s for c, s in zip(_differences([x**m for x in range(m + 1)]), scaled)), den)
-        for m in range(order + 1)
-    ]
+    rows = _stirling_triangle(order)
+    return [Fraction(sum(c * s for c, s in zip(row, scaled)), den) for row in rows[first:]]
 
 
-def psi_r_series(a: int, r: int, order: int) -> list[Fraction]:
-    """Psi_r(e^z) to the given order in z: the coefficient of z^m is M_m / m!.
-
-    M_m = (t d/dt)^m Psi_r at t = 1 comes from the Taylor coefficients of the
-    weights xi_r on the period ra, and every M_m is asserted equal to
-    (1 - a^(m+1)) r^m zeta(-m); a mismatch is an internal error, never a
-    return.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = []
-    for m, lhs in enumerate(_monomial_moments(xi_weights(a, r), order)):
+def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fraction]:
+    """M_m, m = first..order, each asserted equal to its closed form (never a wrong return)."""
+    out = _monomial_moments(xi_weights(a, r), order, first)
+    for m, lhs in enumerate(out, start=first):
         rhs = (1 - a ** (m + 1)) * r**m * zeta_neg(m)
         if lhs != rhs:
             raise ArithmeticError(f"moment mismatch at (a={a}, r={r}, m={m}): {lhs} != {rhs}")
-        out.append(lhs / factorial(m))
     return out
 
 
+def psi_r_series(a: int, r: int, order: int) -> list[Fraction]:
+    """Psi_r(e^z) to the given order in z: the coefficient of z^m is M_m / m!, where
+    M_m = (t d/dt)^m Psi_r at t = 1 comes from the weights xi_r on the period ra and is
+    asserted equal to (1 - a^(m+1)) r^m zeta(-m) by ``_checked_moments``."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return [lhs / factorial(m) for m, lhs in enumerate(_checked_moments(a, r, order))]
+
+
 def moment(a: int, r: int, m: int) -> Fraction:
-    """(t d/dt)^m Psi_r at t = 1, asserted equal to (1 - a^(m+1)) r^m zeta(-m)
-    by ``psi_r_series``."""
+    """(t d/dt)^m Psi_r at t = 1 from row m of the triangle alone, asserted
+    equal to (1 - a^(m+1)) r^m zeta(-m); no lower order is paired or checked."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return psi_r_series(a, r, m)[m] * factorial(m)
+    return _checked_moments(a, r, m, m)[0]
 
 
 def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
@@ -147,14 +151,12 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
 
     def unit_twist(r: int) -> Fraction:
         weights = [w if n % p else 0 for n, w in enumerate(xi_weights(a, r) * p, start=1)]
-        return _monomial_moments(weights, m)[m]
+        return _monomial_moments(weights, m, m)[0]
 
     twisted = unit_twist(1) - unit_twist(q)
     closed = (1 - a ** (m + 1)) * zeta_neg(m, (p, q))
     if twisted != closed:
-        raise ArithmeticError(
-            f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})"
-        )
+        raise ArithmeticError(f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})")
     return closed
 
 
@@ -264,7 +266,9 @@ def measure_open_set_table(
 
 def open_set_from_moments(moments: list[Fraction], p: int, n: int, b: int) -> Fraction:
     """Pair a characteristic function against externally supplied binomial
-    moments d_k (Corollary-style: the moments determine the measure)."""
-    upto = len(moments) - 1
-    a_k = characteristic_coefficients_exact(b, n, p, upto)
-    return sum((a_k[k] * moments[k] for k in range(upto + 1)), Fraction(0))
+    moments d_k (Corollary-style: the moments determine the measure), as
+    sum a_k(b) num_k (L // den_k) over L = lcm(den_k): one ``Fraction`` at the end."""
+    a_k = characteristic_coefficients_exact(b, n, p, len(moments) - 1)
+    den = lcm(*(d.denominator for d in moments))
+    total = sum(a * d.numerator * (den // d.denominator) for a, d in zip(a_k, moments) if a)
+    return Fraction(total, den)

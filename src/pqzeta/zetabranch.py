@@ -45,7 +45,7 @@ class CongruenceResult(Record):
 def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
     """v_p of (1-p^(i-1))B_i/i - (1-p^(j-1))B_j/j must be >= n+1.
 
-    Hypotheses: (p-1) does not divide i, and i = j mod p^n (p-1); violations
+    Hypotheses: n >= 0, (p-1) does not divide i, and i = j mod p^n (p-1); violations
     raise HypothesisError so they cannot masquerade as congruence failures.
     """
     return _kummer((p,), i, j, n)[p]
@@ -58,11 +58,13 @@ def extended_kummer_check(p: int, q: int, i: int, j: int, n: int) -> dict[int, C
 
 def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, CongruenceResult]:
     """v_l of zeta_neg(i-1, primes) - zeta_neg(j-1, primes) against n+1, per l
-    in primes, under the hypotheses i, j >= 2, then (l-1) not dividing i for
-    every l, then i = j mod l^n (l-1) for every l (else HypothesisError)."""
+    in primes, under the hypotheses i, j >= 2, then n >= 0, then (l-1) not dividing
+    i for every l, then i = j mod l^n (l-1) for every l (else HypothesisError)."""
     require_primes(*primes)
     if i < 2 or j < 2:
         raise HypothesisError("need i, j >= 2")
+    if n < 0:
+        raise HypothesisError(f"need n >= 0, got n = {n}")
     for ell in primes:
         if i % (ell - 1) == 0:
             raise HypothesisError(f"{ell} - 1 divides i = {i}")

@@ -172,6 +172,15 @@ def test_a_and_r_outside_their_domain_are_usage_errors(argv, capsys):
     assert _rejected(argv, capsys) == "usage error: need a >= 2 and r >= 1", argv
 
 
+def test_a_negative_kummer_n_is_a_usage_error(capsys):
+    # each used to print a vacuous verdict (required 0 or -1) and exit 0
+    for argv, n in (
+        (["kummer", "--p", "5", "--i", "2", "--j", "2", "--n", "-1"], -1),
+        (["kummer", "--p", "5", "--q", "7", "--i", "2", "--j", "2", "--n", "-2"], -2),
+    ):
+        assert _rejected(argv, capsys) == f"usage error: need n >= 0, got n = {n}", argv
+
+
 def test_chain_limits_exact_agreement_exits_0():
     code, out = _run(["chain-limits", "--target", "p-adic-beta", "--p", "5", "--depth", "0"])
     assert code == 0

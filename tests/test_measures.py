@@ -3,8 +3,14 @@ from fractions import Fraction
 from math import factorial, floor, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import stirling
 
+from pqzeta.mahler import _differences, characteristic_coefficients_exact
 from pqzeta.measures import (
+    _monomial_moments,
+    _stirling_triangle,
     binomial_moments,
     double_moment,
     measure_on_open_set,
@@ -204,6 +210,49 @@ def test_restricted_moment_a_independence():
         assert va == vb
 
 
+def monomial_moments_by_differences(weights: list[int], order: int) -> list[Fraction]:
+    """The forward-difference route the Stirling triangle replaced: x^m pairs
+    with D^k(x^m)(0), the leading diagonal of the differences of x^m on
+    [0, m], for every m, in integers over P^(order+1)."""
+    period = len(weights)
+    scaled = [
+        n_k * period ** (order - k) for k, n_k in enumerate(taylor_numerators(weights, order))
+    ]
+    den = period ** (order + 1)
+    return [
+        Fraction(sum(c * s for c, s in zip(_differences([x**m for x in range(m + 1)]), scaled)), den)
+        for m in range(order + 1)
+    ]
+
+
+def unit_twisted_weights(a: int, r: int, p: int) -> list[int]:
+    """The weights of Psi_r restricted to the p-units, as restricted_moment twists them."""
+    return [w if n % p else 0 for n, w in enumerate(xi_weights(a, r) * p, start=1)]
+
+
+def test_stirling_triangle_rows_are_factorial_times_stirling():
+    rows = _stirling_triangle(20)
+    assert len(rows) == 21
+    for m, row in enumerate(rows):
+        assert row == [factorial(k) * stirling(m, k) for k in range(m + 1)], m
+        assert row == _differences([x**m for x in range(m + 1)]), m
+
+
+def test_stirling_triangle_equals_the_forward_difference_route():
+    """Every order of the triangle route equals the old difference route
+    exactly, both all at once and one order alone, on the weights of Psi_r
+    and on their p-unit twists."""
+    weight_lists = [xi_weights(a, r) for a in (2, 3, 4, 6, 7) for r in (1, 2, 3)]
+    for a, p, q in ((2, 5, 7), (3, 5, 7), (2, 7, 11), (4, 3, 5), (6, 5, 7), (7, 3, 5)):
+        weight_lists += [unit_twisted_weights(a, 1, p), unit_twisted_weights(a, q, p)]
+    for weights in weight_lists:
+        want = monomial_moments_by_differences(weights, 30)
+        assert _monomial_moments(weights, 30) == want, weights
+        for m in range(31):
+            assert _monomial_moments(weights, m, m) == [want[m]], (weights, m)
+            assert _monomial_moments(weights, 30, m) == want[m:], (weights, m)
+
+
 def test_oracle_poly_arithmetic():
     p = [1, 2]  # 1 + 2t
     q = [0, 0, 3]  # 3t^2
@@ -333,6 +382,45 @@ def test_open_set_from_moments_uniqueness():
         assert open_set_from_moments(route_one, p, 1, b) == open_set_from_moments(
             route_two, p, 1, b
         )
+
+
+def fraction_fold_pairing(moments: list, p: int, n: int, b: int) -> Fraction:
+    """The pairing as a plain Fraction fold, one normalised sum per term."""
+    a_k = characteristic_coefficients_exact(b, n, p, len(moments) - 1)
+    return sum((a_k[k] * moments[k] for k in range(len(moments))), Fraction(0))
+
+
+def test_common_denominator_pairing_equals_the_fraction_fold():
+    for a, p, n in ((2, 5, 1), (3, 5, 1), (2, 7, 1), (3, 7, 1), (2, 3, 2), (2, 5, 2), (4, 3, 1)):
+        d = binomial_moments(a, p, 7 * p**n)
+        for b in range(p**n):
+            for moments in (d, d[: b + 1], d[:1], []):
+                got = open_set_from_moments(moments, p, n, b)
+                assert type(got) is Fraction, (a, p, n, b)
+                assert got == fraction_fold_pairing(moments, p, n, b), (a, p, n, b, len(moments))
+
+
+@st.composite
+def pairing_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(0, 2))
+    b = draw(st.integers(0, p**n - 1))
+    entry = st.one_of(st.integers(-(10**12), 10**12), st.fractions(max_denominator=10**9))
+    return draw(st.lists(entry, max_size=40)), p, n, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_cases())
+@example(case=([], 5, 1, 3))
+@example(case=([Fraction(-3, 4)], 2, 0, 0))
+@example(case=([7], 3, 1, 0))
+def test_pairing_of_arbitrary_moments_equals_the_fraction_fold(case):
+    """Mixed denominators, ints among Fractions, the empty and one-element
+    lists: the common-denominator sum is the Fraction fold, type and all."""
+    moments, p, n, b = case
+    got = open_set_from_moments(moments, p, n, b)
+    assert type(got) is Fraction
+    assert got == fraction_fold_pairing(moments, p, n, b)
 
 
 def test_open_set_table_matches_fraction_pairing():
