@@ -95,7 +95,8 @@ def _monomial_moments(weights: list[int], order: int, first: int = 0) -> list[Fr
 
 
 def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fraction]:
-    """M_m, m = first..order, each asserted equal to its closed form (never a wrong return)."""
+    """M_m = (t d/dt)^m Psi_r at t = 1 for m = first..order, each asserted equal to
+    (1 - a^(m+1)) r^m zeta(-m); a mismatch is an internal error, never a return."""
     out = _monomial_moments(xi_weights(a, r), order, first)
     for m, lhs in enumerate(out, start=first):
         rhs = (1 - a ** (m + 1)) * r**m * zeta_neg(m)
@@ -105,9 +106,8 @@ def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fractio
 
 
 def psi_r_series(a: int, r: int, order: int) -> list[Fraction]:
-    """Psi_r(e^z) to the given order in z: the coefficient of z^m is M_m / m!, where
-    M_m = (t d/dt)^m Psi_r at t = 1 comes from the weights xi_r on the period ra and is
-    asserted equal to (1 - a^(m+1)) r^m zeta(-m) by ``_checked_moments``."""
+    """Psi_r(e^z) to the given order in z: the coefficient of z^m is M_m / m!, with
+    every M_m read from the weights xi_r on the period ra and checked by ``_checked_moments``."""
     if order < 0:
         raise ValueError("order must be >= 0")
     return [lhs / factorial(m) for m, lhs in enumerate(_checked_moments(a, r, order))]
@@ -156,7 +156,9 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
     twisted = unit_twist(1) - unit_twist(q)
     closed = (1 - a ** (m + 1)) * zeta_neg(m, (p, q))
     if twisted != closed:
-        raise ArithmeticError(f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})")
+        raise ArithmeticError(
+            f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})"
+        )
     return closed
 
 
