@@ -367,10 +367,15 @@ def _cmd_pq_hurwitz(args):
          ("--delta-prime", int, 5))
 def _cmd_moments(args):
     from . import measures
+    if args.mmax < 0:
+        raise ValueError("order must be >= 0")
     rows = []
     try:
         if args.pair:
-            p, q = (int(x) for x in args.pair.split(","))
+            try:
+                p, q = map(int, args.pair.split(","))
+            except ValueError:
+                raise ValueError(f"--pair expects two primes p,q, got {args.pair!r}") from None
             for m in range(args.mmax + 1):
                 value = (
                     measures.restricted_moment(args.a, p, q, m)
@@ -380,6 +385,8 @@ def _cmd_moments(args):
                 rows.append({"m": m, "value": value})
         else:
             psi = measures.psi_r_series(args.a, args.r, args.mmax)
+            if args.restricted:
+                raise ValueError("--restricted needs --pair p,q")
             for m, slot in enumerate(psi):
                 rows.append(
                     {

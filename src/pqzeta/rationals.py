@@ -2,14 +2,18 @@
 polynomials as coefficient lists, zeta values at non-positive integers with
 the Euler factors at a tuple of primes removed, rising factorials.
 
-Everything here is pure and returns fully reduced ``fractions.Fraction``
-values; equality tests downstream are structural.
+Everything here is pure.  The public values are fully reduced
+``fractions.Fraction`` values, so equality tests downstream are structural.
+The ``_ratio`` cores, ``zeta_neg_ratio`` and ``bernoulli_polynomial_ratio``,
+return the same values as unreduced integers (a numerator and a positive
+denominator, or numerators over one common denominator): a caller that only
+reduces them mod p^N or reads a valuation pays no gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .padics import is_prime
 
@@ -104,21 +108,38 @@ def bernoulli(k: int) -> Fraction:
 def bernoulli_polynomial(k: int) -> list[Fraction]:
     """The coefficients of B_k(x) = sum_j C(k,j) B_j x^(k-j), ascending by
     degree: entry i is C(k, k-i) B_(k-i), and entry k is 1."""
+    numerators, den = bernoulli_polynomial_ratio(k)
+    return [Fraction(c, den) for c in numerators]
+
+
+def bernoulli_polynomial_ratio(k: int) -> tuple[list[int], int]:
+    """(numerators, L): the coefficients of ``bernoulli_polynomial(k)`` as
+    numerators over one common denominator L, the lcm of the denominators
+    of B_0..B_k; entry i is C(k, k-i) B_(k-i) L."""
     if k < 0:
         raise ValueError("index must be >= 0")
-    return [comb(k, j) * bernoulli(j) for j in range(k, -1, -1)]
+    values = [bernoulli(j) for j in range(k, -1, -1)]
+    den = lcm(*(b.denominator for b in values))
+    return [comb(k, k - i) * b.numerator * (den // b.denominator) for i, b in enumerate(values)], den
 
 
 def zeta_neg(m: int, primes: tuple[int, ...] = ()) -> Fraction:
     """prod_{l in primes} (1 - l^m) * zeta(-m), zeta(-m) = (-1)^m B_{m+1}/(m+1):
     zeta with the Euler factors at primes removed, so ``(p,)`` gives zeta_p(-m)
     and ``(p, q)`` gives zeta_{p,q}(-m); each factor vanishes at m = 0."""
+    return Fraction(*zeta_neg_ratio(m, primes))
+
+
+def zeta_neg_ratio(m: int, primes: tuple[int, ...] = ()) -> tuple[int, int]:
+    """``zeta_neg(m, primes)`` as an unreduced pair (num, den), den > 0:
+    ((-1)^m prod (1 - l^m) B.numerator, B.denominator (m + 1)) for B = B_(m+1)."""
     if m < 0:
         raise ValueError("zeta_neg expects m >= 0")
     factor = (-1) ** m
     for ell in primes:
         factor *= 1 - ell**m
-    return factor * bernoulli(m + 1) / (m + 1)
+    b = bernoulli(m + 1)
+    return factor * b.numerator, b.denominator * (m + 1)
 
 
 def rising_factorial(x: Fraction | int, k: int) -> Fraction:

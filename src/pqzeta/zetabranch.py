@@ -3,6 +3,12 @@ congruence classes mod (p-1), the two-prime analogue zeta_neg(n - 1, (p, q))
 along classes mod (p-1)(q-1), one Kummer congruence verifier for one or two
 primes, the everywhere-interpolable power function, and the two-prime
 Hurwitz values.
+
+The two-prime branch values, the Kummer valuations and the Hurwitz sums
+are read from the unreduced integer pairs of ``rationals.zeta_neg_ratio``
+and ``rationals.bernoulli_polynomial_ratio``, and reduced mod p^N by
+``_reduce``, so no gcd normalises a value that is only reduced; a KL-branch
+value is reduced from the numerator and denominator of ``kl_value``.
 """
 
 from __future__ import annotations
@@ -10,8 +16,27 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .padics import PadicNumber, Record, angle_bracket, padic_of_rational, padic_valuation, require_primes
-from .rationals import bernoulli_polynomial, zeta_neg
+from .padics import (
+    INFINITY,
+    PadicNumber,
+    Record,
+    _padic_unit,
+    _split,
+    angle_bracket,
+    padic_of_rational,
+    padic_valuation,
+    require_primes,
+)
+from .rationals import bernoulli_polynomial_ratio, zeta_neg, zeta_neg_ratio
+
+
+def _reduce(num: int, den: int, p: int, precision: int) -> PadicNumber:
+    """num/den, an unreduced pair with den != 0, to relative precision mod
+    p^precision: ``padic_of_rational`` with no gcd and no prime check, for a
+    p the caller has passed through ``require_primes``."""
+    if num == 0:
+        return PadicNumber.exact_zero(p)
+    return _padic_unit(p, *_split(num, den, p), precision)
 
 
 def kl_value(p: int, n: int) -> Fraction:
@@ -71,10 +96,12 @@ def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, Congru
     for ell in primes:
         if (i - j) % (ell**n * (ell - 1)) != 0:
             raise HypothesisError(f"i != j mod {ell}^{n} ({ell} - 1)")
-    diff = zeta_neg(i - 1, primes) - zeta_neg(j - 1, primes)
+    a, b = zeta_neg_ratio(i - 1, primes)
+    c, d = zeta_neg_ratio(j - 1, primes)
+    num, den = a * d - b * c, b * d
     out = {}
     for ell in primes:
-        v = padic_valuation(diff, ell)
+        v = padic_valuation(num, ell) - padic_valuation(den, ell) if num else INFINITY
         out[ell] = CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
     return out
 
@@ -139,7 +166,8 @@ def kl_branch_eval(branch: KLBranch, s) -> PadicNumber:
     if branch.s0 + (p - 1) * t < 1:
         t += p**N
     n = branch.s0 + (p - 1) * t
-    return padic_of_rational(kl_value(p, n), p, branch.certified_precision)
+    value = kl_value(p, n)
+    return _reduce(value.numerator, value.denominator, p, branch.certified_precision)
 
 
 class DoubleBranch(Record):
@@ -201,11 +229,8 @@ def double_branch_eval(
     if branch.pole and sigma == 0:
         raise ZeroDivisionError("pole branch at sigma = 0")
     p, q = branch.p, branch.q
-    value = zeta_neg(branch.sigma0 + sigma * (p - 1) * (q - 1), (p, q))
-    return (
-        padic_of_rational(value, p, precision),
-        padic_of_rational(value, q, precision),
-    )
+    num, den = zeta_neg_ratio(branch.sigma0 + sigma * (p - 1) * (q - 1), (p, q))
+    return _reduce(num, den, p, precision), _reduce(num, den, q, precision)
 
 
 def universal_power(
@@ -258,22 +283,20 @@ def pq_hurwitz(
     if gcd(b, p * q) != 1:
         raise ValueError("b must be coprime to pq")
     m = 1 - n
-    # sum_k C(m, k) B_k y^k at y = F/b by Horner's rule: the ascending
-    # coefficients of B_m(x) are C(m, k) B_k for k = m..0
-    y = Fraction(F, b)
-    acc = Fraction(0)
-    for c in bernoulli_polynomial(m):
-        acc = acc * y + c
-    if padic_valuation(acc, p) < 0 or padic_valuation(acc, q) < 0:
+    # sum_k C(m, k) B_k y^k at y = F/b by Horner's rule over the ascending
+    # coefficients c_i = C(m, m-i) B_(m-i) of B_m(x), carried as the integer
+    # A = acc L b^i: A <- A F + (c_i L) b^i, so acc = A / (L b^m)
+    numerators, L = bernoulli_polynomial_ratio(m)
+    A, power = 0, 1
+    for c in numerators:
+        A = A * F + c * power
+        power *= b
+    den = L * b**m
+    if A and (_split(A, den, p)[0] < 0 or _split(A, den, q)[0] < 0):
         raise ArithmeticError("binomial Bernoulli sum lost integrality")
     bp, bq = angle_bracket(b, p, q, precision, precision)
-    prefactor = -Fraction(1, m) * Fraction(1, F)
     out = []
     for prime, bracket in ((p, bp), (q, bq)):
-        val = (
-            padic_of_rational(prefactor, prime, precision)
-            * bracket**m
-            * padic_of_rational(acc, prime, precision)
-        )
+        val = _reduce(-1, m * F, prime, precision) * bracket**m * _reduce(A, den, prime, precision)
         out.append(val)
     return out[0], out[1]

@@ -181,6 +181,21 @@ def test_a_negative_kummer_n_is_a_usage_error(capsys):
         assert _rejected(argv, capsys) == f"usage error: need n >= 0, got n = {n}", argv
 
 
+def test_malformed_moments_pair_argv_are_usage_errors(capsys):
+    # a wrong count of primes printed Python's unpacking message, while
+    # --restricted without --pair and a pair-mode --mmax -1 exited 0
+    for argv, line in (
+        (["--pair", "5,7,11", "--mmax", "2"], "usage error: --pair expects two primes p,q, got '5,7,11'"),
+        (["--pair", "5", "--mmax", "2"], "usage error: --pair expects two primes p,q, got '5'"),
+        (["--pair", "5,x", "--mmax", "2"], "usage error: --pair expects two primes p,q, got '5,x'"),
+        (["--mmax", "2", "--restricted"], "usage error: --restricted needs --pair p,q"),
+        (["--pair", "5,7", "--mmax", "-1"], "usage error: order must be >= 0"),
+        (["--pair", "5,7", "--mmax", "-1", "--restricted"], "usage error: order must be >= 0"),
+        (["--mmax", "-1"], "usage error: order must be >= 0"),
+    ):
+        assert _rejected(["moments", "--a", "2", *argv], capsys) == line, argv
+
+
 def test_chain_limits_exact_agreement_exits_0():
     code, out = _run(["chain-limits", "--target", "p-adic-beta", "--p", "5", "--depth", "0"])
     assert code == 0

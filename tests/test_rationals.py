@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil, comb, log2
+from math import ceil, comb, lcm, log2
 
 import pytest
 
@@ -8,9 +8,11 @@ from pqzeta.rationals import (
     BernoulliTable,
     bernoulli,
     bernoulli_polynomial,
+    bernoulli_polynomial_ratio,
     binomial,
     rising_factorial,
     zeta_neg,
+    zeta_neg_ratio,
 )
 
 
@@ -109,6 +111,26 @@ def test_bernoulli_polynomial_values():
             assert at_one == Fraction(1, 2)
         else:
             assert at_one == bernoulli(k)
+
+
+def test_bernoulli_polynomial_ratio_is_the_coefficient_list_over_the_lcm():
+    for k in range(81):
+        numerators, den = bernoulli_polynomial_ratio(k)
+        assert den == lcm(*(bernoulli(j).denominator for j in range(k + 1))), k
+        want = [comb(k, j) * bernoulli(j) for j in range(k, -1, -1)]
+        assert [Fraction(c, den) for c in numerators] == want == bernoulli_polynomial(k), k
+    with pytest.raises(ValueError):
+        bernoulli_polynomial_ratio(-1)
+
+
+def test_zeta_neg_ratio_is_the_unreduced_pair():
+    for primes in ((), (5,), (5, 7)):
+        for m in range(60):
+            num, den = zeta_neg_ratio(m, primes)
+            b = bernoulli(m + 1)
+            assert den == b.denominator * (m + 1) and Fraction(num, den) == zeta_neg(m, primes), (m, primes)
+    with pytest.raises(ValueError, match="m >= 0"):
+        zeta_neg_ratio(-1)
 
 
 def test_zeta_neg_values():

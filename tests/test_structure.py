@@ -5,10 +5,11 @@ The decision "is this a valid prime, and what do we say if not" lives in
 it.  ``is_prime`` is left to that helper and to two places where it is
 arithmetic or text validation, not argument checking.
 
-Bernoulli values reach formulas through ``rationals.zeta_neg`` (zeta at a
-non-positive integer, with the Euler factors at a tuple of primes removed)
-and ``rationals.bernoulli_polynomial``; ``bernoulli`` itself is read only by
-those two, by the real-analytic Euler-Maclaurin tail and by the table
+Bernoulli values reach formulas through ``rationals.zeta_neg_ratio`` (zeta
+at a non-positive integer, with the Euler factors at a tuple of primes
+removed, as an unreduced integer pair) and
+``rationals.bernoulli_polynomial_ratio``; ``bernoulli`` itself is read only
+by those two, by the real-analytic Euler-Maclaurin tail and by the table
 printer, so no module writes out a Bernoulli-value formula of its own.
 
 Every public name of the library has a consumer.  A public top-level
@@ -34,8 +35,8 @@ IS_PRIME_CALLERS = {
 }
 
 BERNOULLI_CALLERS = {
-    "rationals.bernoulli_polynomial",
-    "rationals.zeta_neg",
+    "rationals.bernoulli_polynomial_ratio",
+    "rationals.zeta_neg_ratio",
     "analytic.zeta_dirichlet",
     "cli._cmd_bernoulli",
 }
@@ -100,7 +101,7 @@ def test_is_prime_is_called_only_by_the_one_check():
 
 def test_bernoulli_values_reach_formulas_through_zeta_neg():
     callers = _callers("bernoulli")
-    assert "rationals.zeta_neg" in callers  # the walk does find calls
+    assert "rationals.zeta_neg_ratio" in callers  # the walk does find calls
     assert callers <= BERNOULLI_CALLERS, sorted(callers - BERNOULLI_CALLERS)
 
 

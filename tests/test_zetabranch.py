@@ -4,8 +4,8 @@ from math import comb, factorial, lcm
 
 import pytest
 
-from pqzeta.padics import PadicNumber, padic_of_rational, padic_valuation
-from pqzeta.rationals import bernoulli
+from pqzeta.padics import PadicNumber, angle_bracket, padic_of_rational, padic_valuation, require_primes
+from pqzeta.rationals import bernoulli, zeta_neg
 from pqzeta.zetabranch import (
     CongruenceResult,
     DoubleBranch,
@@ -382,7 +382,7 @@ def test_pq_hurwitz_p_side_matches_single_prime_recomputation():
                 continue
             vp, _ = pq_hurwitz(n, b, F, p, q, 2)
             m = 1 - n
-            from pqzeta.rationals import bernoulli
+            from pqzeta.rationals import bernoulli, zeta_neg
 
             acc = sum(comb(m, k) * Fraction(F, b) ** k * bernoulli(k) for k in range(m + 1))
             wp = teichmuller(b, p, 2).unit
@@ -393,3 +393,124 @@ def test_pq_hurwitz_p_side_matches_single_prime_recomputation():
                 * padic_of_rational(acc, p, 2)
             )
             assert vp.congruent_mod(single, 1)
+
+
+# The Fraction route that the integer-pair reductions replaced: every value
+# built as a reduced Fraction, then reduced or read for its valuation.
+
+
+def _fraction_kummer(primes, i, j, n):
+    """``_kummer`` with the difference taken as reduced Fractions."""
+    require_primes(*primes)
+    if i < 2 or j < 2:
+        raise HypothesisError("need i, j >= 2")
+    if n < 0:
+        raise HypothesisError(f"need n >= 0, got n = {n}")
+    for ell in primes:
+        if i % (ell - 1) == 0:
+            raise HypothesisError(f"{ell} - 1 divides i = {i}")
+    for ell in primes:
+        if (i - j) % (ell**n * (ell - 1)) != 0:
+            raise HypothesisError(f"i != j mod {ell}^{n} ({ell} - 1)")
+    diff = zeta_neg(i - 1, primes) - zeta_neg(j - 1, primes)
+    out = {}
+    for ell in primes:
+        v = padic_valuation(diff, ell)
+        out[ell] = CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
+    return out
+
+
+def _fraction_kl_branch_eval(branch, t):
+    """``kl_branch_eval`` at an int t >= 1 through ``padic_of_rational``."""
+    p = branch.p
+    n = branch.s0 + (p - 1) * t
+    value = -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
+    return padic_of_rational(value, p, branch.certified_precision)
+
+
+def _fraction_double_branch_eval(branch, sigma, precision):
+    """``double_branch_eval`` through ``padic_of_rational``."""
+    p, q = branch.p, branch.q
+    value = _old_double_value(p, q, branch.sigma0 + sigma * (p - 1) * (q - 1) + 1)
+    return padic_of_rational(value, p, precision), padic_of_rational(value, q, precision)
+
+
+def _fraction_pq_hurwitz(n, b, F, p, q, precision):
+    """``pq_hurwitz`` with the Fraction Horner sum."""
+    m = 1 - n
+    y = Fraction(F, b)
+    acc = Fraction(0)
+    for c in [comb(m, j) * bernoulli(j) for j in range(m, -1, -1)]:
+        acc = acc * y + c
+    assert padic_valuation(acc, p) >= 0 and padic_valuation(acc, q) >= 0
+    bp, bq = angle_bracket(b, p, q, precision, precision)
+    prefactor = -Fraction(1, m) * Fraction(1, F)
+    return tuple(
+        padic_of_rational(prefactor, prime, precision) * bracket**m * padic_of_rational(acc, prime, precision)
+        for prime, bracket in ((p, bp), (q, bq))
+    )
+
+
+def _identical(x, y):
+    """Field-wise equality of two PadicNumbers, the type of each field included."""
+
+    def fields(z):
+        return [(type(getattr(z, f)), getattr(z, f)) for f in ("p", "valuation", "unit", "precision")]
+
+    return fields(x) == fields(y)
+
+
+def test_kummer_pairs_match_the_fraction_difference():
+    infinite = 0
+    for primes in ((2,), (3,), (5,), (7,), (13,), (5, 7), (5, 11), (7, 13)):
+        step = lcm(*(ell * (ell - 1) for ell in primes))
+        for i in range(2, 40):
+            for j in {2, i, i + step, i + primes[0] - 1}:
+                for n in (0, 1, 2):
+                    want = _outcome(_fraction_kummer, primes, i, j, n)
+                    if len(primes) == 1:
+                        got = _outcome(kummer_check, *primes, i, j, n)
+                        want = want if want is HypothesisError else want[primes[0]]
+                    else:
+                        got = _outcome(extended_kummer_check, *primes, i, j, n)
+                    assert got == want, (primes, i, j, n)
+                    if i == j and want is not HypothesisError:
+                        results = want.values() if isinstance(want, dict) else [want]
+                        assert all(r.valuation == float("inf") and r.ok for r in results)
+                        infinite += 1
+    assert infinite > 0
+
+
+def test_kl_branch_values_match_the_fraction_route():
+    # the zeta-sweep branches: every t = 1 .. p^N - 1 on every even s0
+    for p, N in ((5, 3), (7, 2), (13, 1)):
+        for s0 in range(0, p - 1, 2):
+            branch = KLBranch(p, s0, N)
+            for t in range(1, p**N):
+                got = kl_branch_eval(branch, t)
+                assert _identical(got, _fraction_kl_branch_eval(branch, t)), (p, s0, N, t)
+
+
+def test_double_branch_values_match_the_fraction_route():
+    p, q = 5, 7
+    regular = sorted(set(range(-1, (p - 1) * (q - 1) - 1)) - excluded_sigma0(p, q))
+    for s0 in regular:
+        branch = DoubleBranch(p, q, s0)
+        for sigma in range(20):
+            got = double_branch_eval(branch, sigma, 4)
+            want = _fraction_double_branch_eval(branch, sigma, 4)
+            assert type(got) is tuple and all(map(_identical, got, want)), (s0, sigma)
+    pole = DoubleBranch(p, q, -1, pole=True)
+    for sigma in range(1, 20):
+        got = double_branch_eval(pole, sigma, 4)
+        assert all(map(_identical, got, _fraction_double_branch_eval(pole, sigma, 4))), sigma
+
+
+def test_pq_hurwitz_matches_the_fraction_horner():
+    for p, q, F in ((5, 7, 35), (5, 7, 105), (2, 3, 12), (3, 5, 15), (3, 7, 42)):
+        bs = [b for b in range(1, F) if b % p and b % q][:8]
+        for b in bs:
+            for n in range(-40, 1):
+                got = pq_hurwitz(n, b, F, p, q, 4)
+                want = _fraction_pq_hurwitz(n, b, F, p, q, 4)
+                assert all(map(_identical, got, want)), (n, b, F, p, q)
