@@ -362,9 +362,11 @@ def _cmd_pq_hurwitz(args):
     ]
 
 
-@command("moments", ("--a", int, REQUIRED), ("--r", int, 1), ("--mmax", int, 8),
+# --r and --delta-prime default to None so that pair mode, which reads
+# neither, can tell a given flag from a default; plain mode resolves them
+@command("moments", ("--a", int, REQUIRED), ("--r", int, None), ("--mmax", int, 8),
          ("--pair", str, ""), ("--restricted", bool, False), ("--delta", int, None),
-         ("--delta-prime", int, 5))
+         ("--delta-prime", int, None))
 def _cmd_moments(args):
     from . import measures
     if args.mmax < 0:
@@ -376,6 +378,9 @@ def _cmd_moments(args):
                 p, q = map(int, args.pair.split(","))
             except ValueError:
                 raise ValueError(f"--pair expects two primes p,q, got {args.pair!r}") from None
+            for flag, value in (("--r", args.r), ("--delta", args.delta), ("--delta-prime", args.delta_prime)):
+                if value is not None:
+                    raise ValueError(f"{flag} is not read with --pair p,q")
             for m in range(args.mmax + 1):
                 value = (
                     measures.restricted_moment(args.a, p, q, m)
@@ -384,7 +389,8 @@ def _cmd_moments(args):
                 )
                 rows.append({"m": m, "value": value})
         else:
-            psi = measures.psi_r_series(args.a, args.r, args.mmax)
+            r = 1 if args.r is None else args.r
+            psi = measures.psi_r_series(args.a, r, args.mmax)
             if args.restricted:
                 raise ValueError("--restricted needs --pair p,q")
             for m, slot in enumerate(psi):
@@ -392,12 +398,13 @@ def _cmd_moments(args):
                     {
                         "m": m,
                         "value": slot * math.factorial(m),
-                        "xi_at_m": measures.xi(m, args.a, args.r),
+                        "xi_at_m": measures.xi(m, args.a, r),
                         "psi_slot": slot,
                     }
                 )
             if args.delta is not None:
-                d = measures.binomial_moments(args.a, args.delta_prime, args.delta, args.r)
+                delta_prime = 5 if args.delta_prime is None else args.delta_prime
+                d = measures.binomial_moments(args.a, delta_prime, args.delta, r)
                 rows.append({"m": f"delta_{args.delta}", "value": d[args.delta], "xi_at_m": "", "psi_slot": ""})
     except ArithmeticError as exc:
         return 1, [{"error": str(exc)}]

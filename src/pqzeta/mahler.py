@@ -216,25 +216,37 @@ def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     p^(v(a_n) + digits - floor(log_p n)), even where C(r, n) = 0.
 
     C(r, n) is carried from C(r, n - 1) by C(r, n) = C(r, n - 1)(r - n + 1)/n,
-    an exact division.  v_p(C) >= 0, so it is computed only for a term with
-    abs(a_n) below the precision known so far: no other term can lower it.
+    an exact division.  Each a_n is read once through its slots: an exact
+    zero (valuation +inf) is skipped, abs(a_n) = v + precision, and the
+    representative u p^v (a ``Fraction`` when v < 0) is added only for
+    u != 0.  v_p(C) >= 0, so it is computed only for a term with abs(a_n)
+    below the precision known so far: no other term can lower it.
     """
     p, prec = series.p, series.precision
+    coeffs = series.coeffs
     total, known = 0, INFINITY
     c = 1
     for n in range(top + 1):
         if n:
             c = c * (r - n + 1) // n
-        a = series.coeffs[n]
-        if a.is_exact_zero:
+        a = coeffs[n]
+        v = a.valuation
+        if v == INFINITY:
             continue
         if n and digits != INFINITY:
-            known = min(known, a.valuation + digits - _log_floor(n, p))
+            known = min(known, v + digits - _log_floor(n, p))
         if c:
-            known = min(known, prec + a.valuation)
-            if a.abs_precision < known:
-                known = min(known, a.abs_precision + padic_valuation(c, p))
-            total += _representative(a) * c
+            t = prec + v
+            if t < known:
+                known = t
+            t = v + a.precision
+            if t < known:
+                t += padic_valuation(c, p)
+                if t < known:
+                    known = t
+            u = a.unit
+            if u:
+                total += u * p**v * c if v >= 0 else Fraction(u, p**-v) * c
     return total, known
 
 

@@ -52,14 +52,17 @@ def _split(num: int, den: int, p: int) -> tuple[int, int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; the primes here are small.  Only an int can be prime."""
+    """Trial division by 2, then by odd f only; the primes here are small.
+    Only an int can be prime."""
     if not isinstance(n, int) or n < 2:
         return False
-    f = 2
+    if n % 2 == 0:
+        return n == 2
+    f = 3
     while f * f <= n:
         if n % f == 0:
             return False
-        f += 1
+        f += 2
     return True
 
 
@@ -417,18 +420,19 @@ def _teichmuller_unit(n: int, p: int, precision: int) -> int:
     x - f/f' is x - (x^p - x)/((p-1) x^(p-1)).  At a root mod p^k both
     x^p - x = 0 and x^(p-1) = 1 hold mod p^k, so dropping x^(p-1) moves
     the step only mod p^2k: x + (x - x^p)/(p - 1) is a root mod p^2k.  The
-    precision doubles per step, with 1/(p - 1) inverted once, and the
-    result is n^(p^(N-1)) mod p^N, the one root in the class of n.
+    precision doubles per step.  No inverse is taken: (p - 1) times
+    (p^k - 1)/(p - 1) = 1 + p + ... + p^(k-1) is p^k - 1 = -1 mod p^k, so
+    1/(p - 1) = -(p^k - 1)/(p - 1) mod p^k.  The result is n^(p^(N-1))
+    mod p^N, the one root in the class of n.
     """
     if precision < 1:
         raise ValueError("teichmuller needs precision >= 1")
-    mod = p**precision
-    inv = pow(p - 1, -1, mod)
     x, k = n % p, 1
     while k < precision:
         k = min(2 * k, precision)
         m = p**k
-        x = (x + (x - pow(x, p, m)) * inv) % m
+        x = (x - (x - pow(x, p, m)) * ((m - 1) // (p - 1))) % m
+    mod = p**precision
     if pow(x, p, mod) != x:
         raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
     return x
@@ -462,18 +466,19 @@ def angle_bracket(
 ) -> tuple[PadicNumber, PadicNumber]:
     """<b> = b / omega_{p,q}(b), reduced mod p^prec_p and mod q^prec_q.
 
-    Each prime on its own: omega_p(b)^(p-1) = 1, so mod p^prec_p
-    <b> = b omega_p(b)^(p-2), with no CRT and no inverse (likewise at q).
-    Each component lies in 1 + pZ_p resp. 1 + qZ_q.
+    Each prime on its own, with no CRT: omega_p(b)^(-1) is the root of unity
+    in the class of b^(-1) mod p, so mod p^prec_p
+    <b> = b omega_p(b^(-1) mod p), one lift and an inverse mod p only
+    (likewise at q).  Each component lies in 1 + pZ_p resp. 1 + qZ_q.
     """
     require_primes(p, q)
     if b % p == 0 or b % q == 0:
         raise ValueError("angle_bracket needs gcd(b, pq) = 1")
     out = []
     for prime, prec in ((p, prec_p), (q, prec_q)):
-        w = _teichmuller_unit(b, prime, prec)
+        w = _teichmuller_unit(pow(b, -1, prime), prime, prec)
         mod = prime**prec
-        out.append(PadicNumber(prime, 0, b * pow(w, prime - 2, mod) % mod, prec))
+        out.append(PadicNumber(prime, 0, b * w % mod, prec))
     return out[0], out[1]
 
 

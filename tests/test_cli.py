@@ -196,6 +196,21 @@ def test_malformed_moments_pair_argv_are_usage_errors(capsys):
         assert _rejected(["moments", "--a", "2", *argv], capsys) == line, argv
 
 
+def test_plain_mode_moments_flags_with_pair_are_usage_errors(capsys):
+    # pair mode reads none of these; each used to print the double_moment
+    # rows as if the flag were absent and exit 0
+    for argv, flag in (
+        (["--a", "2", "--pair", "5,7", "--mmax", "1", "--delta", "3"], "--delta"),
+        (["--a", "2", "--pair", "5,7", "--mmax", "1", "--r", "5"], "--r"),
+        (["--a", "2", "--pair", "5,7", "--mmax", "1", "--r", "1"], "--r"),
+        (["--a", "2", "--r", "-2", "--pair", "5,7"], "--r"),
+        (["--a", "2", "--pair", "5,7", "--delta-prime", "7"], "--delta-prime"),
+        (["--a", "2", "--pair", "5,7", "--restricted", "--delta", "3"], "--delta"),
+    ):
+        line = f"usage error: {flag} is not read with --pair p,q"
+        assert _rejected(["moments", *argv], capsys) == line, argv
+
+
 def test_chain_limits_exact_agreement_exits_0():
     code, out = _run(["chain-limits", "--target", "p-adic-beta", "--p", "5", "--depth", "0"])
     assert code == 0

@@ -13,6 +13,7 @@ from pqzeta.mahler import (
     _log_floor,
     _pair,
     _reduce,
+    _representative,
     characteristic_coefficients_exact,
     characteristic_mahler,
     evaluate_mahler,
@@ -198,7 +199,8 @@ def test_round_trip_padic_windows():
 def pair_by_comb(series, r, top, digits=INFINITY):
     """mahler._pair as first written: math.comb for every term and v_p of
     every nonzero binomial.  The oracle the incremental pairing is checked
-    against, (total, known) for (total, known)."""
+    against, (total, known) for (total, known), with the library's
+    ``_representative`` as then, so that the total's type is the first one's."""
     p, prec = series.p, series.precision
     total, known = 0, INFINITY
     for n in range(top + 1):
@@ -210,7 +212,7 @@ def pair_by_comb(series, r, top, digits=INFINITY):
         c = comb(r, n)
         if c:
             known = min(known, a.abs_precision + padic_valuation(c, p), prec + a.valuation)
-            total += representative(a) * c
+            total += _representative(a) * c
     return total, known
 
 
@@ -242,6 +244,39 @@ def test_pair_equals_the_comb_pairing(series, r, digits):
         assert _pair(series, m, m) == pair_by_comb(series, m, m), m
     for point in (r % (top + 1), r):
         assert _pair(series, point, top, digits) == pair_by_comb(series, point, top, digits), point
+
+
+def _typed(value):
+    if isinstance(value, PadicNumber):
+        return [_typed(getattr(value, name)) for name in PadicNumber.__slots__]
+    if isinstance(value, tuple):
+        return [_typed(x) for x in value]
+    return type(value), value
+
+
+@pytest.mark.parametrize("p, precision, coeffs", [
+    # a negative valuation makes the total a Fraction, Fraction(1) at x = 3
+    (3, 4, [PadicNumber(3, 0, 7, 4), PadicNumber(3, -1, 1, 4), PadicNumber(3, -2, 5, 4), PadicNumber(3, 1, 2, 3)]),
+    # an inexact zero of negative valuation
+    (5, 3, [PadicNumber(5, 0, 2, 3), PadicNumber.zero_mod(5, -1), PadicNumber(5, 0, 3, 3), PadicNumber(5, 2, 1, 1)]),
+    # an exact zero, first and inside
+    (2, 5, [PadicNumber.exact_zero(2), PadicNumber(2, 0, 3, 5), PadicNumber.exact_zero(2), PadicNumber(2, 1, 1, 4)]),
+    # abs_precision 2 and 1, below the series precision 6
+    (7, 6, [PadicNumber(7, 0, 10, 2), PadicNumber(7, 0, 3, 6), PadicNumber(7, 1, 1, 1), PadicNumber(7, 0, 5, 6)]),
+    # all four at once
+    (3, 3, [PadicNumber(3, -1, 2, 3), PadicNumber.exact_zero(3), PadicNumber.zero_mod(3, -2), PadicNumber(3, 0, 1, 1),
+            PadicNumber(3, 0, 4, 3)]),
+])
+def test_pair_edge_cases_are_type_identical_to_the_comb_pairing(p, precision, coeffs):
+    """At every integer x the pairing and the evaluation are the oracle's
+    down to the type of each field: int against Fraction, int against inf."""
+    series = MahlerSeries(p, precision, coeffs)
+    for x in range(len(coeffs)):
+        got, want = _pair(series, x, x), pair_by_comb(series, x, x)
+        assert _typed(got) == _typed(want), x
+        total, known = want
+        value = PadicNumber.exact_zero(p) if known == INFINITY else _reduce(total, p, known)
+        assert _typed(evaluate_mahler(series, x)) == _typed(value), x
 
 
 def test_verify_decay_linear_vacuous():

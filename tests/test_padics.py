@@ -6,6 +6,7 @@ import pytest
 from pqzeta.padics import (
     PadicNumber,
     PrecisionError,
+    _teichmuller_unit,
     angle_bracket,
     crt_pair,
     double_teichmuller,
@@ -223,6 +224,11 @@ def test_is_prime():
     assert not is_prime(Fraction(7, 2))
 
 
+def test_is_prime_matches_sympy():
+    isprime = pytest.importorskip("sympy").isprime
+    assert [n for n in range(-3, 20_001) if is_prime(n)] == [n for n in range(-3, 20_001) if isprime(n)]
+
+
 def test_require_primes_messages():
     require_primes()
     require_primes(2)
@@ -298,6 +304,26 @@ def test_angle_bracket_equals_crt_and_inverse():
     for args in ((2, 5, 5, 3, 3), (2, 4, 5, 3, 3), (2, 5, 7, 0, 3), (2, 5, 7, 3, 0)):
         with pytest.raises(ValueError):
             angle_bracket(*args)
+
+
+def test_minus_one_over_p_minus_one_is_the_repunit():
+    # the Newton step's 1/(p - 1) = -(1 + p + ... + p^(k-1)) mod p^k
+    for p in (2, 3, 5, 7, 101):
+        for k in range(1, 31):
+            m = p**k
+            assert (m - 1) // (p - 1) * (p - 1) % m == m - 1, (p, k)
+
+
+def test_lift_of_the_inverse_class_is_the_inverse_lift():
+    # omega(b)^-1 = omega(b^-1 mod p), which angle_bracket relies on
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7, 11, 101):
+        bs = [-1, -p - 1, -(10**9) - 7, 10**12 + 1, 10**30 + 3] + [rng.randrange(-(10**6), 10**6) for _ in range(20)]
+        for N in range(1, 31):
+            for b in bs:
+                if b % p:
+                    inverse = _teichmuller_unit(pow(b, -1, p), p, N)
+                    assert inverse * _teichmuller_unit(b, p, N) % p**N == 1, (b, p, N)
 
 
 def test_of_rational_equals_fraction_path():
