@@ -10,11 +10,12 @@ format.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import padics  # run() catches its PrecisionError; each handler imports its own module
 
@@ -579,19 +580,20 @@ def _cmd_weil(args):
     return 0, [{"p": args.p, "profile": args.profile, "value": _float(value)}]
 
 
-def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
-    """The pqzeta parser with a subparser for each of names; its usage text
-    lists every subcommand whichever are built."""
-    names = list(names)
-    # the full parser keeps argparse's own metavar, which reads the same in
-    # the usage and names the action "command" in errors
-    metavar = None if names == list(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+FORMATS = ("csv", "json", "plain")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # argparse's, less a trailing newline
+
+
+def build_parser():
+    """The argparse parser of pqzeta, the one source of help, usage and
+    error text; ``run`` builds it only for argv that ``parse`` refuses."""
+    import argparse
     ap = argparse.ArgumentParser(prog="pqzeta", description=__doc__)
-    ap.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
+    ap.add_argument("--format", choices=FORMATS, default="csv")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
-        for flag, kind, default, *text in COMMANDS[name][1]:
+        for flag, kind, default, *text in flags:
             spec = {"help": text[0]} if text else {}
             if kind is bool:
                 spec["action"] = "store_true"
@@ -607,24 +609,58 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     return ap
 
 
-def _named(argv: list[str]) -> list[str]:
-    """The one subcommand argv runs when it opens with it, after at most
-    "--format X" or "--format=X"; else every subcommand, for argparse to
-    report on."""
-    if argv[:1] == ["--format"]:
-        argv = argv[2:]
+def parse(argv: list[str]) -> SimpleNamespace | None:
+    """The args ``build_parser().parse_args(argv)`` gives, read from COMMANDS
+    directly, or None where argparse might read argv otherwise: help, "--",
+    a flag not spelled in full, a stray token, a missing required flag, a
+    value that fails its type or choices, "=value" on a switch, and a value
+    that starts with "-" and is not a negative number."""
+    fmt = "csv"
+    if argv[:1] == ["--format"] and len(argv) > 1:
+        fmt, argv = argv[1], argv[2:]
     elif argv[:1] and argv[0].startswith("--format="):
-        argv = argv[1:]
-    return argv[:1] if argv[:1] and argv[0] in COMMANDS else list(COMMANDS)
+        fmt, argv = argv[0].partition("=")[2], argv[1:]
+    if fmt not in FORMATS or not argv or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]][1]
+    kinds = {flag: kind for flag, kind, *_ in flags}
+    values = {flag: default for flag, _, default, *_ in flags}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kind = kinds.get(flag)
+        if kind is None or kind is bool and eq:
+            return None
+        if kind is bool:
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.fullmatch(value):
+                return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[flag] = value
+    if any(value is REQUIRED for value in values.values()):
+        return None
+    dests = {flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], format=fmt, **dests)
 
 
 def run(argv: list[str], out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser(_named(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    args = parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     try:
         code, rows = COMMANDS[args.command][0](args)
     except padics.PrecisionError as exc:

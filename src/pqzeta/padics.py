@@ -388,15 +388,13 @@ def padic_of_rational(x: Fraction | int, p: int, precision: int) -> PadicNumber:
 
 def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumber:
     """Reduce an exact rational modulo p^abs_precision (absolute precision)."""
+    require_primes(p)
     num, den = _exact(x)
     if num == 0:
         return PadicNumber.exact_zero(p)
-    if p < 2:
-        raise ValueError("p must be >= 2")
     v, num, den = _split(num, den, p)
     if v >= abs_precision:
         return PadicNumber.zero_mod(p, abs_precision)
-    require_primes(p)
     return _padic_unit(p, v, num, den, int(abs_precision - v))
 
 

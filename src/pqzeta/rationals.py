@@ -39,8 +39,9 @@ class BernoulliTable:
     max(upto, 2 * max_index): reading B_0..B_n in order costs O(log n)
     rebuilds.  Every rebuild checks each denominator against von
     Staudt-Clausen (the product of the primes p with (p - 1) | 2k) and
-    raises ArithmeticError on a mismatch.  The table only grows, and holds
-    no lock: the package starts no threads.
+    raises ArithmeticError on a mismatch.  A read of an odd k >= 3 past the
+    table answers 0 without a rebuild.  The table only grows, and holds no
+    lock: the package starts no threads.
     """
 
     def __init__(self) -> None:
@@ -79,6 +80,8 @@ class BernoulliTable:
         if k < 0:
             raise ValueError("Bernoulli index must be >= 0")
         if k >= len(self._values):
+            if k % 2 and k > 1:
+                return Fraction(0)  # no rebuild for a known zero
             self.extend(k)
         return self._values[k]
 

@@ -1,18 +1,22 @@
+import ast
 import contextlib
 import csv
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pqzeta
 from pqzeta import mahler
-from pqzeta.cli import COMMANDS, CSV_SCHEMA, build_parser, run
+from pqzeta.cli import COMMANDS, CSV_SCHEMA, FORMATS, REQUIRED, build_parser, parse, run
 from pqzeta.padics import padic_reduce_abs
 
 
@@ -316,12 +320,124 @@ def _parsed(parser, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+PARSER = build_parser()
+
+
+def _attrs(args):
+    """The attributes of a parsed args object, comparable across the two
+    parsers and with a nan value."""
+    return repr(sorted(vars(args).items()))
+
+
+def _argparse_attrs(argv):
+    """_attrs of what the full parser reads from argv; None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _attrs(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _sample(kind):
+    """A value argparse reads without complaint for a flag of this kind."""
+    return {int: "3", float: "0.5", str: "1"}.get(kind) or kind[0]
+
+
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_one_subparser_reads_as_the_full_parser(name):
-    alone, full = build_parser([name]), build_parser()
-    assert alone.format_help() == full.format_help()
+def test_one_subparser_reads_as_the_full_parser(name, capsys):
+    """Each subcommand's argv, read from its row of COMMANDS, read as the
+    full argparse parser reads them; help and errors run argparse itself."""
+    flags = COMMANDS[name][1]
+    required = [[flag, _sample(kind)] for flag, kind, default, *_ in flags if default is REQUIRED]
+    every = [[flag] if kind is bool else [flag, _sample(kind)] for flag, kind, *_ in flags]
+    for argv in ([name, *sum(required, [])], [name, *sum(every, [])]):
+        assert parse(argv) is not None, argv
+        assert _attrs(parse(argv)) == _argparse_attrs(argv), argv
     for argv in ([name, "--help"], [name, "--bogus"], ["--help"], ["--format", "xml", name]):
-        assert _parsed(alone, argv) == _parsed(full, argv), argv
+        assert parse(argv) is None, argv
+        code, out, err = _parsed(PARSER, argv)
+        capsys.readouterr()
+        assert _run(argv) == (2 if code else 0, ""), argv
+        assert capsys.readouterr() == (out, err), argv
+
+
+def _cli_batch_argv():
+    """The argv of perfbench's cli-batch workload, read from its source."""
+    source = (Path(__file__).parents[1] / "perfbench" / "wl_cli_batch.py").read_text()
+    batch = next(node.value for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BATCH")
+    return [shlex.split(line) for line, _ in ast.literal_eval(batch)]
+
+
+@pytest.mark.parametrize("argv", _cli_batch_argv(), ids=" ".join)
+def test_parse_reads_every_benchmark_argv_as_argparse(argv):
+    assert parse(argv) is not None
+    assert _attrs(parse(argv)) == _argparse_attrs(argv)
+
+
+_FLAGS = sorted({flag for _, flags in COMMANDS.values() for flag, *_ in flags})
+_VALUES = {
+    int: ["5", "0", "-3", "2", "-0", "1_0", " 7"],
+    float: ["0.5", "-.5", "1e-6", "2", "nan", "-2.5"],
+    str: ["1/3", "2,3", "1,4,9", "real-beta:alpha=2,beta=2", "a b", ""],
+}
+# tokens argparse reads in ways a table lookup might not: abbreviations,
+# "=" forms, "-" values that are and are not numbers, unicode digits, spaces
+_HOSTILE = ["--prec", "--n", "--x=", "-1/3", "-", "--", "-1e6", "-.5", "-5.", "-3\n", "-3 ", "-1 2",
+            "٣", "-٣", "²", "--poly=1", "--format", "json", "-h", "--help", "=5", "-inf", "x"]
+
+
+@st.composite
+def _hostile_argv(draw):
+    """An argv of one subcommand: its required flags and some others with
+    values of their kind, in any order and either spelling; now and then a
+    required flag left out, a hostile value or token, or a misplaced format
+    flag."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    given = []
+    for flag, kind, default, *_ in COMMANDS[name][1]:
+        if draw(st.integers(0, 19)) if default is REQUIRED else draw(st.booleans()):
+            values = list(kind) if isinstance(kind, tuple) else _VALUES[kind] if kind is not bool else [""]
+            value = draw(st.sampled_from(values if draw(st.integers(0, 9)) else _HOSTILE))
+            spelling = draw(st.integers(0, 5))
+            given.append([flag] if kind is bool and spelling else [f"{flag}={value}"] if spelling == 0
+                         else [flag, value])
+    tokens = [token for pair in draw(st.permutations(given)) for token in pair]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_FLAGS + _HOSTILE)))
+    head = draw(st.sampled_from([[], [], [], [], ["--format", "json"], ["--format=plain"], ["--format", "xml"],
+                                 ["--format", "csv", "--format", "json"], ["--form", "json"], ["--"]]))
+    tail = draw(st.sampled_from([[], [], [], ["--format", "json"]]))
+    return [*head, name, *tokens, *tail]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_hostile_argv())
+@example(["--format", "json", "padic", "--prec", "5"])
+@example(["weil", "--n", "5"])
+@example(["weil", "--p", "5", "--n", "5"])
+@example(["zeta-neg", "--m", "-3\n"])
+@example(["zeta-neg", "--m", "-٣"])
+@example(["zeta-neg", "--m", "²"])
+@example(["padic", "--value", "-1/3"])
+@example(["padic", "--value=-1/3"])
+@example(["padic", "--value", "-"])
+@example(["padic", "--value", "1 2"])
+@example(["q-zeta", "--s", "-.5", "--q", "-5."])
+@example(["q-zeta", "--s", "-1e6", "--q", "0.5"])
+@example(["bernoulli", "--poly=1"])
+@example(["pq-hurwitz", "--n", "1", "--b", "2", "--F", "35", "--p", "5"])
+@example(["bernoulli", "--upto", "3", "--upto", "4"])
+@example(["zeta-neg", "--m="])
+@example(["zeta-neg", "--", "--m", "3"])
+@example(["zeta-neg", "--m", "3", "--format", "json"])
+@example(["--format", "json", "--format", "plain", "zeta-neg"])
+def test_parse_reads_as_argparse_or_not_at_all(argv):
+    """Whatever argv parse accepts, argparse reads to the same attributes."""
+    fast = parse(argv)
+    if fast is not None:
+        assert _attrs(fast) == _argparse_attrs(argv)
+        assert fast.format in FORMATS
 
 
 @pytest.mark.parametrize(
@@ -541,18 +657,25 @@ def _modules_after(code):
     env = dict(os.environ, PYTHONPATH=str(Path(pqzeta.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_cli_import_loads_no_library_module_and_no_dataclasses():
     bare = _modules_after("pass")
     library = {f"pqzeta.{m}" for m in ("analytic", "chains", "gamma", "mahler", "measures", "zetabranch")}
+    argparse_modules = {"argparse", "gettext", "locale"}
     loaded = _modules_after("import pqzeta.cli") - bare
     assert "pqzeta.cli" in loaded
-    assert not loaded & ({"dataclasses", "inspect", "json"} | library)
-    # a subcommand loads its own module and no other
-    loaded = _modules_after("from pqzeta import cli; cli.run(['kummer', '--p', '5', '--i', '2', '--j', '6'])")
+    assert not loaded & ({"dataclasses", "inspect", "json"} | library | argparse_modules)
+    # a subcommand loads its own module and no other, and well-formed argv no argparse
+    loaded = _modules_after("from pqzeta import cli\n"
+                            "assert cli.run(['kummer', '--p', '5', '--i', '2', '--j', '6']) == 0")
     assert loaded & library == {"pqzeta.zetabranch"}
+    assert not loaded & argparse_modules
+    # help and usage errors are argparse's
+    for argv, code in ((["--help"], 0), (["zeta-neg", "--bogus", "1"], 2)):
+        loaded = _modules_after(f"from pqzeta import cli\nassert cli.run({argv!r}) == {code}")
+        assert argparse_modules <= loaded, argv
     everything = _modules_after("import " + ", ".join(sorted(library | {"pqzeta.cli"})))
     assert library <= everything and "dataclasses" not in everything - bare
 

@@ -348,6 +348,15 @@ def test_of_rational_equals_fraction_path():
         assert padic_reduce_abs(x, 5, 4) == padic_of_rational(Fraction(x), 5, 4 - padic_valuation(Fraction(x), 5))
 
 
+def test_reduce_abs_checks_the_prime_before_any_early_return():
+    # a zero, a value past the precision and a unit all name the composite
+    for x in (0, 16, 3):
+        with pytest.raises(ValueError, match="4 is not a prime"):
+            padic_reduce_abs(x, 4, 1)
+    with pytest.raises(ValueError, match="1 is not a prime"):
+        padic_reduce_abs(16, 1, 1)
+
+
 def test_of_rational_rejects_a_negative_precision():
     for x in (3, Fraction(1, 3)):
         with pytest.raises(ValueError, match="precision must be an int >= 0"):

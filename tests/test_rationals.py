@@ -93,6 +93,17 @@ def test_bernoulli_extend_steps_match_fresh_table():
     assert table.values(513) == BernoulliTable().values(513)
 
 
+def test_odd_reads_past_the_table_build_nothing():
+    built = BernoulliTable().values(1300)
+    table = BernoulliTable()
+    table.values(10)
+    for k in (11, 13, 99, 1201, 1299):
+        assert table.get(k) == built[k] == 0
+        assert table.max_index == 10
+    assert BernoulliTable().get(1) == Fraction(-1, 2)
+    assert [table.get(k) for k in range(1301)] == built
+
+
 def test_bernoulli_denominator_mismatch_raises(monkeypatch):
     monkeypatch.setattr(rationals, "_staudt_clausen_denominator", lambda n: 1)
     with pytest.raises(ArithmeticError, match="von Staudt-Clausen"):
