@@ -581,7 +581,9 @@ def _cmd_weil(args):
 
 
 FORMATS = ("csv", "json", "plain")
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # argparse's, less a trailing newline
+# argparse's negative-number pattern; fullmatch also refuses the trailing
+# newline that argparse's "$" lets through
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def build_parser():

@@ -345,8 +345,9 @@ def _sample(kind):
 
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_one_subparser_reads_as_the_full_parser(name, capsys):
-    """Each subcommand's argv, read from its row of COMMANDS, read as the
-    full argparse parser reads them; help and errors run argparse itself."""
+    """One subcommand read from its row of COMMANDS reads as the full
+    argparse parser: well-formed argv to the same attributes, and help and
+    errors to argparse's own exit code, stdout and stderr."""
     flags = COMMANDS[name][1]
     required = [[flag, _sample(kind)] for flag, kind, default, *_ in flags if default is REQUIRED]
     every = [[flag] if kind is bool else [flag, _sample(kind)] for flag, kind, *_ in flags]
@@ -394,15 +395,17 @@ def _hostile_argv(draw):
     required flag left out, a hostile value or token, or a misplaced format
     flag."""
     name = draw(st.sampled_from(list(COMMANDS)))
-    given = []
+    groups = []
     for flag, kind, default, *_ in COMMANDS[name][1]:
-        if draw(st.integers(0, 19)) if default is REQUIRED else draw(st.booleans()):
-            values = list(kind) if isinstance(kind, tuple) else _VALUES[kind] if kind is not bool else [""]
-            value = draw(st.sampled_from(values if draw(st.integers(0, 9)) else _HOSTILE))
-            spelling = draw(st.integers(0, 5))
-            given.append([flag] if kind is bool and spelling else [f"{flag}={value}"] if spelling == 0
-                         else [flag, value])
-    tokens = [token for pair in draw(st.permutations(given)) for token in pair]
+        if not (draw(st.integers(0, 19)) if default is REQUIRED else draw(st.booleans())):
+            continue
+        if kind is bool:
+            groups.append([flag] if draw(st.integers(0, 5)) else [f"{flag}=1"])
+            continue
+        values = list(kind) if isinstance(kind, tuple) else _VALUES[kind]
+        value = draw(st.sampled_from(values if draw(st.integers(0, 9)) else _HOSTILE))
+        groups.append([flag, value] if draw(st.integers(0, 5)) else [f"{flag}={value}"])
+    tokens = [token for group in draw(st.permutations(groups)) for token in group]
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))):
         tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_FLAGS + _HOSTILE)))
     head = draw(st.sampled_from([[], [], [], [], ["--format", "json"], ["--format=plain"], ["--format", "xml"],
