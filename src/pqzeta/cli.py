@@ -11,7 +11,9 @@ format.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -19,27 +21,31 @@ from types import SimpleNamespace
 
 from . import padics  # run() catches its PrecisionError; each handler imports its own module
 
+TYPE_CHECKING = False  # typing is not imported at run time
+if TYPE_CHECKING:
+    from typing import NoReturn
+
 CSV_SCHEMA = "# schema=2"
 
 
-def _emit(rows: list[dict], fmt: str, out) -> None:
+def _emit(rows: list[dict], fmt: str) -> str:
+    """The whole report as one string, so nothing is written when a value
+    cannot be printed."""
     if fmt == "json":
         import json
-        print(json.dumps(rows, default=str, sort_keys=True), file=out)
-        return
+        return json.dumps(rows, default=str, sort_keys=True) + "\n"
     if fmt == "plain":
+        return "".join(" ".join(f"{k}={row[k]}" for k in row) + "\n" for row in rows)
+    text = io.StringIO()
+    text.write(CSV_SCHEMA + "\n")
+    if rows:
+        # every key of every row, in first-seen order: rows may add fields
+        header = list(dict.fromkeys(k for row in rows for k in row))
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
         for row in rows:
-            print(" ".join(f"{k}={row[k]}" for k in row), file=out)
-        return
-    print(CSV_SCHEMA, file=out)
-    if not rows:
-        return
-    # every key of every row, in first-seen order: rows may add fields
-    header = list(dict.fromkeys(k for row in rows for k in row))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([str(row.get(k, "")) for k in header])
+            writer.writerow([str(row.get(k, "")) for k in header])
+    return text.getvalue()
 
 
 def _float(x: float) -> str:
@@ -665,18 +671,29 @@ def run(argv: list[str], out=None) -> int:
             return 2 if exc.code else 0
     try:
         code, rows = COMMANDS[args.command][0](args)
+        report = _emit(rows, args.format)
     except padics.PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(rows, args.format, out)
+    out.write(report)
     return code
 
 
-def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+def main() -> NoReturn:
+    """The ``pqzeta`` script: run argv, flush the report and end the process
+    without interpreter teardown, pqzeta's one hard exit.  A flush that fails
+    (a closed pipe) leaves the exit to the interpreter, which reports it."""
+    code = run(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

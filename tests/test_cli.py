@@ -8,6 +8,8 @@ import re
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqzeta
-from pqzeta import mahler
+from pqzeta import cli, mahler
 from pqzeta.cli import COMMANDS, CSV_SCHEMA, FORMATS, REQUIRED, build_parser, parse, run
 from pqzeta.padics import padic_reduce_abs
 
@@ -648,11 +650,15 @@ def test_repeated_primes_are_usage_errors(capsys):
         assert _rejected(argv, capsys).startswith("usage error: the primes must be distinct"), argv
 
 
-def _pqzeta(argv, stdin=""):
-    """One ``python -m pqzeta.cli`` process on this checkout's sources."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pqzeta.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "pqzeta.cli", *argv], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=60)
+SCRIPT = ("-m", "pqzeta.cli")  # runs cli.main, as the pqzeta script does
+NORMAL_EXIT = ("-c", "import sys; from pqzeta.cli import run; sys.exit(run(sys.argv[1:]))")
+
+
+def _pqzeta(argv, stdin="", entry=SCRIPT, stdout=subprocess.PIPE, environ=os.environ):
+    """One ``python -m pqzeta.cli`` process, or another entry, on this checkout's sources."""
+    env = dict(environ, PYTHONPATH=str(Path(pqzeta.__file__).parents[1]))
+    return subprocess.run([sys.executable, *entry, *argv], input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
 def _modules_after(code):
@@ -753,3 +759,92 @@ def test_spq_sweep_ignores_earlier_sweeps():
     alone = _run(deep)
     _run(deep[:-1] + ["2"])
     assert _run(deep) == alone
+
+
+def _without_frames(stderr):
+    """stderr less the frame lines of a traceback, which differ with the entry."""
+    return re.sub(r"(?m)^  .*\n", "", stderr) if stderr.startswith("Traceback") else stderr
+
+
+# stdout block-buffered, as on a pipe by default: the flush before the hard exit matters
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _both_entries(argv, stdin="", stdout=subprocess.PIPE, environ=BUFFERED):
+    """The pqzeta script and a normal-exit entry on the same argv, run side by side."""
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(lambda entry: _pqzeta(argv, stdin, entry, stdout, environ),
+                             (SCRIPT, NORMAL_EXIT)))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["zeta-neg", "--m", "1"], 0),
+        (["--format", "json", "padic", "--value", "22/7", "--p", "5", "--precision", "8"], 0),
+        (["spq-sweep", "--p", "3", "--q", "5", "--jmax", "6", "--depth", "1"], 1),
+        (["kummer", "--p", "4", "--i", "2", "--j", "6"], 2),
+        (["padic", "--value", "3", "--p", "3", "--precision", "0"], 2),
+        (["--help"], 0),
+        (["mahler-eval", "--x", "3"], 0),
+    ],
+)
+def test_the_hard_exit_keeps_exit_code_and_bytes(argv, code):
+    stdin = mahler.mahler_coefficients([1, 4, 9, 16], 3, 3, 6).serialize() if argv[0] == "mahler-eval" else ""
+    script, normal = _both_entries(argv, stdin)
+    assert script.returncode == normal.returncode == code, (script.stderr, normal.stderr)
+    assert script.stdout == normal.stdout and bool(script.stdout) == (code != 2)
+    assert script.stderr == normal.stderr and bool(script.stderr) == (code == 2)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_pipe_is_reported_as_before(unbuffered):
+    environ = dict(BUFFERED, PYTHONUNBUFFERED="1") if unbuffered else BUFFERED
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        script, normal = _both_entries(["kummer", "--p", "5", "--i", "2", "--j", "6"],
+                                       stdout=write_end, environ=environ)
+    finally:
+        os.close(write_end)
+    # buffered, the interpreter's final flush fails; unbuffered, the write in run does
+    assert script.returncode == normal.returncode == (1 if unbuffered else 120)
+    assert _without_frames(script.stderr) == _without_frames(normal.stderr)
+    assert script.stderr.rstrip().endswith("BrokenPipeError: [Errno 32] Broken pipe")
+
+
+class _Stream:
+    def __init__(self, fails=False):
+        self.fails, self.flushed = fails, False
+
+    def flush(self):
+        if self.fails:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.flushed = True
+
+
+def test_main_flushes_then_exits_hard_or_falls_back_to_a_normal_exit(monkeypatch):
+    hard = []
+    monkeypatch.setattr(cli, "run", lambda argv: 1)
+    monkeypatch.setattr(cli.os, "_exit", hard.append)
+    stdout, stderr = _Stream(), _Stream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    cli.main()
+    assert hard == [1] and stdout.flushed and stderr.flushed
+    monkeypatch.setattr(sys, "stdout", None)  # no stream to flush is no failure
+    cli.main()
+    assert hard == [1, 1]
+    monkeypatch.setattr(sys, "stdout", _Stream(fails=True))
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1 and hard == [1, 1]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_value_too_long_to_print_is_a_usage_error_before_any_output(fmt, monkeypatch, capsys):
+    rows = [{"k": 0, "value": 1}, {"k": 1, "value": Fraction(10**4400, 3)}]
+    monkeypatch.setitem(COMMANDS, "zeta-neg", (lambda args: (0, rows), COMMANDS["zeta-neg"][1]))
+    assert _run(["--format", fmt, "zeta-neg"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: Exceeds the limit (4300 digits)") and err.count("\n") == 1

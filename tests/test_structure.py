@@ -12,6 +12,9 @@ removed, as an unreduced integer pair) and
 by those two, by the real-analytic Euler-Maclaurin tail and by the table
 printer, so no module writes out a Bernoulli-value formula of its own.
 
+Only ``cli.main``, the ``pqzeta`` script, ends the process with ``os._exit``;
+no library function can end the process of a program that calls it.
+
 Every public name of the library has a consumer.  A public top-level
 function or class, or a public method or property of a top-level class, is
 referenced from ``src/pqzeta`` outside its own definition (a method by
@@ -103,6 +106,10 @@ def test_bernoulli_values_reach_formulas_through_zeta_neg():
     callers = _callers("bernoulli")
     assert "rationals.zeta_neg_ratio" in callers  # the walk does find calls
     assert callers <= BERNOULLI_CALLERS, sorted(callers - BERNOULLI_CALLERS)
+
+
+def test_only_the_script_entry_point_exits_hard():
+    assert _callers("_exit") == {"cli.main"}
 
 
 def test_no_private_prime_validator():
