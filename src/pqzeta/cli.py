@@ -3,7 +3,8 @@
 Every subcommand drives one library operation or verification sweep and
 emits a machine-readable report (csv by default, json or plain on request).
 Exit codes: 0 success/verified, 1 a verification found a counterexample,
-2 usage error or unattainable precision.  Output is deterministic for fixed
+2 usage error or unattainable precision, 120 a report that could not be
+written (a closed pipe).  Output is deterministic for fixed
 argv: rows are emitted in canonical sorted order and floats use a fixed
 format.
 """
@@ -30,22 +31,28 @@ CSV_SCHEMA = "# schema=2"
 
 def _emit(rows: list[dict], fmt: str) -> str:
     """The whole report as one string, so nothing is written when a value
-    cannot be printed."""
-    if fmt == "json":
-        import json
-        return json.dumps(rows, default=str, sort_keys=True) + "\n"
-    if fmt == "plain":
-        return "".join(" ".join(f"{k}={row[k]}" for k in row) + "\n" for row in rows)
-    text = io.StringIO()
-    text.write(CSV_SCHEMA + "\n")
-    if rows:
-        # every key of every row, in first-seen order: rows may add fields
-        header = list(dict.fromkeys(k for row in rows for k in row))
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([str(row.get(k, "")) for k in header])
-    return text.getvalue()
+    cannot be printed: an integer past Python's str() digit limit is a usage
+    error that names the limit."""
+    try:
+        if fmt == "json":
+            import json
+            return json.dumps(rows, default=str, sort_keys=True) + "\n"
+        if fmt == "plain":
+            return "".join(" ".join(f"{k}={row[k]}" for k in row) + "\n" for row in rows)
+        text = io.StringIO()
+        text.write(CSV_SCHEMA + "\n")
+        if rows:
+            # every key of every row, in first-seen order: rows may add fields
+            header = list(dict.fromkeys(k for row in rows for k in row))
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([str(row.get(k, "")) for k in header])
+        return text.getvalue()
+    except ValueError:  # only str() of an int past the limit raises it here
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a report value has an integer of more than {limit} digits, "
+                         "the most that can be printed") from None
 
 
 def _float(x: float) -> str:
@@ -369,6 +376,12 @@ def _cmd_pq_hurwitz(args):
     ]
 
 
+# moments: about (order + 1)^2 (order + 1 + period) integer steps, where the
+# order is --mmax (or --delta, if larger) and the weight period is r a, or
+# a q p with --pair; the cap keeps a run within about 2 s at reference speed
+MOMENTS_MAX_WORK = 10**7
+
+
 # --r and --delta-prime default to None so that pair mode, which reads
 # neither, can tell a given flag from a default; plain mode resolves them
 @command("moments", ("--a", int, REQUIRED), ("--r", int, None), ("--mmax", int, 8),
@@ -388,6 +401,7 @@ def _cmd_moments(args):
             for flag, value in (("--r", args.r), ("--delta", args.delta), ("--delta-prime", args.delta_prime)):
                 if value is not None:
                     raise ValueError(f"{flag} is not read with --pair p,q")
+            _bound_moments_work("--mmax", args.mmax, args.a * q * p)
             for m in range(args.mmax + 1):
                 value = (
                     measures.restricted_moment(args.a, p, q, m)
@@ -397,6 +411,8 @@ def _cmd_moments(args):
                 rows.append({"m": m, "value": value})
         else:
             r = 1 if args.r is None else args.r
+            order = max(args.mmax, args.delta or 0)
+            _bound_moments_work("--delta" if order > args.mmax else "--mmax", order, r * args.a)
             psi = measures.psi_r_series(args.a, r, args.mmax)
             if args.restricted:
                 raise ValueError("--restricted needs --pair p,q")
@@ -416,6 +432,14 @@ def _cmd_moments(args):
     except ArithmeticError as exc:
         return 1, [{"error": str(exc)}]
     return 0, rows
+
+
+def _bound_moments_work(flag: str, order: int, period: int) -> None:
+    """Refuse a moments run past MOMENTS_MAX_WORK before any of its work."""
+    work = (order + 1) ** 2 * (order + 1 + period)
+    if work > MOMENTS_MAX_WORK:
+        raise ValueError(f"{flag} {order} with weight period {period} is {work} steps of "
+                         f"(order + 1)^2 (order + 1 + period), past the cap {MOMENTS_MAX_WORK}")
 
 
 @command("open-set-measure", ("--a", int, REQUIRED), ("--p", int, REQUIRED), ("--n", int, REQUIRED),
@@ -678,7 +702,11 @@ def run(argv: list[str], out=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    out.write(report)
+    try:
+        out.write(report)
+    except OSError as exc:  # a closed pipe: exit 120, as the interpreter's failed final flush does
+        print(f"output error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 120
     return code
 
 

@@ -12,7 +12,12 @@ Every moment is a Mahler pairing against the d_k: x^m pairs with the row
 D^k(x^m)(0) = k! S(m, k) of one Stirling triangle, which gives the monomial
 moments of Psi_r, of the two-prime measure and of its restriction to the
 p-units (the unit indicator twists the weights), each returned one checked
-against (1 - a^(m+1)) times r^m zeta_neg(m), zeta_neg(m, (q,)) or zeta_neg(m, (p, q)).
+against (1 - a^(m+1)) times r^m zeta(-m), zeta_q(-m) or zeta_{p,q}(-m), read
+from the Bernoulli table as an integer pair and compared by cross-multiplying.
+The triangle is module-level and only grows, so a sweep over m = 0..M builds
+it once; it keeps the rows up to the largest order asked for, O(M^2) integers
+of O(M log M) bits each, for the life of the process (``cli`` caps the
+orders of ``moments``).
 ``xi_weights`` builds every weight list and alone checks a and r.  The
 measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
 (``measure_on_open_set``).
@@ -21,11 +26,13 @@ measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .mahler import _reduce, characteristic_coefficients_exact
 from .padics import PadicNumber, Record, padic_valuation, require_primes
-from .rationals import zeta_neg
+from .rationals import zeta_neg_ratio
 
 
 def xi(n: int, a: int, r: int) -> int:
@@ -60,28 +67,36 @@ def taylor_numerators(weights: list[int], upto: int) -> list[int]:
     period = len(weights)
     if sum(weights):
         raise ArithmeticError("non-removable singularity: the weights' period sum is not zero")
-    terms = [(n, w) for n, w in enumerate(weights, start=1) if w]
+    ns = [n for n, w in enumerate(weights, start=1) if w]
+    ws = [w for w in weights if w]
     top = min(upto, period - 1)
-    num = [-sum(w * comb(n, j + 1) for n, w in terms) for j in range(top + 1)]
+    num = [-sum(map(mul, ws, map(comb, ns, repeat(j + 1)))) for j in range(top + 1)]
     q_scaled = [comb(period, i + 1) * period ** (i - 1) for i in range(1, top + 1)]
     numerators: list[int] = []
     p_k = 1
     for k in range(upto + 1):
-        acc = p_k * num[k] if k <= top else 0
-        for i, c in enumerate(q_scaled[:k], start=1):
-            acc -= c * numerators[k - i]
-        numerators.append(acc)
+        # N_(k-1), N_(k-2), ... against Q_1 P^0, Q_2 P^1, ...: map stops at the shorter
+        lagged = sum(map(mul, q_scaled, reversed(numerators)))
+        numerators.append((p_k * num[k] if k <= top else 0) - lagged)
         p_k *= period
     return numerators
 
 
+_TRIANGLE: list[list[int]] = [[1]]
+
+
 def _stirling_triangle(order: int) -> list[list[int]]:
     """Rows T(m, k) = D^k(x^m)(0) = k! S(m, k), k = 0..m, for m = 0..order, from T(0, 0) = 1
-    and T(m, k) = k (T(m-1, k) + T(m-1, k-1)) (Graham, Knuth and Patashnik, 6.1)."""
-    rows = [[1]]
-    for _ in range(order):
-        rows.append([k * (t + s) for k, (t, s) in enumerate(zip(rows[-1] + [0], [0] + rows[-1]))])
-    return rows
+    and T(m, k) = k (T(m-1, k) + T(m-1, k-1)) (Graham, Knuth and Patashnik, 6.1).
+
+    The rows live in one module-level triangle that only grows: it keeps the
+    rows up to the largest order asked for, and holds no lock (the package
+    starts no threads)."""
+    rows = _TRIANGLE
+    while len(rows) <= order:
+        last = rows[-1]
+        rows.append([k * (t + s) for k, (t, s) in enumerate(zip(last + [0], [0] + last))])
+    return rows[: order + 1]
 
 
 def _monomial_moments(weights: list[int], order: int, first: int = 0) -> list[Fraction]:
@@ -90,8 +105,7 @@ def _monomial_moments(weights: list[int], order: int, first: int = 0) -> list[Fr
     period = len(weights)
     scaled = [n * period ** (order - k) for k, n in enumerate(taylor_numerators(weights, order))]
     den = period ** (order + 1)
-    rows = _stirling_triangle(order)
-    return [Fraction(sum(c * s for c, s in zip(row, scaled)), den) for row in rows[first:]]
+    return [Fraction(sum(map(mul, row, scaled)), den) for row in _stirling_triangle(order)[first:]]
 
 
 def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fraction]:
@@ -99,9 +113,10 @@ def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fractio
     (1 - a^(m+1)) r^m zeta(-m); a mismatch is an internal error, never a return."""
     out = _monomial_moments(xi_weights(a, r), order, first)
     for m, lhs in enumerate(out, start=first):
-        rhs = (1 - a ** (m + 1)) * r**m * zeta_neg(m)
-        if lhs != rhs:
-            raise ArithmeticError(f"moment mismatch at (a={a}, r={r}, m={m}): {lhs} != {rhs}")
+        num, den = zeta_neg_ratio(m)
+        num *= (1 - a ** (m + 1)) * r**m
+        if lhs.numerator * den != num * lhs.denominator:
+            raise ArithmeticError(f"moment mismatch at (a={a}, r={r}, m={m}): {lhs} != {Fraction(num, den)}")
     return out
 
 
@@ -130,8 +145,8 @@ def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
     value = moment(a, 1, m) - moment(a, q, m)
-    expected = (1 - a ** (m + 1)) * zeta_neg(m, (q,))
-    if value != expected:
+    num, den = zeta_neg_ratio(m, (q,))
+    if value.numerator * den != (1 - a ** (m + 1)) * num * value.denominator:
         raise ArithmeticError("double moment disagrees with its closed form")
     if padic_valuation(value, p) < 0:
         raise ArithmeticError("double moment lost p-integrality")
@@ -154,12 +169,12 @@ def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
         return _monomial_moments(weights, m, m)[0]
 
     twisted = unit_twist(1) - unit_twist(q)
-    closed = (1 - a ** (m + 1)) * zeta_neg(m, (p, q))
-    if twisted != closed:
+    num, den = zeta_neg_ratio(m, (p, q))
+    if twisted.numerator * den != (1 - a ** (m + 1)) * num * twisted.denominator:
         raise ArithmeticError(
             f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})"
         )
-    return closed
+    return twisted  # equal to the closed form, so the same reduced Fraction
 
 
 # -- binomial moments and open sets -------------------------------------------
@@ -196,7 +211,7 @@ def binomial_moments(a: int, p: int, n: int, r: int = 1) -> list[Fraction]:
 
 def open_set_closed_form(a: int, p: int, n: int, b: int) -> Fraction:
     """The conjectured closed form (1/a) * floor(ab / p^n) + ((1/a) - 1) / 2."""
-    return Fraction(1, a) * (a * b // p**n) + (Fraction(1, a) - 1) / 2
+    return Fraction(2 * (a * b // p**n) + 1 - a, 2 * a)
 
 
 class OpenSetMeasure(Record):

@@ -217,6 +217,50 @@ def test_plain_mode_moments_flags_with_pair_are_usage_errors(capsys):
         assert _rejected(["moments", *argv], capsys) == line, argv
 
 
+@pytest.mark.parametrize(
+    "argv, flag, order, period",
+    [
+        (["--a", "2", "--mmax", "1000000000"], "--mmax", 1000000000, 2),
+        (["--a", "2", "--mmax", "214"], "--mmax", 214, 2),
+        (["--a", "2", "--r", "5000000"], "--mmax", 8, 10000000),
+        (["--a", "2", "--mmax", "0", "--delta", "1000"], "--delta", 1000, 2),
+        (["--a", "3", "--pair", "5,7", "--mmax", "190"], "--mmax", 190, 105),
+        (["--a", "3", "--pair", "5,7", "--mmax", "190", "--restricted"], "--mmax", 190, 105),
+        (["--a", "2", "--pair", "1117,2237", "--mmax", "1", "--restricted"], "--mmax", 1, 4997458),
+    ],
+)
+def test_moments_past_the_work_cap_are_refused_before_any_work(argv, flag, order, period, monkeypatch, capsys):
+    from pqzeta import measures
+
+    def no_work(*args):
+        raise AssertionError("a refused run built weights")
+
+    monkeypatch.setattr(measures, "xi_weights", no_work)
+    work = (order + 1) ** 2 * (order + 1 + period)
+    assert work > cli.MOMENTS_MAX_WORK
+    line = (f"usage error: {flag} {order} with weight period {period} is {work} steps of "
+            f"(order + 1)^2 (order + 1 + period), past the cap {cli.MOMENTS_MAX_WORK}")
+    assert _rejected(["moments", *argv], capsys) == line
+
+
+def test_batch_moments_argv_do_not_depend_on_the_triangle(monkeypatch):
+    """The benchmark's moments argv print the same bytes from a fresh module
+    triangle, in either order, and after a larger --mmax has grown it."""
+    from pqzeta import measures
+
+    batch = [argv for argv in _cli_batch_argv() if argv[0] == "moments"]
+    assert len(batch) == 2
+    reports = []
+    for order in (batch, batch[::-1], None):
+        monkeypatch.setattr(measures, "_TRIANGLE", [[1]])
+        if order is None:
+            assert _run(["moments", "--a", "2", "--mmax", "40"])[0] == 0
+            order = batch
+        reports.append({tuple(argv): _run(argv) for argv in order})
+    assert reports[0] == reports[1] == reports[2]
+    assert all(code == 0 for code, _ in reports[0].values())
+
+
 def test_chain_limits_exact_agreement_exits_0():
     code, out = _run(["chain-limits", "--target", "p-adic-beta", "--p", "5", "--depth", "0"])
     assert code == 0
@@ -807,10 +851,25 @@ def test_a_closed_stdout_pipe_is_reported_as_before(unbuffered):
                                        stdout=write_end, environ=environ)
     finally:
         os.close(write_end)
-    # buffered, the interpreter's final flush fails; unbuffered, the write in run does
-    assert script.returncode == normal.returncode == (1 if unbuffered else 120)
+    # buffered, the interpreter's final flush fails; unbuffered, the write in
+    # run does, and run names it in one line: exit 120 either way
+    assert script.returncode == normal.returncode == 120
     assert _without_frames(script.stderr) == _without_frames(normal.stderr)
     assert script.stderr.rstrip().endswith("BrokenPipeError: [Errno 32] Broken pipe")
+    if unbuffered:
+        assert script.stderr == "output error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_a_report_past_the_stdout_buffer_on_a_closed_pipe_exits_120():
+    # the write in run fails before any flush: one line, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        script, normal = _both_entries(["bernoulli", "--upto", "400"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert script.returncode == normal.returncode == 120
+    assert script.stderr == normal.stderr == "output error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 class _Stream:
@@ -846,5 +905,5 @@ def test_a_value_too_long_to_print_is_a_usage_error_before_any_output(fmt, monke
     rows = [{"k": 0, "value": 1}, {"k": 1, "value": Fraction(10**4400, 3)}]
     monkeypatch.setitem(COMMANDS, "zeta-neg", (lambda args: (0, rows), COMMANDS["zeta-neg"][1]))
     assert _run(["--format", fmt, "zeta-neg"]) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+    line = "usage error: a report value has an integer of more than 4300 digits, the most that can be printed\n"
+    assert capsys.readouterr().err == line  # no advice to call a Python function

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import factorial, floor, gcd
+from math import comb, factorial, floor, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
+from pqzeta import measures
 from pqzeta.mahler import _differences, characteristic_coefficients_exact
 from pqzeta.measures import (
     _monomial_moments,
@@ -236,6 +237,61 @@ def test_stirling_triangle_rows_are_factorial_times_stirling():
     for m, row in enumerate(rows):
         assert row == [factorial(k) * stirling(m, k) for k in range(m + 1)], m
         assert row == _differences([x**m for x in range(m + 1)]), m
+
+
+def reference_triangle(order: int) -> list[list[int]]:
+    """k! S(m, k) = sum_j (-1)^(k-j) C(k, j) j^m, m = 0..order, built afresh
+    by the explicit sum rather than the recurrence."""
+    return [
+        [sum((-1) ** (k - j) * comb(k, j) * j**m for j in range(k + 1)) for k in range(m + 1)]
+        for m in range(order + 1)
+    ]
+
+
+def test_the_module_triangle_rows_equal_a_reference_triangle(monkeypatch):
+    monkeypatch.setattr(measures, "_TRIANGLE", [[1]])
+    want = reference_triangle(40)
+    for order in (3, 0, 17, 40, 12):  # grows, reads below its top, grows again
+        assert _stirling_triangle(order) == want[: order + 1], order
+    assert measures._TRIANGLE == want
+
+
+@pytest.mark.parametrize("built", [0, 7, 60], ids=["fresh", "part-built", "built-past-the-order"])
+def test_moments_do_not_depend_on_the_module_triangle(built, monkeypatch):
+    monkeypatch.setattr(measures, "_TRIANGLE", [[1]])
+    _stirling_triangle(built)
+    assert len(measures._TRIANGLE) == built + 1
+    for a, r in ((2, 1), (3, 2), (5, 3)):
+        series = psi_r_series(a, r, 24)
+        for m in range(25):
+            want = (1 - a ** (m + 1)) * r**m * zeta_neg(m)
+            assert type(moment(a, r, m)) is Fraction and moment(a, r, m) == want, (a, r, m)
+            assert type(series[m]) is Fraction and series[m] == want / factorial(m), (a, r, m)
+    for a, p, q in ((2, 5, 7), (3, 7, 11)):
+        for m in range(13):
+            double, restricted = double_moment(a, p, q, m), restricted_moment(a, p, q, m)
+            assert type(double) is type(restricted) is Fraction
+            assert double == (1 - a ** (m + 1)) * zeta_neg(m, (q,)), (a, p, q, m)
+            assert restricted == (1 - a ** (m + 1)) * zeta_neg(m, (p, q)), (a, p, q, m)
+    assert len(measures._TRIANGLE) == max(built, 24) + 1
+
+
+def test_a_moment_that_disagrees_with_zeta_is_an_internal_error(monkeypatch):
+    """The integer cross-multiplied checks still fire: a zeta value one off
+    in its numerator fails each route, and the message shows both values."""
+    ratio = measures.zeta_neg_ratio
+
+    def one_off(when):
+        return lambda m, primes=(): (ratio(m, primes)[0] + when(primes), ratio(m, primes)[1])
+
+    monkeypatch.setattr(measures, "zeta_neg_ratio", one_off(lambda primes: not primes))
+    with pytest.raises(ArithmeticError, match=r"moment mismatch at \(a=2, r=1, m=1\): 1/4 != 0"):
+        moment(2, 1, 1)
+    monkeypatch.setattr(measures, "zeta_neg_ratio", one_off(bool))  # the Euler-factor forms only
+    with pytest.raises(ArithmeticError, match="double moment disagrees with its closed form"):
+        double_moment(3, 5, 7, 1)
+    with pytest.raises(ArithmeticError, match="restricted moment routes disagree"):
+        restricted_moment(3, 5, 7, 1)
 
 
 def test_stirling_triangle_equals_the_forward_difference_route():

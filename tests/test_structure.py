@@ -12,6 +12,11 @@ removed, as an unreduced integer pair) and
 by those two, by the real-analytic Euler-Maclaurin tail and by the table
 printer, so no module writes out a Bernoulli-value formula of its own.
 
+The rows k! S(m, k) of the Stirling triangle have one source too:
+``measures._stirling_triangle`` alone reads or extends the module triangle
+``_TRIANGLE``, no other definition is named for Stirling numbers, and only
+``measures._monomial_moments`` asks it for rows.
+
 Only ``cli.main``, the ``pqzeta`` script, ends the process with ``os._exit``;
 no library function can end the process of a program that calls it.
 
@@ -106,6 +111,20 @@ def test_bernoulli_values_reach_formulas_through_zeta_neg():
     callers = _callers("bernoulli")
     assert "rationals.zeta_neg_ratio" in callers  # the walk does find calls
     assert callers <= BERNOULLI_CALLERS, sorted(callers - BERNOULLI_CALLERS)
+
+
+def test_one_stirling_triangle():
+    readers, named = set(), set()
+    for module, tree in _parsed():
+        for name, node in _definitions(tree, module):
+            if "stirling" in node.name.lower():
+                named.add(name)
+            if not isinstance(node, ast.ClassDef) and any(
+                isinstance(child, ast.Name) and child.id == "_TRIANGLE" for child in ast.walk(node)
+            ):
+                readers.add(name)
+    assert named == readers == {"measures._stirling_triangle"}
+    assert _callers("_stirling_triangle") == {"measures._monomial_moments"}
 
 
 def test_only_the_script_entry_point_exits_hard():
