@@ -264,8 +264,8 @@ def test_moments_do_not_depend_on_the_module_triangle(built, monkeypatch):
     for a, r in ((2, 1), (3, 2), (5, 3)):
         series = psi_r_series(a, r, 24)
         for m in range(25):
-            want = (1 - a ** (m + 1)) * r**m * zeta_neg(m)
-            assert type(moment(a, r, m)) is Fraction and moment(a, r, m) == want, (a, r, m)
+            got, want = moment(a, r, m), (1 - a ** (m + 1)) * r**m * zeta_neg(m)
+            assert type(got) is Fraction and got == want, (a, r, m)
             assert type(series[m]) is Fraction and series[m] == want / factorial(m), (a, r, m)
     for a, p, q in ((2, 5, 7), (3, 7, 11)):
         for m in range(13):
