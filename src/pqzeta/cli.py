@@ -130,6 +130,7 @@ def _cmd_padic(args):
 @command("teichmuller", ("--n", int, REQUIRED), ("--p", int, REQUIRED), ("--q", int, None),
          ("--precision", int, 4))
 def _cmd_teichmuller(args):
+    _bound_teichmuller_digits(args.precision, args.p, *([] if args.q is None else [args.q]))
     if args.q is None:
         w = padics.teichmuller(args.n, args.p, args.precision)
         return 0, [{"n": args.n, "p": args.p, "unit": w.unit, "precision": args.precision}]
@@ -381,6 +382,11 @@ def _cmd_pq_hurwitz(args):
 # a q p with --pair; the cap keeps a run within about 2 s at reference speed
 MOMENTS_MAX_WORK = 10**7
 
+# teichmuller: the roots it prints are residues mod p^N (mod p^N q^N with --q),
+# and the lift keeps them for the life of the process; a modulus past Python's
+# default str() digit limit could not be printed, so it is refused before any lift
+TEICHMULLER_MAX_DIGITS = 4300
+
 
 # --r and --delta-prime default to None so that pair mode, which reads
 # neither, can tell a given flag from a default; plain mode resolves them
@@ -440,6 +446,19 @@ def _bound_moments_work(flag: str, order: int, period: int) -> None:
     if work > MOMENTS_MAX_WORK:
         raise ValueError(f"{flag} {order} with weight period {period} is {work} steps of "
                          f"(order + 1)^2 (order + 1 + period), past the cap {MOMENTS_MAX_WORK}")
+
+
+def _bound_teichmuller_digits(precision: int, *primes: int) -> None:
+    """Refuse a teichmuller run whose modulus (p q)^precision has more than
+    TEICHMULLER_MAX_DIGITS digits, before any lift."""
+    limit = 10**TEICHMULLER_MAX_DIGITS
+    base = abs(math.prod(primes))
+    # base^e >= 2^((b - 1) e) > limit for this e, so no larger power is formed
+    e = limit.bit_length() // max(base.bit_length() - 1, 1) + 1
+    if base ** max(0, min(precision, e)) >= limit:
+        modulus = " * ".join(f"{p}^{precision}" for p in primes)
+        raise ValueError(f"--precision {precision} makes the modulus {modulus} longer than "
+                         f"the cap of {TEICHMULLER_MAX_DIGITS} digits")
 
 
 @command("open-set-measure", ("--a", int, REQUIRED), ("--p", int, REQUIRED), ("--n", int, REQUIRED),

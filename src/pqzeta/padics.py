@@ -411,8 +411,17 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     return PadicNumber(p, 0, _teichmuller_unit(n, p, precision), precision)
 
 
+# (p, n mod p) -> (k, the Teichmuller root mod p^k): at most p - 1 roots per prime
+_ROOTS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 def _teichmuller_unit(n: int, p: int, precision: int) -> int:
     """The lift of ``teichmuller`` as an int, for a prime p checked by the caller.
+
+    The root of each class lives in the module table ``_ROOTS``, which only
+    grows and holds no lock (the package starts no threads).  It keeps the
+    root mod p^k at the largest k asked for: a request for N <= k is the
+    residue mod p^N, and one for N > k goes on from it to N by Newton's method.
 
     Newton's method on f(x) = x^(p-1) - 1, from x = n mod p.  The step
     x - f/f' is x - (x^p - x)/((p-1) x^(p-1)).  At a root mod p^k both
@@ -425,7 +434,13 @@ def _teichmuller_unit(n: int, p: int, precision: int) -> int:
     """
     if precision < 1:
         raise ValueError("teichmuller needs precision >= 1")
-    x, k = n % p, 1
+    if not isinstance(n, int) or not isinstance(precision, int):
+        # pow(x, p, m) refuses them too, but a table residue would not
+        raise TypeError("teichmuller needs an int n and precision")
+    key = (p, n % p)
+    k, x = _ROOTS.get(key, (1, key[1]))
+    if k >= precision:
+        return x % p**precision
     while k < precision:
         k = min(2 * k, precision)
         m = p**k
@@ -433,6 +448,7 @@ def _teichmuller_unit(n: int, p: int, precision: int) -> int:
     mod = p**precision
     if pow(x, p, mod) != x:
         raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
+    _ROOTS[key] = (precision, x)
     return x
 
 

@@ -243,6 +243,47 @@ def test_moments_past_the_work_cap_are_refused_before_any_work(argv, flag, order
     assert _rejected(["moments", *argv], capsys) == line
 
 
+class _Lifted(Exception):
+    """Raised by the stand-in lift: a run that gets past the cap reaches it."""
+
+
+@pytest.mark.parametrize(
+    "argv, modulus",
+    [
+        (["--n", "2", "--p", "101", "--precision", "30000"], "101^30000"),
+        (["--n", "2", "--p", "101", "--precision", "300000"], "101^300000"),
+        (["--n", "3", "--p", "2", "--precision", "14285"], "2^14285"),
+        (["--n", "5", "--p", "2", "--q", "3", "--precision", "5526"], "2^5526 * 3^5526"),
+        (["--n", "2", "--p", "101", "--q", "103", "--precision", "1071"], "101^1071 * 103^1071"),
+        (["--n", "2", "--p", "101", "--precision", "10000000000000000000000"], "101^10000000000000000000000"),
+    ],
+)
+def test_teichmuller_past_the_digit_cap_is_refused_before_any_lift(argv, modulus, monkeypatch, capsys):
+    from pqzeta import padics
+
+    def no_lift(*args):
+        raise AssertionError("a refused run lifted a root")
+
+    monkeypatch.setattr(padics, "_teichmuller_unit", no_lift)
+    line = (f"usage error: --precision {argv[-1]} makes the modulus {modulus} longer than "
+            f"the cap of {cli.TEICHMULLER_MAX_DIGITS} digits")
+    assert _rejected(["teichmuller", *argv], capsys) == line
+
+
+def test_teichmuller_at_the_digit_cap_reaches_the_lift(monkeypatch):
+    # the largest precisions whose modulus has at most 4300 digits pass the cap
+    from pqzeta import padics
+
+    def lifted(*args):
+        raise _Lifted
+
+    monkeypatch.setattr(padics, "_teichmuller_unit", lifted)
+    for argv in (["--p", "2", "--precision", "14284"], ["--p", "2", "--q", "3", "--precision", "5525"],
+                 ["--p", "101", "--precision", "2145"], ["--p", "101", "--q", "103", "--precision", "1070"]):
+        with pytest.raises(_Lifted):
+            _run(["teichmuller", "--n", "5", *argv])
+
+
 def test_batch_moments_argv_do_not_depend_on_the_triangle(monkeypatch):
     """The benchmark's moments argv print the same bytes from a fresh module
     triangle, in either order, and after a larger --mmax has grown it."""

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pqzeta import padics
 from pqzeta.padics import (
     PadicNumber,
     PrecisionError,
@@ -286,6 +287,56 @@ def test_newton_lift_equals_one_modular_power():
         for p in (2, 3, 5, 101):
             if n % p:
                 assert teichmuller(n, p, 17).unit == lift_by_power(n, p, 17)
+
+
+TABLE_PRIMES = (2, 3, 5, 7, 101)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_root_table_serves_any_order_of_precisions(order, monkeypatch):
+    monkeypatch.setattr(padics, "_ROOTS", {})
+    precisions = list(range(1, 41))
+    if order == "descending":
+        precisions.reverse()
+    elif order == "interleaved":
+        random.Random(31).shuffle(precisions)
+    # several n per class, negative and large ones too: one entry per class
+    args = {p: [n for n in (*range(-2 * p, 2 * p + 1), -(10**6) - 1, 10**12 + 3) if n % p][:40]
+            for p in TABLE_PRIMES}
+    for N in precisions:
+        for p, ns in args.items():
+            for n in ns:
+                assert _teichmuller_unit(n, p, N) == lift_by_power(n, p, N), (order, n, p, N)
+    for p, ns in args.items():
+        classes = {n % p for n in ns}
+        assert {r for q, r in padics._ROOTS if q == p} == classes
+        assert len(classes) <= p - 1
+        assert all(padics._ROOTS[p, r][0] == 40 for r in classes)
+
+
+def test_refused_lifts_leave_the_root_table_unchanged(monkeypatch):
+    monkeypatch.setattr(padics, "_ROOTS", {})
+    teichmuller(2, 5, 6)
+    before = dict(padics._ROOTS)
+    for args in ((10, 5, 8), (2, 5, 0), (2, 5, -3), (2, 9, 8), (3, 1, 4)):
+        with pytest.raises(ValueError):
+            teichmuller(*args)
+    for args in ((2.0, 5, 8), (2, 5, 8.0), (Fraction(2), 5, 3)):
+        with pytest.raises(TypeError):
+            teichmuller(*args)
+    assert padics._ROOTS == before
+
+
+def test_a_wrong_stored_root_fails_the_fixed_point_check(monkeypatch):
+    # a root wrong mod p^2 but in the right class: Newton from it gains too few
+    # digits to reach p^4 or p^8, and the check on the new lift catches it
+    for p in (3, 5, 7, 101):
+        for N in (4, 8):
+            wrong = {(p, 2): (2, (lift_by_power(2, p, 2) + 2 * p) % p**2)}
+            monkeypatch.setattr(padics, "_ROOTS", dict(wrong))
+            with pytest.raises(ArithmeticError, match="fixed point"):
+                teichmuller(2, p, N)
+            assert padics._ROOTS == wrong
 
 
 def test_angle_bracket_equals_crt_and_inverse():

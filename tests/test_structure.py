@@ -17,6 +17,10 @@ The rows k! S(m, k) of the Stirling triangle have one source too:
 ``_TRIANGLE``, no other definition is named for Stirling numbers, and only
 ``measures._monomial_moments`` asks it for rows.
 
+Teichmuller roots have one keeper: ``padics._teichmuller_unit`` alone reads
+or writes the module table ``_ROOTS``, so every lift, from ``teichmuller``,
+``double_teichmuller`` or ``angle_bracket``, passes through it.
+
 Only ``cli.main``, the ``pqzeta`` script, ends the process with ``os._exit``;
 no library function can end the process of a program that calls it.
 
@@ -113,18 +117,35 @@ def test_bernoulli_values_reach_formulas_through_zeta_neg():
     assert callers <= BERNOULLI_CALLERS, sorted(callers - BERNOULLI_CALLERS)
 
 
+def _readers(table):
+    """The functions whose code, nested definitions included, names table, as a
+    plain name or as an attribute."""
+    return {
+        name
+        for module, tree in _parsed()
+        for name, node in _definitions(tree, module)
+        if not isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(child, ast.Name) and child.id == table
+            or isinstance(child, ast.Attribute) and child.attr == table
+            for child in ast.walk(node)
+        )
+    }
+
+
 def test_one_stirling_triangle():
-    readers, named = set(), set()
-    for module, tree in _parsed():
-        for name, node in _definitions(tree, module):
-            if "stirling" in node.name.lower():
-                named.add(name)
-            if not isinstance(node, ast.ClassDef) and any(
-                isinstance(child, ast.Name) and child.id == "_TRIANGLE" for child in ast.walk(node)
-            ):
-                readers.add(name)
-    assert named == readers == {"measures._stirling_triangle"}
+    named = {
+        name
+        for module, tree in _parsed()
+        for name, node in _definitions(tree, module)
+        if "stirling" in node.name.lower()
+    }
+    assert named == _readers("_TRIANGLE") == {"measures._stirling_triangle"}
     assert _callers("_stirling_triangle") == {"measures._monomial_moments"}
+
+
+def test_one_keeper_of_the_teichmuller_roots():
+    assert _readers("_ROOTS") == {"padics._teichmuller_unit"}
 
 
 def test_only_the_script_entry_point_exits_hard():
