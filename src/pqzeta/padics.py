@@ -423,7 +423,8 @@ def _teichmuller_unit(n: int, p: int, precision: int) -> int:
     root mod p^k at the largest k asked for: a request for N <= k is the
     residue mod p^N, and one for N > k goes on from it to N by Newton's method.
 
-    Newton's method on f(x) = x^(p-1) - 1, from x = n mod p.  The step
+    Newton's method on f(x) = x^(p-1) - 1, from x = n mod p or from the
+    stored root mod p^k.  The step
     x - f/f' is x - (x^p - x)/((p-1) x^(p-1)).  At a root mod p^k both
     x^p - x = 0 and x^(p-1) = 1 hold mod p^k, so dropping x^(p-1) moves
     the step only mod p^2k: x + (x - x^p)/(p - 1) is a root mod p^2k.  The
