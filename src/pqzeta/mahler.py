@@ -7,7 +7,8 @@ recovered as f(x) = sum_n C(x, n) a_n.  Both directions work on exact
 rational representatives, each paired with the absolute precision it is
 known to, and reduce once at the end: ``_differences`` is the one
 difference loop (coefficients, decay checks) and ``_pair`` the one binomial
-pairing (evaluation).  Decay certificates record the bound
+pairing (evaluation), reduced by ``padics.reduce_absolute`` for a p each
+entry point checks once.  Decay certificates record the bound
 |a_n|_p <= p^(-s) for n >= s * p^t coming from a uniform-continuity modulus.
 """
 
@@ -21,8 +22,8 @@ from .padics import (
     PrecisionError,
     Record,
     is_prime,
-    padic_reduce_abs,
     padic_valuation,
+    reduce_absolute,
     require_primes,
 )
 
@@ -128,13 +129,6 @@ def _representative(x):
     return Fraction(x.unit, x.p**-x.valuation)
 
 
-def _reduce(value, p: int, abs_prec: int) -> PadicNumber:
-    """The class of an exact value mod p^abs_prec; a zero is ``zero_mod``."""
-    if value == 0:
-        return PadicNumber.zero_mod(p, abs_prec)
-    return padic_reduce_abs(value, p, abs_prec)
-
-
 def mahler_coefficients(f, upto: int, p: int, precision: int) -> MahlerSeries:
     """Coefficients a_0..a_upto of f, a_n = D^n f(0).
 
@@ -143,18 +137,25 @@ def mahler_coefficients(f, upto: int, p: int, precision: int) -> MahlerSeries:
     carries its own and an exact entry is reduced mod p^precision first.
     a_n is reduced at the least precision of entries 0..n (at precision
     when all are exact); a difference that cancels every tracked digit is
-    an inexact zero.
+    an inexact zero, and an exact zero entry or difference stays exact.
     """
+    require_primes(p)
     vals = _window(f, upto)
     if not all(isinstance(x, (int, Fraction)) for x in vals):
-        vals = [x if isinstance(x, PadicNumber) else padic_reduce_abs(x, p, precision) for x in vals]
+        for i, x in enumerate(vals):
+            if not isinstance(x, PadicNumber):
+                x = Fraction(x)
+                vals[i] = reduce_absolute(x, p, precision) if x else PadicNumber.exact_zero(p)
         if any(x.p != p for x in vals):
             raise ValueError(f"window entries must be {p}-adic")
     coeffs, known = [], INFINITY
     for d, x in zip(_differences([_representative(x) for x in vals]), vals):
         if isinstance(x, PadicNumber):
             known = min(known, x.abs_precision)
-        coeffs.append(padic_reduce_abs(d, p, precision) if known == INFINITY else _reduce(d, p, known))
+        if known == INFINITY:  # every entry so far is exact, and so is d
+            coeffs.append(reduce_absolute(d, p, precision) if d else PadicNumber.exact_zero(p))
+        else:
+            coeffs.append(reduce_absolute(d, p, known))
     return MahlerSeries(p=p, precision=precision, coeffs=coeffs)
 
 
@@ -261,13 +262,14 @@ def evaluate_mahler(series: MahlerSeries, x):
     (see ``_log_floor``), and a value left with no digit raises PrecisionError.
     """
     p, n_prec = series.p, series.precision
+    require_primes(p)
     if isinstance(x, int):
         if x < 0:
             raise ValueError("integer evaluation needs x >= 0")
         if x >= len(series.coeffs):
             raise InsufficientTailError(f"window of {len(series.coeffs)} ends before x={x}")
         total, known = _pair(series, x, x)
-        return PadicNumber.exact_zero(p) if known == INFINITY else _reduce(total, p, known)
+        return PadicNumber.exact_zero(p) if known == INFINITY else reduce_absolute(total, p, known)
 
     if not isinstance(x, PadicNumber) or x.p != p:
         raise TypeError("x must be an int or a PadicNumber over the same prime")
@@ -281,7 +283,7 @@ def evaluate_mahler(series: MahlerSeries, x):
     known = min(known, n_prec, sigma)
     if known < 1:
         raise PrecisionError(f"no {p}-adic digit of the value is certified")
-    return _reduce(total, p, known)
+    return reduce_absolute(total, p, known)
 
 
 def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list[int]:
@@ -317,9 +319,10 @@ def characteristic_mahler(b: int, n: int, p: int, upto: int) -> MahlerSeries:
     The indicator is locally constant of modulus p^n, so the decay certificate
     (upto // p^n, n) holds for every sigma up to the window's reach.
     """
+    require_primes(p)
     pn = p**n
     coeffs = characteristic_coefficients_exact(b, n, p, upto)
     # reduce at a precision wide enough to keep every certified digit exact
     precision = max(1, upto // pn + 2)
-    reduced = [padic_reduce_abs(c, p, precision) for c in coeffs]
+    reduced = [reduce_absolute(c, p, precision) if c else PadicNumber.exact_zero(p) for c in coeffs]
     return MahlerSeries(p=p, precision=precision, coeffs=reduced, decay=(upto // pn, n))

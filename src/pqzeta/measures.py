@@ -20,7 +20,7 @@ of O(M log M) bits each, for the life of the process (``cli`` caps the
 orders of ``moments``).
 ``xi_weights`` builds every weight list and alone checks a and r.  The
 measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
-(``measure_on_open_set``).
+(``measure_on_open_set``, reduced by ``padics.reduce_absolute``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from itertools import repeat
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
-from .mahler import _reduce, characteristic_coefficients_exact
-from .padics import PadicNumber, Record, padic_valuation, require_primes
+from .mahler import characteristic_coefficients_exact
+from .padics import PadicNumber, Record, padic_valuation, reduce_absolute, require_primes
 from .rationals import zeta_neg_ratio
 
 
@@ -267,7 +267,7 @@ def measure_on_open_set(
         series_sum=series_sum,
         certified_digits=certified,
         conjectured=open_set_closed_form(a, p, n, b),
-        value=_reduce(series_sum, p, certified),
+        value=reduce_absolute(series_sum, p, certified),
     )
 
 

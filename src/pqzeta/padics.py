@@ -51,19 +51,37 @@ def _split(num: int, den: int, p: int) -> tuple[int, int, int]:
     return v, num, den
 
 
+PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division by 2, then by odd f only; the primes here are small.
-    Only an int can be prime."""
+    """Whether n is prime (only an int can be): trial division below 10^5, then the
+    strong probable-prime test to the 13 prime bases 2..41, which no composite below
+    PSI_13 passes (Sorenson and Webster, Math. Comp. 86, 2017); from PSI_13 up, ValueError."""
     if not isinstance(n, int) or n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n < 10**5:
+        if n % 2 == 0:
+            return n == 2
+        f = 3
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+    if n >= PSI_13:
+        raise ValueError(f"cannot decide whether {n} is a prime: the primality test is "
+                         f"proven only below {PSI_13}")
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """With n - 1 = 2^s d, d odd: for each base b in 2..41, b^d = 1 or
+    b^(2^r d) = -1 mod n for some r < s."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
 
 
 def require_primes(*primes: int) -> None:
@@ -360,42 +378,53 @@ class PadicNumber:
 # -- module-level operations -------------------------------------------------
 
 
-def _exact(x) -> tuple[int, int]:
-    """Numerator and denominator of x: read off an int or a ``Fraction``,
-    anything else ``Fraction`` accepts converted first."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return x.numerator, x.denominator
-
-
 def _padic_unit(p: int, v: int, num: int, den: int, precision: int) -> PadicNumber:
     """p^v num/den, num and den prime to p, truncated to relative precision."""
-    if not isinstance(precision, int) or precision < 0:
-        raise ValueError(f"precision must be an int >= 0, got {precision}")
     mod = p**precision
     unit = num % mod if den == 1 else num * pow(den, -1, mod) % mod
     return PadicNumber(p, v, unit, precision)
 
 
-def padic_of_rational(x: Fraction | int, p: int, precision: int) -> PadicNumber:
-    """Truncate a rational to valuation + unit mod p^precision (relative precision)."""
-    require_primes(p)
-    num, den = _exact(x)
+def reduce_relative(x, p: int, precision: int) -> PadicNumber:
+    """The unchecked core of ``padic_of_rational``, for a p passed through
+    ``require_primes``: x = p^v u with u mod p^precision, and exact_zero for
+    x = 0.  x is an int, a ``Fraction`` or an unreduced int pair (num, den)
+    with den != 0, taken with no gcd."""
+    num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
     if num == 0:
         return PadicNumber.exact_zero(p)
+    if not isinstance(precision, int) or precision < 0:
+        raise ValueError(f"precision must be an int >= 0, got {precision}")
     return _padic_unit(p, *_split(num, den, p), precision)
 
 
-def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumber:
-    """Reduce an exact rational modulo p^abs_precision (absolute precision)."""
+def reduce_absolute(x, p: int, abs_precision: int) -> PadicNumber:
+    """The unchecked core of ``padic_reduce_abs``: x, as for ``reduce_relative``,
+    mod p^abs_precision.  The one zero rule: v_p(x) >= abs_precision gives
+    ``zero_mod(p, abs_precision)``, and 0 counts, since v_p(0) = +inf; only an
+    exact 0 passed to the public ``padic_reduce_abs`` stays exact_zero."""
+    num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
+    if num:
+        v, num, den = _split(num, den, p)
+        if v < abs_precision:
+            return _padic_unit(p, v, num, den, int(abs_precision - v))
+    return PadicNumber.zero_mod(p, abs_precision)
+
+
+def padic_of_rational(x: Fraction | int, p: int, precision: int) -> PadicNumber:
+    """Truncate a rational to valuation + unit mod p^precision (relative
+    precision); x is an int, a ``Fraction`` or else read by ``Fraction``,
+    which takes no unreduced pair."""
     require_primes(p)
-    num, den = _exact(x)
-    if num == 0:
-        return PadicNumber.exact_zero(p)
-    v, num, den = _split(num, den, p)
-    if v >= abs_precision:
-        return PadicNumber.zero_mod(p, abs_precision)
-    return _padic_unit(p, v, num, den, int(abs_precision - v))
+    return reduce_relative(x if isinstance(x, (int, Fraction)) else Fraction(x), p, precision)
+
+
+def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumber:
+    """Reduce an exact rational, x as for ``padic_of_rational``, modulo
+    p^abs_precision (absolute precision)."""
+    require_primes(p)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return reduce_absolute(x, p, abs_precision) if x else PadicNumber.exact_zero(p)
 
 
 def teichmuller(n: int, p: int, precision: int) -> PadicNumber:

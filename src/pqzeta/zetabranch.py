@@ -7,8 +7,8 @@ Hurwitz values.
 The two-prime branch values, the Kummer valuations and the Hurwitz sums
 are read from the unreduced integer pairs of ``rationals.zeta_neg_ratio``
 and ``rationals.bernoulli_polynomial_ratio``, and reduced mod p^N by
-``_reduce``, so no gcd normalises a value that is only reduced; a KL-branch
-value is reduced from the numerator and denominator of ``kl_value``.
+``padics.reduce_relative`` with no gcd, as is the ``Fraction`` of a KL-branch
+value from ``kl_value``; each entry checks its primes once, the core never.
 """
 
 from __future__ import annotations
@@ -20,23 +20,12 @@ from .padics import (
     INFINITY,
     PadicNumber,
     Record,
-    _padic_unit,
-    _split,
     angle_bracket,
-    padic_of_rational,
     padic_valuation,
+    reduce_relative,
     require_primes,
 )
 from .rationals import bernoulli_polynomial_ratio, zeta_neg, zeta_neg_ratio
-
-
-def _reduce(num: int, den: int, p: int, precision: int) -> PadicNumber:
-    """num/den, an unreduced pair with den != 0, to relative precision mod
-    p^precision: ``padic_of_rational`` with no gcd and no prime check, for a
-    p the caller has passed through ``require_primes``."""
-    if num == 0:
-        return PadicNumber.exact_zero(p)
-    return _padic_unit(p, *_split(num, den, p), precision)
 
 
 def kl_value(p: int, n: int) -> Fraction:
@@ -166,8 +155,7 @@ def kl_branch_eval(branch: KLBranch, s) -> PadicNumber:
     if branch.s0 + (p - 1) * t < 1:
         t += p**N
     n = branch.s0 + (p - 1) * t
-    value = kl_value(p, n)
-    return _reduce(value.numerator, value.denominator, p, branch.certified_precision)
+    return reduce_relative(kl_value(p, n), p, branch.certified_precision)
 
 
 class DoubleBranch(Record):
@@ -229,8 +217,8 @@ def double_branch_eval(
     if branch.pole and sigma == 0:
         raise ZeroDivisionError("pole branch at sigma = 0")
     p, q = branch.p, branch.q
-    num, den = zeta_neg_ratio(branch.sigma0 + sigma * (p - 1) * (q - 1), (p, q))
-    return _reduce(num, den, p, precision), _reduce(num, den, q, precision)
+    value = zeta_neg_ratio(branch.sigma0 + sigma * (p - 1) * (q - 1), (p, q))
+    return reduce_relative(value, p, precision), reduce_relative(value, q, precision)
 
 
 def universal_power(
@@ -250,17 +238,13 @@ def universal_power(
         raise ValueError("need n = 1 mod the product of the primes")
     out = {}
     for p in primes:
-        v = padic_valuation(n - 1, p) if n != 1 else None
-        if n == 1:
-            out[p] = padic_of_rational(1, p, precision)
-            continue
-        cutoff = precision // v + 1
+        cutoff = precision // padic_valuation(n - 1, p) + 1 if n != 1 else 0
         acc = 0
         c = 1  # C(s, k), carried as C(s, k) = C(s, k-1)(s-k+1)/k
         for k in range(cutoff + 1):
             acc += c * (n - 1) ** k
             c = c * (s - k) // (k + 1)
-        out[p] = padic_of_rational(acc, p, precision)
+        out[p] = reduce_relative(acc, p, precision)
     return out
 
 
@@ -292,11 +276,11 @@ def pq_hurwitz(
         A = A * F + c * power
         power *= b
     den = L * b**m
-    if A and (_split(A, den, p)[0] < 0 or _split(A, den, q)[0] < 0):
-        raise ArithmeticError("binomial Bernoulli sum lost integrality")
     bp, bq = angle_bracket(b, p, q, precision, precision)
     out = []
     for prime, bracket in ((p, bp), (q, bq)):
-        val = _reduce(-1, m * F, prime, precision) * bracket**m * _reduce(A, den, prime, precision)
-        out.append(val)
+        acc = reduce_relative((A, den), prime, precision)
+        if acc.valuation < 0:
+            raise ArithmeticError("binomial Bernoulli sum lost integrality")
+        out.append(reduce_relative((-1, m * F), prime, precision) * bracket**m * acc)
     return out[0], out[1]

@@ -722,6 +722,24 @@ def test_composite_primes_are_usage_errors(capsys):
         assert _rejected(argv, capsys) == f"usage error: {bad} is not a prime", argv
 
 
+def test_a_prime_past_the_decided_range_is_a_usage_error_at_once():
+    # trial division up to sqrt(p) never returned on this argv
+    from pqzeta.padics import PSI_13
+
+    p = "1000000000000000000000000000057"
+    proc = _pqzeta(["teichmuller", "--n", "2", "--p", p, "--precision", "1"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"usage error: cannot decide whether {p} is a prime: "
+                           f"the primality test is proven only below {PSI_13}\n")
+
+
+def test_a_24_digit_prime_is_accepted():
+    p = 10**23 + 117
+    code, out = _run(["teichmuller", "--n", "2", "--p", str(p), "--precision", "1"])
+    assert code == 0
+    assert _csv_rows(out)[1:] == [["2", str(p), "2", "1"]]
+
+
 def test_repeated_primes_are_usage_errors(capsys):
     for argv in (
         ["moments", "--a", "3", "--pair", "5,5", "--mmax", "2"],

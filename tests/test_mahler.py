@@ -12,7 +12,6 @@ from pqzeta.mahler import (
     MahlerSeries,
     _log_floor,
     _pair,
-    _reduce,
     _representative,
     characteristic_coefficients_exact,
     characteristic_mahler,
@@ -27,6 +26,7 @@ from pqzeta.padics import (
     padic_of_rational,
     padic_reduce_abs,
     padic_valuation,
+    reduce_absolute,
 )
 
 
@@ -275,7 +275,7 @@ def test_pair_edge_cases_are_type_identical_to_the_comb_pairing(p, precision, co
         got, want = _pair(series, x, x), pair_by_comb(series, x, x)
         assert _typed(got) == _typed(want), x
         total, known = want
-        value = PadicNumber.exact_zero(p) if known == INFINITY else _reduce(total, p, known)
+        value = PadicNumber.exact_zero(p) if known == INFINITY else reduce_absolute(total, p, known)
         assert _typed(evaluate_mahler(series, x)) == _typed(value), x
 
 
@@ -409,7 +409,7 @@ def binomial_coefficient_padic(x: PadicNumber, n: int) -> PadicNumber:
     keep = int(A - _log_floor(n, x.p))
     if keep <= 0:
         raise PrecisionError("binomial loses all tracked digits")
-    return _reduce(comb(x.residue(A), n), x.p, keep)
+    return reduce_absolute(comb(x.residue(A), n), x.p, keep)
 
 
 def test_binomial_symbol_bounded():
@@ -551,3 +551,23 @@ def test_zero_mod_serialization():
     back = MahlerSeries.deserialize(series.serialize())
     assert back.coeffs[0].unit == 0 and back.coeffs[0].valuation == 3
     assert back.coeffs[1] == series.coeffs[1]
+
+
+def test_every_mahler_entry_refuses_a_composite_prime():
+    """mahler_coefficients, evaluate_mahler and characteristic_mahler check
+    the prime once at entry, so no window, series or point gets past it,
+    not even one whose value is exactly 0."""
+    four = PadicNumber(4, 0, 1, 3)
+    windows = ([1, 2, 3], [0, 0, 0], [1, four, Fraction(1, 2)], [0, four, 0], [four] * 3,
+               [PadicNumber.exact_zero(4)] * 3)
+    for window in windows:
+        with pytest.raises(ValueError, match="4 is not a prime"):
+            mahler_coefficients(window, 2, 4, 3)
+    for coeffs in ([four] * 2, [PadicNumber.exact_zero(4)] * 2, [PadicNumber.zero_mod(4, 3), four]):
+        series = MahlerSeries(4, 3, coeffs, decay=(2, 1))
+        for x in (0, 1, four, PadicNumber(4, 1, 1, 2)):
+            with pytest.raises(ValueError, match="4 is not a prime"):
+                evaluate_mahler(series, x)
+    for b, n in ((0, 0), (1, 1), (5, 2)):
+        with pytest.raises(ValueError, match="4 is not a prime"):
+            characteristic_mahler(b, n, 4, 8)

@@ -16,6 +16,8 @@ from pqzeta.padics import (
     padic_of_rational,
     padic_reduce_abs,
     padic_valuation,
+    reduce_absolute,
+    reduce_relative,
     require_primes,
     require_tolerance,
     teichmuller,
@@ -226,8 +228,27 @@ def test_is_prime():
 
 
 def test_is_prime_matches_sympy():
-    isprime = pytest.importorskip("sympy").isprime
-    assert [n for n in range(-3, 20_001) if is_prime(n)] == [n for n in range(-3, 20_001) if isprime(n)]
+    # trial division below 10^5, the strong probable-prime test above it
+    sympy = pytest.importorskip("sympy")
+    isprime = sympy.isprime
+    assert [n for n in range(-3, 200_000) if is_prime(n)] == [n for n in range(-3, 200_000) if isprime(n)]
+    rng = random.Random(41)
+    draws = [rng.randrange(10**5, padics.PSI_13) for _ in range(200)]
+    for n in draws + [sympy.nextprime(n) for n in draws] + [padics.PSI_13 - 1, 2**61 - 1, 2**64 + 1]:
+        assert is_prime(n) == isprime(n), n
+
+
+def test_is_prime_is_decided_only_below_psi_13():
+    # psi_12 passes the test to the bases 2..37, and 3215031751 to 2, 3, 5 and 7
+    assert padics.PSI_13 == 3317044064679887385961981
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3215031751)
+    assert is_prime(10**23 + 117)  # a 24-digit prime
+    # from psi_13 up no n is called composite, not even an even one
+    for n in (padics.PSI_13, padics.PSI_13 + 1, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"cannot decide whether {n} is a prime: the primality "
+                                             f"test is proven only below {padics.PSI_13}"):
+            is_prime(n)
 
 
 def test_require_primes_messages():
@@ -387,12 +408,28 @@ def test_of_rational_equals_fraction_path():
             values.append(Fraction(num, den))
             values.append(num)
         for x in values:
+            # the cores also take the unreduced pair (g num, g den), with no gcd
+            g = rng.choice((1, -1, 2, p, 3 * p**2, -(p**3)))
+            pair = (g * Fraction(x).numerator, g * Fraction(x).denominator)
             for N in (0, 1, 2, 7):
-                assert padic_of_rational(x, p, N) == of_rational_by_fraction(x, p, N), (x, p, N)
+                want = of_rational_by_fraction(x, p, N)
+                assert padic_of_rational(x, p, N) == want, (x, p, N)
+                assert reduce_relative(pair, p, N) == want, (pair, p, N)
             for A in (-2, 0, 1, 5, 9):
                 v = padic_valuation(Fraction(x), p)
                 want = PadicNumber.zero_mod(p, A) if v >= A else of_rational_by_fraction(x, p, A - v)
                 assert padic_reduce_abs(x, p, A) == want, (x, p, A)
+                assert reduce_absolute(pair, p, A) == want, (pair, p, A)
+        # 0 is exact_zero at relative precision; at absolute precision the
+        # core gives zero_mod(A), as v_p(0) = +inf >= A, and only the public
+        # entry keeps an exact 0 exact
+        for zero in (0, Fraction(0), (0, 1), (0, -7 * p)):
+            for N in (0, 1, 7):
+                assert reduce_relative(zero, p, N) == PadicNumber.exact_zero(p), (zero, p, N)
+            for A in (-2, 0, 1, 9):
+                assert reduce_absolute(zero, p, A) == PadicNumber.zero_mod(p, A), (zero, p, A)
+        for A in (-2, 0, 1, 9):
+            assert padic_reduce_abs(0, p, A) == PadicNumber.exact_zero(p), (p, A)
     # the other values Fraction accepts are still read through it
     for x in ("22/7", 0.5, True, Fraction(-50)):
         assert padic_of_rational(x, 5, 4) == of_rational_by_fraction(x, 5, 4)

@@ -21,6 +21,11 @@ Teichmuller roots have one keeper: ``padics._teichmuller_unit`` alone reads
 or writes the module table ``_ROOTS``, so every lift, from ``teichmuller``,
 ``double_teichmuller`` or ``angle_bracket``, passes through it.
 
+No module reads another module's private names: an underscore name is
+imported, or read off an imported module, only inside the module that
+defines it.  The unchecked p-adic reductions that ``mahler``, ``measures``
+and ``zetabranch`` share are public names of ``padics``.
+
 Only ``cli.main``, the ``pqzeta`` script, ends the process with ``os._exit``;
 no library function can end the process of a program that calls it.
 
@@ -146,6 +151,26 @@ def test_one_stirling_triangle():
 
 def test_one_keeper_of_the_teichmuller_roots():
     assert _readers("_ROOTS") == {"padics._teichmuller_unit"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for module, tree in _parsed():
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("pqzeta")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found.append(f"{module} <- {node.module or '.'}.{alias.name}")
+                    elif node.module in (None, "pqzeta"):  # a sibling module itself
+                        siblings.add(alias.asname or alias.name)
+        found += [
+            f"{module} <- {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in siblings
+        ]
+    assert found == []
 
 
 def test_only_the_script_entry_point_exits_hard():
