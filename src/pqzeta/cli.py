@@ -130,7 +130,6 @@ def _cmd_padic(args):
 @command("teichmuller", ("--n", int, REQUIRED), ("--p", int, REQUIRED), ("--q", int, None),
          ("--precision", int, 4))
 def _cmd_teichmuller(args):
-    _bound_teichmuller_digits(args.precision, args.p, *([] if args.q is None else [args.q]))
     if args.q is None:
         w = padics.teichmuller(args.n, args.p, args.precision)
         return 0, [{"n": args.n, "p": args.p, "unit": w.unit, "precision": args.precision}]
@@ -377,17 +376,6 @@ def _cmd_pq_hurwitz(args):
     ]
 
 
-# moments: about (order + 1)^2 (order + 1 + period) integer steps, where the
-# order is --mmax (or --delta, if larger) and the weight period is r a, or
-# a q p with --pair; the cap keeps a run within about 2 s at reference speed
-MOMENTS_MAX_WORK = 10**7
-
-# teichmuller: the roots it prints are residues mod p^N (mod p^N q^N with --q),
-# and the lift keeps them for the life of the process; a modulus past Python's
-# default str() digit limit could not be printed, so it is refused before any lift
-TEICHMULLER_MAX_DIGITS = 4300
-
-
 # --r and --delta-prime default to None so that pair mode, which reads
 # neither, can tell a given flag from a default; plain mode resolves them
 @command("moments", ("--a", int, REQUIRED), ("--r", int, None), ("--mmax", int, 8),
@@ -407,7 +395,6 @@ def _cmd_moments(args):
             for flag, value in (("--r", args.r), ("--delta", args.delta), ("--delta-prime", args.delta_prime)):
                 if value is not None:
                     raise ValueError(f"{flag} is not read with --pair p,q")
-            _bound_moments_work("--mmax", args.mmax, args.a * q * p)
             for m in range(args.mmax + 1):
                 value = (
                     measures.restricted_moment(args.a, p, q, m)
@@ -417,8 +404,6 @@ def _cmd_moments(args):
                 rows.append({"m": m, "value": value})
         else:
             r = 1 if args.r is None else args.r
-            order = max(args.mmax, args.delta or 0)
-            _bound_moments_work("--delta" if order > args.mmax else "--mmax", order, r * args.a)
             psi = measures.psi_r_series(args.a, r, args.mmax)
             if args.restricted:
                 raise ValueError("--restricted needs --pair p,q")
@@ -438,27 +423,6 @@ def _cmd_moments(args):
     except ArithmeticError as exc:
         return 1, [{"error": str(exc)}]
     return 0, rows
-
-
-def _bound_moments_work(flag: str, order: int, period: int) -> None:
-    """Refuse a moments run past MOMENTS_MAX_WORK before any of its work."""
-    work = (order + 1) ** 2 * (order + 1 + period)
-    if work > MOMENTS_MAX_WORK:
-        raise ValueError(f"{flag} {order} with weight period {period} is {work} steps of "
-                         f"(order + 1)^2 (order + 1 + period), past the cap {MOMENTS_MAX_WORK}")
-
-
-def _bound_teichmuller_digits(precision: int, *primes: int) -> None:
-    """Refuse a teichmuller run whose modulus (p q)^precision has more than
-    TEICHMULLER_MAX_DIGITS digits, before any lift."""
-    limit = 10**TEICHMULLER_MAX_DIGITS
-    base = abs(math.prod(primes))
-    # base^e >= 2^((b - 1) e) > limit for this e, so no larger power is formed
-    e = limit.bit_length() // max(base.bit_length() - 1, 1) + 1
-    if base ** max(0, min(precision, e)) >= limit:
-        modulus = " * ".join(f"{p}^{precision}" for p in primes)
-        raise ValueError(f"--precision {precision} makes the modulus {modulus} longer than "
-                         f"the cap of {TEICHMULLER_MAX_DIGITS} digits")
 
 
 @command("open-set-measure", ("--a", int, REQUIRED), ("--p", int, REQUIRED), ("--n", int, REQUIRED),
@@ -570,8 +534,6 @@ def _cmd_theta_check(args):
     # theta(1/x) sums about sqrt(x) terms, so the grid stays in [1e-4, 1e4]
     if args.xmin < 1e-4 or args.xmax > 1e4:
         raise ValueError("need 1e-4 <= --xmin <= --xmax <= 1e4")
-    if math.log(args.xmax / args.xmin) / math.log(args.step) >= 10_000:
-        raise ValueError("the grid has more than 10000 points; raise --step")
     rows = []
     worst = 0.0
     x = args.xmin
@@ -627,6 +589,101 @@ def _cmd_weil(args):
     }[args.profile]
     value = analytic.weil_finite(f, args.p, args.n_bound)
     return 0, [{"p": args.p, "profile": args.profile, "value": _float(value)}]
+
+
+# -- work caps -----------------------------------------------------------------
+#
+# WORK_CAPS[name] lists (estimate, cap, unit) rows: run refuses a subcommand
+# whose estimate(args) -> (flag, work) passes a cap, before its handler runs.
+# An estimate never raises, forms no power of an unbounded exponent, and
+# counts 0 for args that its handler refuses with a message of its own.
+
+
+def _digits(exponent: int, *primes: int | None) -> int:
+    """The digits of |prod(primes)|^exponent (None primes skipped), 0 when that
+    is below 2: exact up to 2^15 bits, and past them a lower bound with no
+    power formed."""
+    base = abs(math.prod(p for p in primes if p is not None))
+    bits = exponent * (base.bit_length() - 1) if base > 1 and exponent > 0 else 0  # at most log2(power)
+    if not 0 < bits <= 2**15:
+        return bits * 30102 // 100000 + (bits > 0)
+    digits = int(math.log10(power := base**exponent))  # floor(log10(power)), or one off it
+    return digits + 1 + (10 ** (digits + 1) <= power) - (10**digits > power)
+
+
+def _ints(text: str) -> list[int]:
+    """The unsigned ints in a flag value, each short enough for int()."""
+    return [int(x) for x in re.findall(r"\d{1,4000}", text)]
+
+
+def _moments(a) -> tuple[str, int]:
+    """(order + 1)^2 (order + 1 + period) steps: the order is --mmax, or --delta
+    if larger, and the weight period r a, or a q p with --pair."""
+    try:
+        p, q = map(int, a.pair.split(",")) if a.pair else (1, 1)
+    except ValueError:  # the handler names the malformed pair
+        return "--mmax", 0
+    if a.mmax < 0 or a.pair and (a.r, a.delta, a.delta_prime) != (None,) * 3:
+        return "--mmax", 0
+    order, period = max(a.mmax, a.delta or 0), a.a * p * q * (1 if a.r is None else a.r)
+    return "--delta" if order > a.mmax else "--mmax", (order + 1) ** 2 * (order + 1 + period)
+
+
+def _chain_limits(a) -> tuple[str, int]:
+    """The digits of p^(|alpha| + |beta| + N depth), the largest power of p
+    that the p-adic-beta target forms, named by its largest part."""
+    parts = {"--alpha": abs(a.alpha), "--beta": abs(a.beta), "--schedule": max(_ints(a.schedule) or [0]) * a.depth}
+    return max(parts, key=parts.get), _digits(sum(parts.values()), a.p if a.target == "p-adic-beta" else None)
+
+
+# _B: the largest Bernoulli index read.  A table read in order grows by doubling, so
+# commands that read many indices have lower caps than zeta-neg, which reads one
+_B = "Bernoulli numbers"
+_PRINTABLE = (4300, "digits")  # Python's str() limit: a residue with a longer modulus could not be printed
+_RESIDUE = (lambda a: ("--precision", _digits(a.precision, a.p, a.q)), *_PRINTABLE)  # mod p^N, or p^N q^N
+WORK_CAPS = {
+    "bernoulli": ((lambda a: ("--upto", a.upto), 2048, _B),
+                  (lambda a: ("--upto", max(a.upto + 1, 0) ** 2 // 2 if a.poly else 0), 125_000, "polynomial terms")),
+    "zeta-neg": ((lambda a: ("--m", a.m + 1 if a.m % 2 else 0) if a.one_minus is None
+                  else ("--one-minus", 0 if a.one_minus % 2 else a.one_minus), 3000, _B),),
+    "padic": ((lambda a: ("--precision", _digits(a.precision if a.ideal is None else 0, a.p)), *_PRINTABLE),),
+    "teichmuller": (_RESIDUE,),
+    "mahler-coeffs": ((lambda a: ("--upto", max(a.upto + 1, 0) ** 2 if a.char else 0), 4_500_000, "steps"),
+                      (lambda a: ("--char", _digits((_ints(a.char) or [0])[-1], a.p)), *_PRINTABLE),
+                      (lambda a: ("--precision", _digits(a.precision if a.window and not a.char else 0, a.p)),
+                       *_PRINTABLE)),
+    "decay-check": ((lambda a: ("--t", _digits(a.t, a.p)), *_PRINTABLE),),
+    "gamma-p": ((lambda a: ("--modulus-exp", _digits(a.modulus_exp, a.p)), *_PRINTABLE),
+                (lambda a: ("--upto", max(a.upto + 2, 0) ** 2 // 2), 25_000_000, "products"),
+                (lambda a: ("--upto", max(a.upto + 2, 0) ** 2 // 2 * _digits(a.modulus_exp, a.p)), 75_000_000,
+                 "digit products")),
+    "spq-sweep": ((lambda a: ("--inverse", _digits((_ints(a.inverse) or [0])[-1], a.p)), *_PRINTABLE),
+                  (lambda a: ("--depth", _digits(0 if a.inverse else a.depth, a.p, a.q)), *_PRINTABLE),
+                  (lambda a: ("--jmax", 0 if a.inverse else max(a.jmax, 0) * a.depth), 6_000_000, "inverses")),
+    "kummer": ((lambda a: ("--i", a.i) if a.i >= a.j else ("--j", a.j), 1500, _B),
+               (lambda a: ("--n", _digits(a.n, a.p, a.q)), *_PRINTABLE)),
+    "kl-branch": ((lambda a: ("--tmax", a.s0 + max(a.p - 1, 0) * max(a.tmax, 0)), 1500, _B),
+                  (lambda a: ("--precision", max(a.tmax + 1, 1) * _digits(a.precision, a.p)), 150_000,
+                   "residue digits")),
+    "double-branch": ((lambda a: ("--smax", a.sigma0 + max(a.smax, 0) * (a.p - 1) * (a.q - 1) + 1), 1500, _B),
+                      _RESIDUE),
+    "universal-power": ((lambda a: ("--precision", _digits(a.precision, *_ints(a.primes))), *_PRINTABLE),),
+    "pq-hurwitz": ((lambda a: ("--n", 1 - a.n), 2500, _B), _RESIDUE),
+    "moments": ((_moments, 10**7, "steps"),),
+    # p^20 >= 2^20 already passes both caps on a p^n, so no larger power is formed
+    "open-set-measure": ((lambda a: ("--digits", _digits(a.digits + 3, a.p)), *_PRINTABLE),
+                         (lambda a: ("--n", a.a * a.p ** min(max(a.n, 0), 20)), 200_000, "terms"),
+                         (lambda a: ("--n", a.a * a.p ** min(max(a.n, 0), 20) * _digits(a.digits + 3, a.p)),
+                          1_000_000, "term digits")),
+    "chain-propagate": ((lambda a: ("--layers", max(a.layers + 1, 0) ** 2), 20_000, "states"),),
+    "chain-limits": ((lambda a: ("--depth", len(_ints(a.schedule)) * max(a.depth + 1, 0) ** 2 // 2), 15_000,
+                      "states"), (_chain_limits, 2500, "digits")),
+    "heisenberg": ((lambda a: ("--n", max(a.n, 0) ** 2), 40_000, "operator entries"),),
+    "hahn-basis": ((lambda a: ("--n", (a.n + 1) ** 3), 200_000, "ladder steps"),),
+    "theta-check": ((lambda a: ("--step", math.floor(math.log(a.xmax / a.xmin) / math.log(a.step)) + 1
+                                if all(map(math.isfinite, (a.xmin, a.xmax, a.step, a.tol))) and a.tol >= 0
+                                and a.step > 1 and 1e-4 <= a.xmin <= a.xmax <= 1e4 else 0), 10_000, "grid points"),),
+}
 
 
 FORMATS = ("csv", "json", "plain")
@@ -713,6 +770,11 @@ def run(argv: list[str], out=None) -> int:
         except SystemExit as exc:
             return 2 if exc.code else 0
     try:
+        for estimate, cap, unit in WORK_CAPS.get(args.command, ()):
+            flag, work = estimate(args)
+            if work > cap:
+                raise ValueError(f"{flag} {getattr(args, flag[2:].replace('-', '_'))} asks for at least "
+                                 f"{min(work, 10**18)} {unit}, past the cap of {cap}")
         code, rows = COMMANDS[args.command][0](args)
         report = _emit(rows, args.format)
     except padics.PrecisionError as exc:

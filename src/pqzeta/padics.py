@@ -421,8 +421,10 @@ def padic_of_rational(x: Fraction | int, p: int, precision: int) -> PadicNumber:
 
 def padic_reduce_abs(x: Fraction | int, p: int, abs_precision: int) -> PadicNumber:
     """Reduce an exact rational, x as for ``padic_of_rational``, modulo
-    p^abs_precision (absolute precision)."""
+    p^abs_precision (absolute precision), which is an int and may be negative."""
     require_primes(p)
+    if not isinstance(abs_precision, int):
+        raise ValueError(f"abs_precision must be an int, got {abs_precision!r}")
     x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     return reduce_absolute(x, p, abs_precision) if x else PadicNumber.exact_zero(p)
 

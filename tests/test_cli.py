@@ -1,13 +1,16 @@
 import ast
 import contextlib
 import csv
+import importlib
 import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +23,8 @@ import pqzeta
 from pqzeta import cli, mahler
 from pqzeta.cli import COMMANDS, CSV_SCHEMA, FORMATS, REQUIRED, build_parser, parse, run
 from pqzeta.padics import padic_reduce_abs
+
+_BILLION = 10**9
 
 
 def _run(argv):
@@ -217,6 +222,24 @@ def test_plain_mode_moments_flags_with_pair_are_usage_errors(capsys):
         assert _rejected(["moments", *argv], capsys) == line, argv
 
 
+# the one form of every work refusal; a count an estimate stops early is a lower bound
+_CAP_LINE = re.compile(r"usage error: (--[A-Za-z-]+) (\S+) asks for at least (\d+) ([A-Za-z ]+), past the cap of (\d+)")
+
+
+class _Started(Exception):
+    """Raised by the stand-in for a command's first work function."""
+
+
+def _stand_in(monkeypatch, target):
+    """Make the work function target ("module.name" in pqzeta) raise _Started."""
+    module, name = target.rsplit(".", 1)
+
+    def started(*args, **kwargs):
+        raise _Started(target)
+
+    monkeypatch.setattr(importlib.import_module(f"pqzeta.{module}"), name, started)
+
+
 @pytest.mark.parametrize(
     "argv, flag, order, period",
     [
@@ -230,21 +253,19 @@ def test_plain_mode_moments_flags_with_pair_are_usage_errors(capsys):
     ],
 )
 def test_moments_past_the_work_cap_are_refused_before_any_work(argv, flag, order, period, monkeypatch, capsys):
-    from pqzeta import measures
-
-    def no_work(*args):
-        raise AssertionError("a refused run built weights")
-
-    monkeypatch.setattr(measures, "xi_weights", no_work)
+    _stand_in(monkeypatch, "measures.xi_weights")
     work = (order + 1) ** 2 * (order + 1 + period)
-    assert work > cli.MOMENTS_MAX_WORK
-    line = (f"usage error: {flag} {order} with weight period {period} is {work} steps of "
-            f"(order + 1)^2 (order + 1 + period), past the cap {cli.MOMENTS_MAX_WORK}")
+    assert work > 10**7
+    line = f"usage error: {flag} {order} asks for at least {min(work, 10**18)} steps, past the cap of 10000000"
     assert _rejected(["moments", *argv], capsys) == line
 
 
-class _Lifted(Exception):
-    """Raised by the stand-in lift: a run that gets past the cap reaches it."""
+def test_moments_at_the_work_cap_reach_the_weights(monkeypatch):
+    _stand_in(monkeypatch, "measures.xi_weights")
+    for argv in (["--a", "2", "--mmax", "213"], ["--a", "2", "--r", "4995000", "--mmax", "0"],
+                 ["--a", "3", "--pair", "5,7", "--mmax", "184"], ["--a", "2", "--mmax", "0", "--delta", "213"]):
+        with pytest.raises(_Started):
+            _run(["moments", *argv])
 
 
 @pytest.mark.parametrize(
@@ -259,29 +280,145 @@ class _Lifted(Exception):
     ],
 )
 def test_teichmuller_past_the_digit_cap_is_refused_before_any_lift(argv, modulus, monkeypatch, capsys):
-    from pqzeta import padics
-
-    def no_lift(*args):
-        raise AssertionError("a refused run lifted a root")
-
-    monkeypatch.setattr(padics, "_teichmuller_unit", no_lift)
-    line = (f"usage error: --precision {argv[-1]} makes the modulus {modulus} longer than "
-            f"the cap of {cli.TEICHMULLER_MAX_DIGITS} digits")
-    assert _rejected(["teichmuller", *argv], capsys) == line
+    _stand_in(monkeypatch, "padics._teichmuller_unit")
+    m = _CAP_LINE.fullmatch(_rejected(["teichmuller", *argv], capsys))
+    assert m and m.group(1, 2, 4, 5) == ("--precision", argv[-1], "digits", "4300"), m
+    # the modulus has more than 4300 digits, and the count is exact or a lower bound
+    base = math.prod(int(power.split("^")[0]) for power in modulus.split(" * "))
+    assert 4300 < int(m[3]) <= int(argv[-1]) * math.log10(base) + 1
 
 
 def test_teichmuller_at_the_digit_cap_reaches_the_lift(monkeypatch):
     # the largest precisions whose modulus has at most 4300 digits pass the cap
-    from pqzeta import padics
-
-    def lifted(*args):
-        raise _Lifted
-
-    monkeypatch.setattr(padics, "_teichmuller_unit", lifted)
+    _stand_in(monkeypatch, "padics._teichmuller_unit")
     for argv in (["--p", "2", "--precision", "14284"], ["--p", "2", "--q", "3", "--precision", "5525"],
                  ["--p", "101", "--precision", "2145"], ["--p", "101", "--q", "103", "--precision", "1070"]):
-        with pytest.raises(_Lifted):
+        with pytest.raises(_Started):
             _run(["teichmuller", "--n", "5", *argv])
+
+
+# (row of WORK_CAPS, argv just past its cap, argv at or just below it, the command's first work function)
+_CAP_CASES = [
+    (("bernoulli", 0), "bernoulli --upto 2049", "bernoulli --upto 2048", "rationals.bernoulli"),
+    (("bernoulli", 1), "bernoulli --upto 500 --poly", "bernoulli --upto 499 --poly", "rationals.bernoulli"),
+    (("zeta-neg", 0), "zeta-neg --m 3001", "zeta-neg --m 2999", "rationals.zeta_neg"),
+    (("zeta-neg", 0), "zeta-neg --one-minus 3002", "zeta-neg --one-minus 3000", "rationals.zeta_neg"),
+    (("padic", 0), "padic --p 2 --precision 14285", "padic --p 2 --precision 14284", "padics.padic_of_rational"),
+    (("teichmuller", 0), "teichmuller --n 2 --p 5 --q 7 --precision 2785",
+     "teichmuller --n 2 --p 5 --q 7 --precision 2784", "padics._teichmuller_unit"),
+    (("mahler-coeffs", 0), "mahler-coeffs --char 1,1 --p 3 --upto 2121", "mahler-coeffs --char 1,1 --p 3 --upto 2120",
+     "mahler.characteristic_mahler"),
+    (("mahler-coeffs", 1), "mahler-coeffs --char 0,14285 --p 2", "mahler-coeffs --char 0,14284 --p 2",
+     "mahler.characteristic_mahler"),
+    (("mahler-coeffs", 2), "mahler-coeffs --window 1,4,9 --p 2 --precision 14285",
+     "mahler-coeffs --window 1,4,9 --p 2 --precision 14284", "mahler.mahler_coefficients"),
+    (("decay-check", 0), "decay-check --window 1,2 --p 2 --s 1 --t 14285", "decay-check --window 1,2 --p 2 --s 1 --t 14284",
+     "mahler.verify_decay"),
+    (("gamma-p", 0), "gamma-p --p 5 --modulus-exp 6152", "gamma-p --p 5 --modulus-exp 6151", "gamma.morita_gamma"),
+    (("gamma-p", 1), "gamma-p --p 5 --upto 7070", "gamma-p --p 5 --upto 7069", "gamma.morita_gamma"),
+    (("gamma-p", 2), "gamma-p --p 5 --modulus-exp 6151 --upto 185", "gamma-p --p 5 --modulus-exp 6151 --upto 184",
+     "gamma.morita_gamma"),
+    (("spq-sweep", 0), "spq-sweep --p 3 --inverse 1,9013", "spq-sweep --p 3 --inverse 1,9012",
+     "gamma.inverse_of_half_pr_plus_one"),
+    (("spq-sweep", 1), "spq-sweep --p 3 --q 5 --jmax 2 --depth 3657", "spq-sweep --p 3 --q 5 --jmax 2 --depth 3656",
+     "gamma.verify_triviality_theorem"),
+    (("spq-sweep", 2), "spq-sweep --p 3 --q 5 --jmax 500001", "spq-sweep --p 3 --q 5 --jmax 500000",
+     "gamma.verify_triviality_theorem"),
+    (("kummer", 0), "kummer --p 5 --i 1501 --j 2", "kummer --p 5 --i 1500 --j 2", "zetabranch.kummer_check"),
+    (("kummer", 0), "kummer --p 5 --i 2 --j 1502", "kummer --p 5 --i 2 --j 1500", "zetabranch.kummer_check"),
+    (("kummer", 1), "kummer --p 5 --q 7 --i 2 --j 2 --n 2785", "kummer --p 5 --q 7 --i 2 --j 2 --n 2784",
+     "zetabranch.extended_kummer_check"),
+    (("kl-branch", 0), "kl-branch --p 5 --s0 0 --tmax 376", "kl-branch --p 5 --s0 0 --tmax 375", "zetabranch.KLBranch"),
+    (("kl-branch", 1), "kl-branch --p 2 --s0 0 --tmax 50 --precision 9963",
+     "kl-branch --p 2 --s0 0 --tmax 49 --precision 9963", "zetabranch.KLBranch"),
+    (("double-branch", 0), "double-branch --p 5 --q 7 --sigma0 12 --smax 62",
+     "double-branch --p 5 --q 7 --sigma0 11 --smax 62", "zetabranch.DoubleBranch"),
+    (("double-branch", 1), "double-branch --p 5 --q 7 --sigma0 1 --precision 2785",
+     "double-branch --p 5 --q 7 --sigma0 1 --precision 2784", "zetabranch.DoubleBranch"),
+    (("universal-power", 0), "universal-power --n 211 --s 5 --precision 1852", "universal-power --n 211 --s 5 --precision 1851",
+     "zetabranch.universal_power"),
+    (("pq-hurwitz", 0), "pq-hurwitz --n -2500 --b 2 --F 35 --p 5 --q 7", "pq-hurwitz --n -2499 --b 2 --F 35 --p 5 --q 7",
+     "zetabranch.pq_hurwitz"),
+    (("pq-hurwitz", 1), "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2785",
+     "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2784", "zetabranch.pq_hurwitz"),
+    (("moments", 0), "moments --a 2 --mmax 214", "moments --a 2 --mmax 213", "measures.xi_weights"),
+    (("open-set-measure", 0), "open-set-measure --a 3 --p 2 --n 1 --digits 14282",
+     "open-set-measure --a 3 --p 2 --n 1 --digits 14281", "measures.measure_open_set_table"),
+    (("open-set-measure", 1), "open-set-measure --a 66 --p 5 --n 5", "open-set-measure --a 64 --p 5 --n 5",
+     "measures.measure_open_set_table"),
+    (("open-set-measure", 2), "open-set-measure --a 3 --p 2 --n 8 --digits 4323",
+     "open-set-measure --a 3 --p 2 --n 8 --digits 4322", "measures.measure_open_set_table"),
+    (("chain-propagate", 0), "chain-propagate --kernel real-beta:alpha=2,beta=2 --layers 141",
+     "chain-propagate --kernel real-beta:alpha=2,beta=2 --layers 140", "chains.parse_kernel_spec"),
+    (("chain-limits", 0), "chain-limits --target real-beta --schedule 4 --depth 173",
+     "chain-limits --target real-beta --schedule 4 --depth 172", "chains.limit_check"),
+    (("chain-limits", 1), "chain-limits --target p-adic-beta --p 5 --alpha 3384",
+     "chain-limits --target p-adic-beta --p 5 --alpha 3383", "chains.limit_check"),
+    (("heisenberg", 0), "heisenberg --n 201", "heisenberg --n 200", "chains.heisenberg_check"),
+    (("hahn-basis", 0), "hahn-basis --n 58", "hahn-basis --n 57", "chains.hahn_basis"),
+    (("theta-check", 0), "theta-check --xmin 1e-4 --xmax 1e4 --step 1.0018",
+     "theta-check --xmin 1e-4 --xmax 1e4 --step 1.00185", "analytic.theta"),
+]
+
+
+def test_every_cap_row_has_a_boundary_case():
+    rows = {(name, k) for name, caps in cli.WORK_CAPS.items() for k in range(len(caps))}
+    assert {row for row, *_ in _CAP_CASES} == rows
+
+
+@pytest.mark.parametrize("row, past, at, target", _CAP_CASES, ids=[past for _, past, *_ in _CAP_CASES])
+def test_a_cap_refuses_in_one_line_before_any_work_and_lets_its_boundary_through(row, past, at, target,
+                                                                                   monkeypatch, capsys):
+    _stand_in(monkeypatch, target)
+    estimate, cap, unit = cli.WORK_CAPS[row[0]][row[1]]
+    flag, work = estimate(parse(past.split()))
+    assert work > cap >= estimate(parse(at.split()))[1]
+    value = past.split()[past.split().index(flag) + 1]
+    line = f"usage error: {flag} {value} asks for at least {work} {unit}, past the cap of {cap}"
+    assert _rejected(past.split(), capsys) == line and _CAP_LINE.fullmatch(line)
+    with pytest.raises(_Started):
+        _run(at.split())
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(f"bernoulli --upto {_BILLION}", "rationals.bernoulli"), (f"bernoulli --upto {_BILLION} --poly", "rationals.bernoulli"),
+     (f"zeta-neg --m {_BILLION - 1}", "rationals.zeta_neg"), (f"zeta-neg --one-minus {_BILLION}", "rationals.zeta_neg"),
+     (f"padic --precision {_BILLION}", "padics.padic_of_rational"),
+     (f"mahler-coeffs --char 1,1 --p 3 --upto {_BILLION}", "mahler.characteristic_mahler"),
+     (f"mahler-coeffs --char 0,{_BILLION} --p 3", "mahler.characteristic_mahler"),
+     (f"mahler-coeffs --window 1,2 --p 3 --precision {_BILLION}", "mahler.mahler_coefficients"),
+     (f"decay-check --window 1,2 --p 2 --s 1 --t {_BILLION}", "mahler.verify_decay"),
+     (f"gamma-p --p 5 --upto {_BILLION}", "gamma.morita_gamma"), (f"gamma-p --p 5 --modulus-exp {_BILLION}", "gamma.morita_gamma"),
+     (f"spq-sweep --p 3 --jmax {_BILLION}", "gamma.verify_triviality_theorem"),
+     (f"spq-sweep --p 3 --depth {_BILLION}", "gamma.verify_triviality_theorem"),
+     (f"spq-sweep --p 3 --inverse 1,{_BILLION}", "gamma.inverse_of_half_pr_plus_one"),
+     (f"kummer --p 5 --i {_BILLION} --j 2", "zetabranch.kummer_check"),
+     (f"kummer --p 5 --i 2 --j {_BILLION}", "zetabranch.kummer_check"),
+     (f"kummer --p 5 --i 2 --j 2 --n {_BILLION}", "zetabranch.kummer_check"),
+     (f"kl-branch --p 5 --s0 2 --tmax {_BILLION}", "zetabranch.KLBranch"),
+     (f"kl-branch --p 5 --s0 2 --precision {_BILLION}", "zetabranch.KLBranch"),
+     (f"double-branch --p 5 --q 7 --sigma0 1 --smax {_BILLION}", "zetabranch.DoubleBranch"),
+     (f"double-branch --p 5 --q 7 --sigma0 1 --precision {_BILLION}", "zetabranch.DoubleBranch"),
+     (f"universal-power --n 211 --s 5 --precision {_BILLION}", "zetabranch.universal_power"),
+     (f"pq-hurwitz --n -{_BILLION} --b 2 --F 35 --p 5 --q 7", "zetabranch.pq_hurwitz"),
+     (f"pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision {_BILLION}", "zetabranch.pq_hurwitz"),
+     (f"open-set-measure --a 3 --p 7 --n {_BILLION}", "measures.measure_open_set_table"),
+     (f"open-set-measure --a {_BILLION} --p 7 --n 1", "measures.measure_open_set_table"),
+     (f"open-set-measure --a 3 --p 2 --n {_BILLION} --digits 0", "measures.measure_open_set_table"),
+     (f"open-set-measure --a 3 --p 7 --n 1 --digits {_BILLION}", "measures.measure_open_set_table"),
+     (f"chain-propagate --kernel real-beta:alpha=2,beta=2 --layers {_BILLION}", "chains.parse_kernel_spec"),
+     (f"chain-limits --target real-beta --depth {_BILLION}", "chains.limit_check"),
+     (f"chain-limits --target p-adic-beta --p 5 --schedule {_BILLION}", "chains.limit_check"),
+     (f"chain-limits --target p-adic-beta --p 5 --alpha {_BILLION}", "chains.limit_check"),
+     (f"chain-limits --target p-adic-beta --p 5 --beta -{_BILLION}", "chains.limit_check"),
+     (f"heisenberg --n {_BILLION}", "chains.heisenberg_check"), (f"hahn-basis --n {_BILLION}", "chains.hahn_basis")],
+)
+def test_a_flag_of_a_billion_is_refused_at_once(argv, target, monkeypatch, capsys):
+    _stand_in(monkeypatch, target)
+    start = time.perf_counter()
+    line = _rejected(argv.split(), capsys)
+    assert time.perf_counter() - start < 0.1 and _CAP_LINE.fullmatch(line), line
 
 
 def test_batch_moments_argv_do_not_depend_on_the_triangle(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,17 @@ from pqzeta.padics import (
     require_tolerance,
     teichmuller,
 )
+
+
+@pytest.mark.parametrize("precision", [2.5, math.inf, -math.inf, math.nan, "3"])
+def test_both_public_reductions_refuse_a_precision_that_is_not_an_int(precision):
+    for reduce in (padic_of_rational, padic_reduce_abs):
+        with pytest.raises(ValueError, match="precision must be an int"):
+            reduce(3, 5, precision)
+
+
+def test_an_absolute_precision_may_be_negative():
+    assert padic_reduce_abs(Fraction(3, 25), 5, -1) == PadicNumber(5, -2, 3, 1)
 
 
 def test_of_rational_examples():

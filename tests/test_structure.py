@@ -29,6 +29,10 @@ and ``zetabranch`` share are public names of ``padics``.
 Only ``cli.main``, the ``pqzeta`` script, ends the process with ``os._exit``;
 no library function can end the process of a program that calls it.
 
+Work is refused before it starts in one place: ``cli.run`` reads the table
+``cli.WORK_CAPS``, whose every key is a subcommand, and is the only code in
+``cli`` that holds the text of a refusal "past the cap".
+
 Every public name of the library has a consumer.  A public top-level
 function or class, or a public method or property of a top-level class, is
 referenced from ``src/pqzeta`` outside its own definition (a method by
@@ -175,6 +179,22 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_only_the_script_entry_point_exits_hard():
     assert _callers("_exit") == {"cli.main"}
+
+
+def test_every_work_cap_belongs_to_a_subcommand():
+    from pqzeta import cli
+
+    assert cli.WORK_CAPS and cli.WORK_CAPS.keys() <= cli.COMMANDS.keys()
+
+
+def test_only_run_refuses_work_past_a_cap():
+    tree = dict(_parsed())["cli"]
+
+    def refusals(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Constant) and "past the cap" in str(c.value)]
+
+    run = next(node for name, node in _definitions(tree, "cli") if name == "cli.run")
+    assert refusals(run) and refusals(tree) == refusals(run)
 
 
 def test_no_private_prime_validator():
