@@ -668,7 +668,10 @@ WORK_CAPS = {
     "double-branch": ((lambda a: ("--smax", a.sigma0 + max(a.smax, 0) * (a.p - 1) * (a.q - 1) + 1), 1500, _B),
                       _RESIDUE),
     "universal-power": ((lambda a: ("--precision", _digits(a.precision, *_ints(a.primes))), *_PRINTABLE),),
-    "pq-hurwitz": ((lambda a: ("--n", 1 - a.n), 2500, _B), _RESIDUE),
+    # the Horner integer of pq_hurwitz reaches about (1 - n)(digits of F + digits of b) digits
+    "pq-hurwitz": ((lambda a: ("--n", 1 - a.n), 2500, _B), _RESIDUE,
+                   (lambda a: ("--F", (1 - a.n) * (_digits(1, a.F) + _digits(1, a.b)) if a.n <= 0 < a.b < a.F else 0),
+                    200_000, "Horner digits")),
     "moments": ((_moments, 10**7, "steps"),),
     # p^20 >= 2^20 already passes both caps on a p^n, so no larger power is formed
     "open-set-measure": ((lambda a: ("--digits", _digits(a.digits + 3, a.p)), *_PRINTABLE),

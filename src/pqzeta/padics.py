@@ -388,21 +388,47 @@ def _padic_unit(p: int, v: int, num: int, den: int, precision: int) -> PadicNumb
 def reduce_relative(x, p: int, precision: int) -> PadicNumber:
     """The unchecked core of ``padic_of_rational``, for a p passed through
     ``require_primes``: x = p^v u with u mod p^precision, and exact_zero for
-    x = 0.  x is an int, a ``Fraction`` or an unreduced int pair (num, den)
-    with den != 0, taken with no gcd."""
-    num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
+    x = 0.  x is an int, a ``Fraction``, an unreduced int pair (num, den)
+    with den != 0, taken with no gcd, or such a pair with its Euler factors,
+    (num, den, m, primes) for num/den prod_{l in primes} (1 - l^m), m >= 0.
+
+    No Euler factor is multiplied out: 1 - l^m is 0 at m = 0, and otherwise
+    read mod p^K through pow(l, m, p^K) (a unit at l = p) and multiplied into
+    the unit of num/den mod p^K, K doubling from N + 1 until the product
+    holds its valuation w and N more digits (it is not 0, so K stops)."""
+    if isinstance(x, tuple) and len(x) == 4:
+        num, den, m, primes = x
+        if m == 0 and primes:
+            num = 0
+    else:
+        num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
+        primes = ()
     if num == 0:
         return PadicNumber.exact_zero(p)
     if not isinstance(precision, int) or precision < 0:
         raise ValueError(f"precision must be an int >= 0, got {precision}")
-    return _padic_unit(p, *_split(num, den, p), precision)
+    v, num, den = _split(num, den, p)
+    K = precision + 1
+    while primes:  # left by the break once p^K holds the product's valuation and N digits
+        mod = p**K
+        r = num % mod
+        for ell in primes:
+            r = r * (1 - pow(ell, m, mod)) % mod
+        if r:
+            w, r, _ = _split(r, 1, p)
+            if w + precision <= K:
+                v, num = v + w, r
+                break
+        K *= 2
+    return _padic_unit(p, v, num, den, precision)
 
 
 def reduce_absolute(x, p: int, abs_precision: int) -> PadicNumber:
-    """The unchecked core of ``padic_reduce_abs``: x, as for ``reduce_relative``,
-    mod p^abs_precision.  The one zero rule: v_p(x) >= abs_precision gives
-    ``zero_mod(p, abs_precision)``, and 0 counts, since v_p(0) = +inf; only an
-    exact 0 passed to the public ``padic_reduce_abs`` stays exact_zero."""
+    """The unchecked core of ``padic_reduce_abs``: x, an int, a ``Fraction``
+    or an unreduced pair as for ``reduce_relative``, mod p^abs_precision.
+    The one zero rule: v_p(x) >= abs_precision gives ``zero_mod(p,
+    abs_precision)``, and 0 counts, since v_p(0) = +inf; only an exact 0
+    passed to the public ``padic_reduce_abs`` stays exact_zero."""
     num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
     if num:
         v, num, den = _split(num, den, p)

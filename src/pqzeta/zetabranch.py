@@ -9,6 +9,10 @@ are read from the unreduced integer pairs of ``rationals.zeta_neg_ratio``
 and ``rationals.bernoulli_polynomial_ratio``, and reduced mod p^N by
 ``padics.reduce_relative`` with no gcd, as is the ``Fraction`` of a KL-branch
 value from ``kl_value``; each entry checks its primes once, the core never.
+A two-prime branch value goes to the core as the pair of zeta(-k) with its
+Euler factors, (num, den, k, (p, q)), so (1 - p^k)(1 - q^k) is never
+multiplied out: each factor is reduced mod p^N on its own.  The Kummer
+checks keep the product pair, since they read the valuation of a difference.
 """
 
 from __future__ import annotations
@@ -85,8 +89,10 @@ def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, Congru
     for ell in primes:
         if (i - j) % (ell**n * (ell - 1)) != 0:
             raise HypothesisError(f"i != j mod {ell}^{n} ({ell} - 1)")
-    a, b = zeta_neg_ratio(i - 1, primes)
-    c, d = zeta_neg_ratio(j - 1, primes)
+    # the larger index first, so that a growing table is built once; the
+    # valuation of the difference does not depend on its sign
+    a, b = zeta_neg_ratio(max(i, j) - 1, primes)
+    c, d = zeta_neg_ratio(min(i, j) - 1, primes)
     num, den = a * d - b * c, b * d
     out = {}
     for ell in primes:
@@ -211,13 +217,18 @@ def double_branch_eval(
     branch: DoubleBranch, sigma: int, precision: int
 ) -> tuple[PadicNumber, PadicNumber]:
     """Value -(1-p^k)(1-q^k) B_{k+1}/(k+1) at k = sigma0 + sigma(p-1)(q-1),
-    reduced mod p^N and q^N simultaneously."""
+    reduced mod p^N and q^N simultaneously.
+
+    The core takes zeta(-k) = (-1)^k B_{k+1}/(k+1) with its Euler factors,
+    (num, den, k, (p, q)), and reduces each factor on its own: the values
+    are those of the product pair ``zeta_neg_ratio(k, (p, q))``."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if branch.pole and sigma == 0:
         raise ZeroDivisionError("pole branch at sigma = 0")
     p, q = branch.p, branch.q
-    value = zeta_neg_ratio(branch.sigma0 + sigma * (p - 1) * (q - 1), (p, q))
+    k = branch.sigma0 + sigma * (p - 1) * (q - 1)
+    value = (*zeta_neg_ratio(k), k, (p, q))
     return reduce_relative(value, p, precision), reduce_relative(value, q, precision)
 
 

@@ -341,6 +341,10 @@ _CAP_CASES = [
      "zetabranch.pq_hurwitz"),
     (("pq-hurwitz", 1), "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2785",
      "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2784", "zetabranch.pq_hurwitz"),
+    (("pq-hurwitz", 2), f"pq-hurwitz --n -2499 --b 2 --F 35{'0' * 78} --p 5 --q 7",
+     f"pq-hurwitz --n -2499 --b 2 --F 35{'0' * 77} --p 5 --q 7", "zetabranch.pq_hurwitz"),
+    (("pq-hurwitz", 2), f"pq-hurwitz --n -2499 --b 1{'0' * 38}1 --F 35{'0' * 39} --p 5 --q 7",
+     f"pq-hurwitz --n -2499 --b 1{'0' * 37}1 --F 35{'0' * 39} --p 5 --q 7", "zetabranch.pq_hurwitz"),
     (("moments", 0), "moments --a 2 --mmax 214", "moments --a 2 --mmax 213", "measures.xi_weights"),
     (("open-set-measure", 0), "open-set-measure --a 3 --p 2 --n 1 --digits 14282",
      "open-set-measure --a 3 --p 2 --n 1 --digits 14281", "measures.measure_open_set_table"),

@@ -23,6 +23,7 @@ from pqzeta.padics import (
     require_tolerance,
     teichmuller,
 )
+from pqzeta.rationals import zeta_neg_ratio
 
 
 @pytest.mark.parametrize("precision", [2.5, math.inf, -math.inf, math.nan, "3"])
@@ -446,6 +447,35 @@ def test_of_rational_equals_fraction_path():
     for x in ("22/7", 0.5, True, Fraction(-50)):
         assert padic_of_rational(x, 5, 4) == of_rational_by_fraction(x, 5, 4)
         assert padic_reduce_abs(x, 5, 4) == padic_of_rational(Fraction(x), 5, 4 - padic_valuation(Fraction(x), 5))
+
+
+def _fields(z):
+    """The fields of a PadicNumber with the type of each."""
+    return [(type(getattr(z, f)), getattr(z, f)) for f in ("p", "valuation", "unit", "precision")]
+
+
+def test_reduce_relative_reads_the_euler_factors_one_at_a_time():
+    # (num, den, m, primes) is num/den prod (1 - l^m): the same fields, of the same
+    # types, as the product pair zeta_neg_ratio(m, primes) gives; m = 0 zeroes a
+    # factor, l = p makes a unit, and even m >= 2 puts B_(m+1) = 0 in the pair
+    for m in (0, 1, 2, 3, 4, 11, 24, 99, 375, 1000):
+        for primes in ((), (5,), (11,), (5, 11), (11, 5, 7), (2, 3)):
+            for p in (2, 3, 5, 7, 11):
+                for N in (0, 1, 2, 6):
+                    want = reduce_relative(zeta_neg_ratio(m, primes), p, N)
+                    got = reduce_relative((*zeta_neg_ratio(m), m, primes), p, N)
+                    assert _fields(got) == _fields(want), (m, primes, p, N)
+    # v_5(1 - 11^m) = 1 + v_5(m) >= 3 stays past the first modulus 5^(N + 1)
+    for m, v in ((500, 4), (375, 4), (3125, 6)):
+        assert padic_valuation(1 - 11**m, 5) == v
+        for num, den in ((1, 1), (-7, 30), (50, 3), (1, 125)):
+            for N in (0, 1, 3, 8):
+                want = reduce_relative((num * (1 - 11**m) * (1 - 5**m) * (1 - 2**m), den), 5, N)
+                got = reduce_relative((num, den, m, (11, 5, 2)), 5, N)
+                assert _fields(got) == _fields(want), (m, num, den, N)
+    for zero in ((0, 1, 3, (7,)), (5, 3, 0, (7,)), (5, 3, 0, (5, 7))):
+        assert reduce_relative(zero, 5, 3) == PadicNumber.exact_zero(5), zero
+    assert _fields(reduce_relative((5, 3, 0, ()), 5, 3)) == _fields(reduce_relative((5, 3), 5, 3))
 
 
 def test_reduce_abs_checks_the_prime_before_any_early_return():

@@ -7,7 +7,8 @@ arithmetic or text validation, not argument checking.
 
 Bernoulli values reach formulas through ``rationals.zeta_neg_ratio`` (zeta
 at a non-positive integer, with the Euler factors at a tuple of primes
-removed, as an unreduced integer pair) and
+removed, as an unreduced integer pair, or with none removed, the pair
+that ``padics.reduce_relative`` takes beside its Euler factors) and
 ``rationals.bernoulli_polynomial_ratio``; ``bernoulli`` itself is read only
 by those two, by the real-analytic Euler-Maclaurin tail and by the table
 printer, so no module writes out a Bernoulli-value formula of its own.

@@ -4,6 +4,7 @@ from math import comb, factorial, lcm
 
 import pytest
 
+from pqzeta import rationals
 from pqzeta.padics import PadicNumber, angle_bracket, padic_of_rational, padic_valuation, require_primes
 from pqzeta.rationals import bernoulli, zeta_neg
 from pqzeta.zetabranch import (
@@ -428,13 +429,6 @@ def _fraction_kl_branch_eval(branch, t):
     return padic_of_rational(value, p, branch.certified_precision)
 
 
-def _fraction_double_branch_eval(branch, sigma, precision):
-    """``double_branch_eval`` through ``padic_of_rational``."""
-    p, q = branch.p, branch.q
-    value = _old_double_value(p, q, branch.sigma0 + sigma * (p - 1) * (q - 1) + 1)
-    return padic_of_rational(value, p, precision), padic_of_rational(value, q, precision)
-
-
 def _fraction_pq_hurwitz(n, b, F, p, q, precision):
     """``pq_hurwitz`` with the Fraction Horner sum."""
     m = 1 - n
@@ -492,18 +486,31 @@ def test_kl_branch_values_match_the_fraction_route():
 
 
 def test_double_branch_values_match_the_fraction_route():
-    p, q = 5, 7
-    regular = sorted(set(range(-1, (p - 1) * (q - 1) - 1)) - excluded_sigma0(p, q))
-    for s0 in regular:
-        branch = DoubleBranch(p, q, s0)
-        for sigma in range(20):
-            got = double_branch_eval(branch, sigma, 4)
-            want = _fraction_double_branch_eval(branch, sigma, 4)
-            assert type(got) is tuple and all(map(_identical, got, want)), (s0, sigma)
-    pole = DoubleBranch(p, q, -1, pole=True)
-    for sigma in range(1, 20):
-        got = double_branch_eval(pole, sigma, 4)
-        assert all(map(_identical, got, _fraction_double_branch_eval(pole, sigma, 4))), sigma
+    # every regular branch and the pole branch, every sigma up to the CLI's
+    # Bernoulli-index cap 1500; even sigma0 gives B of odd index, an exact zero
+    zeros = 0
+    for p, q in ((5, 7), (5, 11), (7, 13), (11, 23)):
+        period = (p - 1) * (q - 1)
+        regular = sorted(set(range(-1, period - 1)) - excluded_sigma0(p, q))
+        branches = [DoubleBranch(p, q, s0) for s0 in regular] + [DoubleBranch(p, q, -1, pole=True)]
+        for branch in branches:
+            for sigma in range(branch.pole, (1500 - branch.sigma0 - 1) // period + 1):
+                value = _old_double_value(p, q, branch.sigma0 + sigma * period + 1)
+                zeros += value == 0
+                for N in (1, 2, 4, 6):
+                    got = double_branch_eval(branch, sigma, N)
+                    want = padic_of_rational(value, p, N), padic_of_rational(value, q, N)
+                    assert type(got) is tuple and all(map(_identical, got, want)), (p, q, branch, sigma, N)
+    assert zeros > 0
+
+
+def test_kummer_reads_the_larger_index_first(monkeypatch):
+    # one table build to max(i, j), not a rebuild to 2 min(i, j) past it
+    monkeypatch.setattr(rationals, "_TABLE", rationals.BernoulliTable())
+    res = kummer_check(5, 102, 154, 0)
+    assert rationals._TABLE.max_index == 154
+    assert res == kummer_check(5, 154, 102, 0) == _old_kummer_check(5, 102, 154, 0)
+    assert extended_kummer_check(5, 7, 154, 10, 0) == extended_kummer_check(5, 7, 10, 154, 0)
 
 
 def test_pq_hurwitz_matches_the_fraction_horner():
