@@ -616,6 +616,24 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in re.findall(r"\d{1,4000}", text)]
 
 
+def _rational_digits(text: str) -> int:
+    """At least the digits that Fraction(text) reads or forms: every digit
+    written, or |e| + 1 for a decimal exponent e, since it forms 10^|e|,
+    whichever is more.  It never raises: text whose exponent int() refuses
+    counts 0, and Fraction refuses it too before forming any power."""
+    body, e, exponent = text.lower().partition("e")
+    try:
+        power = abs(int(exponent)) + 1 if e else 0
+    except ValueError:
+        return 0
+    return max(sum(c.isdecimal() for c in body), power)
+
+
+def _window_digits(text: str) -> int:
+    """The largest ``_rational_digits`` of the comma-separated entries of a window."""
+    return max(map(_rational_digits, text.split(",")))
+
+
 def _moments(a) -> tuple[str, int]:
     """(order + 1)^2 (order + 1 + period) steps: the order is --mmax, or --delta
     if larger, and the weight period r a, or a q p with --pair."""
@@ -646,13 +664,16 @@ WORK_CAPS = {
                   (lambda a: ("--upto", max(a.upto + 1, 0) ** 2 // 2 if a.poly else 0), 125_000, "polynomial terms")),
     "zeta-neg": ((lambda a: ("--m", a.m + 1 if a.m % 2 else 0) if a.one_minus is None
                   else ("--one-minus", 0 if a.one_minus % 2 else a.one_minus), 3000, _B),),
-    "padic": ((lambda a: ("--precision", _digits(a.precision if a.ideal is None else 0, a.p)), *_PRINTABLE),),
+    "padic": ((lambda a: ("--precision", _digits(a.precision if a.ideal is None else 0, a.p)), *_PRINTABLE),
+              (lambda a: ("--value", _rational_digits(a.value) if a.ideal is None else 0), *_PRINTABLE)),
     "teichmuller": (_RESIDUE,),
     "mahler-coeffs": ((lambda a: ("--upto", max(a.upto + 1, 0) ** 2 if a.char else 0), 4_500_000, "steps"),
                       (lambda a: ("--char", _digits((_ints(a.char) or [0])[-1], a.p)), *_PRINTABLE),
                       (lambda a: ("--precision", _digits(a.precision if a.window and not a.char else 0, a.p)),
-                       *_PRINTABLE)),
-    "decay-check": ((lambda a: ("--t", _digits(a.t, a.p)), *_PRINTABLE),),
+                       *_PRINTABLE),
+                      (lambda a: ("--window", 0 if a.char else _window_digits(a.window)), *_PRINTABLE)),
+    "decay-check": ((lambda a: ("--t", _digits(a.t, a.p)), *_PRINTABLE),
+                    (lambda a: ("--window", _window_digits(a.window)), *_PRINTABLE)),
     "gamma-p": ((lambda a: ("--modulus-exp", _digits(a.modulus_exp, a.p)), *_PRINTABLE),
                 (lambda a: ("--upto", max(a.upto + 2, 0) ** 2 // 2), 25_000_000, "products"),
                 (lambda a: ("--upto", max(a.upto + 2, 0) ** 2 // 2 * _digits(a.modulus_exp, a.p)), 75_000_000,
@@ -669,7 +690,7 @@ WORK_CAPS = {
                       _RESIDUE),
     "universal-power": ((lambda a: ("--precision", _digits(a.precision, *_ints(a.primes))), *_PRINTABLE),),
     # the Horner integer of pq_hurwitz reaches about (1 - n)(digits of F + digits of b) digits
-    "pq-hurwitz": ((lambda a: ("--n", 1 - a.n), 2500, _B), _RESIDUE,
+    "pq-hurwitz": ((lambda a: ("--n", 1 - a.n), 2400, _B), _RESIDUE,
                    (lambda a: ("--F", (1 - a.n) * (_digits(1, a.F) + _digits(1, a.b)) if a.n <= 0 < a.b < a.F else 0),
                     200_000, "Horner digits")),
     "moments": ((_moments, 10**7, "steps"),),

@@ -385,6 +385,17 @@ def _padic_unit(p: int, v: int, num: int, den: int, precision: int) -> PadicNumb
     return PadicNumber(p, v, unit, precision)
 
 
+def factored_numerator(num: int, m: int, primes: tuple[int, ...], mod: int) -> int:
+    """The numerator of a factored pair (num, den, m, primes) modulo mod = p^K:
+    num prod_{l in primes} (1 - l^m) mod p^K, each factor read through
+    pow(l, m, p^K), so neither l^m nor the product is ever formed.  At m = 0
+    a factor, and so the result, is 0."""
+    r = num % mod
+    for ell in primes:
+        r = r * (1 - pow(ell, m, mod)) % mod
+    return r
+
+
 def reduce_relative(x, p: int, precision: int) -> PadicNumber:
     """The unchecked core of ``padic_of_rational``, for a p passed through
     ``require_primes``: x = p^v u with u mod p^precision, and exact_zero for
@@ -393,9 +404,9 @@ def reduce_relative(x, p: int, precision: int) -> PadicNumber:
     (num, den, m, primes) for num/den prod_{l in primes} (1 - l^m), m >= 0.
 
     No Euler factor is multiplied out: 1 - l^m is 0 at m = 0, and otherwise
-    read mod p^K through pow(l, m, p^K) (a unit at l = p) and multiplied into
-    the unit of num/den mod p^K, K doubling from N + 1 until the product
-    holds its valuation w and N more digits (it is not 0, so K stops)."""
+    ``factored_numerator`` reads the unit of num/den times the factors mod
+    p^K, K doubling from N + 1 until the product holds its valuation w and
+    N more digits (it is not 0, so K stops)."""
     if isinstance(x, tuple) and len(x) == 4:
         num, den, m, primes = x
         if m == 0 and primes:
@@ -410,10 +421,7 @@ def reduce_relative(x, p: int, precision: int) -> PadicNumber:
     v, num, den = _split(num, den, p)
     K = precision + 1
     while primes:  # left by the break once p^K holds the product's valuation and N digits
-        mod = p**K
-        r = num % mod
-        for ell in primes:
-            r = r * (1 - pow(ell, m, mod)) % mod
+        r = factored_numerator(num, m, primes, p**K)
         if r:
             w, r, _ = _split(r, 1, p)
             if w + precision <= K:

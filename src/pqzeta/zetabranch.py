@@ -12,7 +12,8 @@ value from ``kl_value``; each entry checks its primes once, the core never.
 A two-prime branch value goes to the core as the pair of zeta(-k) with its
 Euler factors, (num, den, k, (p, q)), so (1 - p^k)(1 - q^k) is never
 multiplied out: each factor is reduced mod p^N on its own.  The Kummer
-checks keep the product pair, since they read the valuation of a difference.
+checks read the same factored pairs mod l^K through
+``padics.factored_numerator`` and never form l^m or a cross product.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .padics import (
     PadicNumber,
     Record,
     angle_bracket,
+    factored_numerator,
     padic_valuation,
     reduce_relative,
     require_primes,
@@ -77,7 +79,23 @@ def extended_kummer_check(p: int, q: int, i: int, j: int, n: int) -> dict[int, C
 def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, CongruenceResult]:
     """v_l of zeta_neg(i-1, primes) - zeta_neg(j-1, primes) against n+1, per l
     in primes, under the hypotheses i, j >= 2, then n >= 0, then (l-1) not dividing
-    i for every l, then i = j mod l^n (l-1) for every l (else HypothesisError)."""
+    i for every l, then i = j mod l^n (l-1) for every l (else HypothesisError).
+
+    The two sides are the factored pairs (a, b, m, primes) and (c, d, k,
+    primes) of zeta_neg(m, primes) = a prod (1 - l'^m) / b and of
+    zeta_neg(k, primes), m >= k >= 1 (the larger index is read first).  When
+    a = c = 0 (both Bernoulli numbers vanish) every valuation is +inf.
+    Otherwise, with A and C the Euler-factored numerators, the difference is
+    X / (b d), X = A d - b C, and per l the residue r = X mod l^K is read from
+    ``factored_numerator`` with K = n + 2 + v_l(b d) first:
+
+    - r != 0: v_l(X) = v_l(r) < K exactly, and the valuation is v_l(r) - v_l(b d);
+    - r = 0: K doubles, until l^K >= 2^bits, where bits bounds |X|.  Since
+      m >= 1, |1 - l'^m| < l'^m < 2^(m bitlen(l')), so
+      |A d| < 2^(bitlen(a) + m sum bitlen(l') + bitlen(d)), likewise |b C|, and
+      |X| <= |A d| + |b C| < 2^bits with bits one more than the larger exponent.
+      Then l^K divides X and exceeds |X|, so X = 0 and the valuation is +inf.
+    """
     require_primes(*primes)
     if i < 2 or j < 2:
         raise HypothesisError("need i, j >= 2")
@@ -91,12 +109,27 @@ def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, Congru
             raise HypothesisError(f"i != j mod {ell}^{n} ({ell} - 1)")
     # the larger index first, so that a growing table is built once; the
     # valuation of the difference does not depend on its sign
-    a, b = zeta_neg_ratio(max(i, j) - 1, primes)
-    c, d = zeta_neg_ratio(min(i, j) - 1, primes)
-    num, den = a * d - b * c, b * d
+    m, k = max(i, j) - 1, min(i, j) - 1
+    a, b = zeta_neg_ratio(m)
+    c, d = zeta_neg_ratio(k)
+    if a == 0 and c == 0:
+        return {ell: CongruenceResult(ok=True, required=n + 1, valuation=INFINITY) for ell in primes}
+    width = sum(ell.bit_length() for ell in primes)
+    bits = 1 + max(a.bit_length() + m * width + d.bit_length(), c.bit_length() + k * width + b.bit_length())
     out = {}
     for ell in primes:
-        v = padic_valuation(num, ell) - padic_valuation(den, ell) if num else INFINITY
+        w = padic_valuation(b * d, ell)
+        K = n + 2 + w
+        while True:
+            mod = ell**K
+            r = (factored_numerator(a, m, primes, mod) * d - b * factored_numerator(c, k, primes, mod)) % mod
+            if r:
+                v = padic_valuation(r, ell) - w
+                break
+            if mod.bit_length() > bits:
+                v = INFINITY
+                break
+            K *= 2
         out[ell] = CongruenceResult(ok=v >= n + 1, required=n + 1, valuation=v)
     return out
 

@@ -304,6 +304,9 @@ _CAP_CASES = [
     (("zeta-neg", 0), "zeta-neg --m 3001", "zeta-neg --m 2999", "rationals.zeta_neg"),
     (("zeta-neg", 0), "zeta-neg --one-minus 3002", "zeta-neg --one-minus 3000", "rationals.zeta_neg"),
     (("padic", 0), "padic --p 2 --precision 14285", "padic --p 2 --precision 14284", "padics.padic_of_rational"),
+    (("padic", 1), "padic --value 1e4300 --p 5", "padic --value 1e4299 --p 5", "padics.padic_of_rational"),
+    (("padic", 1), "padic --value 1.5e-4300 --p 5", "padic --value 1.5e-4299 --p 5", "padics.padic_of_rational"),
+    (("padic", 1), f"padic --value {'7' * 4301} --p 5", f"padic --value {'7' * 4300} --p 5", "padics.padic_of_rational"),
     (("teichmuller", 0), "teichmuller --n 2 --p 5 --q 7 --precision 2785",
      "teichmuller --n 2 --p 5 --q 7 --precision 2784", "padics._teichmuller_unit"),
     (("mahler-coeffs", 0), "mahler-coeffs --char 1,1 --p 3 --upto 2121", "mahler-coeffs --char 1,1 --p 3 --upto 2120",
@@ -312,8 +315,12 @@ _CAP_CASES = [
      "mahler.characteristic_mahler"),
     (("mahler-coeffs", 2), "mahler-coeffs --window 1,4,9 --p 2 --precision 14285",
      "mahler-coeffs --window 1,4,9 --p 2 --precision 14284", "mahler.mahler_coefficients"),
+    (("mahler-coeffs", 3), "mahler-coeffs --window 1,1e4300,9 --p 5", "mahler-coeffs --window 1,1e4299,9 --p 5",
+     "mahler.mahler_coefficients"),
     (("decay-check", 0), "decay-check --window 1,2 --p 2 --s 1 --t 14285", "decay-check --window 1,2 --p 2 --s 1 --t 14284",
      "mahler.verify_decay"),
+    (("decay-check", 1), "decay-check --window 1,2e-4300 --p 5 --s 1 --t 1",
+     "decay-check --window 1,2e-4299 --p 5 --s 1 --t 1", "mahler.verify_decay"),
     (("gamma-p", 0), "gamma-p --p 5 --modulus-exp 6152", "gamma-p --p 5 --modulus-exp 6151", "gamma.morita_gamma"),
     (("gamma-p", 1), "gamma-p --p 5 --upto 7070", "gamma-p --p 5 --upto 7069", "gamma.morita_gamma"),
     (("gamma-p", 2), "gamma-p --p 5 --modulus-exp 6151 --upto 185", "gamma-p --p 5 --modulus-exp 6151 --upto 184",
@@ -337,14 +344,14 @@ _CAP_CASES = [
      "double-branch --p 5 --q 7 --sigma0 1 --precision 2784", "zetabranch.DoubleBranch"),
     (("universal-power", 0), "universal-power --n 211 --s 5 --precision 1852", "universal-power --n 211 --s 5 --precision 1851",
      "zetabranch.universal_power"),
-    (("pq-hurwitz", 0), "pq-hurwitz --n -2500 --b 2 --F 35 --p 5 --q 7", "pq-hurwitz --n -2499 --b 2 --F 35 --p 5 --q 7",
+    (("pq-hurwitz", 0), "pq-hurwitz --n -2400 --b 2 --F 35 --p 5 --q 7", "pq-hurwitz --n -2399 --b 2 --F 35 --p 5 --q 7",
      "zetabranch.pq_hurwitz"),
     (("pq-hurwitz", 1), "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2785",
      "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2784", "zetabranch.pq_hurwitz"),
-    (("pq-hurwitz", 2), f"pq-hurwitz --n -2499 --b 2 --F 35{'0' * 78} --p 5 --q 7",
-     f"pq-hurwitz --n -2499 --b 2 --F 35{'0' * 77} --p 5 --q 7", "zetabranch.pq_hurwitz"),
-    (("pq-hurwitz", 2), f"pq-hurwitz --n -2499 --b 1{'0' * 38}1 --F 35{'0' * 39} --p 5 --q 7",
-     f"pq-hurwitz --n -2499 --b 1{'0' * 37}1 --F 35{'0' * 39} --p 5 --q 7", "zetabranch.pq_hurwitz"),
+    (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 81} --p 5 --q 7",
+     f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 80} --p 5 --q 7", "zetabranch.pq_hurwitz"),
+    (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 1{'0' * 40}1 --F 35{'0' * 40} --p 5 --q 7",
+     f"pq-hurwitz --n -2399 --b 1{'0' * 39}1 --F 35{'0' * 40} --p 5 --q 7", "zetabranch.pq_hurwitz"),
     (("moments", 0), "moments --a 2 --mmax 214", "moments --a 2 --mmax 213", "measures.xi_weights"),
     (("open-set-measure", 0), "open-set-measure --a 3 --p 2 --n 1 --digits 14282",
      "open-set-measure --a 3 --p 2 --n 1 --digits 14281", "measures.measure_open_set_table"),
@@ -389,6 +396,9 @@ def test_a_cap_refuses_in_one_line_before_any_work_and_lets_its_boundary_through
     [(f"bernoulli --upto {_BILLION}", "rationals.bernoulli"), (f"bernoulli --upto {_BILLION} --poly", "rationals.bernoulli"),
      (f"zeta-neg --m {_BILLION - 1}", "rationals.zeta_neg"), (f"zeta-neg --one-minus {_BILLION}", "rationals.zeta_neg"),
      (f"padic --precision {_BILLION}", "padics.padic_of_rational"),
+     (f"padic --value 1e{_BILLION}", "padics.padic_of_rational"), (f"padic --value 1e-{_BILLION}", "padics.padic_of_rational"),
+     (f"mahler-coeffs --window 1,1e{_BILLION} --p 3", "mahler.mahler_coefficients"),
+     (f"decay-check --window 1e{_BILLION},2 --p 2 --s 1 --t 1", "mahler.verify_decay"),
      (f"mahler-coeffs --char 1,1 --p 3 --upto {_BILLION}", "mahler.characteristic_mahler"),
      (f"mahler-coeffs --char 0,{_BILLION} --p 3", "mahler.characteristic_mahler"),
      (f"mahler-coeffs --window 1,2 --p 3 --precision {_BILLION}", "mahler.mahler_coefficients"),
@@ -423,6 +433,18 @@ def test_a_flag_of_a_billion_is_refused_at_once(argv, target, monkeypatch, capsy
     start = time.perf_counter()
     line = _rejected(argv.split(), capsys)
     assert time.perf_counter() - start < 0.1 and _CAP_LINE.fullmatch(line), line
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1e", "1e5.0", "1e5e5", "1e+ 4", "1e" + "9" * 5000, "1e1/2"],
+                         ids=lambda value: value[:8])
+def test_a_value_whose_exponent_is_unreadable_counts_no_digits(value, capsys):
+    # the estimate never raises; Fraction refuses the text itself, before any power
+    for argv in (["padic", "--value", value], ["mahler-coeffs", "--window", value, "--p", "3"],
+                 ["decay-check", "--window", value, "--p", "3", "--s", "1", "--t", "1"]):
+        estimate = cli.WORK_CAPS[argv[0]][-1][0]
+        assert estimate(parse(argv)) == (argv[1], 0)
+        line = _rejected(argv, capsys)
+        assert line.startswith("usage error: ") and not _CAP_LINE.fullmatch(line), line
 
 
 def test_batch_moments_argv_do_not_depend_on_the_triangle(monkeypatch):

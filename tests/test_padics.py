@@ -12,6 +12,7 @@ from pqzeta.padics import (
     angle_bracket,
     crt_pair,
     double_teichmuller,
+    factored_numerator,
     ideal_shadow,
     is_prime,
     padic_of_rational,
@@ -476,6 +477,25 @@ def test_reduce_relative_reads_the_euler_factors_one_at_a_time():
     for zero in ((0, 1, 3, (7,)), (5, 3, 0, (7,)), (5, 3, 0, (5, 7))):
         assert reduce_relative(zero, 5, 3) == PadicNumber.exact_zero(5), zero
     assert _fields(reduce_relative((5, 3, 0, ()), 5, 3)) == _fields(reduce_relative((5, 3), 5, 3))
+
+
+def test_factored_numerator_is_the_product_form_mod_p_to_the_k():
+    # num prod (1 - l^m) mod p^K without l^m: l = p, m = 0, and factors of
+    # valuation >= 3 (v_5(1 - 11^m) = 1 + v_5(m), v_5(1 - 7^m) = 2 + v_5(m/4) for 4 | m)
+    deep = set()
+    for m in (0, 1, 2, 3, 20, 25, 100, 125, 500):
+        for primes in ((), (5,), (11,), (5, 7), (7, 11), (2, 3, 11)):
+            for num in (0, 1, -1, 3, -250, 7**40 + 2):
+                product = num
+                for ell in primes:
+                    product *= 1 - ell**m
+                for p in (5, 7):
+                    for K in (1, 2, 3, 6, 12):
+                        got = factored_numerator(num, m, primes, p**K)
+                        assert type(got) is int and got == product % p**K, (num, m, primes, p, K)
+                deep.update(ell for ell in primes if ell != 5 and m and padic_valuation(1 - ell**m, 5) >= 3)
+    assert {7, 11} <= deep
+    assert factored_numerator(9, 0, (7,), 5**3) == 0 and factored_numerator(9, 0, (), 5**3) == 9
 
 
 def test_reduce_abs_checks_the_prime_before_any_early_return():

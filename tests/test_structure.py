@@ -18,6 +18,12 @@ The rows k! S(m, k) of the Stirling triangle have one source too:
 ``_TRIANGLE``, no other definition is named for Stirling numbers, and only
 ``measures._monomial_moments`` asks it for rows.
 
+Euler factors are read mod p^K in one place: ``padics.factored_numerator``,
+the numerator of a factored pair (num, den, m, primes) mod p^K, is called
+only by ``padics.reduce_relative`` and ``zetabranch._kummer``, and
+``_kummer`` asks ``zeta_neg_ratio`` for no primes, so it never multiplies
+out a product-form Euler factor.
+
 Teichmuller roots have one keeper: ``padics._teichmuller_unit`` alone reads
 or writes the module table ``_ROOTS``, so every lift, from ``teichmuller``,
 ``double_teichmuller`` or ``angle_bracket``, passes through it.
@@ -152,6 +158,15 @@ def test_one_stirling_triangle():
     }
     assert named == _readers("_TRIANGLE") == {"measures._stirling_triangle"}
     assert _callers("_stirling_triangle") == {"measures._monomial_moments"}
+
+
+def test_euler_factors_are_read_mod_p_to_the_k_in_one_place():
+    assert _callers("factored_numerator") == {"padics.reduce_relative", "zetabranch._kummer"}
+    tree = dict(_parsed())["zetabranch"]
+    kummer = next(node for name, node in _definitions(tree, "zetabranch") if name == "zetabranch._kummer")
+    reads = [node for node in ast.walk(kummer)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "zeta_neg_ratio"]
+    assert reads and all(len(node.args) == 1 and not node.keywords for node in reads)
 
 
 def test_one_keeper_of_the_teichmuller_roots():

@@ -454,25 +454,46 @@ def _identical(x, y):
     return fields(x) == fields(y)
 
 
+def _kummer_outcome(check, *args, prime=None):
+    """The result (its entry at prime, if given) with the type of each
+    valuation, or the text of the HypothesisError."""
+    try:
+        out = check(*args)
+    except HypothesisError as exc:
+        return str(exc)
+    out = out if prime is None else out[prime]
+    results = out.values() if isinstance(out, dict) else [out]
+    return repr(out), [type(r.valuation) for r in results]
+
+
 def test_kummer_pairs_match_the_fraction_difference():
-    infinite = 0
-    for primes in ((2,), (3,), (5,), (7,), (13,), (5, 7), (5, 11), (7, 13)):
-        step = lcm(*(ell * (ell - 1) for ell in primes))
-        for i in range(2, 40):
-            for j in {2, i, i + step, i + primes[0] - 1}:
-                for n in (0, 1, 2):
-                    want = _outcome(_fraction_kummer, primes, i, j, n)
+    # zeta-sweep's range, i < 500 and j = i + k step below 500, at every n <= 3:
+    # exact zeros at odd i, i = j at even i (a nonzero side, a zero difference,
+    # read by the size bound) and denominators with v_5 >= 2 (i = 50, 150, 250)
+    infinite, same_nonzero, deep = 0, 0, set()
+    for primes in ((3,), (5,), (7,), (11,), (13,), (5, 7), (5, 11), (7, 13)):
+        for n in (0, 1, 2, 3):
+            step = lcm(*(ell**n * (ell - 1) for ell in primes))
+            for i in range(2, 500):
+                for j in {k for k in (i, i + step, i + step * ((499 - i) // step)) if k < 500}:
                     if len(primes) == 1:
-                        got = _outcome(kummer_check, *primes, i, j, n)
-                        want = want if want is HypothesisError else want[primes[0]]
+                        want = _kummer_outcome(_fraction_kummer, primes, i, j, n, prime=primes[0])
+                        got = _kummer_outcome(kummer_check, *primes, i, j, n)
                     else:
-                        got = _outcome(extended_kummer_check, *primes, i, j, n)
+                        want = _kummer_outcome(_fraction_kummer, primes, i, j, n)
+                        got = _kummer_outcome(extended_kummer_check, *primes, i, j, n)
                     assert got == want, (primes, i, j, n)
-                    if i == j and want is not HypothesisError:
-                        results = want.values() if isinstance(want, dict) else [want]
-                        assert all(r.valuation == float("inf") and r.ok for r in results)
-                        infinite += 1
-    assert infinite > 0
+                    if isinstance(want, str):
+                        continue
+                    infinite += "inf" in want[0]
+                    same_nonzero += i == j and i % 2 == 0
+                    deep.update((ell, i) for ell in primes if padic_valuation(i, ell) >= 2)
+    assert infinite > 0 and same_nonzero > 0 and {(5, 50), (5, 150), (5, 250)} <= deep
+    # at the kummer cap (kummer --p 5 --i 1498 --j 1498 --n 0): both sides
+    # nonzero, the difference exactly 0
+    assert bernoulli(1498) != 0
+    assert kummer_check(5, 1498, 1498, 0) == CongruenceResult(ok=True, required=1, valuation=float("inf"))
+    assert all(type(r.valuation) is float and r.ok for r in extended_kummer_check(5, 7, 1498, 1498, 0).values())
 
 
 def test_kl_branch_values_match_the_fraction_route():
