@@ -471,11 +471,11 @@ def test_kummer_pairs_match_the_fraction_difference():
     # exact zeros at odd i, i = j at even i (a nonzero side, a zero difference,
     # read by the size bound) and denominators with v_5 >= 2 (i = 50, 150, 250)
     infinite, same_nonzero, deep = 0, 0, set()
-    for primes in ((3,), (5,), (7,), (11,), (13,), (5, 7), (5, 11), (7, 13)):
+    for primes in ((2,), (3,), (5,), (7,), (11,), (13,), (5, 7), (5, 11), (7, 13)):
         for n in (0, 1, 2, 3):
             step = lcm(*(ell**n * (ell - 1) for ell in primes))
             for i in range(2, 500):
-                for j in {k for k in (i, i + step, i + step * ((499 - i) // step)) if k < 500}:
+                for j in {k for k in (2, i, i - step, i + step, i + step * ((499 - i) // step)) if 2 <= k < 500}:
                     if len(primes) == 1:
                         want = _kummer_outcome(_fraction_kummer, primes, i, j, n, prime=primes[0])
                         got = _kummer_outcome(kummer_check, *primes, i, j, n)
@@ -486,7 +486,9 @@ def test_kummer_pairs_match_the_fraction_difference():
                     if isinstance(want, str):
                         continue
                     infinite += "inf" in want[0]
-                    same_nonzero += i == j and i % 2 == 0
+                    if i == j:
+                        assert want[0].count("valuation=inf") == len(want[1]), want
+                        same_nonzero += i % 2 == 0
                     deep.update((ell, i) for ell in primes if padic_valuation(i, ell) >= 2)
     assert infinite > 0 and same_nonzero > 0 and {(5, 50), (5, 150), (5, 250)} <= deep
     # at the kummer cap (kummer --p 5 --i 1498 --j 1498 --n 0): both sides
