@@ -118,13 +118,6 @@ def primes_up_to(n: int) -> list[int]:
 class EulerProductReport(Record):
     __slots__ = ("s", "prime_bound", "term_bound", "residual", "tail_bound")
 
-    def __init__(self, s: float, prime_bound: int, term_bound: int, residual: float, tail_bound: float):
-        self.s = s
-        self.prime_bound = prime_bound
-        self.term_bound = term_bound
-        self.residual = residual
-        self.tail_bound = tail_bound
-
     @property
     def ok(self) -> bool:
         return self.residual < self.tail_bound
@@ -141,13 +134,7 @@ def euler_product_check(s: float, prime_bound: int, term_bound: int) -> EulerPro
     dirichlet = sum(n**-s for n in range(1, term_bound + 1))
     cut = min(prime_bound, term_bound)
     bound = cut ** (1 - s) / (s - 1) + cut**-s
-    return EulerProductReport(
-        s=s,
-        prime_bound=prime_bound,
-        term_bound=term_bound,
-        residual=abs(product - dirichlet),
-        tail_bound=bound,
-    )
+    return EulerProductReport(s, prime_bound, term_bound, residual=abs(product - dirichlet), tail_bound=bound)
 
 
 def weil_finite(f, p: int, n_bound: int) -> float:

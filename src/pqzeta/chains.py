@@ -20,8 +20,6 @@ from .rationals import binomial, rising_factorial
 
 FLOAT_TOL = 1e-12
 
-State = tuple[int, int]
-
 
 def _pow(base, exponent):
     """Exact power when base is rational and the exponent integral."""
@@ -37,14 +35,10 @@ def _pow(base, exponent):
 
 
 class ChainKernel(Record):
-    __slots__ = ("family", "params", "step", "root", "exact")
+    """A chain from ``root``: ``step`` maps a state to its list of (state, probability)."""
 
-    def __init__(self, family: str, params: dict, step, root: State | int = (0, 0), exact: bool = True):
-        self.family = family
-        self.params = params
-        self.step = step  # state -> list[(state, probability)]
-        self.root = root
-        self.exact = exact
+    __slots__ = ("family", "params", "step", "root", "exact")
+    _defaults = {"root": (0, 0), "exact": True}
 
     def transition(self, source, target):
         for st, pr in self.step(source):
@@ -100,9 +94,7 @@ def kernel_padic_beta(p: int, alpha, beta) -> ChainKernel:
         one = Fraction(1) if exact else 1.0
         return [((i, j + 1), one)]
 
-    return ChainKernel(
-        family="p-beta", params={"p": p, "alpha": alpha, "beta": beta}, step=step, exact=exact
-    )
+    return ChainKernel(family="p-beta", params={"p": p, "alpha": alpha, "beta": beta}, step=step, exact=exact)
 
 
 def kernel_q_beta(q, alpha, beta) -> ChainKernel:
@@ -116,9 +108,7 @@ def kernel_q_beta(q, alpha, beta) -> ChainKernel:
         right = (1 - _pow(q, alpha + i)) * _pow(q, beta + j) / den
         return [((i, j + 1), up), ((i + 1, j), right)]
 
-    return ChainKernel(
-        family="q-beta", params={"q": q, "alpha": alpha, "beta": beta}, step=step, exact=exact
-    )
+    return ChainKernel(family="q-beta", params={"q": q, "alpha": alpha, "beta": beta}, step=step, exact=exact)
 
 
 def kernel_real_beta(alpha, beta) -> ChainKernel:
@@ -131,9 +121,7 @@ def kernel_real_beta(alpha, beta) -> ChainKernel:
         den = cast(alpha + beta + 2 * (i + j))
         return [((i, j + 1), cast(beta + 2 * j) / den), ((i + 1, j), cast(alpha + 2 * i) / den)]
 
-    return ChainKernel(
-        family="real-beta", params={"alpha": alpha, "beta": beta}, step=step, exact=exact
-    )
+    return ChainKernel(family="real-beta", params={"alpha": alpha, "beta": beta}, step=step, exact=exact)
 
 
 def kernel_q_gamma(q, beta) -> ChainKernel:
@@ -145,9 +133,7 @@ def kernel_q_gamma(q, beta) -> ChainKernel:
         stay = _pow(q, beta + j)
         return [((i + 1, j), stay), ((i + 1, j + 1), 1 - stay)]
 
-    return ChainKernel(
-        family="q-gamma", params={"q": q, "beta": beta}, step=step, exact=exact
-    )
+    return ChainKernel(family="q-gamma", params={"q": q, "beta": beta}, step=step, exact=exact)
 
 
 def kernel_basic(q, beta) -> ChainKernel:
@@ -158,9 +144,7 @@ def kernel_basic(q, beta) -> ChainKernel:
         stay = _pow(q, beta + i)
         return [(i, stay), (i + 1, 1 - stay)]
 
-    return ChainKernel(
-        family="basic", params={"q": q, "beta": beta}, step=step, root=0, exact=exact
-    )
+    return ChainKernel(family="basic", params={"q": q, "beta": beta}, step=step, root=0, exact=exact)
 
 
 def kernel_u_gamma(u: int, beta: int) -> ChainKernel:
@@ -180,11 +164,9 @@ def kernel_u_gamma(u: int, beta: int) -> ChainKernel:
 
 
 class LayerDistribution(Record):
-    __slots__ = ("n", "weights")
+    """The law after ``n`` steps: ``weights`` maps a state to its probability."""
 
-    def __init__(self, n: int, weights: dict):
-        self.n = n
-        self.weights = weights  # state -> probability
+    __slots__ = ("n", "weights")
 
 
 def propagate(kernel: ChainKernel, n: int) -> LayerDistribution:
@@ -216,12 +198,6 @@ def real_beta_layer_closed_form(alpha, beta, n: int) -> LayerDistribution:
 
 class LimitReport(Record):
     __slots__ = ("target", "schedule", "residuals", "tol")
-
-    def __init__(self, target: str, schedule: list[int], residuals: list[float], tol: float):
-        self.target = target
-        self.schedule = schedule
-        self.residuals = residuals
-        self.tol = tol
 
     @property
     def decreasing(self) -> bool:

@@ -57,13 +57,7 @@ def gamma_functional_step(n: int, p: int) -> int:
 
 class ContinuityReport(Record):
     __slots__ = ("p", "s", "upto", "ok", "first_failure")
-
-    def __init__(self, p: int, s: int, upto: int, ok: bool, first_failure: int | None = None):
-        self.p = p
-        self.s = s
-        self.upto = upto
-        self.ok = ok
-        self.first_failure = first_failure
+    _defaults = {"first_failure": None}
 
 
 def gamma_continuity_check(p: int, s: int, upto: int, restricted: bool = True) -> ContinuityReport:
@@ -143,13 +137,10 @@ def inverse_general(m: int, r: int, t: int, v: int, p: int, s: int) -> int:
 
 
 class ExclusionWitness(Record):
-    __slots__ = ("side", "exponent", "inverse", "divisor")
+    """``divisor`` divides ``inverse``, the inverse of j mod a prime of ``side``
+    ("p-side" or "q-side") to the power ``exponent``."""
 
-    def __init__(self, side: str, exponent: int, inverse: int, divisor: int):
-        self.side = side  # "p-side" or "q-side"
-        self.exponent = exponent
-        self.inverse = inverse
-        self.divisor = divisor
+    __slots__ = ("side", "exponent", "inverse", "divisor")
 
 
 def s_pq_membership(j: int, p: int, q: int, depth: int = 12):

@@ -44,12 +44,7 @@ class MahlerSeries(Record):
     """
 
     __slots__ = ("p", "precision", "coeffs", "decay")
-
-    def __init__(self, p: int, precision: int, coeffs: list[PadicNumber], decay: tuple[int, int] | None = None):
-        self.p = p
-        self.precision = precision
-        self.coeffs = coeffs
-        self.decay = decay
+    _defaults = {"decay": None}
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -160,14 +155,10 @@ def mahler_coefficients(f, upto: int, p: int, precision: int) -> MahlerSeries:
 
 
 class DecayReport(Record):
-    __slots__ = ("ok", "s", "t", "upto", "violation")
+    """``violation`` is None, or the first (index, sigma, actual valuation) that fails."""
 
-    def __init__(self, ok: bool, s: int, t: int, upto: int, violation: tuple[int, int, int] | None = None):
-        self.ok = ok
-        self.s = s
-        self.t = t
-        self.upto = upto
-        self.violation = violation  # (index, sigma, actual valuation)
+    __slots__ = ("ok", "s", "t", "upto", "violation")
+    _defaults = {"violation": None}
 
 
 def verify_decay(f, p: int, s: int, t: int, upto: int) -> DecayReport:

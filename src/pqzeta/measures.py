@@ -31,7 +31,7 @@ from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .mahler import characteristic_coefficients_exact
-from .padics import PadicNumber, Record, padic_valuation, reduce_absolute, require_primes
+from .padics import Record, padic_valuation, reduce_absolute, require_primes
 from .rationals import zeta_neg_ratio
 
 
@@ -215,18 +215,11 @@ def open_set_closed_form(a: int, p: int, n: int, b: int) -> Fraction:
 
 
 class OpenSetMeasure(Record):
-    __slots__ = ("a", "p", "n", "b", "series_sum", "certified_digits", "conjectured", "value")
+    """``series_sum`` is the exact sum of the whole series sum_k a_k(b, n) d_k,
+    ``conjectured`` the floor-formula value, and ``value`` keeps
+    ``certified_digits`` digits."""
 
-    def __init__(self, a: int, p: int, n: int, b: int, series_sum: Fraction, certified_digits: int,
-                 conjectured: Fraction, value: PadicNumber):
-        self.a = a
-        self.p = p
-        self.n = n
-        self.b = b
-        self.series_sum = series_sum  # the exact sum of the whole series sum_k a_k(b, n) d_k
-        self.certified_digits = certified_digits  # the digits that ``value`` keeps
-        self.conjectured = conjectured  # the floor-formula value
-        self.value = value
+    __slots__ = ("a", "p", "n", "b", "series_sum", "certified_digits", "conjectured", "value")
 
     def matches_conjecture(self, digits: int) -> bool:
         return padic_valuation(self.series_sum - self.conjectured, self.p) >= digits

@@ -106,9 +106,27 @@ class Record:
     ``Name(field=value, ...)`` repr, both over the subclass's ``__slots__``.
 
     A record equals only an instance of its own class, and is unhashable.
+    A subclass with no ``__init__`` gets one that takes its slots in order;
+    its ``_defaults`` dict may give hashable defaults to the last ones.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        """Compile the missing ``__init__`` once, as dataclasses does, so that
+        a call costs what a hand-written one does."""
+        if "__init__" in cls.__dict__:
+            return
+        fields, defaults = cls.__slots__, cls.__dict__.get("_defaults", {})
+        if tuple(defaults) != fields[len(fields) - len(defaults):]:
+            raise TypeError(f"{cls.__name__}._defaults must name its last fields, in order")
+        hash(tuple(defaults.values()))  # a TypeError for a mutable default, shared by every record
+        namespace = {}
+        exec(compile(f"def __init__(self, {', '.join(fields)}):" + "".join(f"\n    self.{f} = {f}" for f in fields),
+                     f"<{cls.__module__}.{cls.__qualname__}.__init__>", "exec"), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__defaults__ = tuple(defaults.values()) or None
+        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
 
     def _fields(self) -> list:
         # a list, not tuple(generator): the tuple would be resized, and the

@@ -54,12 +54,9 @@ class HypothesisError(ValueError):
 
 
 class CongruenceResult(Record):
-    __slots__ = ("ok", "required", "valuation")
+    """``valuation`` is an int, or +inf when the difference is exactly 0."""
 
-    def __init__(self, ok: bool, required: int, valuation: int | float):
-        self.ok = ok
-        self.required = required
-        self.valuation = valuation  # +inf when the difference is exactly 0
+    __slots__ = ("ok", "required", "valuation")
 
 
 def kummer_check(p: int, i: int, j: int, n: int) -> CongruenceResult:
