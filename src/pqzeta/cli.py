@@ -654,6 +654,33 @@ def _chain_limits(a) -> tuple[str, int]:
     return max(parts, key=parts.get), _digits(sum(parts.values()), a.p if a.target == "p-adic-beta" else None)
 
 
+# family -> (its base, the parameters summed into the exponent that a step raises
+# the base to, 1 if that exponent grows by one a layer)
+_KERNEL_POWERS = {"basic": ("q", ("beta",), 1), "q-gamma": ("q", ("beta",), 1), "p-gamma": ("p", ("beta",), 1),
+                  "q-beta": ("q", ("alpha", "beta"), 1), "p-beta": ("p", ("beta",), 0), "u-gamma": ("u", ("beta",), 0)}
+
+
+def _kernel_digits(a) -> tuple[str, int]:
+    """The digits of base^(e L), plus L(L - 1)/2 in the exponent if e grows, with
+    L = max(layers, 1) and the base and e read from --kernel as
+    ``chains.parse_kernel_spec`` reads them: each of the L steps multiplies a
+    path's weight by base^e, so a weight of the last layer holds that power.
+    At least the digits of every value."""
+    family, _, raw = a.kernel.partition(":")
+    values = {key.strip(): val for key, _, val in (item.partition("=") for item in raw.split(",") if raw)}
+    digits = max(map(_rational_digits, values.values()), default=0)
+    base, exponent, grows = _KERNEL_POWERS.get(family.strip(), ("", (), 0))
+    if digits > _PRINTABLE[0]:  # past the cap already, and Fraction would form 10^|exponent|
+        return "--kernel", digits
+    try:
+        b, e = Fraction(values[base]), sum(Fraction(values[key]) for key in exponent)
+    except (KeyError, ValueError, ZeroDivisionError):  # no base, or a float: no exact power
+        return "--kernel", digits
+    layers = max(a.layers, 1)
+    n = abs(int(e)) * layers + grows * layers * (layers - 1) // 2 if e.denominator == 1 else 0
+    return "--kernel", max(digits, _digits(n, b.numerator), _digits(n, b.denominator))
+
+
 # _B: the largest Bernoulli index read.  A table read in order grows by doubling, so
 # commands that read many indices have lower caps than zeta-neg, which reads one
 _B = "Bernoulli numbers"
@@ -692,14 +719,15 @@ WORK_CAPS = {
     # the Horner integer of pq_hurwitz reaches about (1 - n)(digits of F + digits of b) digits
     "pq-hurwitz": ((lambda a: ("--n", 1 - a.n), 2400, _B), _RESIDUE,
                    (lambda a: ("--F", (1 - a.n) * (_digits(1, a.F) + _digits(1, a.b)) if a.n <= 0 < a.b < a.F else 0),
-                    200_000, "Horner digits")),
+                    150_000, "Horner digits")),
     "moments": ((_moments, 10**7, "steps"),),
     # p^20 >= 2^20 already passes both caps on a p^n, so no larger power is formed
     "open-set-measure": ((lambda a: ("--digits", _digits(a.digits + 3, a.p)), *_PRINTABLE),
                          (lambda a: ("--n", a.a * a.p ** min(max(a.n, 0), 20)), 200_000, "terms"),
                          (lambda a: ("--n", a.a * a.p ** min(max(a.n, 0), 20) * _digits(a.digits + 3, a.p)),
                           1_000_000, "term digits")),
-    "chain-propagate": ((lambda a: ("--layers", max(a.layers + 1, 0) ** 2), 20_000, "states"),),
+    "chain-propagate": ((lambda a: ("--layers", max(a.layers + 1, 0) ** 2), 20_000, "states"),
+                        (_kernel_digits, *_PRINTABLE)),
     "chain-limits": ((lambda a: ("--depth", len(_ints(a.schedule)) * max(a.depth + 1, 0) ** 2 // 2), 15_000,
                       "states"), (_chain_limits, 2500, "digits")),
     "heisenberg": ((lambda a: ("--n", max(a.n, 0) ** 2), 40_000, "operator entries"),),

@@ -425,6 +425,8 @@ def reduce_relative(x, p: int, precision: int) -> PadicNumber:
     ``factored_numerator`` reads the unit of num/den times the factors mod
     p^K, K doubling from N + 1 until the product holds its valuation w and
     N more digits (it is not 0, so K stops)."""
+    if not isinstance(precision, int) or precision < 0:
+        raise ValueError(f"precision must be an int >= 0, got {precision}")
     if isinstance(x, tuple) and len(x) == 4:
         num, den, m, primes = x
         if m == 0 and primes:
@@ -434,8 +436,6 @@ def reduce_relative(x, p: int, precision: int) -> PadicNumber:
         primes = ()
     if num == 0:
         return PadicNumber.exact_zero(p)
-    if not isinstance(precision, int) or precision < 0:
-        raise ValueError(f"precision must be an int >= 0, got {precision}")
     v, num, den = _split(num, den, p)
     K = precision + 1
     while primes:  # left by the break once p^K holds the product's valuation and N digits

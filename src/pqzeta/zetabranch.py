@@ -36,6 +36,7 @@ from .rationals import bernoulli_polynomial_ratio, zeta_neg, zeta_neg_ratio
 
 def kl_value(p: int, n: int) -> Fraction:
     """zeta_p(1-n) = -(1 - p^(n-1)) B_n / n for n >= 1."""
+    require_primes(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     return zeta_neg(n - 1, (p,))

@@ -348,10 +348,10 @@ _CAP_CASES = [
      "zetabranch.pq_hurwitz"),
     (("pq-hurwitz", 1), "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2785",
      "pq-hurwitz --n -3 --b 2 --F 35 --p 5 --q 7 --precision 2784", "zetabranch.pq_hurwitz"),
-    (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 81} --p 5 --q 7",
-     f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 80} --p 5 --q 7", "zetabranch.pq_hurwitz"),
-    (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 1{'0' * 40}1 --F 35{'0' * 40} --p 5 --q 7",
-     f"pq-hurwitz --n -2399 --b 1{'0' * 39}1 --F 35{'0' * 40} --p 5 --q 7", "zetabranch.pq_hurwitz"),
+    (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 60} --p 5 --q 7",
+     f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 59} --p 5 --q 7", "zetabranch.pq_hurwitz"),
+    (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 1{'0' * 19}1 --F 35{'0' * 40} --p 5 --q 7",
+     f"pq-hurwitz --n -2399 --b 1{'0' * 18}1 --F 35{'0' * 40} --p 5 --q 7", "zetabranch.pq_hurwitz"),
     (("moments", 0), "moments --a 2 --mmax 214", "moments --a 2 --mmax 213", "measures.xi_weights"),
     (("open-set-measure", 0), "open-set-measure --a 3 --p 2 --n 1 --digits 14282",
      "open-set-measure --a 3 --p 2 --n 1 --digits 14281", "measures.measure_open_set_table"),
@@ -361,6 +361,10 @@ _CAP_CASES = [
      "open-set-measure --a 3 --p 2 --n 8 --digits 4322", "measures.measure_open_set_table"),
     (("chain-propagate", 0), "chain-propagate --kernel real-beta:alpha=2,beta=2 --layers 141",
      "chain-propagate --kernel real-beta:alpha=2,beta=2 --layers 140", "chains.parse_kernel_spec"),
+    (("chain-propagate", 1), "chain-propagate --kernel basic:q=1/2,beta=33 --layers 140",
+     "chain-propagate --kernel basic:q=1/2,beta=32 --layers 140", "chains.parse_kernel_spec"),
+    (("chain-propagate", 1), "chain-propagate --kernel u-gamma:u=2,beta=7143 --layers 2",
+     "chain-propagate --kernel u-gamma:u=2,beta=7142 --layers 2", "chains.parse_kernel_spec"),
     (("chain-limits", 0), "chain-limits --target real-beta --schedule 4 --depth 173",
      "chain-limits --target real-beta --schedule 4 --depth 172", "chains.limit_check"),
     (("chain-limits", 1), "chain-limits --target p-adic-beta --p 5 --alpha 3384",
@@ -422,6 +426,8 @@ def test_a_cap_refuses_in_one_line_before_any_work_and_lets_its_boundary_through
      (f"open-set-measure --a 3 --p 2 --n {_BILLION} --digits 0", "measures.measure_open_set_table"),
      (f"open-set-measure --a 3 --p 7 --n 1 --digits {_BILLION}", "measures.measure_open_set_table"),
      (f"chain-propagate --kernel real-beta:alpha=2,beta=2 --layers {_BILLION}", "chains.parse_kernel_spec"),
+     (f"chain-propagate --kernel basic:q=1/2,beta={_BILLION} --layers 2", "chains.parse_kernel_spec"),
+     (f"chain-propagate --kernel q-beta:q=1/2,alpha=1e{_BILLION},beta=1", "chains.parse_kernel_spec"),
      (f"chain-limits --target real-beta --depth {_BILLION}", "chains.limit_check"),
      (f"chain-limits --target p-adic-beta --p 5 --schedule {_BILLION}", "chains.limit_check"),
      (f"chain-limits --target p-adic-beta --p 5 --alpha {_BILLION}", "chains.limit_check"),

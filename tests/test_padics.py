@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqzeta import padics
 from pqzeta.padics import (
     PadicNumber,
     PrecisionError,
+    Record,
     _teichmuller_unit,
     angle_bracket,
     crt_pair,
@@ -32,6 +35,28 @@ def test_both_public_reductions_refuse_a_precision_that_is_not_an_int(precision)
     for reduce in (padic_of_rational, padic_reduce_abs):
         with pytest.raises(ValueError, match="precision must be an int"):
             reduce(3, 5, precision)
+
+
+_VALUES = st.one_of(st.just(0), st.integers(), st.fractions())
+_NOT_INTS = st.one_of(st.floats(), st.fractions(), st.decimals(), st.text(max_size=3), st.none(), st.complex_numbers())
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_VALUES, p=st.sampled_from([2, 3, 5, 7]), precision=_NOT_INTS)
+@example(x=0, p=5, precision=2.5)
+def test_both_public_reductions_refuse_every_precision_that_is_not_an_int_at_every_value(x, p, precision):
+    # the precision is read before the value, so that 0 is refused as any value is
+    for reduce in (padic_of_rational, padic_reduce_abs):
+        with pytest.raises(ValueError, match="precision must be an int"):
+            reduce(x, p, precision)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_VALUES, p=st.sampled_from([2, 3, 5, 7]), precision=st.integers(max_value=-1))
+@example(x=0, p=5, precision=-1)
+def test_of_rational_refuses_every_negative_precision_at_every_value(x, p, precision):
+    with pytest.raises(ValueError, match="precision must be an int >= 0"):
+        padic_of_rational(x, p, precision)
 
 
 def test_an_absolute_precision_may_be_negative():
@@ -519,3 +544,26 @@ def test_require_tolerance():
     for tol in (float("nan"), float("inf"), -1e-300, -1):
         with pytest.raises(ValueError, match="a tolerance must be a finite number >= 0"):
             require_tolerance(tol)
+
+
+def test_a_record_without_init_gets_one_from_its_slots():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+        _defaults = {"b": (1, 2)}
+
+    assert Pair(1).b == (1, 2) and Pair(1, 3) == Pair(b=3, a=1)
+    assert Pair.__init__.__qualname__.endswith("Pair.__init__")
+    assert Pair.__init__.__code__.co_filename.endswith("Pair.__init__>")
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'a'"):
+        Pair()
+
+
+def test_record_defaults_must_be_trailing_and_immutable():
+    with pytest.raises(TypeError, match="_defaults must name its last fields, in order"):
+        class Early(Record):
+            __slots__ = ("a", "b")
+            _defaults = {"a": 0}
+    with pytest.raises(TypeError, match="unhashable"):
+        class Shared(Record):
+            __slots__ = ("a",)
+            _defaults = {"a": []}

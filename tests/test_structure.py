@@ -40,6 +40,11 @@ Work is refused before it starts in one place: ``cli.run`` reads the table
 ``cli.WORK_CAPS``, whose every key is a subcommand, and is the only code in
 ``cli`` that holds the text of a refusal "past the cap".
 
+A record's fields are written once, in its ``__slots__``: ``padics.Record``
+builds the constructor of every subclass that defines none, and among the
+subclasses only ``KLBranch`` and ``DoubleBranch``, which validate, and
+``TrivialityReport``, which builds fresh containers, define ``__init__``.
+
 Every public name of the library has a consumer.  A public top-level
 function or class, or a public method or property of a top-level class, is
 referenced from ``src/pqzeta`` outside its own definition (a method by
@@ -221,6 +226,17 @@ def test_no_private_prime_validator():
         if not isinstance(node, ast.ClassDef) and node.name.startswith("_require_prime")
     ]
     assert found == []
+
+
+def test_only_the_records_that_validate_or_build_containers_define_init():
+    records = {
+        node.name: any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body)
+        for _, tree in _parsed()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Record" for base in node.bases)
+    }
+    assert len(records) == 13  # the walk does find every record
+    assert {name for name, has_init in records.items() if has_init} == {"KLBranch", "DoubleBranch", "TrivialityReport"}
 
 
 def _references(node) -> tuple[Counter, Counter]:

@@ -31,6 +31,12 @@ def test_kl_values():
     assert kl_value(7, 4) == Fraction(-57, 20)
 
 
+@pytest.mark.parametrize("p", [6, 4, 1, 0, -5])
+def test_kl_value_refuses_a_p_that_is_not_a_prime(p):
+    with pytest.raises(ValueError, match=f"{p} is not a prime"):
+        kl_value(p, 4)
+
+
 def test_kummer_examples():
     res = kummer_check(5, 2, 6, 0)
     assert res.ok and res.valuation == 1
