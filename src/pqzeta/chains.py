@@ -392,6 +392,13 @@ def q_zeta(s: float, q: float) -> float:
 # -- kernel spec parsing -------------------------------------------------------
 
 
+def split_kernel_spec(spec: str) -> tuple[str, list[tuple[str, str]]]:
+    """The family and the (key, value text) pairs of a flag string "family:key=value,..."."""
+    family, _, raw = spec.partition(":")
+    items = (item.partition("=") for item in raw.split(",") if raw)
+    return family.strip(), [(key.strip(), val) for key, _, val in items]
+
+
 def parse_kernel_spec(spec: str) -> ChainKernel:
     """Build a kernel from a flag string "family:key=value,..." .
 
@@ -399,17 +406,14 @@ def parse_kernel_spec(spec: str) -> ChainKernel:
     is accepted as the q-gamma chain at q = 1/p.  Values parse as Fractions
     when possible, else floats.
     """
-    family, _, raw = spec.partition(":")
+    family, pairs = split_kernel_spec(spec)
     params = {}
-    if raw:
-        for item in raw.split(","):
-            key, _, val = item.partition("=")
-            try:
-                f = Fraction(val)
-                params[key.strip()] = int(f) if f.denominator == 1 else f
-            except ValueError:
-                params[key.strip()] = float(val)
-    family = family.strip()
+    for key, val in pairs:
+        try:
+            f = Fraction(val)
+            params[key] = int(f) if f.denominator == 1 else f
+        except ValueError:
+            params[key] = float(val)
 
     def param(key: str):
         if key not in params:

@@ -666,10 +666,11 @@ def _kernel_digits(a) -> tuple[str, int]:
     ``chains.parse_kernel_spec`` reads them: each of the L steps multiplies a
     path's weight by base^e, so a weight of the last layer holds that power.
     At least the digits of every value."""
-    family, _, raw = a.kernel.partition(":")
-    values = {key.strip(): val for key, _, val in (item.partition("=") for item in raw.split(",") if raw)}
+    from . import chains
+    family, pairs = chains.split_kernel_spec(a.kernel)
+    values = dict(pairs)
     digits = max(map(_rational_digits, values.values()), default=0)
-    base, exponent, grows = _KERNEL_POWERS.get(family.strip(), ("", (), 0))
+    base, exponent, grows = _KERNEL_POWERS.get(family, ("", (), 0))
     if digits > _PRINTABLE[0]:  # past the cap already, and Fraction would form 10^|exponent|
         return "--kernel", digits
     try:
