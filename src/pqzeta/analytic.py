@@ -134,7 +134,13 @@ def euler_product_check(s: float, prime_bound: int, term_bound: int) -> EulerPro
     dirichlet = sum(n**-s for n in range(1, term_bound + 1))
     cut = min(prime_bound, term_bound)
     bound = cut ** (1 - s) / (s - 1) + cut**-s
-    return EulerProductReport(s, prime_bound, term_bound, residual=abs(product - dirichlet), tail_bound=bound)
+    return EulerProductReport(
+        s=s,
+        prime_bound=prime_bound,
+        term_bound=term_bound,
+        residual=abs(product - dirichlet),
+        tail_bound=bound,
+    )
 
 
 def weil_finite(f, p: int, n_bound: int) -> float:
