@@ -94,7 +94,9 @@ def kernel_padic_beta(p: int, alpha, beta) -> ChainKernel:
         one = Fraction(1) if exact else 1.0
         return [((i, j + 1), one)]
 
-    return ChainKernel(family="p-beta", params={"p": p, "alpha": alpha, "beta": beta}, step=step, exact=exact)
+    return ChainKernel(
+        family="p-beta", params={"p": p, "alpha": alpha, "beta": beta}, step=step, exact=exact
+    )
 
 
 def kernel_q_beta(q, alpha, beta) -> ChainKernel:
@@ -108,7 +110,9 @@ def kernel_q_beta(q, alpha, beta) -> ChainKernel:
         right = (1 - _pow(q, alpha + i)) * _pow(q, beta + j) / den
         return [((i, j + 1), up), ((i + 1, j), right)]
 
-    return ChainKernel(family="q-beta", params={"q": q, "alpha": alpha, "beta": beta}, step=step, exact=exact)
+    return ChainKernel(
+        family="q-beta", params={"q": q, "alpha": alpha, "beta": beta}, step=step, exact=exact
+    )
 
 
 def kernel_real_beta(alpha, beta) -> ChainKernel:
@@ -121,7 +125,9 @@ def kernel_real_beta(alpha, beta) -> ChainKernel:
         den = cast(alpha + beta + 2 * (i + j))
         return [((i, j + 1), cast(beta + 2 * j) / den), ((i + 1, j), cast(alpha + 2 * i) / den)]
 
-    return ChainKernel(family="real-beta", params={"alpha": alpha, "beta": beta}, step=step, exact=exact)
+    return ChainKernel(
+        family="real-beta", params={"alpha": alpha, "beta": beta}, step=step, exact=exact
+    )
 
 
 def kernel_q_gamma(q, beta) -> ChainKernel:
@@ -133,7 +139,9 @@ def kernel_q_gamma(q, beta) -> ChainKernel:
         stay = _pow(q, beta + j)
         return [((i + 1, j), stay), ((i + 1, j + 1), 1 - stay)]
 
-    return ChainKernel(family="q-gamma", params={"q": q, "beta": beta}, step=step, exact=exact)
+    return ChainKernel(
+        family="q-gamma", params={"q": q, "beta": beta}, step=step, exact=exact
+    )
 
 
 def kernel_basic(q, beta) -> ChainKernel:
@@ -144,7 +152,9 @@ def kernel_basic(q, beta) -> ChainKernel:
         stay = _pow(q, beta + i)
         return [(i, stay), (i + 1, 1 - stay)]
 
-    return ChainKernel(family="basic", params={"q": q, "beta": beta}, step=step, root=0, exact=exact)
+    return ChainKernel(
+        family="basic", params={"q": q, "beta": beta}, step=step, root=0, exact=exact
+    )
 
 
 def kernel_u_gamma(u: int, beta: int) -> ChainKernel:
