@@ -409,6 +409,54 @@ def split_kernel_spec(spec: str) -> tuple[str, list[tuple[str, str]]]:
     return family.strip(), [(key.strip(), val) for key, _, val in items]
 
 
+def kernel_params(pairs: list[tuple[str, str]]) -> dict:
+    """The values of (key, value text) pairs: an int or a Fraction where
+    Fraction reads the text, else a float."""
+    params = {}
+    for key, val in pairs:
+        try:
+            f = Fraction(val)
+            params[key] = int(f) if f.denominator == 1 else f
+        except ValueError:
+            params[key] = float(val)
+    return params
+
+
+def _integral(*values) -> int | None:
+    """The sum of values if they are exact and it is an integer, else None."""
+    if all(isinstance(v, (int, Fraction)) for v in values) and (total := sum(values)) == int(total):
+        return int(total)
+    return None
+
+
+def kernel_powers(family: str, params: dict, layers: int) -> list[tuple[int, int]]:
+    """Pairs (b, e): building the ``family`` kernel from ``params``, if its
+    constructor accepts them, checking its rows and propagating it over
+    ``layers`` layers forms an integer of at least the digits of b^e.
+
+    The first step raises the base n/d to each exact exponent: beta, and
+    alpha and alpha + beta for p-beta and q-beta.  With L = max(layers, 1), a
+    weight of layer L of a chain whose rows are laws has in its denominator
+    d^(beta L + L(L - 1)/2) (basic, q-gamma, p-gamma with q = 1/p), u^(beta L)
+    (u-gamma), p^(beta L) (p-beta) or d^(max(alpha, beta) L) (q-beta), when
+    0 < q < 1 and the exponents are >= 1.  Forms no power and raises nothing."""
+    base = params.get({"p-beta": "p", "p-gamma": "p", "u-gamma": "u", "q-beta": "q", "q-gamma": "q",
+                       "basic": "q"}.get(family))
+    if not isinstance(base, (int, Fraction)):
+        return []
+    q = Fraction(1, base) if family == "p-gamma" and base else Fraction(base)
+    L, alpha, beta = max(layers, 1), params.get("alpha"), params.get("beta")
+    a, b = _integral(alpha), _integral(beta)
+    # p-beta forms p^-(alpha + beta) only when alpha and beta are ints
+    s = _integral(alpha, beta) if family == "q-beta" or isinstance(alpha, int) else None
+    beta_chain = family in ("p-beta", "q-beta")
+    exponents = [abs(e) for e in ((a, b, s) if beta_chain else (b,)) if e is not None]
+    if (b or 0) >= 1 and (not beta_chain or (a or 0) >= 1) and (family in ("p-beta", "u-gamma") or 0 < q < 1):
+        grows = family in ("basic", "q-gamma", "p-gamma")
+        exponents.append((max(a, b) if family == "q-beta" else b) * L + grows * L * (L - 1) // 2)
+    return [(part, e) for e in exponents for part in (q.numerator, q.denominator)]
+
+
 def parse_kernel_spec(spec: str) -> ChainKernel:
     """Build a kernel from a flag string "family:key=value,..." .
 
@@ -417,13 +465,7 @@ def parse_kernel_spec(spec: str) -> ChainKernel:
     when possible, else floats.
     """
     family, pairs = split_kernel_spec(spec)
-    params = {}
-    for key, val in pairs:
-        try:
-            f = Fraction(val)
-            params[key] = int(f) if f.denominator == 1 else f
-        except ValueError:
-            params[key] = float(val)
+    params = kernel_params(pairs)
 
     def param(key: str):
         if key not in params:

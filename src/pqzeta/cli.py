@@ -654,32 +654,19 @@ def _chain_limits(a) -> tuple[str, int]:
     return max(parts, key=parts.get), _digits(sum(parts.values()), a.p if a.target == "p-adic-beta" else None)
 
 
-# family -> (its base, the parameters summed into the exponent that a step raises
-# the base to, 1 if that exponent grows by one a layer)
-_KERNEL_POWERS = {"basic": ("q", ("beta",), 1), "q-gamma": ("q", ("beta",), 1), "p-gamma": ("p", ("beta",), 1),
-                  "q-beta": ("q", ("alpha", "beta"), 1), "p-beta": ("p", ("beta",), 0), "u-gamma": ("u", ("beta",), 0)}
-
-
 def _kernel_digits(a) -> tuple[str, int]:
-    """The digits of base^(e L), plus L(L - 1)/2 in the exponent if e grows, with
-    L = max(layers, 1) and the base and e read from --kernel as
-    ``chains.parse_kernel_spec`` reads them: each of the L steps multiplies a
-    path's weight by base^e, so a weight of the last layer holds that power.
-    At least the digits of every value."""
+    """The digits of the largest power that ``chains.kernel_powers`` finds the
+    --kernel chain forms over --layers layers, or of a value if more."""
     from . import chains
     family, pairs = chains.split_kernel_spec(a.kernel)
-    values = dict(pairs)
-    digits = max(map(_rational_digits, values.values()), default=0)
-    base, exponent, grows = _KERNEL_POWERS.get(family, ("", (), 0))
+    digits = max((_rational_digits(text) for _, text in pairs), default=0)
     if digits > _PRINTABLE[0]:  # past the cap already, and Fraction would form 10^|exponent|
         return "--kernel", digits
     try:
-        b, e = Fraction(values[base]), sum(Fraction(values[key]) for key in exponent)
-    except (KeyError, ValueError, ZeroDivisionError):  # no base, or a float: no exact power
+        powers = chains.kernel_powers(family, chains.kernel_params(pairs), a.layers)
+    except (ValueError, ZeroDivisionError):  # a value that no number reads: the parser names it
         return "--kernel", digits
-    layers = max(a.layers, 1)
-    n = abs(int(e)) * layers + grows * layers * (layers - 1) // 2 if e.denominator == 1 else 0
-    return "--kernel", max(digits, _digits(n, b.numerator), _digits(n, b.denominator))
+    return "--kernel", max([digits] + [_digits(e, b) for b, e in powers])
 
 
 # _B: the largest Bernoulli index read.  A table read in order grows by doubling, so

@@ -9,6 +9,8 @@ from pqzeta.chains import (
     heisenberg_check,
     kernel_basic,
     kernel_padic_beta,
+    kernel_params,
+    kernel_powers,
     kernel_q_beta,
     kernel_q_gamma,
     kernel_real_beta,
@@ -23,6 +25,7 @@ from pqzeta.chains import (
     q_zeta,
     raising_operator,
     real_beta_layer_closed_form,
+    split_kernel_spec,
 )
 from pqzeta.padics import padic_of_rational
 
@@ -315,6 +318,64 @@ def test_parse_kernel_spec():
     assert k.params["q"] == Fraction(1, 5)
     with pytest.raises(ValueError):
         parse_kernel_spec("mystery:x=1")
+
+
+def _digits_formed(spec: str, layers: int, monkeypatch) -> int | None:
+    """The most digits of a numerator or denominator that building, checking
+    and propagating the kernel forms, as chain-propagate runs it; None if the
+    constructor refuses the spec."""
+    from pqzeta import chains
+
+    most = [0]
+
+    def note(x):
+        if isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+            most[0] = max(most[0], len(str(abs(x.numerator))), len(str(x.denominator)))
+        return x
+
+    pow_ = chains._pow
+    with monkeypatch.context() as patch:
+        patch.setattr(chains, "_pow", lambda base, exponent: note(pow_(base, exponent)))
+        try:
+            kernel = parse_kernel_spec(spec)
+        except ValueError:
+            return None
+        try:
+            for _, pr in kernel.step(kernel.root):  # u-gamma's u^-beta is formed outside _pow
+                note(pr)
+            if kernel.is_row_stochastic(min(layers, 12)):
+                for weight in propagate(kernel, layers).weights.values():
+                    note(weight)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return most[0]
+
+
+def test_kernel_powers_are_a_lower_bound_on_the_digits_a_run_forms(monkeypatch):
+    """Every exponent a family raises its base to is counted: the billion
+    alphas of p-beta and q-beta (with beta = 1/2, or alpha + beta = 1) too."""
+    values = ("-3", "0", "1", "2", "7", "1/2", "0.5")
+    specs = [f"{family}:{base},beta={beta}" for family, base in
+             (("basic", "q=1/2"), ("basic", "q=9/10"), ("q-gamma", "q=2/3"), ("q-gamma", "q=3/2"),
+              ("p-gamma", "p=3"), ("u-gamma", "u=2")) for beta in values]
+    specs += [f"{family}:{base},alpha={alpha},beta={beta}" for family, base in
+              (("q-beta", "q=1/2"), ("q-beta", "q=9/10"), ("q-beta", "q=3/2"), ("p-beta", "p=2"), ("p-beta", "p=5"))
+              for alpha in values for beta in values]
+    checked = 0
+    for spec in specs:
+        family, pairs = split_kernel_spec(spec)
+        for layers in (0, 1, 2, 9, 13):
+            formed = _digits_formed(spec, layers, monkeypatch)
+            if formed is not None:
+                powers = kernel_powers(family, kernel_params(pairs), layers)
+                assert max([0] + [len(str(b**e)) for b, e in powers]) <= formed, (spec, layers)
+                checked += 1
+    assert checked > 1000
+    for spec in ("p-beta:p=2,alpha=1000000000,beta=1", "q-beta:q=1/2,alpha=1000000000,beta=1/2",
+                 "q-beta:q=1/2,alpha=1000000000,beta=-999999999"):
+        family, pairs = split_kernel_spec(spec)
+        assert (2, 10**9) in kernel_powers(family, kernel_params(pairs), 2)
 
 
 def test_float_mode_row_sums():

@@ -365,6 +365,12 @@ _CAP_CASES = [
      "chain-propagate --kernel basic:q=1/2,beta=32 --layers 140", "chains.parse_kernel_spec"),
     (("chain-propagate", 1), "chain-propagate --kernel u-gamma:u=2,beta=7143 --layers 2",
      "chain-propagate --kernel u-gamma:u=2,beta=7142 --layers 2", "chains.parse_kernel_spec"),
+    (("chain-propagate", 1), "chain-propagate --kernel p-beta:p=2,alpha=14284,beta=1 --layers 2",
+     "chain-propagate --kernel p-beta:p=2,alpha=14283,beta=1 --layers 2", "chains.parse_kernel_spec"),
+    (("chain-propagate", 1), "chain-propagate --kernel q-beta:q=1/2,alpha=14285,beta=1/2 --layers 2",
+     "chain-propagate --kernel q-beta:q=1/2,alpha=14284,beta=1/2 --layers 2", "chains.parse_kernel_spec"),
+    (("chain-propagate", 1), "chain-propagate --kernel q-beta:q=1/2,alpha=103,beta=1 --layers 140",
+     "chain-propagate --kernel q-beta:q=1/2,alpha=102,beta=1 --layers 140", "chains.parse_kernel_spec"),
     (("chain-limits", 0), "chain-limits --target real-beta --schedule 4 --depth 173",
      "chain-limits --target real-beta --schedule 4 --depth 172", "chains.limit_check"),
     (("chain-limits", 1), "chain-limits --target p-adic-beta --p 5 --alpha 3384",
@@ -428,6 +434,9 @@ def test_a_cap_refuses_in_one_line_before_any_work_and_lets_its_boundary_through
      (f"chain-propagate --kernel real-beta:alpha=2,beta=2 --layers {_BILLION}", "chains.parse_kernel_spec"),
      (f"chain-propagate --kernel basic:q=1/2,beta={_BILLION} --layers 2", "chains.parse_kernel_spec"),
      (f"chain-propagate --kernel q-beta:q=1/2,alpha=1e{_BILLION},beta=1", "chains.parse_kernel_spec"),
+     (f"chain-propagate --kernel p-beta:p=2,alpha={_BILLION},beta=1", "chains.parse_kernel_spec"),
+     (f"chain-propagate --kernel q-beta:q=1/2,alpha={_BILLION},beta=1/2", "chains.parse_kernel_spec"),
+     (f"chain-propagate --kernel q-beta:q=1/2,alpha={_BILLION},beta={1 - _BILLION}", "chains.parse_kernel_spec"),
      (f"chain-limits --target real-beta --depth {_BILLION}", "chains.limit_check"),
      (f"chain-limits --target p-adic-beta --p 5 --schedule {_BILLION}", "chains.limit_check"),
      (f"chain-limits --target p-adic-beta --p 5 --alpha {_BILLION}", "chains.limit_check"),
