@@ -6,7 +6,11 @@ their ladder relation, finite orthogonal bases, and q-number scalars.
 
 Kernels keep exact rationals whenever parameters allow (rational base,
 integer exponents); reparametrized real limits force float mode, where row
-sums are only required to hold within 1e-12.
+sums are only required to hold within 1e-12.  Every power a kernel forms
+goes through ``_pow``, which refuses an exact one of more than
+PRINTABLE_DIGITS digits (Python's str() limit) and a float one that
+overflows with ValueError, and ``propagate`` refuses an exact layer with a
+weight of more digits, so every weight a layer returns can be printed.
 """
 
 from __future__ import annotations
@@ -15,23 +19,37 @@ from fractions import Fraction
 from math import factorial, isfinite
 from sys import float_info
 
-from .padics import Record, require_primes, require_tolerance
+from .padics import PRINTABLE_DIGITS, Record, require_primes, require_tolerance
 from .rationals import binomial, rising_factorial
 
 FLOAT_TOL = 1e-12
+_LIMIT = 10**PRINTABLE_DIGITS
+_LIMIT_BITS = _LIMIT.bit_length() - 1  # 14 284: a power of 2^(bits + 1) or more passes _LIMIT
+
+
+def _too_long(x: Fraction) -> bool:
+    """x has a numerator or denominator of more than PRINTABLE_DIGITS digits."""
+    return max(abs(x.numerator), x.denominator) >= _LIMIT
 
 
 def _pow(base, exponent):
-    """Exact power when base is rational and the exponent integral."""
-    if isinstance(base, (int, Fraction)) and isinstance(exponent, int):
-        return Fraction(base) ** exponent
-    if (
-        isinstance(base, (int, Fraction))
-        and isinstance(exponent, Fraction)
-        and exponent.denominator == 1
+    """Exact power when base is rational and the exponent integral, else a
+    float one.  An exact power of more than PRINTABLE_DIGITS digits, or a
+    float one that overflows, raises ValueError; the exact one is refused
+    before it is formed when |exponent| * (bit length - 1) of the base's
+    larger part already passes _LIMIT_BITS."""
+    if isinstance(base, (int, Fraction)) and (
+        isinstance(exponent, int) or isinstance(exponent, Fraction) and exponent.denominator == 1
     ):
-        return Fraction(base) ** int(exponent)
-    return float(base) ** float(exponent)
+        base, exponent = Fraction(base), int(exponent)
+        bits = abs(exponent) * (max(abs(base.numerator), base.denominator).bit_length() - 1)
+        if bits > _LIMIT_BITS or _too_long(power := base**exponent):
+            raise ValueError(f"the exact power {base}^{exponent} has more than {PRINTABLE_DIGITS} digits")
+        return power
+    try:
+        return float(base) ** float(exponent)
+    except OverflowError:
+        raise ValueError(f"the power {base}^{exponent} overflows a float") from None
 
 
 class ChainKernel(Record):
@@ -162,7 +180,7 @@ def kernel_u_gamma(u: int, beta: int) -> ChainKernel:
     generic prime): u^(-beta) keeps j = 0, otherwise j locks upward."""
     if not (isinstance(u, int) and isinstance(beta, int)) or u < 2 or beta < 1:
         raise ValueError("need u >= 2 and integer beta >= 1")
-    w = Fraction(1, u**beta)
+    w = _pow(u, -beta)
 
     def step(state):
         i, j = state
@@ -180,17 +198,20 @@ class LayerDistribution(Record):
 
 
 def propagate(kernel: ChainKernel, n: int) -> LayerDistribution:
-    """Exact law of the chain after n steps from the root."""
+    """Exact law of the chain after n steps from the root.  An exact kernel's
+    layer with a weight of more than PRINTABLE_DIGITS digits raises ValueError."""
     if n < 0:
         raise ValueError("layer index must be >= 0")
     one = Fraction(1) if kernel.exact else 1.0
     current = {kernel.root: one}
-    for _ in range(n):
+    for layer in range(1, n + 1):
         nxt: dict = {}
         for state, mass in current.items():
             for child, pr in kernel.step(state):
                 if pr:
                     nxt[child] = nxt.get(child, 0) + mass * pr
+        if kernel.exact and any(map(_too_long, nxt.values())):
+            raise ValueError(f"layer {layer} has a weight of more than {PRINTABLE_DIGITS} digits")
         current = nxt
     return LayerDistribution(n=n, weights=current)
 
@@ -402,61 +423,6 @@ def q_zeta(s: float, q: float) -> float:
 # -- kernel spec parsing -------------------------------------------------------
 
 
-def split_kernel_spec(spec: str) -> tuple[str, list[tuple[str, str]]]:
-    """The family and the (key, value text) pairs of a flag string "family:key=value,..."."""
-    family, _, raw = spec.partition(":")
-    items = (item.partition("=") for item in raw.split(",") if raw)
-    return family.strip(), [(key.strip(), val) for key, _, val in items]
-
-
-def kernel_params(pairs: list[tuple[str, str]]) -> dict:
-    """The values of (key, value text) pairs: an int or a Fraction where
-    Fraction reads the text, else a float."""
-    params = {}
-    for key, val in pairs:
-        try:
-            f = Fraction(val)
-            params[key] = int(f) if f.denominator == 1 else f
-        except ValueError:
-            params[key] = float(val)
-    return params
-
-
-def _integral(*values) -> int | None:
-    """The sum of values if they are exact and it is an integer, else None."""
-    if all(isinstance(v, (int, Fraction)) for v in values) and (total := sum(values)) == int(total):
-        return int(total)
-    return None
-
-
-def kernel_powers(family: str, params: dict, layers: int) -> list[tuple[int, int]]:
-    """Pairs (b, e): building the ``family`` kernel from ``params``, if its
-    constructor accepts them, checking its rows and propagating it over
-    ``layers`` layers forms an integer of at least the digits of b^e.
-
-    The first step raises the base n/d to each exact exponent: beta, and
-    alpha and alpha + beta for p-beta and q-beta.  With L = max(layers, 1), a
-    weight of layer L of a chain whose rows are laws has in its denominator
-    d^(beta L + L(L - 1)/2) (basic, q-gamma, p-gamma with q = 1/p), u^(beta L)
-    (u-gamma), p^(beta L) (p-beta) or d^(max(alpha, beta) L) (q-beta), when
-    0 < q < 1 and the exponents are >= 1.  Forms no power and raises nothing."""
-    base = params.get({"p-beta": "p", "p-gamma": "p", "u-gamma": "u", "q-beta": "q", "q-gamma": "q",
-                       "basic": "q"}.get(family))
-    if not isinstance(base, (int, Fraction)):
-        return []
-    q = Fraction(1, base) if family == "p-gamma" and base else Fraction(base)
-    L, alpha, beta = max(layers, 1), params.get("alpha"), params.get("beta")
-    a, b = _integral(alpha), _integral(beta)
-    # p-beta forms p^-(alpha + beta) only when alpha and beta are ints
-    s = _integral(alpha, beta) if family == "q-beta" or isinstance(alpha, int) else None
-    beta_chain = family in ("p-beta", "q-beta")
-    exponents = [abs(e) for e in ((a, b, s) if beta_chain else (b,)) if e is not None]
-    if (b or 0) >= 1 and (not beta_chain or (a or 0) >= 1) and (family in ("p-beta", "u-gamma") or 0 < q < 1):
-        grows = family in ("basic", "q-gamma", "p-gamma")
-        exponents.append((max(a, b) if family == "q-beta" else b) * L + grows * L * (L - 1) // 2)
-    return [(part, e) for e in exponents for part in (q.numerator, q.denominator)]
-
-
 def parse_kernel_spec(spec: str) -> ChainKernel:
     """Build a kernel from a flag string "family:key=value,..." .
 
@@ -464,8 +430,17 @@ def parse_kernel_spec(spec: str) -> ChainKernel:
     is accepted as the q-gamma chain at q = 1/p.  Values parse as Fractions
     when possible, else floats.
     """
-    family, pairs = split_kernel_spec(spec)
-    params = kernel_params(pairs)
+    family, _, raw = spec.partition(":")
+    params = {}
+    if raw:
+        for item in raw.split(","):
+            key, _, val = item.partition("=")
+            try:
+                f = Fraction(val)
+                params[key.strip()] = int(f) if f.denominator == 1 else f
+            except ValueError:
+                params[key.strip()] = float(val)
+    family = family.strip()
 
     def param(key: str):
         if key not in params:

@@ -654,25 +654,10 @@ def _chain_limits(a) -> tuple[str, int]:
     return max(parts, key=parts.get), _digits(sum(parts.values()), a.p if a.target == "p-adic-beta" else None)
 
 
-def _kernel_digits(a) -> tuple[str, int]:
-    """The digits of the largest power that ``chains.kernel_powers`` finds the
-    --kernel chain forms over --layers layers, or of a value if more."""
-    from . import chains
-    family, pairs = chains.split_kernel_spec(a.kernel)
-    digits = max((_rational_digits(text) for _, text in pairs), default=0)
-    if digits > _PRINTABLE[0]:  # past the cap already, and Fraction would form 10^|exponent|
-        return "--kernel", digits
-    try:
-        powers = chains.kernel_powers(family, chains.kernel_params(pairs), a.layers)
-    except (ValueError, ZeroDivisionError):  # a value that no number reads: the parser names it
-        return "--kernel", digits
-    return "--kernel", max([digits] + [_digits(e, b) for b, e in powers])
-
-
 # _B: the largest Bernoulli index read.  A table read in order grows by doubling, so
 # commands that read many indices have lower caps than zeta-neg, which reads one
 _B = "Bernoulli numbers"
-_PRINTABLE = (4300, "digits")  # Python's str() limit: a residue with a longer modulus could not be printed
+_PRINTABLE = (padics.PRINTABLE_DIGITS, "digits")  # a residue with a longer modulus could not be printed
 _RESIDUE = (lambda a: ("--precision", _digits(a.precision, a.p, a.q)), *_PRINTABLE)  # mod p^N, or p^N q^N
 WORK_CAPS = {
     "bernoulli": ((lambda a: ("--upto", a.upto), 2048, _B),
@@ -715,7 +700,9 @@ WORK_CAPS = {
                          (lambda a: ("--n", a.a * a.p ** min(max(a.n, 0), 20) * _digits(a.digits + 3, a.p)),
                           1_000_000, "term digits")),
     "chain-propagate": ((lambda a: ("--layers", max(a.layers + 1, 0) ** 2), 20_000, "states"),
-                        (_kernel_digits, *_PRINTABLE)),
+                        (lambda a: ("--kernel", max(_rational_digits(item.partition("=")[2])
+                                                    for item in a.kernel.partition(":")[2].split(","))),
+                         *_PRINTABLE)),
     "chain-limits": ((lambda a: ("--depth", len(_ints(a.schedule)) * max(a.depth + 1, 0) ** 2 // 2), 15_000,
                       "states"), (_chain_limits, 2500, "digits")),
     "heisenberg": ((lambda a: ("--n", max(a.n, 0) ** 2), 40_000, "operator entries"),),

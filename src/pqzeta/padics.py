@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 INFINITY = math.inf
+PRINTABLE_DIGITS = 4300  # Python's str() limit on the digits of an int
 
 
 class PrecisionError(ArithmeticError):

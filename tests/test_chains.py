@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,6 @@ from pqzeta.chains import (
     heisenberg_check,
     kernel_basic,
     kernel_padic_beta,
-    kernel_params,
-    kernel_powers,
     kernel_q_beta,
     kernel_q_gamma,
     kernel_real_beta,
@@ -25,7 +24,6 @@ from pqzeta.chains import (
     q_zeta,
     raising_operator,
     real_beta_layer_closed_form,
-    split_kernel_spec,
 )
 from pqzeta.padics import padic_of_rational
 
@@ -320,10 +318,11 @@ def test_parse_kernel_spec():
         parse_kernel_spec("mystery:x=1")
 
 
-def _digits_formed(spec: str, layers: int, monkeypatch) -> int | None:
-    """The most digits of a numerator or denominator that building, checking
-    and propagating the kernel forms, as chain-propagate runs it; None if the
-    constructor refuses the spec."""
+def _digits_formed(spec: str, layers: int, monkeypatch) -> tuple[int, Exception | None]:
+    """The most digits of a numerator or denominator among the powers that
+    ``_pow`` returns and the weights that ``propagate`` returns as
+    chain-propagate builds, checks and propagates the kernel, and the
+    ValueError or ZeroDivisionError that ended the run, if one did."""
     from pqzeta import chains
 
     most = [0]
@@ -339,22 +338,20 @@ def _digits_formed(spec: str, layers: int, monkeypatch) -> int | None:
         patch.setattr(chains, "_pow", lambda base, exponent: note(pow_(base, exponent)))
         try:
             kernel = parse_kernel_spec(spec)
-        except ValueError:
-            return None
-        try:
-            for _, pr in kernel.step(kernel.root):  # u-gamma's u^-beta is formed outside _pow
-                note(pr)
             if kernel.is_row_stochastic(min(layers, 12)):
                 for weight in propagate(kernel, layers).weights.values():
                     note(weight)
-        except (ValueError, ZeroDivisionError):
-            pass
-    return most[0]
+        except (ValueError, ZeroDivisionError) as exc:
+            return most[0], exc
+    return most[0], None
 
 
-def test_kernel_powers_are_a_lower_bound_on_the_digits_a_run_forms(monkeypatch):
-    """Every exponent a family raises its base to is counted: the billion
-    alphas of p-beta and q-beta (with beta = 1/2, or alpha + beta = 1) too."""
+def test_no_run_forms_a_power_or_weight_of_more_than_4300_digits(monkeypatch):
+    """Every power and weight a run forms has at most 4300 digits, or the run
+    raises ValueError; near the limit the check lets a 4300-digit power or
+    weight through and refuses one digit more, and the billion exponents of
+    p-beta and q-beta (with beta = 1/2, or alpha + beta = 1) are refused
+    before the power is formed."""
     values = ("-3", "0", "1", "2", "7", "1/2", "0.5")
     specs = [f"{family}:{base},beta={beta}" for family, base in
              (("basic", "q=1/2"), ("basic", "q=9/10"), ("q-gamma", "q=2/3"), ("q-gamma", "q=3/2"),
@@ -364,18 +361,29 @@ def test_kernel_powers_are_a_lower_bound_on_the_digits_a_run_forms(monkeypatch):
               for alpha in values for beta in values]
     checked = 0
     for spec in specs:
-        family, pairs = split_kernel_spec(spec)
         for layers in (0, 1, 2, 9, 13):
-            formed = _digits_formed(spec, layers, monkeypatch)
-            if formed is not None:
-                powers = kernel_powers(family, kernel_params(pairs), layers)
-                assert max([0] + [len(str(b**e)) for b, e in powers]) <= formed, (spec, layers)
-                checked += 1
+            formed, error = _digits_formed(spec, layers, monkeypatch)
+            assert formed <= 4300, (spec, layers)
+            checked += error is None
     assert checked > 1000
-    for spec in ("p-beta:p=2,alpha=1000000000,beta=1", "q-beta:q=1/2,alpha=1000000000,beta=1/2",
-                 "q-beta:q=1/2,alpha=1000000000,beta=-999999999"):
-        family, pairs = split_kernel_spec(spec)
-        assert (2, 10**9) in kernel_powers(family, kernel_params(pairs), 2)
+    refused = "more than 4300 digits"
+    for spec, layers, most, error in (
+        ("u-gamma:u=2,beta=7142", 2, 4300, None),  # the layer-2 weights 2^-14284
+        ("u-gamma:u=2,beta=7143", 2, 2151, "layer 2 has a weight of " + refused),
+        ("p-beta:p=2,alpha=14284,beta=1", 2, 4300, "the exact power 2^-14285 has " + refused),
+        ("q-beta:q=1/2,alpha=14284,beta=1/2", 2, 4300, "the exact power 1/2^14285 has " + refused),
+        ("basic:q=1/10,beta=4299", 0, 4300, None),  # 10^4299 is formed and compared
+        ("basic:q=1/10,beta=4300", 0, 0, "the exact power 1/10^4300 has " + refused),
+        ("real-beta:alpha=1e300,beta=1", 140, 0, "layer 15 has a weight of " + refused),
+        ("p-beta:p=2,alpha=1000000000,beta=1", 2, 1, "the exact power 2^-1000000000 has " + refused),
+        ("q-beta:q=1/2,alpha=1000000000,beta=1/2", 2, 0, "the exact power 1/2^1000000000 has " + refused),
+        ("q-beta:q=1/2,alpha=1000000000,beta=-999999999", 2, 1, "the exact power 1/2^-999999999 has " + refused),
+    ):
+        start = time.perf_counter()
+        formed, exc = _digits_formed(spec, layers, monkeypatch)
+        assert time.perf_counter() - start < 0.5, spec  # 2^(10^9) alone takes seconds
+        assert (formed, exc if exc is None else str(exc)) == (most, error), spec
+        assert exc is None or type(exc) is ValueError
 
 
 def test_float_mode_row_sums():

@@ -361,16 +361,8 @@ _CAP_CASES = [
      "open-set-measure --a 3 --p 2 --n 8 --digits 4322", "measures.measure_open_set_table"),
     (("chain-propagate", 0), "chain-propagate --kernel real-beta:alpha=2,beta=2 --layers 141",
      "chain-propagate --kernel real-beta:alpha=2,beta=2 --layers 140", "chains.parse_kernel_spec"),
-    (("chain-propagate", 1), "chain-propagate --kernel basic:q=1/2,beta=33 --layers 140",
-     "chain-propagate --kernel basic:q=1/2,beta=32 --layers 140", "chains.parse_kernel_spec"),
-    (("chain-propagate", 1), "chain-propagate --kernel u-gamma:u=2,beta=7143 --layers 2",
-     "chain-propagate --kernel u-gamma:u=2,beta=7142 --layers 2", "chains.parse_kernel_spec"),
-    (("chain-propagate", 1), "chain-propagate --kernel p-beta:p=2,alpha=14284,beta=1 --layers 2",
-     "chain-propagate --kernel p-beta:p=2,alpha=14283,beta=1 --layers 2", "chains.parse_kernel_spec"),
-    (("chain-propagate", 1), "chain-propagate --kernel q-beta:q=1/2,alpha=14285,beta=1/2 --layers 2",
-     "chain-propagate --kernel q-beta:q=1/2,alpha=14284,beta=1/2 --layers 2", "chains.parse_kernel_spec"),
-    (("chain-propagate", 1), "chain-propagate --kernel q-beta:q=1/2,alpha=103,beta=1 --layers 140",
-     "chain-propagate --kernel q-beta:q=1/2,alpha=102,beta=1 --layers 140", "chains.parse_kernel_spec"),
+    (("chain-propagate", 1), "chain-propagate --kernel real-beta:alpha=1e4300,beta=1",
+     "chain-propagate --kernel real-beta:alpha=1e4299,beta=1", "chains.parse_kernel_spec"),
     (("chain-limits", 0), "chain-limits --target real-beta --schedule 4 --depth 173",
      "chain-limits --target real-beta --schedule 4 --depth 172", "chains.limit_check"),
     (("chain-limits", 1), "chain-limits --target p-adic-beta --p 5 --alpha 3384",
@@ -432,11 +424,7 @@ def test_a_cap_refuses_in_one_line_before_any_work_and_lets_its_boundary_through
      (f"open-set-measure --a 3 --p 2 --n {_BILLION} --digits 0", "measures.measure_open_set_table"),
      (f"open-set-measure --a 3 --p 7 --n 1 --digits {_BILLION}", "measures.measure_open_set_table"),
      (f"chain-propagate --kernel real-beta:alpha=2,beta=2 --layers {_BILLION}", "chains.parse_kernel_spec"),
-     (f"chain-propagate --kernel basic:q=1/2,beta={_BILLION} --layers 2", "chains.parse_kernel_spec"),
      (f"chain-propagate --kernel q-beta:q=1/2,alpha=1e{_BILLION},beta=1", "chains.parse_kernel_spec"),
-     (f"chain-propagate --kernel p-beta:p=2,alpha={_BILLION},beta=1", "chains.parse_kernel_spec"),
-     (f"chain-propagate --kernel q-beta:q=1/2,alpha={_BILLION},beta=1/2", "chains.parse_kernel_spec"),
-     (f"chain-propagate --kernel q-beta:q=1/2,alpha={_BILLION},beta={1 - _BILLION}", "chains.parse_kernel_spec"),
      (f"chain-limits --target real-beta --depth {_BILLION}", "chains.limit_check"),
      (f"chain-limits --target p-adic-beta --p 5 --schedule {_BILLION}", "chains.limit_check"),
      (f"chain-limits --target p-adic-beta --p 5 --alpha {_BILLION}", "chains.limit_check"),
@@ -448,6 +436,39 @@ def test_a_flag_of_a_billion_is_refused_at_once(argv, target, monkeypatch, capsy
     start = time.perf_counter()
     line = _rejected(argv.split(), capsys)
     assert time.perf_counter() - start < 0.1 and _CAP_LINE.fullmatch(line), line
+
+
+# (argv past the chain digit limit, argv at it, the parent's exit code at it): chains refuses an exact
+# power or a layer's weight of more than 4300 digits where it is formed
+_CHAIN_LIMIT_CASES = [
+    ("basic:q=1/2,beta=33 --layers 140", "basic:q=1/2,beta=32 --layers 140", 0),
+    ("u-gamma:u=2,beta=7143 --layers 2", "u-gamma:u=2,beta=7142 --layers 2", 0),
+    ("p-beta:p=2,alpha=14284,beta=1 --layers 2", "p-beta:p=2,alpha=14283,beta=1 --layers 2", 2),  # its report
+    ("q-beta:q=1/2,alpha=14285,beta=1/2 --layers 2", "q-beta:q=1/2,alpha=14284,beta=1/2 --layers 2", 2),  # was 0
+    ("q-beta:q=1/2,alpha=103,beta=1 --layers 140", "q-beta:q=1/2,alpha=102,beta=1 --layers 140", 0),
+]
+
+
+@pytest.mark.parametrize("past, at, code", _CHAIN_LIMIT_CASES, ids=[past for past, *_ in _CHAIN_LIMIT_CASES])
+def test_a_chain_past_the_digit_limit_is_refused_in_one_line(past, at, code, capsys):
+    line = _rejected(["chain-propagate", "--kernel", *past.split()], capsys)
+    assert line.startswith("usage error: ") and line.endswith("more than 4300 digits"), line
+    argv = ["chain-propagate", "--kernel", *at.split()]
+    if code:
+        _rejected(argv, capsys)
+    else:
+        got, out = _run(argv)
+        assert got == 0 and len(_csv_rows(out)) == int(at.split()[-1]) + 2, at  # the schema line and every state
+
+
+@pytest.mark.parametrize("argv", [f"chain-propagate --kernel basic:q=1/2,beta={_BILLION} --layers 2",
+                                  f"chain-propagate --kernel p-beta:p=2,alpha={_BILLION},beta=1",
+                                  f"chain-propagate --kernel q-beta:q=1/2,alpha={_BILLION},beta=1/2",
+                                  f"chain-propagate --kernel q-beta:q=1/2,alpha={_BILLION},beta={1 - _BILLION}"])
+def test_a_chain_power_of_a_billion_is_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    line = _rejected(argv.split(), capsys)
+    assert time.perf_counter() - start < 0.1 and line.endswith("more than 4300 digits"), line
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1e", "1e5.0", "1e5e5", "1e+ 4", "1e" + "9" * 5000, "1e1/2"],
@@ -1000,6 +1021,9 @@ def test_precision_errors_exit_2_without_traceback():
         # a composite base u and an exponent beta that are not ints
         ["chain-propagate", "--kernel", "u-gamma:u=6,beta=3/2", "--layers", "2"],
         ["chain-propagate", "--kernel", "u-gamma:u=5/2,beta=1"],
+        # a power that overflows a float
+        ["chain-propagate", "--kernel", f"q-beta:q=1/2,alpha={10**401 + 1}/2,beta=1/3", "--layers", "2"],
+        ["q-zeta", "--s", "2", "--q", "0.5", "--integer", "-2000"],
         # no valuation exists at p = 1
         ["padic", "--ideal", "12", "--p", "1"],
         ["padic", "--value", "3", "--p", "1", "--precision", "2"],

@@ -40,6 +40,11 @@ Work is refused before it starts in one place: ``cli.run`` reads the table
 ``cli.WORK_CAPS``, whose every key is a subcommand, and is the only code in
 ``cli`` that holds the text of a refusal "past the cap".
 
+Every exact power a chain kernel forms goes through ``chains._pow``, which
+refuses one of more than 4300 digits: no ``**`` or ``pow`` call is written
+in the body of a ``chains.kernel_*`` constructor, its step function
+included, or of ``propagate``.
+
 A record's fields are written once, in its ``__slots__``: ``padics.Record``
 builds the constructor of every subclass that defines none, and among the
 subclasses only ``KLBranch`` and ``DoubleBranch``, which validate, and
@@ -216,6 +221,21 @@ def test_only_run_refuses_work_past_a_cap():
 
     run = next(node for name, node in _definitions(tree, "cli") if name == "cli.run")
     assert refusals(run) and refusals(tree) == refusals(run)
+
+
+def test_chain_kernels_form_powers_only_through_pow():
+    tree = dict(_parsed())["chains"]
+    bodies = {name: node for name, node in _definitions(tree, "chains")
+              if name.startswith("chains.kernel_") or name == "chains.propagate"}
+    assert len(bodies) >= 7  # the walk does find the six constructors and propagate
+    powers = [
+        f"{name}:{node.lineno}"
+        for name, body in bodies.items()
+        for node in ast.walk(body)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+    ]
+    assert powers == []
 
 
 def test_no_private_prime_validator():
