@@ -438,13 +438,15 @@ def test_a_flag_of_a_billion_is_refused_at_once(argv, target, monkeypatch, capsy
     assert time.perf_counter() - start < 0.1 and _CAP_LINE.fullmatch(line), line
 
 
-# (argv past the chain digit limit, argv at it, the parent's exit code at it): chains refuses an exact
+# (kernel past the chain digit limit, kernel at it, the exit code at it): chains refuses an exact
 # power or a layer's weight of more than 4300 digits where it is formed
 _CHAIN_LIMIT_CASES = [
     ("basic:q=1/2,beta=33 --layers 140", "basic:q=1/2,beta=32 --layers 140", 0),
     ("u-gamma:u=2,beta=7143 --layers 2", "u-gamma:u=2,beta=7142 --layers 2", 0),
-    ("p-beta:p=2,alpha=14284,beta=1 --layers 2", "p-beta:p=2,alpha=14283,beta=1 --layers 2", 2),  # its report
-    ("q-beta:q=1/2,alpha=14285,beta=1/2 --layers 2", "q-beta:q=1/2,alpha=14284,beta=1/2 --layers 2", 2),  # was 0
+    # a weight of layer 2 passes 4300 digits
+    ("p-beta:p=2,alpha=14284,beta=1 --layers 2", "p-beta:p=2,alpha=14283,beta=1 --layers 2", 2),
+    # the float kernel forms (1/2)^(alpha + 1) exactly at state (1, 0)
+    ("q-beta:q=1/2,alpha=14285,beta=1/2 --layers 2", "q-beta:q=1/2,alpha=14284,beta=1/2 --layers 2", 2),
     ("q-beta:q=1/2,alpha=103,beta=1 --layers 140", "q-beta:q=1/2,alpha=102,beta=1 --layers 140", 0),
 ]
 
