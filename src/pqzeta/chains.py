@@ -52,31 +52,25 @@ def _pow(base, exponent):
         raise ValueError(f"the power {base}^{exponent} overflows a float") from None
 
 
+def _divisor(den, family: str, state):
+    """den, the denominator of the family's row at state; 0 raises ValueError."""
+    if not den:
+        raise ValueError(f"the {family} row at state {state} divides by zero")
+    return den
+
+
 class ChainKernel(Record):
     """A chain from ``root``: ``step`` maps a state to its list of (state, probability)."""
 
     __slots__ = ("family", "params", "step", "root", "exact")
     _defaults = {"root": (0, 0), "exact": True}
 
-    def transition(self, source, target):
-        for st, pr in self.step(source):
-            if st == target:
-                return pr
-        zero = Fraction(0) if self.exact else 0.0
-        return zero
-
     def is_row_stochastic(self, depth: int) -> bool:
         """Every row reachable within depth steps has weights in [0, 1] (so
         none is nan) that sum to 1."""
         for state in reachable_states(self, depth):
             row = [pr for _, pr in self.step(state)]
-            if not all(0 <= pr <= 1 for pr in row):
-                return False
-            s = sum(row)
-            if self.exact:
-                if s != 1:
-                    return False
-            elif abs(s - 1.0) > FLOAT_TOL:
+            if not all(0 <= pr <= 1 for pr in row) or abs(sum(row) - 1) > (0 if self.exact else FLOAT_TOL):
                 return False
         return True
 
@@ -101,12 +95,13 @@ def kernel_padic_beta(p: int, alpha, beta) -> ChainKernel:
     exact = isinstance(alpha, int) and isinstance(beta, int)
     pb = _pow(p, -beta)
     pa = _pow(p, -alpha)
-    pab = _pow(p, -(alpha + beta)) if exact else float(pa) * float(pb)
+    pab = _pow(p, -(alpha + beta))
 
     def step(state):
         i, j = state
         if (i, j) == (0, 0):
-            return [((0, 1), (1 - pb) / (1 - pab)), ((1, 0), (1 - pa) * pb / (1 - pab))]
+            den = _divisor(1 - pab, "p-beta", state)
+            return [((0, 1), (1 - pb) / den), ((1, 0), (1 - pa) * pb / den)]
         if j == 0:
             return [((i + 1, 0), pb), ((i, 1), 1 - pb)]
         one = Fraction(1) if exact else 1.0
@@ -123,10 +118,9 @@ def kernel_q_beta(q, alpha, beta) -> ChainKernel:
 
     def step(state):
         i, j = state
-        den = 1 - _pow(q, alpha + beta + i + j)
-        up = (1 - _pow(q, beta + j)) / den
-        right = (1 - _pow(q, alpha + i)) * _pow(q, beta + j) / den
-        return [((i, j + 1), up), ((i + 1, j), right)]
+        den = _divisor(1 - _pow(q, alpha + beta + i + j), "q-beta", state)
+        qb = _pow(q, beta + j)
+        return [((i, j + 1), (1 - qb) / den), ((i + 1, j), (1 - _pow(q, alpha + i)) * qb / den)]
 
     return ChainKernel(
         family="q-beta", params={"q": q, "alpha": alpha, "beta": beta}, step=step, exact=exact
@@ -140,7 +134,7 @@ def kernel_real_beta(alpha, beta) -> ChainKernel:
 
     def step(state):
         i, j = state
-        den = cast(alpha + beta + 2 * (i + j))
+        den = _divisor(cast(alpha + beta + 2 * (i + j)), "real-beta", state)
         return [((i, j + 1), cast(beta + 2 * j) / den), ((i + 1, j), cast(alpha + 2 * i) / den)]
 
     return ChainKernel(
@@ -253,12 +247,14 @@ def limit_check(
     tol: float,
     depth: int = 6,
 ) -> LimitReport:
-    """Sup-norm distance between the reparametrized q-beta kernel and a target.
+    """Sup-norm distance between the reparametrized q-beta kernel and a target,
+    both read through their kernels' rows.
 
     p-adic target: q = p^-N, parameters divided by N (exact rationals, the
     distance decays geometrically in N).  Real target: q = 0.5^(2/N) with
     halved parameters (float mode, first-order decay in 1/N).  Every N >= 1;
-    the sup runs over the states i + j <= depth, so depth >= 0.
+    the sup runs over the states i + j <= depth, so depth >= 0.  A row that
+    divides by zero, or a power that ``_pow`` refuses, raises ValueError.
     """
     if target not in ("p-adic-beta", "real-beta"):
         raise ValueError("target must be 'p-adic-beta' or 'real-beta'")
@@ -267,33 +263,25 @@ def limit_check(
         raise ValueError(f"a limit schedule needs every N >= 1, got {list(schedule)}")
     if depth < 0:
         raise ValueError(f"the state depth must be >= 0, got {depth}")
-    states = [(i, j) for i in range(depth + 1) for j in range(depth + 1 - i)]
+    if target == "p-adic-beta":
+        if p is None:
+            raise ValueError("p-adic target needs a prime")
+        goal = kernel_padic_beta(p, alpha, beta)
+        # (p^-N)^(x/N + k) = (1/p)^(x + N k): q-beta at q = p^-N with parameters alpha/N and
+        # beta/N has at state (i, j) the weights of q-beta at q = 1/p at state (N i, N j)
+        q_beta = kernel_q_beta(Fraction(1, p), alpha, beta)
+        approx = [(q_beta, N) for N in schedule]
+    else:
+        goal = kernel_real_beta(alpha, beta)
+        approx = [(kernel_q_beta(_pow(0.5, Fraction(2, N)), alpha / 2, beta / 2), 1) for N in schedule]
+    rows = {(i, j): dict(goal.step((i, j))) for i in range(depth + 1) for j in range(depth + 1 - i)}
     residuals = []
-    for N in schedule:
+    for kernel, n in approx:
         sup = 0.0
-        if target == "p-adic-beta":
-            if p is None:
-                raise ValueError("p-adic target needs a prime")
-            tk = kernel_padic_beta(p, alpha, beta)
-            for i, j in states:
-                den = 1 - Fraction(p) ** -(alpha + beta + N * (i + j))
-                up = (1 - Fraction(p) ** -(beta + N * j)) / den
-                right = (1 - Fraction(p) ** -(alpha + N * i)) * Fraction(p) ** -(beta + N * j) / den
-                sup = max(
-                    sup,
-                    abs(float(up - tk.transition((i, j), (i, j + 1)))),
-                    abs(float(right - tk.transition((i, j), (i + 1, j)))),
-                )
-        else:
-            qq = 0.5 ** (2.0 / N)
-            approx = kernel_q_beta(qq, alpha / 2, beta / 2)
-            tk = kernel_real_beta(alpha, beta)
-            for i, j in states:
-                sup = max(
-                    sup,
-                    abs(approx.transition((i, j), (i, j + 1)) - float(tk.transition((i, j), (i, j + 1)))),
-                    abs(approx.transition((i, j), (i + 1, j)) - float(tk.transition((i, j), (i + 1, j)))),
-                )
+        for (i, j), row in rows.items():
+            near = dict(kernel.step((n * i, n * j)))
+            sup = max(sup, abs(float(near[n * i, n * j + 1] - row.get((i, j + 1), 0))),
+                      abs(float(near[n * i + 1, n * j] - row.get((i + 1, j), 0))))
         residuals.append(sup)
     return LimitReport(target=target, schedule=list(schedule), residuals=residuals, tol=tol)
 

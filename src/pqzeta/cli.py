@@ -154,6 +154,19 @@ def _cmd_teichmuller(args):
     ]
 
 
+def _split(flag: str, text: str, expects: str, kind=int, count: int | None = None) -> list:
+    """The comma-separated values of a list flag, each read by kind.  A value
+    that kind refuses, or a count of values other than count, raises
+    ValueError naming the flag and its text."""
+    try:
+        values = [kind(x) for x in text.split(",")]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} expects {expects}, got {text!r}")
+
+
 def _parse_window(text: str) -> list[Fraction]:
     return [Fraction(v) for v in text.split(",")]
 
@@ -171,7 +184,7 @@ def _agrees(value: padics.PadicNumber, exact: Fraction) -> bool:
 def _cmd_mahler_coeffs(args):
     from . import mahler
     if args.char:
-        b, n = (int(x) for x in args.char.split(","))
+        b, n = _split("--char", args.char, "two integers b,n", count=2)
         series = mahler.characteristic_mahler(b, n, args.p, args.upto)
     elif args.window:
         window = _parse_window(args.window)
@@ -239,7 +252,7 @@ def _cmd_gamma_continuity(args):
 def _cmd_spq_sweep(args):
     from . import gamma
     if args.inverse:
-        r, s = (int(x) for x in args.inverse.split(","))
+        r, s = _split("--inverse", args.inverse, "two integers r,s", count=2)
         x1 = gamma.inverse_of_half_pr_plus_one(args.p, r, s)
         x2 = gamma.inverse_general(1, r, 1, 2, args.p, s)
         if x1 % args.p**s != x2:
@@ -341,7 +354,7 @@ def _cmd_double_branch(args):
          ("--primes", str, "2,3,5,7"), ("--precision", int, 4))
 def _cmd_universal_power(args):
     from . import zetabranch
-    primes = tuple(int(x) for x in args.primes.split(","))
+    primes = tuple(_split("--primes", args.primes, "comma-separated primes"))
     values = zetabranch.universal_power(args.n, args.s, primes, args.precision)
     rows = []
     ok = True
@@ -388,10 +401,7 @@ def _cmd_moments(args):
     rows = []
     try:
         if args.pair:
-            try:
-                p, q = map(int, args.pair.split(","))
-            except ValueError:
-                raise ValueError(f"--pair expects two primes p,q, got {args.pair!r}") from None
+            p, q = _split("--pair", args.pair, "two primes p,q", count=2)
             for flag, value in (("--r", args.r), ("--delta", args.delta), ("--delta-prime", args.delta_prime)):
                 if value is not None:
                     raise ValueError(f"{flag} is not read with --pair p,q")
@@ -472,7 +482,7 @@ def _cmd_chain_propagate(args):
          ("--tol", float, 1e-6), ("--depth", int, 6))
 def _cmd_chain_limits(args):
     from . import chains
-    schedule = [int(x) for x in args.schedule.split(",")]
+    schedule = _split("--schedule", args.schedule, "comma-separated integers N")
     report = chains.limit_check(
         args.target, args.p, args.alpha, args.beta, schedule, args.tol, depth=args.depth
     )
@@ -554,7 +564,7 @@ def _cmd_lambda_check(args):
     padics.require_tolerance(args.tol)
     rows = []
     ok = True
-    for s in (float(x) for x in args.grid.split(",")):
+    for s in _split("--grid", args.grid, "comma-separated numbers s", float):
         lhs = analytic.completed_zeta(s)
         rhs = analytic.completed_zeta(1.0 - s)
         residual = abs(lhs - rhs)
@@ -710,6 +720,7 @@ WORK_CAPS = {
     "theta-check": ((lambda a: ("--step", math.floor(math.log(a.xmax / a.xmin) / math.log(a.step)) + 1
                                 if all(map(math.isfinite, (a.xmin, a.xmax, a.step, a.tol))) and a.tol >= 0
                                 and a.step > 1 and 1e-4 <= a.xmin <= a.xmax <= 1e4 else 0), 10_000, "grid points"),),
+    "lambda-check": ((lambda a: ("--grid", a.grid.count(",") + 1), 12_000, "grid points"),),
 }
 
 

@@ -288,8 +288,10 @@ def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list
     therefore O(p^n) exact integer operations instead of a Pascal row of
     length k.  No class c > upto holds a j <= upto, so when p^n > upto + 1 a
     row stops after c = upto (the entries past it are all zero) and the fold
-    reads a zero.
+    reads a zero.  A class needs n >= 0.
     """
+    if n < 0:
+        raise ValueError(f"need a class exponent n >= 0, got n = {n}")
     if not 0 <= b < p**n:
         raise ValueError("need 0 <= b < p^n")
     if b > upto:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -32,6 +33,11 @@ def row_sum(kernel, state):
     return sum(pr for _, pr in kernel.step(state))
 
 
+def weight(kernel, source, target):
+    """The kernel's weight from source to target, 0 off its row."""
+    return dict(kernel.step(source)).get(target, 0)
+
+
 def ladder_residual(alpha, beta, n, phi):
     """Max residual of D_n D_n^+ - D_{n-1}^+ D_{n-1} - ((alpha+beta)/2) id on
     one function phi over layer n-1 (family alpha+2, beta+2), from the ladder
@@ -50,15 +56,15 @@ def test_padic_beta_entries():
     p = 5
     k = kernel_padic_beta(p, 1, 1)
     expected = (1 - Fraction(1, 5)) / (1 - Fraction(1, 25))
-    assert k.transition((0, 0), (0, 1)) == expected
+    assert weight(k, (0, 0), (0, 1)) == expected
     assert row_sum(k, (0, 0)) == 1
-    assert k.transition((3, 0), (4, 0)) == Fraction(1, 5)
-    assert k.transition((2, 4), (2, 5)) == 1
+    assert weight(k, (3, 0), (4, 0)) == Fraction(1, 5)
+    assert weight(k, (2, 4), (2, 5)) == 1
 
 
 def test_q_beta_row_sums_algebraic():
     k = kernel_q_beta(Fraction(1, 2), 1, 1)
-    assert k.transition((0, 0), (0, 1)) == Fraction(2, 3)
+    assert weight(k, (0, 0), (0, 1)) == Fraction(2, 3)
     for i in range(5):
         for j in range(5):
             assert row_sum(k, (i, j)) == 1
@@ -66,8 +72,8 @@ def test_q_beta_row_sums_algebraic():
 
 def test_real_beta_entries():
     k = kernel_real_beta(2, 2)
-    assert k.transition((0, 0), (0, 1)) == Fraction(1, 2)
-    assert k.transition((1, 0), (2, 0)) == Fraction(4, 6)
+    assert weight(k, (0, 0), (0, 1)) == Fraction(1, 2)
+    assert weight(k, (1, 0), (2, 0)) == Fraction(4, 6)
     for i in range(6):
         for j in range(6):
             assert row_sum(k, (i, j)) == 1
@@ -78,18 +84,18 @@ def test_gamma_and_basic_kernels():
     for st in ((0, 0), (3, 1), (5, 2)):
         assert row_sum(g, st) == 1
     b = kernel_basic(Fraction(1, 2), 1)
-    assert b.transition(0, 0) == Fraction(1, 2)
+    assert weight(b, 0, 0) == Fraction(1, 2)
     assert row_sum(b, 0) == 1
     # large beta: the stay probability dies and the chain shifts
     shifty = kernel_basic(Fraction(1, 2), 40)
-    assert shifty.transition(0, 1) == 1 - Fraction(1, 2) ** 40
+    assert weight(shifty, 0, 1) == 1 - Fraction(1, 2) ** 40
 
 
 def test_u_gamma_kernel():
     k = kernel_u_gamma(6, 2)
     assert row_sum(k, (0, 0)) == 1
-    assert k.transition((3, 2), (4, 3)) == 1
-    assert k.transition((1, 0), (2, 0)) == Fraction(1, 36)
+    assert weight(k, (3, 2), (4, 3)) == 1
+    assert weight(k, (1, 0), (2, 0)) == Fraction(1, 36)
 
 
 def test_u_gamma_crt_reduction():
@@ -156,8 +162,69 @@ def test_limit_check_padic():
     assert report.final_ok
     # fixed start state converges to the target entry
     k32 = (1 - Fraction(5) ** -1) / (1 - Fraction(5) ** -2)
-    target = kernel_padic_beta(5, 1, 1).transition((0, 0), (0, 1))
+    target = weight(kernel_padic_beta(5, 1, 1), (0, 0), (0, 1))
     assert k32 == target
+
+
+def written_out_padic_residuals(p, alpha, beta, schedule, depth):
+    """limit_check's p-adic residuals from the q-beta weights at q = p^-N with
+    parameters alpha/N and beta/N, each written out as powers of p."""
+    target = kernel_padic_beta(p, alpha, beta)
+    residuals = []
+    for N in schedule:
+        sup = 0.0
+        for i in range(depth + 1):
+            for j in range(depth + 1 - i):
+                den = 1 - Fraction(p) ** -(alpha + beta + N * (i + j))
+                up = (1 - Fraction(p) ** -(beta + N * j)) / den
+                right = (1 - Fraction(p) ** -(alpha + N * i)) * Fraction(p) ** -(beta + N * j) / den
+                sup = max(sup, abs(float(up - weight(target, (i, j), (i, j + 1)))),
+                          abs(float(right - weight(target, (i, j), (i + 1, j)))))
+        residuals.append(sup)
+    return residuals
+
+
+def test_padic_limit_residuals_match_the_written_out_weights_bit_for_bit():
+    # a zero denominator fails both ways: the written-out division, and the named refusal
+    for p in (2, 5, 11):
+        for alpha in range(-3, 6):
+            for beta in range(-3, 6):
+                for schedule in ([1], [4, 8, 16, 32], [1, 5, 9]):
+                    try:
+                        expected = written_out_padic_residuals(p, alpha, beta, schedule, 3)
+                    except ZeroDivisionError:
+                        with pytest.raises(ValueError, match="divides by zero"):
+                            limit_check("p-adic-beta", p, alpha, beta, schedule, 1e-6, depth=3)
+                        continue
+                    residuals = limit_check("p-adic-beta", p, alpha, beta, schedule, 1e-6, depth=3).residuals
+                    assert [r.hex() for r in residuals] == [r.hex() for r in expected], (p, alpha, beta, schedule)
+
+
+@pytest.mark.parametrize("kernel, state, family", [
+    (kernel_padic_beta(2, 1, -1), (0, 0), "p-beta"),
+    (kernel_padic_beta(2, Fraction(1, 2), Fraction(-1, 2)), (0, 0), "p-beta"),
+    (kernel_padic_beta(2, 0.5, -0.5), (0, 0), "p-beta"),
+    (kernel_q_beta(Fraction(1, 2), 1, -1), (0, 0), "q-beta"),
+    (kernel_q_beta(Fraction(1, 2), -3, 1), (1, 1), "q-beta"),
+    (kernel_q_beta(1, 1, 1), (2, 3), "q-beta"),
+    (kernel_q_beta(0.5, -1.5, 0.5), (0, 1), "q-beta"),
+    (kernel_real_beta(1, -1), (0, 0), "real-beta"),
+    (kernel_real_beta(-3.0, 1.0), (0, 1), "real-beta"),
+])
+def test_a_zero_denominator_is_refused_with_the_family_and_state(kernel, state, family):
+    with pytest.raises(ValueError, match=re.escape(f"the {family} row at state {state} divides by zero")):
+        kernel.step(state)
+
+
+def test_limit_check_names_the_row_that_divides_by_zero():
+    for args, family, state in (
+        (("p-adic-beta", 5, 1, -1, [4]), "p-beta", (0, 0)),
+        (("p-adic-beta", 5, -3, 1, [2]), "q-beta", (0, 2)),  # the target's (0, 1), read at (N i, N j)
+        (("real-beta", None, 1, -1, [4]), "real-beta", (0, 0)),
+        (("real-beta", None, -3, 1, [4]), "real-beta", (0, 1)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"the {family} row at state {state} divides by zero")):
+            limit_check(*args, 1e-6, depth=1)
 
 
 def test_limit_check_real_converges_slowly():
@@ -308,7 +375,7 @@ def test_limit_check_needs_a_depth_of_at_least_zero():
 def test_parse_kernel_spec():
     k = parse_kernel_spec("real-beta:alpha=2,beta=2")
     assert k.family == "real-beta"
-    assert k.transition((0, 0), (0, 1)) == Fraction(1, 2)
+    assert weight(k, (0, 0), (0, 1)) == Fraction(1, 2)
     k = parse_kernel_spec("p-beta:p=5,alpha=1,beta=1")
     assert k.family == "p-beta"
     k = parse_kernel_spec("p-gamma:p=5,beta=2")

@@ -207,6 +207,41 @@ def test_malformed_moments_pair_argv_are_usage_errors(capsys):
         assert _rejected(["moments", "--a", "2", *argv], capsys) == line, argv
 
 
+@pytest.mark.parametrize("argv, line", [
+    ("mahler-coeffs --p 5 --char 1,2,3", "--char expects two integers b,n, got '1,2,3'"),
+    ("mahler-coeffs --p 5 --char 1", "--char expects two integers b,n, got '1'"),
+    ("spq-sweep --p 3 --inverse x,2", "--inverse expects two integers r,s, got 'x,2'"),
+    ("universal-power --n 211 --s 2 --primes 2,,3", "--primes expects comma-separated primes, got '2,,3'"),
+    ("chain-limits --target real-beta --schedule 4,8.5", "--schedule expects comma-separated integers N, got '4,8.5'"),
+    ("lambda-check --grid abc", "--grid expects comma-separated numbers s, got 'abc'"),
+    ("lambda-check --grid 2,", "--grid expects comma-separated numbers s, got '2,'"),
+])
+def test_a_malformed_list_flag_is_named_with_its_text(argv, line, capsys):
+    # each used to print Python's own message (an unpacking count, or int() and float() of one value)
+    assert _rejected(argv.split(), capsys) == f"usage error: {line}"
+
+
+def test_a_negative_class_exponent_is_a_usage_error(capsys):
+    # p**n was a float, and a TypeError traceback ended the run with exit 1
+    assert _rejected("mahler-coeffs --p 5 --char 0,-3".split(), capsys) == \
+        "usage error: need a class exponent n >= 0, got n = -3"
+
+
+@pytest.mark.parametrize("argv", [
+    "chain-propagate --kernel p-beta:p=2,alpha=1,beta=-1",
+    "chain-propagate --kernel p-beta:p=2,alpha=1/2,beta=-1/2",
+    "chain-propagate --kernel q-beta:q=1/2,alpha=1,beta=-1",
+    "chain-propagate --kernel q-beta:q=1,alpha=1,beta=1",
+    "chain-propagate --kernel real-beta:alpha=1,beta=-1",
+    "chain-limits --target p-adic-beta --p 5 --alpha 1 --beta -1",
+    "chain-limits --target real-beta --alpha 1 --beta -1",
+])
+def test_a_zero_denominator_is_a_usage_error_in_one_line(argv, capsys):
+    # each used to print Python's division message: Fraction(-1, 0), Fraction(0, 0) or float division by zero
+    line = _rejected(argv.split(), capsys)
+    assert line.endswith("divides by zero") and "Fraction(" not in line, line
+
+
 def test_plain_mode_moments_flags_with_pair_are_usage_errors(capsys):
     # pair mode reads none of these; each used to print the double_moment
     # rows as if the flag were absent and exit 0
@@ -371,6 +406,8 @@ _CAP_CASES = [
     (("hahn-basis", 0), "hahn-basis --n 58", "hahn-basis --n 57", "chains.hahn_basis"),
     (("theta-check", 0), "theta-check --xmin 1e-4 --xmax 1e4 --step 1.0018",
      "theta-check --xmin 1e-4 --xmax 1e4 --step 1.00185", "analytic.theta"),
+    (("lambda-check", 0), f"lambda-check --grid {','.join(['3'] * 12001)}", f"lambda-check --grid {','.join(['3'] * 12000)}",
+     "analytic.completed_zeta"),
 ]
 
 
@@ -379,7 +416,8 @@ def test_every_cap_row_has_a_boundary_case():
     assert {row for row, *_ in _CAP_CASES} == rows
 
 
-@pytest.mark.parametrize("row, past, at, target", _CAP_CASES, ids=[past for _, past, *_ in _CAP_CASES])
+# an id is the past argv, cut to the length of the longest --value case (a --grid past its cap is 24 000 characters)
+@pytest.mark.parametrize("row, past, at, target", _CAP_CASES, ids=[past[:4400] for _, past, *_ in _CAP_CASES])
 def test_a_cap_refuses_in_one_line_before_any_work_and_lets_its_boundary_through(row, past, at, target,
                                                                                    monkeypatch, capsys):
     _stand_in(monkeypatch, target)
@@ -1026,6 +1064,9 @@ def test_precision_errors_exit_2_without_traceback():
         # a power that overflows a float
         ["chain-propagate", "--kernel", f"q-beta:q=1/2,alpha={10**401 + 1}/2,beta=1/3", "--layers", "2"],
         ["q-zeta", "--s", "2", "--q", "0.5", "--integer", "-2000"],
+        ["chain-propagate", "--kernel", "p-beta:p=2,alpha=-1100,beta=1/2", "--layers", "2"],
+        # a q = 0.5^(2/N) that rounds to 1, where 2.0/N overflowed at an N of 401 digits
+        ["chain-limits", "--target", "real-beta", "--schedule", str(10**400)],
         # no valuation exists at p = 1
         ["padic", "--ideal", "12", "--p", "1"],
         ["padic", "--value", "3", "--p", "1", "--precision", "2"],

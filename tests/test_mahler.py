@@ -363,6 +363,8 @@ def test_characteristic_coefficients_match_alternating_sum():
             assert characteristic_coefficients_exact(b, n, p, upto) == explicit, (p, n, b)
     with pytest.raises(ValueError):
         characteristic_coefficients_exact(9, 2, 3, upto)
+    with pytest.raises(ValueError, match="need a class exponent n >= 0, got n = -3"):
+        characteristic_coefficients_exact(0, -3, 5, upto)
 
 
 def test_characteristic_series_at_padic_points():

@@ -226,8 +226,8 @@ def test_only_run_refuses_work_past_a_cap():
 def test_chain_kernels_form_powers_only_through_pow():
     tree = dict(_parsed())["chains"]
     bodies = {name: node for name, node in _definitions(tree, "chains")
-              if name.startswith("chains.kernel_") or name == "chains.propagate"}
-    assert len(bodies) >= 7  # the walk does find the six constructors and propagate
+              if name.startswith("chains.kernel_") or name in ("chains.propagate", "chains.limit_check")}
+    assert len(bodies) >= 8  # the walk does find the six constructors, propagate and limit_check
     powers = [
         f"{name}:{node.lineno}"
         for name, body in bodies.items()
