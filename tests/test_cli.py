@@ -1064,14 +1064,15 @@ def test_precision_errors_exit_2_without_traceback():
         # a power that overflows a float
         ["chain-propagate", "--kernel", f"q-beta:q=1/2,alpha={10**401 + 1}/2,beta=1/3", "--layers", "2"],
         ["q-zeta", "--s", "2", "--q", "0.5", "--integer", "-2000"],
-        ["chain-propagate", "--kernel", "p-beta:p=2,alpha=-1100,beta=1/2", "--layers", "2"],
-        # a q = 0.5^(2/N) that rounds to 1, where 2.0/N overflowed at an N of 401 digits
-        ["chain-limits", "--target", "real-beta", "--schedule", str(10**400)],
         # no valuation exists at p = 1
         ["padic", "--ideal", "12", "--p", "1"],
         ["padic", "--value", "3", "--p", "1", "--precision", "2"],
         # an empty table is no answer
         ["bernoulli", "--upto", "-1"],
+        # a float power that overflows in the p-beta kernel
+        ["chain-propagate", "--kernel", "p-beta:p=2,alpha=-1100,beta=1/2", "--layers", "2"],
+        # a q = 0.5^(2/N) that rounds to 1, where 2.0/N overflowed at an N of 401 digits
+        ["chain-limits", "--target", "real-beta", "--schedule", str(10**400)],
     ],
 )
 def test_bad_arguments_are_usage_errors(argv):
