@@ -114,7 +114,8 @@ def _cmd_zeta_neg(args):
 def _cmd_padic(args):
     if args.ideal is not None:
         return 0, [{"m": args.ideal, "p": args.p, "exponent": padics.ideal_shadow(args.ideal, args.p)}]
-    x = padics.padic_of_rational(Fraction(args.value), args.p, args.precision)
+    value = _split("--value", args.value, "a rational", Fraction, count=1)[0]
+    x = padics.padic_of_rational(value, args.p, args.precision)
     row = {
         "value": args.value,
         "p": args.p,
@@ -156,19 +157,15 @@ def _cmd_teichmuller(args):
 
 def _split(flag: str, text: str, expects: str, kind=int, count: int | None = None) -> list:
     """The comma-separated values of a list flag, each read by kind.  A value
-    that kind refuses, or a count of values other than count, raises
-    ValueError naming the flag and its text."""
+    that kind refuses (a zero denominator too), or a count of values other
+    than count, raises ValueError naming the flag and its text."""
     try:
         values = [kind(x) for x in text.split(",")]
         if count in (None, len(values)):
             return values
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"{flag} expects {expects}, got {text!r}")
-
-
-def _parse_window(text: str) -> list[Fraction]:
-    return [Fraction(v) for v in text.split(",")]
 
 
 def _agrees(value: padics.PadicNumber, exact: Fraction) -> bool:
@@ -187,7 +184,7 @@ def _cmd_mahler_coeffs(args):
         b, n = _split("--char", args.char, "two integers b,n", count=2)
         series = mahler.characteristic_mahler(b, n, args.p, args.upto)
     elif args.window:
-        window = _parse_window(args.window)
+        window = _split("--window", args.window, "comma-separated rationals", Fraction)
         series = mahler.mahler_coefficients(window, len(window) - 1, args.p, args.precision)
         # independent of the differences: the printed series, summed back, gives each entry
         printed = mahler.MahlerSeries.deserialize(series.serialize())
@@ -212,7 +209,7 @@ def _cmd_mahler_eval(args):
          ("--t", int, REQUIRED))
 def _cmd_decay_check(args):
     from . import mahler
-    window = _parse_window(args.window)
+    window = _split("--window", args.window, "comma-separated rationals", Fraction)
     report = mahler.verify_decay(window, args.p, args.s, args.t, len(window) - 1)
     row = {"p": args.p, "s": args.s, "t": args.t, "ok": report.ok}
     if not report.ok:

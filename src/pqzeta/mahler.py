@@ -14,10 +14,12 @@ entry point checks once.  Decay certificates record the bound
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .padics import (
     INFINITY,
+    PRINTABLE_DIGITS,
     PadicNumber,
     PrecisionError,
     Record,
@@ -74,17 +76,27 @@ class MahlerSeries(Record):
 
     @classmethod
     def deserialize(cls, text: str) -> "MahlerSeries":
-        """Read ``serialize`` output back; anything else raises ValueError."""
+        """Read ``serialize`` output back; anything else raises ValueError.
+
+        No field is read into a number past what ``mahler-coeffs`` can
+        print: a field of more than PRINTABLE_DIGITS digits, and a
+        precision, valuation or abs precision n whose power p^|n| has more,
+        is refused by ``_field``, naming its line and field, before anything
+        is formed from it."""
         lines = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not lines or len(lines[0]) != 3:
             raise ValueError("a Mahler series starts with the line 'p precision length'")
-        p, precision, length = (int(x) for x in lines[0])
+        p, precision, length = (_field("the header", name, x)
+                                for name, x in zip(("p", "precision", "length"), lines[0]))
         if not is_prime(p) or precision < 1 or len(lines) != length + 1:
             raise ValueError(f"header '{p} {precision} {length}' needs a prime, precision >= 1 "
                              f"and {length} coefficient lines after it; {len(lines) - 1} follow")
+        top = _printable_exponent(p)
+        _field("the header", "precision", lines[0][1], p, top)
         coeffs = []
         for i, fields in enumerate(lines[1:]):
-            if (len(fields) not in (3, 4) or int(fields[0]) != i
+            where = f"coefficient line {i}"
+            if (len(fields) not in (3, 4) or _field(where, "index", fields[0]) != i
                     or len(fields) == 4 and fields[2] == "0"):
                 raise ValueError(f"coefficient line {i} must read '{i} valuation unit [abs_precision]', "
                                  "with abs_precision only after a nonzero unit")
@@ -92,11 +104,40 @@ class MahlerSeries(Record):
             if v == "inf" and unit == "0":
                 coeffs.append(PadicNumber.exact_zero(p))
             elif unit == "0":
-                coeffs.append(PadicNumber.zero_mod(p, int(v)))
+                coeffs.append(PadicNumber.zero_mod(p, _field(where, "valuation", v, p, top)))
             else:
-                known = int(fields[3]) if len(fields) == 4 else precision
-                coeffs.append(PadicNumber(p, int(v), int(unit), known - int(v)))
+                v = _field(where, "valuation", v, p, top)
+                known = _field(where, "abs precision", fields[3], p, top) if len(fields) == 4 else precision
+                coeffs.append(PadicNumber(p, v, _field(where, "unit", unit), known - v))
         return cls(p=p, precision=precision, coeffs=coeffs)
+
+
+_PRINTABLE = 10**PRINTABLE_DIGITS
+
+
+def _printable_exponent(p: int) -> int:
+    """The largest n with p^n of at most PRINTABLE_DIGITS digits, for p >= 2."""
+    n = int(PRINTABLE_DIGITS / math.log10(p))  # off by at most one either way
+    while p ** (n + 1) < _PRINTABLE:
+        n += 1
+    while p**n >= _PRINTABLE:
+        n -= 1
+    return n
+
+
+def _field(where: str, name: str, text: str, p: int | None = None, top: int = 0) -> int:
+    """int(text), the field name of where; ValueError naming both when text
+    is not an integer, has more than PRINTABLE_DIGITS digits, or, for an
+    exponent of p, when |int(text)| > top, so that p^|int(text)| would."""
+    if len(text.lstrip("+-")) > PRINTABLE_DIGITS:
+        raise ValueError(f"{where}: the {name} has more than {PRINTABLE_DIGITS} digits")
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"{where}: the {name} {text!r} is not an integer") from None
+    if p is not None and abs(n) > top:
+        raise ValueError(f"{where}: the {name} makes a power of {p} of more than {PRINTABLE_DIGITS} digits")
+    return n
 
 
 def _differences(values: list) -> list:

@@ -6,7 +6,11 @@ Every generating function here is sum_{n=1}^{P} w_n t^n / (1 - t^P) for
 periodic integer weights w whose period sum vanishes, so its pole at t = 1 is
 removable, and ``taylor_numerators`` is the one series division that expands
 it there: its Taylor coefficients d_k = [T^k] F(1 + T) are the binomial
-moments, the integrals of C(x, k) (Mahler's theorem).
+moments, the integrals of C(x, k) (Mahler's theorem).  No numerator depends
+on the order asked for, so the division resumes: the module table
+``_NUMERATORS`` keeps, per weight list, the numerators up to the largest
+order asked for, for the life of the process, and a sweep over m = 0..M
+divides once.
 
 Every moment is a Mahler pairing against the d_k: x^m pairs with the row
 D^k(x^m)(0) = k! S(m, k) of one Stirling triangle, which gives the monomial
@@ -16,8 +20,8 @@ against (1 - a^(m+1)) times r^m zeta(-m), zeta_q(-m) or zeta_{p,q}(-m), read
 from the Bernoulli table as an integer pair and compared by cross-multiplying.
 The triangle is module-level and only grows, so a sweep over m = 0..M builds
 it once; it keeps the rows up to the largest order asked for, O(M^2) integers
-of O(M log M) bits each, for the life of the process (``cli`` caps the
-orders of ``moments``).
+of O(M log M) bits each, for the life of the process.  ``cli`` caps the
+orders of ``moments``, and so what both tables hold.
 ``xi_weights`` builds every weight list and alone checks a and r.  The
 measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
 (``measure_on_open_set``, reduced by ``padics.reduce_absolute``).
@@ -26,7 +30,6 @@ measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
@@ -53,6 +56,9 @@ def xi_weights(a: int, r: int) -> list[int]:
     return [xi(n, a, r) for n in range(1, r * a + 1)]
 
 
+_NUMERATORS: dict[tuple[int, tuple[tuple[int, int], ...]], list[int]] = {}
+
+
 def taylor_numerators(weights: list[int], upto: int) -> list[int]:
     """N_k with d_k = N_k / P^(k+1) the Taylor coefficients at t = 1 of
     sum_{n=1}^{P} w_n t^n / (1 - t^P), k = 0..upto, for weights = [w_1..w_P].
@@ -63,23 +69,29 @@ def taylor_numerators(weights: list[int], upto: int) -> list[int]:
     C(n, j+1) over Q_i = C(P, i+1), with Q_0 = P, and one power-series
     division in integers gives every d_k:
     N_k = P^k S_k - sum_{i>=1} Q_i P^(i-1) N_(k-i).
+
+    No N_k depends on upto, so the division resumes: the module table
+    ``_NUMERATORS``, keyed by P and the nonzero (n, w_n), keeps the
+    numerators up to the largest upto asked for, and a call forms only the
+    S_k past them.  The table only grows, and holds no lock (the package
+    starts no threads).
     """
     period = len(weights)
     if sum(weights):
         raise ArithmeticError("non-removable singularity: the weights' period sum is not zero")
-    ns = [n for n, w in enumerate(weights, start=1) if w]
-    ws = [w for w in weights if w]
-    top = min(upto, period - 1)
-    num = [-sum(map(mul, ws, map(comb, ns, repeat(j + 1)))) for j in range(top + 1)]
-    q_scaled = [comb(period, i + 1) * period ** (i - 1) for i in range(1, top + 1)]
-    numerators: list[int] = []
-    p_k = 1
-    for k in range(upto + 1):
-        # N_(k-1), N_(k-2), ... against Q_1 P^0, Q_2 P^1, ...: map stops at the shorter
-        lagged = sum(map(mul, q_scaled, reversed(numerators)))
-        numerators.append((p_k * num[k] if k <= top else 0) - lagged)
-        p_k *= period
-    return numerators
+    # a list first: tuple() of a generator is resized, and the resized tuples
+    # pile up in the interpreter's tuple free list (as in ``Record._fields``)
+    pairs = tuple([(n, w) for n, w in enumerate(weights, start=1) if w])
+    numerators = _NUMERATORS.setdefault((period, pairs), [])
+    if len(numerators) <= upto:
+        top = min(upto, period - 1)
+        q_scaled = [comb(period, i + 1) * period ** (i - 1) for i in range(1, top + 1)]
+        for k in range(len(numerators), upto + 1):
+            s_k = -sum(w * comb(n, k + 1) for n, w in pairs) if k <= top else 0
+            # N_(k-1), N_(k-2), ... against Q_1 P^0, Q_2 P^1, ...: map stops at the shorter
+            lagged = sum(map(mul, q_scaled, reversed(numerators)))
+            numerators.append(period**k * s_k - lagged)
+    return numerators[: upto + 1]
 
 
 _TRIANGLE: list[list[int]] = [[1]]

@@ -215,10 +215,31 @@ def test_malformed_moments_pair_argv_are_usage_errors(capsys):
     ("chain-limits --target real-beta --schedule 4,8.5", "--schedule expects comma-separated integers N, got '4,8.5'"),
     ("lambda-check --grid abc", "--grid expects comma-separated numbers s, got 'abc'"),
     ("lambda-check --grid 2,", "--grid expects comma-separated numbers s, got '2,'"),
+    ("mahler-coeffs --window 1,x --p 3", "--window expects comma-separated rationals, got '1,x'"),
+    ("mahler-coeffs --window 1/0,2 --p 3", "--window expects comma-separated rationals, got '1/0,2'"),
+    ("decay-check --window 1,0,1/0 --p 3 --s 1 --t 1", "--window expects comma-separated rationals, got '1,0,1/0'"),
+    ("padic --value 1/0 --p 5", "--value expects a rational, got '1/0'"),
+    ("padic --value x --p 5", "--value expects a rational, got 'x'"),
 ])
 def test_a_malformed_list_flag_is_named_with_its_text(argv, line, capsys):
-    # each used to print Python's own message (an unpacking count, or int() and float() of one value)
+    # each used to print Python's own message (an unpacking count, int() and float() of one
+    # value, or Fraction's "Invalid literal for Fraction: 'x'" and "Fraction(1, 0)")
     assert _rejected(argv.split(), capsys) == f"usage error: {line}"
+
+
+@pytest.mark.parametrize("stdin, line", [
+    ("3 6 1\n0 -100000000 1\n", "coefficient line 0: the valuation makes a power of 3 of more than 4300 digits"),
+    ("3 1000000000 1\n0 0 1\n", "the header: the precision makes a power of 3 of more than 4300 digits"),
+    ("3 6 1\n0 0 1 1000000000\n", "coefficient line 0: the abs precision makes a power of 3 of more than 4300 digits"),
+    ("3 6 1\n0 0 " + "1" * 5000 + "\n", "coefficient line 0: the unit has more than 4300 digits"),
+], ids=["valuation", "precision", "abs-precision", "unit"])
+def test_a_series_field_past_the_digit_limit_is_refused_at_once(stdin, line, capsys, monkeypatch):
+    # the first three hung mahler-eval forming p^n; the unit gave int()'s set_int_max_str_digits advice
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    start = time.perf_counter()
+    got = _rejected(["mahler-eval", "--x", "0"], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert got == f"usage error: {line}" and "set_int_max_str_digits" not in got
 
 
 def test_a_negative_class_exponent_is_a_usage_error(capsys):
@@ -525,7 +546,8 @@ def test_a_value_whose_exponent_is_unreadable_counts_no_digits(value, capsys):
 
 def test_batch_moments_argv_do_not_depend_on_the_triangle(monkeypatch):
     """The benchmark's moments argv print the same bytes from a fresh module
-    triangle, in either order, and after a larger --mmax has grown it."""
+    triangle and an empty numerator table, in either order, and after a
+    larger --mmax has grown both."""
     from pqzeta import measures
 
     batch = [argv for argv in _cli_batch_argv() if argv[0] == "moments"]
@@ -533,8 +555,10 @@ def test_batch_moments_argv_do_not_depend_on_the_triangle(monkeypatch):
     reports = []
     for order in (batch, batch[::-1], None):
         monkeypatch.setattr(measures, "_TRIANGLE", [[1]])
+        monkeypatch.setattr(measures, "_NUMERATORS", {})
         if order is None:
             assert _run(["moments", "--a", "2", "--mmax", "40"])[0] == 0
+            assert max(map(len, measures._NUMERATORS.values())) == 41
             order = batch
         reports.append({tuple(argv): _run(argv) for argv in order})
     assert reports[0] == reports[1] == reports[2]

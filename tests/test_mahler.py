@@ -546,6 +546,17 @@ def test_serialization_keeps_coefficient_precision():
             MahlerSeries.deserialize(bad)
 
 
+def test_deserialize_reads_exponents_up_to_the_printable_power():
+    # 2^14284 has 4300 digits and 2^14285 has 4301, as mahler-coeffs --precision caps them
+    assert MahlerSeries.deserialize("2 14284 1\n0 -14284 1\n").coeffs == [PadicNumber(2, -14284, 1, 28568)]
+    for text, name in (("2 14285 1\n0 0 1\n", "the header: the precision"),
+                       ("2 6 1\n0 -14285 1\n", "coefficient line 0: the valuation"),
+                       ("2 6 1\n0 14285 0\n", "coefficient line 0: the valuation"),
+                       ("2 6 1\n0 0 1 14285\n", "coefficient line 0: the abs precision")):
+        with pytest.raises(ValueError, match=f"^{name} makes a power of 2 of more than 4300 digits$"):
+            MahlerSeries.deserialize(text)
+
+
 def test_zero_mod_serialization():
     series = MahlerSeries(
         p=5, precision=3, coeffs=[PadicNumber.zero_mod(5, 3), padic_of_rational(2, 5, 3)]

@@ -276,6 +276,73 @@ def test_moments_do_not_depend_on_the_module_triangle(built, monkeypatch):
     assert len(measures._TRIANGLE) == max(built, 24) + 1
 
 
+def _table_calls(seed: int) -> list:
+    """(function, args, closed form) for every moment route, in a shuffled order."""
+    calls = []
+    for a, r in ((2, 1), (3, 2), (5, 3)):
+        calls += [(moment, (a, r, m), (1 - a ** (m + 1)) * r**m * zeta_neg(m)) for m in range(25)]
+        calls += [(psi_r_series, (a, r, order),
+                   [(1 - a ** (m + 1)) * r**m * zeta_neg(m) / factorial(m) for m in range(order + 1)])
+                  for order in (0, 9, 24)]
+    for a, p, q in ((2, 5, 7), (3, 7, 11)):
+        calls += [(double_moment, (a, p, q, m), (1 - a ** (m + 1)) * zeta_neg(m, (q,))) for m in range(13)]
+        calls += [(restricted_moment, (a, p, q, m), (1 - a ** (m + 1)) * zeta_neg(m, (p, q))) for m in range(13)]
+    for a, p in ((2, 5), (3, 7)):
+        calls += [(binomial_moments, (a, p, n), [binomial_moment_expansion(a, k) for k in range(n + 1)])
+                  for n in (0, 7, 24)]
+    random.Random(seed).shuffle(calls)
+    return calls
+
+
+@pytest.mark.parametrize("built", [None, 7, 60], ids=["fresh", "part-built", "built-past-the-order"])
+def test_moments_do_not_depend_on_the_numerator_table(built, monkeypatch):
+    monkeypatch.setattr(measures, "_NUMERATORS", {})
+    if built is not None:
+        weight_lists = [xi_weights(a, r) for a in (2, 3, 5) for r in (1, 2, 3, 7, 11)]
+        for a, p, q in ((2, 5, 7), (3, 7, 11)):
+            weight_lists += [unit_twisted_weights(a, 1, p), unit_twisted_weights(a, q, p)]
+        for weights in weight_lists:
+            taylor_numerators(weights, built)
+        assert {len(numerators) for numerators in measures._NUMERATORS.values()} == {built + 1}
+    for seed in (1, 2):
+        for function, args, want in _table_calls(seed):
+            got = function(*args)
+            assert got == want, (function.__name__, args)
+            for value in got if isinstance(got, list) else [got]:
+                assert type(value) is Fraction, (function.__name__, args)
+
+
+def one_shot_numerators(weights: list[int], upto: int) -> list[int]:
+    """The division as one pass from N_0 to N_upto, with no table: the form
+    that ``taylor_numerators`` resumes, kept as its oracle."""
+    period = len(weights)
+    ns = [n for n, w in enumerate(weights, start=1) if w]
+    ws = [w for w in weights if w]
+    top = min(upto, period - 1)
+    num = [-sum(w * comb(n, j + 1) for n, w in zip(ns, ws)) for j in range(top + 1)]
+    q_scaled = [comb(period, i + 1) * period ** (i - 1) for i in range(1, top + 1)]
+    numerators: list[int] = []
+    for k in range(upto + 1):
+        lagged = sum(q * n for q, n in zip(q_scaled, reversed(numerators)))
+        numerators.append((period**k * num[k] if k <= top else 0) - lagged)
+    return numerators
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=14), st.lists(st.integers(0, 40), min_size=2, max_size=3))
+def test_resumed_numerators_equal_the_one_shot_division(values, steps):
+    weights = values + [-sum(values)]  # a zero period sum
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_NUMERATORS", {})
+        for upto in sorted(steps) + [steps[0]]:  # grows, then reads below its top
+            got = taylor_numerators(weights, upto)
+            assert got == one_shot_numerators(weights, upto) and all(type(n) is int for n in got), upto
+        assert len(measures._NUMERATORS) == 1
+        # a list of the same period whose sum is not zero is refused, with the valid one stored
+        with pytest.raises(ArithmeticError, match="period sum is not zero"):
+            taylor_numerators(weights[:-1] + [weights[-1] + 1], max(steps))
+
+
 def test_a_moment_that_disagrees_with_zeta_is_an_internal_error(monkeypatch):
     """The integer cross-multiplied checks still fire: a zeta value one off
     in its numerator fails each route, and the message shows both values."""

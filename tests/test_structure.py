@@ -16,7 +16,9 @@ printer, so no module writes out a Bernoulli-value formula of its own.
 The rows k! S(m, k) of the Stirling triangle have one source too:
 ``measures._stirling_triangle`` alone reads or extends the module triangle
 ``_TRIANGLE``, no other definition is named for Stirling numbers, and only
-``measures._monomial_moments`` asks it for rows.
+``measures._monomial_moments`` asks it for rows.  The numerators of the
+one Taylor division are kept the same way: ``measures.taylor_numerators``
+alone reads or extends the module table ``_NUMERATORS``.
 
 Euler factors are read mod p^K in one place: ``padics.factored_numerator``,
 the numerator of a factored pair (num, den, m, primes) mod p^K, is called
@@ -168,6 +170,10 @@ def test_one_stirling_triangle():
     }
     assert named == _readers("_TRIANGLE") == {"measures._stirling_triangle"}
     assert _callers("_stirling_triangle") == {"measures._monomial_moments"}
+
+
+def test_one_keeper_of_the_taylor_numerators():
+    assert _readers("_NUMERATORS") == {"measures.taylor_numerators"}
 
 
 def test_euler_factors_are_read_mod_p_to_the_k_in_one_place():
