@@ -101,7 +101,10 @@ def kernel_padic_beta(p: int, alpha, beta) -> ChainKernel:
         i, j = state
         if (i, j) == (0, 0):
             den = _divisor(1 - pab, "p-beta", state)
-            return [((0, 1), (1 - pb) / den), ((1, 0), (1 - pa) * pb / den)]
+            try:  # in float mode an integral exponent keeps its power exact, and mixing it with floats can overflow
+                return [((0, 1), (1 - pb) / den), ((1, 0), (1 - pa) * pb / den)]
+            except OverflowError:
+                raise ValueError(f"the p-beta row at state {state} overflows a float") from None
         if j == 0:
             return [((i + 1, 0), pb), ((i, 1), 1 - pb)]
         one = Fraction(1) if exact else 1.0

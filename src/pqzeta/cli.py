@@ -669,8 +669,9 @@ _RESIDUE = (lambda a: ("--precision", _digits(a.precision, a.p, a.q)), *_PRINTAB
 WORK_CAPS = {
     "bernoulli": ((lambda a: ("--upto", a.upto), 2048, _B),
                   (lambda a: ("--upto", max(a.upto + 1, 0) ** 2 // 2 if a.poly else 0), 125_000, "polynomial terms")),
+    # zeta(-m) = -B_(m+1)/(m+1) has more than 4300 digits from m = 2063 on: 2062 is the largest printable index
     "zeta-neg": ((lambda a: ("--m", a.m + 1 if a.m % 2 else 0) if a.one_minus is None
-                  else ("--one-minus", 0 if a.one_minus % 2 else a.one_minus), 3000, _B),),
+                  else ("--one-minus", 0 if a.one_minus % 2 else a.one_minus), 2062, _B),),
     "padic": ((lambda a: ("--precision", _digits(a.precision if a.ideal is None else 0, a.p)), *_PRINTABLE),
               (lambda a: ("--value", _rational_digits(a.value) if a.ideal is None else 0), *_PRINTABLE)),
     "teichmuller": (_RESIDUE,),

@@ -147,9 +147,20 @@ class Record:
 class PadicNumber:
     """p^valuation * unit, the unit known mod p^precision.
 
-    Only p >= 2 is checked: that p is a prime is left to the public entry
-    points, which call ``require_primes``, since a check per construction
-    would be paid on every arithmetic result.
+    ``PadicNumber(...)`` is the checked way in: it reads infinity as exact
+    zero, converts valuation and precision to int, reduces the unit mod
+    p^precision and refuses a unit divisible by p.  ``exact_zero``,
+    ``zero_mod``, the arithmetic operators and ``MahlerSeries.deserialize``
+    go through it.  Only p >= 2 is checked: that p is a prime is left to the
+    public entry points, which call ``require_primes``, since a check per
+    construction would be paid on every arithmetic result.
+
+    ``_of_unit`` is the unchecked way in, for the three builders whose value
+    is already in that form (``_padic_unit``, under every reduction, and
+    ``teichmuller`` and ``angle_bracket``).  Its caller holds the invariant:
+    p is a prime >= 2, valuation and precision are ints (not bools), and
+    either 0 < unit < p^precision with p not dividing unit, or unit = 0 with
+    precision = 0.  It then stores what ``PadicNumber(...)`` would store.
     """
 
     __slots__ = ("p", "valuation", "unit", "precision")
@@ -182,6 +193,17 @@ class PadicNumber:
         self.precision = precision
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of_unit(cls, p: int, valuation: int, unit: int, precision: int) -> "PadicNumber":
+        """The value p^valuation * unit, its four slots assigned with no check;
+        the caller holds the invariant of the class docstring."""
+        self = object.__new__(cls)
+        self.p = p
+        self.valuation = valuation
+        self.unit = unit
+        self.precision = precision
+        return self
 
     @classmethod
     def exact_zero(cls, p: int) -> "PadicNumber":
@@ -398,10 +420,12 @@ class PadicNumber:
 
 
 def _padic_unit(p: int, v: int, num: int, den: int, precision: int) -> PadicNumber:
-    """p^v num/den, num and den prime to p, truncated to relative precision."""
+    """p^v num/den, num and den prime to p, truncated to the int relative
+    precision >= 0 (an inexact zero at 0).  The unit is reduced mod
+    p^precision and is prime to p, so the value is built unchecked."""
     mod = p**precision
     unit = num % mod if den == 1 else num * pow(den, -1, mod) % mod
-    return PadicNumber(p, v, unit, precision)
+    return PadicNumber._of_unit(p, v, unit, precision)
 
 
 def factored_numerator(num: int, m: int, primes: tuple[int, ...], mod: int) -> int:
@@ -447,7 +471,7 @@ def reduce_relative(x, p: int, precision: int) -> PadicNumber:
                 v, num = v + w, r
                 break
         K *= 2
-    return _padic_unit(p, v, num, den, precision)
+    return _padic_unit(p, v, num, den, int(precision))  # int(): a bool precision is stored as an int
 
 
 def reduce_absolute(x, p: int, abs_precision: int) -> PadicNumber:
@@ -492,7 +516,8 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     require_primes(p)
     if n % p == 0:
         raise ValueError("teichmuller needs gcd(n, p) = 1")
-    return PadicNumber(p, 0, _teichmuller_unit(n, p, precision), precision)
+    # the root is reduced mod p^N and is n mod p, a unit
+    return PadicNumber._of_unit(p, 0, _teichmuller_unit(n, p, precision), int(precision))
 
 
 # (p, n mod p) -> (k, the Teichmuller root mod p^k): at most p - 1 roots per prime
@@ -577,7 +602,7 @@ def angle_bracket(
     for prime, prec in ((p, prec_p), (q, prec_q)):
         w = _teichmuller_unit(pow(b, -1, prime), prime, prec)
         mod = prime**prec
-        out.append(PadicNumber(prime, 0, b * w % mod, prec))
+        out.append(PadicNumber._of_unit(prime, 0, b * w % mod, int(prec)))  # a product of units, reduced
     return out[0], out[1]
 
 

@@ -357,8 +357,8 @@ def test_teichmuller_at_the_digit_cap_reaches_the_lift(monkeypatch):
 _CAP_CASES = [
     (("bernoulli", 0), "bernoulli --upto 2049", "bernoulli --upto 2048", "rationals.bernoulli"),
     (("bernoulli", 1), "bernoulli --upto 500 --poly", "bernoulli --upto 499 --poly", "rationals.bernoulli"),
-    (("zeta-neg", 0), "zeta-neg --m 3001", "zeta-neg --m 2999", "rationals.zeta_neg"),
-    (("zeta-neg", 0), "zeta-neg --one-minus 3002", "zeta-neg --one-minus 3000", "rationals.zeta_neg"),
+    (("zeta-neg", 0), "zeta-neg --m 2063", "zeta-neg --m 2061", "rationals.zeta_neg"),
+    (("zeta-neg", 0), "zeta-neg --one-minus 2064", "zeta-neg --one-minus 2062", "rationals.zeta_neg"),
     (("padic", 0), "padic --p 2 --precision 14285", "padic --p 2 --precision 14284", "padics.padic_of_rational"),
     (("padic", 1), "padic --value 1e4300 --p 5", "padic --value 1e4299 --p 5", "padics.padic_of_rational"),
     (("padic", 1), "padic --value 1.5e-4300 --p 5", "padic --value 1.5e-4299 --p 5", "padics.padic_of_rational"),
@@ -1095,6 +1095,9 @@ def test_precision_errors_exit_2_without_traceback():
         ["bernoulli", "--upto", "-1"],
         # a float power that overflows in the p-beta kernel
         ["chain-propagate", "--kernel", "p-beta:p=2,alpha=-1100,beta=1/2", "--layers", "2"],
+        # an exact 2^1100 mixed with floats in the (0, 0) row of a float-mode p-beta kernel
+        ["chain-propagate", "--kernel", "p-beta:p=2,alpha=-1100,beta=1100.5", "--layers", "2"],
+        ["chain-propagate", "--kernel", "p-beta:p=2,alpha=1100.5,beta=-1100", "--layers", "2"],
         # a q = 0.5^(2/N) that rounds to 1, where 2.0/N overflowed at an N of 401 digits
         ["chain-limits", "--target", "real-beta", "--schedule", str(10**400)],
     ],

@@ -567,3 +567,49 @@ def test_record_defaults_must_be_trailing_and_immutable():
         class Shared(Record):
             __slots__ = ("a",)
             _defaults = {"a": []}
+
+
+def _checked(z):
+    """z rebuilt from its own fields by the checked constructor."""
+    return PadicNumber(z.p, z.valuation, z.unit, z.precision)
+
+
+def test_the_unchecked_constructor_stores_what_the_checked_one_would():
+    # every value built by _of_unit (under the reductions, the lifts and the
+    # brackets) has the fields, value and type, that PadicNumber(...) stores
+    # from the same fields, and that the checked formulas they replaced give
+    rng = random.Random(33)
+    for p in TABLE_PRIMES:
+        values = [1, -1, p, -(p**3) * 7, Fraction(-5, p**3), Fraction(7, p), Fraction(p**2, 3), True]
+        values += [Fraction(rng.randrange(-(10**6), 10**6) * p ** rng.randrange(0, 4),
+                            rng.choice((1, rng.randrange(1, 500), p ** rng.randrange(1, 5))))
+                   for _ in range(60)]
+        for x in filter(None, values):
+            g = rng.choice((1, -1, 2, p, -(p**2)))
+            pair = (g * Fraction(x).numerator, g * Fraction(x).denominator)
+            v = padic_valuation(Fraction(x), p)
+            for N in (0, 1, 2, 7, True, False):
+                want = _fields(of_rational_by_fraction(x, p, N))
+                for got in (padic_of_rational(x, p, N), reduce_relative(x, p, N), reduce_relative(pair, p, N)):
+                    assert _fields(got) == _fields(_checked(got)) == want, (x, pair, p, N)
+            for A in (v - 3, v - 1, v, v + 1, v + 6, -2, 0, True):
+                checked = PadicNumber.zero_mod(p, A) if v >= A else of_rational_by_fraction(x, p, int(A - v))
+                for got in (padic_reduce_abs(x, p, A), reduce_absolute(x, p, A), reduce_absolute(pair, p, A)):
+                    assert _fields(got) == _fields(_checked(got)) == _fields(checked), (x, pair, p, A)
+        for N in (1, 2, 9, 30, True):
+            for n in (1, 2, -1, p + 1, 10**12 + 1):
+                if n % p:
+                    got = teichmuller(n, p, N)
+                    checked = PadicNumber(p, 0, lift_by_power(n, p, int(N)), N)
+                    assert _fields(got) == _fields(_checked(got)) == _fields(checked), (n, p, N)
+        for q in TABLE_PRIMES:
+            for b in (1, -1, 11 * 13 + 1, 10**9 + 7):
+                if q == p or b % p == 0 or b % q == 0:
+                    continue
+                for Np, Nq in ((1, 1), (3, 7), (True, 2), (12, True)):
+                    up, uq = bracket_by_crt(b, p, q, int(Np), int(Nq))
+                    got = angle_bracket(b, p, q, Np, Nq)
+                    checked = (PadicNumber(p, 0, up, Np), PadicNumber(q, 0, uq, Nq))
+                    assert [_fields(z) for z in got] == [_fields(_checked(z)) for z in got] \
+                        == [_fields(z) for z in checked], (b, p, q, Np, Nq)
+    assert repr(teichmuller(2, 5, True)) == "PadicNumber(p=5, v=0, unit=2, N=1)"

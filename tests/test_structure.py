@@ -30,6 +30,13 @@ Teichmuller roots have one keeper: ``padics._teichmuller_unit`` alone reads
 or writes the module table ``_ROOTS``, so every lift, from ``teichmuller``,
 ``double_teichmuller`` or ``angle_bracket``, passes through it.
 
+A ``PadicNumber`` is built unchecked in three places only:
+``PadicNumber._of_unit``, which assigns the four slots with no reduction
+or test, is called by ``padics._padic_unit`` (the one core under
+``reduce_relative`` and ``reduce_absolute``), ``padics.teichmuller`` and
+``padics.angle_bracket``, whose units are already reduced and prime to p;
+every other value goes through the checked ``PadicNumber(...)``.
+
 No module reads another module's private names: an underscore name is
 imported, or read off an imported module, only inside the module that
 defines it.  The unchecked p-adic reductions that ``mahler``, ``measures``
@@ -187,6 +194,10 @@ def test_euler_factors_are_read_mod_p_to_the_k_in_one_place():
 
 def test_one_keeper_of_the_teichmuller_roots():
     assert _readers("_ROOTS") == {"padics._teichmuller_unit"}
+
+
+def test_only_three_builders_construct_a_padic_number_unchecked():
+    assert _callers("_of_unit") == {"padics._padic_unit", "padics.teichmuller", "padics.angle_bracket"}
 
 
 def test_no_module_imports_a_private_name_of_another():
