@@ -32,13 +32,13 @@ def _too_long(x: Fraction) -> bool:
     return max(abs(x.numerator), x.denominator) >= _LIMIT
 
 
-def _pow(base, exponent):
-    """Exact power when base is rational and the exponent integral, else a
-    float one.  An exact power of more than PRINTABLE_DIGITS digits, or a
-    float one that overflows, raises ValueError; the exact one is refused
-    before it is formed when |exponent| * (bit length - 1) of the base's
-    larger part already passes _LIMIT_BITS."""
-    if isinstance(base, (int, Fraction)) and (
+def _pow(base, exponent, exact: bool = True):
+    """Exact power when exact is true, base is rational and the exponent
+    integral, else a float one.  An exact power of more than PRINTABLE_DIGITS
+    digits, or a float one that overflows, raises ValueError; the exact one
+    is refused before it is formed when |exponent| * (bit length - 1) of the
+    base's larger part already passes _LIMIT_BITS."""
+    if exact and isinstance(base, (int, Fraction)) and (
         isinstance(exponent, int) or isinstance(exponent, Fraction) and exponent.denominator == 1
     ):
         base, exponent = Fraction(base), int(exponent)
@@ -90,21 +90,19 @@ def reachable_states(kernel: ChainKernel, depth: int) -> list:
 
 
 def kernel_padic_beta(p: int, alpha, beta) -> ChainKernel:
-    """The six-case p-adic beta kernel on layers {(i, j): i + j = n}."""
+    """The six-case p-adic beta kernel on layers {(i, j): i + j = n}: exact
+    when alpha and beta are ints, else every power of p is a float."""
     require_primes(p)
     exact = isinstance(alpha, int) and isinstance(beta, int)
-    pb = _pow(p, -beta)
-    pa = _pow(p, -alpha)
-    pab = _pow(p, -(alpha + beta))
+    pb = _pow(p, -beta, exact)
+    pa = _pow(p, -alpha, exact)
+    pab = _pow(p, -(alpha + beta), exact)
 
     def step(state):
         i, j = state
         if (i, j) == (0, 0):
             den = _divisor(1 - pab, "p-beta", state)
-            try:  # in float mode an integral exponent keeps its power exact, and mixing it with floats can overflow
-                return [((0, 1), (1 - pb) / den), ((1, 0), (1 - pa) * pb / den)]
-            except OverflowError:
-                raise ValueError(f"the p-beta row at state {state} overflows a float") from None
+            return [((0, 1), (1 - pb) / den), ((1, 0), (1 - pa) * pb / den)]
         if j == 0:
             return [((i + 1, 0), pb), ((i, 1), 1 - pb)]
         one = Fraction(1) if exact else 1.0

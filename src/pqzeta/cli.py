@@ -641,17 +641,45 @@ def _window_digits(text: str) -> int:
     return max(map(_rational_digits, text.split(",")))
 
 
-def _moments(a) -> tuple[str, int]:
-    """(order + 1)^2 (order + 1 + period) steps: the order is --mmax, or --delta
-    if larger, and the weight period r a, or a q p with --pair."""
+def _moment_sizes(a) -> tuple[str, int, int, int]:
+    """(order flag, order, weights, period) of a ``moments`` argv: the order is
+    --mmax, or --delta if larger, and the weights and the period are those of
+    its largest weight list, the a nonzero weights of period r a, or with
+    --pair the a p of the p-unit twist on the period a q p.  All 0 for an
+    argv that the handler refuses with a message of its own."""
     try:
         p, q = map(int, a.pair.split(",")) if a.pair else (1, 1)
     except ValueError:  # the handler names the malformed pair
-        return "--mmax", 0
-    if a.mmax < 0 or a.pair and (a.r, a.delta, a.delta_prime) != (None,) * 3:
-        return "--mmax", 0
-    order, period = max(a.mmax, a.delta or 0), a.a * p * q * (1 if a.r is None else a.r)
-    return "--delta" if order > a.mmax else "--mmax", (order + 1) ** 2 * (order + 1 + period)
+        return "--mmax", 0, 0, 0
+    r = 1 if a.r is None else a.r
+    if a.mmax < 0 or a.a < 2 or r < 1 or a.pair and (a.r, a.delta, a.delta_prime) != (None,) * 3:
+        return "--mmax", 0, 0, 0
+    order = max(a.mmax, a.delta or 0)
+    return "--delta" if order > a.mmax else "--mmax", order, a.a * p, a.a * p * q * r
+
+
+def _moment_steps(a) -> tuple[str, int]:
+    """(order + 1)^2 (order + 1 + weights) steps, each on numbers of as many
+    digits as the period: the Stirling pairing and the binomials C(n, k) of
+    the series division, which grow with the order and the period."""
+    flag, order, weights, period = _moment_sizes(a)
+    return flag, (order + 1) ** 2 * (order + 1 + weights) * _digits(1, period)
+
+
+def _moment_digits(a) -> tuple[str, int]:
+    """The digits of period^(order + 1), the common denominator of the pairing,
+    named by --r or --pair: past them a step costs more than its digits say.
+    Without --r the period is a, which the other two rows bound first."""
+    _, order, _, period = _moment_sizes(a)
+    return "--pair" if a.pair else "--r", _digits(order + 1, period)
+
+
+def _moment_terms(a) -> tuple[str, int]:
+    """(order + 1) * weights weight terms: a pair sweep builds, hashes and sums
+    its weight lists once per order, and a weight term costs far more than a
+    digit step."""
+    _, order, weights, _ = _moment_sizes(a)
+    return "--pair" if a.pair else "--a", (order + 1) * weights
 
 
 def _chain_limits(a) -> tuple[str, int]:
@@ -701,7 +729,8 @@ WORK_CAPS = {
     "pq-hurwitz": ((lambda a: ("--n", 1 - a.n), 2400, _B), _RESIDUE,
                    (lambda a: ("--F", (1 - a.n) * (_digits(1, a.F) + _digits(1, a.b)) if a.n <= 0 < a.b < a.F else 0),
                     150_000, "Horner digits")),
-    "moments": ((_moments, 10**7, "steps"),),
+    "moments": ((_moment_steps, 10**8, "digit steps"), (_moment_terms, 10**6, "weight terms"),
+                (_moment_digits, *_PRINTABLE)),
     # p^20 >= 2^20 already passes both caps on a p^n, so no larger power is formed
     "open-set-measure": ((lambda a: ("--digits", _digits(a.digits + 3, a.p)), *_PRINTABLE),
                          (lambda a: ("--n", a.a * a.p ** min(max(a.n, 0), 20)), 200_000, "terms"),

@@ -4,13 +4,16 @@ The generator Psi_r(t) = (1 - t^(ra))^(-1) sum_b xi_r(br) t^(br) has the
 property that (t d/dt)^m Psi_r at t = 1 equals (1 - a^(m+1)) r^m zeta(-m).
 Every generating function here is sum_{n=1}^{P} w_n t^n / (1 - t^P) for
 periodic integer weights w whose period sum vanishes, so its pole at t = 1 is
-removable, and ``taylor_numerators`` is the one series division that expands
-it there: its Taylor coefficients d_k = [T^k] F(1 + T) are the binomial
-moments, the integrals of C(x, k) (Mahler's theorem).  No numerator depends
-on the order asked for, so the division resumes: the module table
-``_NUMERATORS`` keeps, per weight list, the numerators up to the largest
-order asked for, for the life of the process, and a sweep over m = 0..M
-divides once.
+removable.  A weight list is its period P and its nonzero weights as pairs
+(n, w_n): a pairs for xi_r on the period ra, whatever r, and the p-unit pairs
+of p blocks for the twist by the unit indicator.  ``taylor_numerators`` is the
+one series division that expands it at t = 1, with work that scales with the
+pairs and the order, not the period: its Taylor coefficients
+d_k = [T^k] F(1 + T) are the binomial moments, the integrals of C(x, k)
+(Mahler's theorem).  No numerator depends on the order asked for, so the
+division resumes: the module table ``_NUMERATORS`` keeps, per weight list,
+the numerators up to the largest order asked for, for the life of the
+process, and a sweep over m = 0..M divides once.
 
 Every moment is a Mahler pairing against the d_k: x^m pairs with the row
 D^k(x^m)(0) = k! S(m, k) of one Stirling triangle, which gives the monomial
@@ -22,9 +25,10 @@ The triangle is module-level and only grows, so a sweep over m = 0..M builds
 it once; it keeps the rows up to the largest order asked for, O(M^2) integers
 of O(M log M) bits each, for the life of the process.  ``cli`` caps the
 orders of ``moments``, and so what both tables hold.
-``xi_weights`` builds every weight list and alone checks a and r.  The
-measure of b + p^n Z_p needs no pairing: one period of xi_1 gives it exactly
-(``measure_on_open_set``, reduced by ``padics.reduce_absolute``).
+``xi_weights`` builds every weight list, and a and r have one check.  The
+measure of b + p^n Z_p needs no pairing: the formula for xi_1 gives it exactly
+in O(1) (``measure_on_open_set``, reduced by ``padics.reduce_absolute``), and
+``measure_open_set_table`` checks its arguments once for all p^n residues.
 """
 
 from __future__ import annotations
@@ -47,47 +51,52 @@ def xi(n: int, a: int, r: int) -> int:
     return 1
 
 
-def xi_weights(a: int, r: int) -> list[int]:
-    """One period of the weights, [xi_r(1), ..., xi_r(ra)], for a >= 2 and
-    r >= 1 (else ``ValueError``): the only check of a and r, made before
-    any weight is built."""
+def _require_a_r(a: int, r: int) -> None:
+    """The one check of a and r: ``ValueError`` unless a >= 2 and r >= 1."""
     if a < 2 or r < 1:
         raise ValueError("need a >= 2 and r >= 1")
-    return [xi(n, a, r) for n in range(1, r * a + 1)]
+
+
+def xi_weights(a: int, r: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero weights of one period r a, as the a pairs (n, xi_r(n)) for
+    n = r, 2r, ..., ra, for a >= 2 and r >= 1 (else ``ValueError``), checked
+    before any weight is built."""
+    _require_a_r(a, r)
+    # a list first: tuple() of a generator is resized, and the resized tuples
+    # pile up in the interpreter's tuple free list (as in ``Record._fields``)
+    return tuple([(r * b, 1) for b in range(1, a)] + [(r * a, 1 - a)])
 
 
 _NUMERATORS: dict[tuple[int, tuple[tuple[int, int], ...]], list[int]] = {}
 
 
-def taylor_numerators(weights: list[int], upto: int) -> list[int]:
+def taylor_numerators(pairs, period: int, upto: int) -> list[int]:
     """N_k with d_k = N_k / P^(k+1) the Taylor coefficients at t = 1 of
-    sum_{n=1}^{P} w_n t^n / (1 - t^P), k = 0..upto, for weights = [w_1..w_P].
+    sum_{n=1}^{P} w_n t^n / (1 - t^P), k = 0..upto, for the period P and the
+    nonzero weights as pairs (n, w_n), 1 <= n <= P, ascending in n.
 
     At t = 1 + T the numerator is sum_j T^j sum_n w_n C(n, j), whose constant
     term is the period sum; it must vanish (else ``ArithmeticError``), and
     then T cancels against 1 - (1 + T)^P.  That leaves S_j = -sum_n w_n
     C(n, j+1) over Q_i = C(P, i+1), with Q_0 = P, and one power-series
     division in integers gives every d_k:
-    N_k = P^k S_k - sum_{i>=1} Q_i P^(i-1) N_(k-i).
+    N_k = P^k S_k - sum_{i>=1} Q_i P^(i-1) N_(k-i).  The work is
+    O(upto * len(pairs)) binomials and O(upto^2) products, whatever the period.
 
     No N_k depends on upto, so the division resumes: the module table
-    ``_NUMERATORS``, keyed by P and the nonzero (n, w_n), keeps the
-    numerators up to the largest upto asked for, and a call forms only the
-    S_k past them.  The table only grows, and holds no lock (the package
-    starts no threads).
+    ``_NUMERATORS``, keyed by P and the pairs, keeps the numerators up to the
+    largest upto asked for, and a call forms only the S_k past them.  The
+    table only grows, and holds no lock (the package starts no threads).
     """
-    period = len(weights)
-    if sum(weights):
+    pairs = tuple(pairs)
+    if sum([w for _, w in pairs]):
         raise ArithmeticError("non-removable singularity: the weights' period sum is not zero")
-    # a list first: tuple() of a generator is resized, and the resized tuples
-    # pile up in the interpreter's tuple free list (as in ``Record._fields``)
-    pairs = tuple([(n, w) for n, w in enumerate(weights, start=1) if w])
     numerators = _NUMERATORS.setdefault((period, pairs), [])
     if len(numerators) <= upto:
         top = min(upto, period - 1)
         q_scaled = [comb(period, i + 1) * period ** (i - 1) for i in range(1, top + 1)]
         for k in range(len(numerators), upto + 1):
-            s_k = -sum(w * comb(n, k + 1) for n, w in pairs) if k <= top else 0
+            s_k = -sum([w * comb(n, k + 1) for n, w in pairs]) if k <= top else 0
             # N_(k-1), N_(k-2), ... against Q_1 P^0, Q_2 P^1, ...: map stops at the shorter
             lagged = sum(map(mul, q_scaled, reversed(numerators)))
             numerators.append(period**k * s_k - lagged)
@@ -111,11 +120,11 @@ def _stirling_triangle(order: int) -> list[list[int]]:
     return rows[: order + 1]
 
 
-def _monomial_moments(weights: list[int], order: int, first: int = 0) -> list[Fraction]:
-    """(t d/dt)^m at t = 1 of the generating function of ``weights``, m = first..order:
-    sum_k T(m, k) d_k, as x^m = sum_k T(m, k) C(x, k), paired in integers over P^(order+1)."""
-    period = len(weights)
-    scaled = [n * period ** (order - k) for k, n in enumerate(taylor_numerators(weights, order))]
+def _monomial_moments(pairs, period: int, order: int, first: int = 0) -> list[Fraction]:
+    """(t d/dt)^m at t = 1 of the generating function of the weights ``pairs`` of period P,
+    m = first..order: sum_k T(m, k) d_k, as x^m = sum_k T(m, k) C(x, k), paired in
+    integers over P^(order+1)."""
+    scaled = [n * period ** (order - k) for k, n in enumerate(taylor_numerators(pairs, period, order))]
     den = period ** (order + 1)
     return [Fraction(sum(map(mul, row, scaled)), den) for row in _stirling_triangle(order)[first:]]
 
@@ -123,7 +132,7 @@ def _monomial_moments(weights: list[int], order: int, first: int = 0) -> list[Fr
 def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fraction]:
     """M_m = (t d/dt)^m Psi_r at t = 1 for m = first..order, each asserted equal to
     (1 - a^(m+1)) r^m zeta(-m); a mismatch is an internal error, never a return."""
-    out = _monomial_moments(xi_weights(a, r), order, first)
+    out = _monomial_moments(xi_weights(a, r), r * a, order, first)
     for m, lhs in enumerate(out, start=first):
         num, den = zeta_neg_ratio(m)
         num *= (1 - a ** (m + 1)) * r**m
@@ -165,20 +174,27 @@ def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
     return value
 
 
+def _unit_pairs(a: int, r: int, p: int) -> list[tuple[int, int]]:
+    """The nonzero weights of Psi_r times the indicator of the p-units, on the
+    period r a p: of the p blocks of the a pairs of ``xi_weights``, the pairs
+    at p-units, ascending in n."""
+    pairs, block = xi_weights(a, r), r * a
+    return [(s + n, w) for s in range(0, block * p, block) for n, w in pairs if (s + n) % p]
+
+
 def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
     """Moment of x^m over the p-units: (1-a^(m+1))(1-p^m)(1-q^m) zeta(-m).
 
     The unit indicator twists the weights of Psi_1 and Psi_q on the period
-    a r p; the twisted moments are compared against the closed form, and
-    both must agree.
+    a r p (``_unit_pairs``); the twisted moments are compared against the
+    closed form, and both must agree.
     """
     require_primes(p, q)
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
 
     def unit_twist(r: int) -> Fraction:
-        weights = [w if n % p else 0 for n, w in enumerate(xi_weights(a, r) * p, start=1)]
-        return _monomial_moments(weights, m, m)[0]
+        return _monomial_moments(_unit_pairs(a, r, p), r * a * p, m, m)[0]
 
     twisted = unit_twist(1) - unit_twist(q)
     num, den = zeta_neg_ratio(m, (p, q))
@@ -197,10 +213,10 @@ def binomial_moments(a: int, p: int, n: int, r: int = 1) -> list[Fraction]:
     t = 1, for k = 0..n; for r = 1 the integral of C(x, k) against the
     measure with moments (1-a^(m+1)) zeta(-m).
 
-    Read from ``taylor_numerators`` on the weights xi_r of period ra:
-    d_k = N_k / (ra)^(k+1).  That is O(n * ra) integer operations on numbers
-    of O(n log ra) bits.  Each d_k must lie in Z_p, the stability lemma of
-    the delta operator, else ``ArithmeticError``.  The textbook expansion
+    Read from ``taylor_numerators`` on the a nonzero weights xi_r of period
+    ra: d_k = N_k / (ra)^(k+1).  That is O(n * (n + a)) integer operations on
+    numbers of O(n log ra) bits.  Each d_k must lie in Z_p, the stability
+    lemma of the delta operator, else ``ArithmeticError``.  The textbook expansion
     d_k = sum_m c_{k,m} (1-a^(m+1)) zeta(-m) and the delta operator itself
     are checked against this in the test suite, term by term.
     """
@@ -210,9 +226,8 @@ def binomial_moments(a: int, p: int, n: int, r: int = 1) -> list[Fraction]:
     if n < 0:
         raise ValueError("n must be >= 0")
     out = []
-    weights = xi_weights(a, r)
-    period = den = len(weights)
-    for n_k in taylor_numerators(weights, n):
+    period = den = r * a
+    for n_k in taylor_numerators(xi_weights(a, r), period, n):
         d_k = Fraction(n_k, den)
         if padic_valuation(d_k, p) < 0:
             raise ArithmeticError("binomial moment escaped Z_p")
@@ -237,20 +252,8 @@ class OpenSetMeasure(Record):
         return padic_valuation(self.series_sum - self.conjectured, self.p) >= digits
 
 
-def measure_on_open_set(
-    a: int, p: int, n: int, b: int, target_digits: int = 4, guard: int = 3
-) -> OpenSetMeasure:
-    """Measure of b + p^n Z_p, exactly, with ``value`` its reduction at
-    target_digits + guard digits.
-
-    The part of Psi_1 on the class is sum_j c_j t^(b + j p^n) with
-    c_j = xi_1(b + j p^n), j >= 0 (j >= 1 for b = 0, as Psi_1 starts at
-    t^1).  Since a is prime to p, c has period a in j and zero period sum,
-    so its value at t = 1 is -(1/a) sum_j j c_j over one period: O(a)
-    integer work.  It is the regularized Bernoulli distribution E_{1,a}
-    at -b (Washington, Cyclotomic Fields, section 12.1), and equals the
-    Mahler pairing sum_k a_k(b, n) d_k of ``open_set_from_moments``.
-    """
+def _open_set_level(a: int, p: int, n: int, b: int, target_digits: int) -> int:
+    """The checks of ``measure_on_open_set``, in its order, for the residue b; returns p^n."""
     require_primes(p)
     if n < 0 or target_digits < 0:
         raise ValueError("need n >= 0 and target_digits >= 0")
@@ -259,11 +262,19 @@ def measure_on_open_set(
         raise ValueError("need 0 <= b < p^n")
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to p")
-    weights = xi_weights(a, 1)  # weights[i] = xi_1(i + 1), of period a
-    start = 0 if b else 1
-    total = sum(j * weights[(b + j * pn - 1) % a] for j in range(start, start + a))
-    series_sum = Fraction(-total, a)
-    certified = target_digits + guard
+    _require_a_r(a, 1)
+    return pn
+
+
+def _open_set_entry(a: int, p: int, n: int, inverse: int, b: int, certified: int) -> OpenSetMeasure:
+    """The unchecked core of ``measure_on_open_set``, with inverse = p^(-n) mod a.
+
+    The weights c_j = xi_1(b + j p^n) over the period j = start..start + a - 1
+    are 1 but at the one j0 with a | b + j0 p^n, where c_j0 = 1 - a, so
+    -(1/a) sum_j j c_j = k - (a - 1)/2 with k = j0 - start, that is
+    k = (-b p^(-n) - start) mod a."""
+    k = (-b * inverse - (0 if b else 1)) % a
+    series_sum = Fraction(2 * k + 1 - a, 2)
     return OpenSetMeasure(
         a=a,
         p=p,
@@ -276,21 +287,42 @@ def measure_on_open_set(
     )
 
 
+def measure_on_open_set(
+    a: int, p: int, n: int, b: int, target_digits: int = 4, guard: int = 3
+) -> OpenSetMeasure:
+    """Measure of b + p^n Z_p, exactly, with ``value`` its reduction at
+    target_digits + guard digits.
+
+    The part of Psi_1 on the class is sum_j c_j t^(b + j p^n) with
+    c_j = xi_1(b + j p^n), j >= 0 (j >= 1 for b = 0, as Psi_1 starts at
+    t^1).  Since a is prime to p, c has period a in j and zero period sum,
+    so its value at t = 1 is -(1/a) sum_j j c_j over one period, read from
+    the formula for xi_1 in O(1) (``_open_set_entry``).  It is the
+    regularized Bernoulli distribution E_{1,a} at -b (Washington, Cyclotomic
+    Fields, section 12.1), and equals the Mahler pairing sum_k a_k(b, n) d_k
+    of ``open_set_from_moments``.
+    """
+    pn = _open_set_level(a, p, n, b, target_digits)
+    return _open_set_entry(a, p, n, pow(pn, -1, a), b, target_digits + guard)
+
+
 def measure_open_set_table(
     a: int, p: int, n: int, target_digits: int = 4, guard: int = 3
 ) -> dict[int, OpenSetMeasure]:
-    """``measure_on_open_set`` for every residue b mod p^n."""
-    table = {0: measure_on_open_set(a, p, n, 0, target_digits, guard)}  # checks p and n before p^n
-    for b in range(1, p**n):
-        table[b] = measure_on_open_set(a, p, n, b, target_digits, guard)
-    return table
+    """``measure_on_open_set`` for every residue b mod p^n, with (a, p, n) checked once."""
+    pn = _open_set_level(a, p, n, 0, target_digits)
+    inverse, certified = pow(pn, -1, a), target_digits + guard
+    return {b: _open_set_entry(a, p, n, inverse, b, certified) for b in range(pn)}
 
 
 def open_set_from_moments(moments: list[Fraction], p: int, n: int, b: int) -> Fraction:
     """Pair a characteristic function against externally supplied binomial
     moments d_k (Corollary-style: the moments determine the measure), as
-    sum a_k(b) num_k (L // den_k) over L = lcm(den_k): one ``Fraction`` at the end."""
+    sum a_k(b) num_k (L // den_k) over L = lcm(den_k): one ``Fraction`` at the end,
+    with each moment's numerator and denominator read once."""
     a_k = characteristic_coefficients_exact(b, n, p, len(moments) - 1)
-    den = lcm(*(d.denominator for d in moments))
-    total = sum(a * d.numerator * (den // d.denominator) for a, d in zip(a_k, moments) if a)
+    dens = [d.denominator for d in moments]
+    nums = [d.numerator for d in moments]
+    den = lcm(*dens)
+    total = sum([a * num * (den // d) for a, num, d in zip(a_k, nums, dens) if a])
     return Fraction(total, den)

@@ -402,7 +402,7 @@ def _digits_formed(spec: str, layers: int, monkeypatch) -> tuple[int, Exception 
 
     pow_ = chains._pow
     with monkeypatch.context() as patch:
-        patch.setattr(chains, "_pow", lambda base, exponent: note(pow_(base, exponent)))
+        patch.setattr(chains, "_pow", lambda *args: note(pow_(*args)))
         try:
             kernel = parse_kernel_spec(spec)
             if kernel.is_row_stochastic(min(layers, 12)):
@@ -482,3 +482,21 @@ def test_final_residual_may_equal_the_tolerance():
         ([0.5, 0.25], 0.125, False),
     ):
         assert LimitReport("p-adic-beta", [4, 8], residuals, tol).final_ok is final_ok
+
+
+def test_a_float_mode_p_beta_kernel_forms_every_power_as_a_float():
+    """With alpha or beta not an int, an integral exponent no longer keeps
+    its power exact: every weight is a float, and p^-14285 is 0.0 rather
+    than an exact power past 4300 digits."""
+    for p, alpha, beta in ((2, 0.5, 1), (3, Fraction(1, 2), 3), (5, 2, 0.25), (2, Fraction(1, 2), 14285),
+                           (3, 14285, Fraction(7, 3)), (2, 0.5, 14285.0)):
+        kernel = kernel_padic_beta(p, alpha, beta)
+        assert not kernel.exact
+        for state in ((0, 0), (1, 0), (3, 0), (0, 1), (2, 2)):
+            assert all(type(w) is float for _, w in kernel.step(state)), (p, alpha, beta, state)
+    assert kernel_padic_beta(2, 0.5, 14285).step((0, 0)) == [((0, 1), 1.0), ((1, 0), 0.0)]
+    assert kernel_padic_beta(2, 0.5, 1).step((1, 0)) == [((2, 0), 0.5), ((1, 1), 0.5)]
+    # exact mode keeps Fractions
+    assert all(type(w) is Fraction for _, w in kernel_padic_beta(2, 1, 3).step((1, 0)))
+    law = propagate(parse_kernel_spec("p-beta:p=2,alpha=1/2,beta=14285"), 2).weights
+    assert law == {(0, 2): 1.0}

@@ -296,32 +296,74 @@ def _stand_in(monkeypatch, target):
     monkeypatch.setattr(importlib.import_module(f"pqzeta.{module}"), name, started)
 
 
+def _moment_steps(order: int, weights: int, period: int) -> int:
+    """The digit steps the moments cap counts: (order + 1)^2 (order + 1 + weights) times the digits of the period."""
+    return (order + 1) ** 2 * (order + 1 + weights) * len(str(period))
+
+
+_R2150 = "5" + "0" * 2149  # 2 r = 10^2150, whose square has 4301 digits
+
+
 @pytest.mark.parametrize(
-    "argv, flag, order, period",
+    "argv, flag, work, unit, cap",
     [
-        (["--a", "2", "--mmax", "1000000000"], "--mmax", 1000000000, 2),
-        (["--a", "2", "--mmax", "214"], "--mmax", 214, 2),
-        (["--a", "2", "--r", "5000000"], "--mmax", 8, 10000000),
-        (["--a", "2", "--mmax", "0", "--delta", "1000"], "--delta", 1000, 2),
-        (["--a", "3", "--pair", "5,7", "--mmax", "190"], "--mmax", 190, 105),
-        (["--a", "3", "--pair", "5,7", "--mmax", "190", "--restricted"], "--mmax", 190, 105),
-        (["--a", "2", "--pair", "1117,2237", "--mmax", "1", "--restricted"], "--mmax", 1, 4997458),
+        (["--a", "2", "--mmax", "1000000000"], "--mmax", _moment_steps(10**9, 2, 2), "digit steps", 10**8),
+        (["--a", "2", "--mmax", "463"], "--mmax", _moment_steps(463, 2, 2), "digit steps", 10**8),
+        (["--a", "2", "--r", "10000000000000000000", "--mmax", "170"], "--mmax", _moment_steps(170, 2, 2 * 10**19),
+         "digit steps", 10**8),
+        (["--a", "2", "--mmax", "0", "--delta", "1000"], "--delta", _moment_steps(1000, 2, 2), "digit steps", 10**8),
+        (["--a", "3", "--pair", "5,7", "--mmax", "316"], "--mmax", _moment_steps(316, 15, 105), "digit steps", 10**8),
+        (["--a", "3", "--pair", "5,7", "--mmax", "316", "--restricted"], "--mmax", _moment_steps(316, 15, 105),
+         "digit steps", 10**8),
+        (["--a", "2", "--pair", "751,1000000000039", "--mmax", "63", "--restricted"], "--mmax",
+         _moment_steps(63, 1502, 1502000000058578), "digit steps", 10**8),
+        (["--a", "1000001", "--mmax", "0"], "--a", 1000001, "weight terms", 10**6),
+        (["--a", "2", "--pair", "500009,7", "--mmax", "0", "--restricted"], "--pair", 1000018, "weight terms", 10**6),
+        (["--a", "2", "--pair", "75011,7", "--mmax", "6"], "--pair", 7 * 150022, "weight terms", 10**6),
+        (["--a", "2", "--r", _R2150, "--mmax", "1"], "--r", 4301, "digits", 4300),
+        (["--a", "2", "--r", "5" + "0" * 4299, "--mmax", "0"], "--r", 4301, "digits", 4300),
     ],
 )
-def test_moments_past_the_work_cap_are_refused_before_any_work(argv, flag, order, period, monkeypatch, capsys):
+def test_moments_past_the_work_cap_are_refused_before_any_work(argv, flag, work, unit, cap, monkeypatch, capsys):
     _stand_in(monkeypatch, "measures.xi_weights")
-    work = (order + 1) ** 2 * (order + 1 + period)
-    assert work > 10**7
-    line = f"usage error: {flag} {order} asks for at least {min(work, 10**18)} steps, past the cap of 10000000"
+    assert work > cap
+    value = argv[argv.index(flag) + 1]
+    line = f"usage error: {flag} {value} asks for at least {min(work, 10**18)} {unit}, past the cap of {cap}"
     assert _rejected(["moments", *argv], capsys) == line
 
 
 def test_moments_at_the_work_cap_reach_the_weights(monkeypatch):
     _stand_in(monkeypatch, "measures.xi_weights")
-    for argv in (["--a", "2", "--mmax", "213"], ["--a", "2", "--r", "4995000", "--mmax", "0"],
-                 ["--a", "3", "--pair", "5,7", "--mmax", "184"], ["--a", "2", "--mmax", "0", "--delta", "213"]):
+    for argv in (["--a", "2", "--mmax", "462"], ["--a", "2", "--r", "4995000", "--mmax", "0"],
+                 ["--a", "2", "--r", "10000000000000000000", "--mmax", "169"],
+                 ["--a", "3", "--pair", "5,7", "--mmax", "315"], ["--a", "2", "--mmax", "0", "--delta", "462"],
+                 ["--a", "2", "--pair", "751,1000000000039", "--mmax", "62", "--restricted"],
+                 ["--a", "1000000", "--mmax", "0"], ["--a", "2", "--pair", "499979,7", "--mmax", "0", "--restricted"],
+                 ["--a", "2", "--pair", "75011,7", "--mmax", "5", "--restricted"],
+                 ["--a", "2", "--r", "4" + "0" * 2149, "--mmax", "1"], ["--a", "2", "--r", "4" + "0" * 4299, "--mmax", "0"]):
         with pytest.raises(_Started):
             _run(["moments", *argv])
+
+
+@pytest.mark.parametrize("argv, report", [
+    # 2 of 10^7 weights were nonzero; the list of all of them took seconds
+    ("moments --a 2 --r 4995000 --mmax 0", "# schema=2\nm,value,xi_at_m,psi_slot\n0,1/2,-1,1/2\n"),
+    # the twisted lists of period 2 * 1117 * 1109 were rebuilt whole for each order
+    ("moments --a 2 --pair 1109,1117 --mmax 1 --restricted", "# schema=2\nm,value\n0,0\n1,309132\n"),
+])
+def test_moments_with_a_long_period_and_few_weights_are_quick(argv, report, monkeypatch):
+    from pqzeta import measures
+
+    monkeypatch.setattr(measures, "_NUMERATORS", {})
+    start = time.perf_counter()
+    assert _run(argv.split()) == (0, report)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_float_mode_p_beta_power_past_4300_digits_is_zero():
+    # 2^-14285 was formed exactly and refused; as a float it is 0.0
+    argv = ["chain-propagate", "--kernel", "p-beta:p=2,alpha=1/2,beta=14285", "--layers", "2"]
+    assert _run(argv) == (0, '# schema=2\nstate,weight\n"(0, 2)",1.0\n')
 
 
 @pytest.mark.parametrize(
@@ -408,7 +450,11 @@ _CAP_CASES = [
      f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 59} --p 5 --q 7", "zetabranch.pq_hurwitz"),
     (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 1{'0' * 19}1 --F 35{'0' * 40} --p 5 --q 7",
      f"pq-hurwitz --n -2399 --b 1{'0' * 18}1 --F 35{'0' * 40} --p 5 --q 7", "zetabranch.pq_hurwitz"),
-    (("moments", 0), "moments --a 2 --mmax 214", "moments --a 2 --mmax 213", "measures.xi_weights"),
+    (("moments", 0), "moments --a 2 --mmax 463", "moments --a 2 --mmax 462", "measures.xi_weights"),
+    (("moments", 1), "moments --a 2 --pair 500009,7 --mmax 0 --restricted",
+     "moments --a 2 --pair 499979,7 --mmax 0 --restricted", "measures.xi_weights"),
+    (("moments", 2), f"moments --a 2 --r {_R2150} --mmax 1", f"moments --a 2 --r 4{'0' * 2149} --mmax 1",
+     "measures.xi_weights"),
     (("open-set-measure", 0), "open-set-measure --a 3 --p 2 --n 1 --digits 14282",
      "open-set-measure --a 3 --p 2 --n 1 --digits 14281", "measures.measure_open_set_table"),
     (("open-set-measure", 1), "open-set-measure --a 66 --p 5 --n 5", "open-set-measure --a 64 --p 5 --n 5",
@@ -1095,7 +1141,7 @@ def test_precision_errors_exit_2_without_traceback():
         ["bernoulli", "--upto", "-1"],
         # a float power that overflows in the p-beta kernel
         ["chain-propagate", "--kernel", "p-beta:p=2,alpha=-1100,beta=1/2", "--layers", "2"],
-        # an exact 2^1100 mixed with floats in the (0, 0) row of a float-mode p-beta kernel
+        # a float 2^1100 in a float-mode p-beta kernel, which overflowed its (0, 0) row while exact
         ["chain-propagate", "--kernel", "p-beta:p=2,alpha=-1100,beta=1100.5", "--layers", "2"],
         ["chain-propagate", "--kernel", "p-beta:p=2,alpha=1100.5,beta=-1100", "--layers", "2"],
         # a q = 0.5^(2/N) that rounds to 1, where 2.0/N overflowed at an N of 401 digits

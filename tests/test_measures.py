@@ -10,8 +10,10 @@ from sympy.functions.combinatorial.numbers import stirling
 from pqzeta import measures
 from pqzeta.mahler import _differences, characteristic_coefficients_exact
 from pqzeta.measures import (
+    OpenSetMeasure,
     _monomial_moments,
     _stirling_triangle,
+    _unit_pairs,
     binomial_moments,
     double_moment,
     measure_on_open_set,
@@ -28,7 +30,21 @@ from pqzeta.measures import (
 from pqzeta.padics import PadicNumber, padic_valuation
 from pqzeta.rationals import zeta_neg
 
-# Polynomials are lists of coefficients, ascending by degree.
+# Polynomials are lists of coefficients, ascending by degree.  Weight lists
+# are dense [w_1, ..., w_P], or sparse: the period P and the nonzero (n, w_n).
+
+
+def sparse(weights) -> list[tuple[int, int]]:
+    """The nonzero (n, w_n) of a dense weight list, ascending in n."""
+    return [(n, w) for n, w in enumerate(weights, start=1) if w]
+
+
+def dense(pairs, period: int) -> list[int]:
+    """The weight list [w_1, ..., w_P] of the pairs."""
+    weights = [0] * period
+    for n, w in pairs:
+        weights[n - 1] = w
+    return weights
 
 
 def poly_add(f: list, g: list) -> list:
@@ -122,7 +138,7 @@ def open_set_twist_value(a: int, p: int, n: int, b: int) -> Fraction:
         raise ValueError("a must be coprime to p")
     period = a * pn
     weights = [xi(m, a, 1) if m % pn == b else 0 for m in range(1, period + 1)]
-    return Fraction(taylor_numerators(weights, 0)[0], period)
+    return Fraction(taylor_numerators(sparse(weights), period, 0)[0], period)
 
 
 def regularized_bernoulli(a: int, p: int, n: int, b: int) -> Fraction:
@@ -148,18 +164,19 @@ def test_xi_sum_zero():
     # sum, so the xi_r weights pass, and Psi_r(1) = (1 - a) zeta(0)
     for a, r in ((2, 1), (3, 2), (5, 1), (4, 3)):
         weights = [xi(n, a, r) for n in range(1, r * a + 1)]
-        assert Fraction(taylor_numerators(weights, 0)[0], r * a) == (1 - a) * zeta_neg(0)
+        assert list(xi_weights(a, r)) == sparse(weights), (a, r)
+        assert Fraction(taylor_numerators(xi_weights(a, r), r * a, 0)[0], r * a) == (1 - a) * zeta_neg(0)
 
 
 def test_exp_series_removable_division():
     # t - t^2 over 1 - t^2 is t / (1 + t): 1/2 + T/4 - T^2/8 at t = 1 + T
-    numerators = taylor_numerators([1, -1], 2)
+    numerators = taylor_numerators([(1, 1), (2, -1)], 2, 2)
     assert [Fraction(n, 2 ** (k + 1)) for k, n in enumerate(numerators)] == [
         Fraction(1, 2), Fraction(1, 4), Fraction(-1, 8)]
     with pytest.raises(ArithmeticError):
-        taylor_numerators([1, 0], 2)
+        taylor_numerators([(1, 1)], 2, 2)
     with pytest.raises(ArithmeticError):
-        taylor_numerators([1, 2, -2], 0)
+        taylor_numerators([(1, 1), (2, 2), (3, -2)], 3, 0)
 
 
 def test_psi_series_slots():
@@ -211,13 +228,12 @@ def test_restricted_moment_a_independence():
         assert va == vb
 
 
-def monomial_moments_by_differences(weights: list[int], order: int) -> list[Fraction]:
+def monomial_moments_by_differences(pairs, period: int, order: int) -> list[Fraction]:
     """The forward-difference route the Stirling triangle replaced: x^m pairs
     with D^k(x^m)(0), the leading diagonal of the differences of x^m on
     [0, m], for every m, in integers over P^(order+1)."""
-    period = len(weights)
     scaled = [
-        n_k * period ** (order - k) for k, n_k in enumerate(taylor_numerators(weights, order))
+        n_k * period ** (order - k) for k, n_k in enumerate(taylor_numerators(pairs, period, order))
     ]
     den = period ** (order + 1)
     return [
@@ -227,8 +243,23 @@ def monomial_moments_by_differences(weights: list[int], order: int) -> list[Frac
 
 
 def unit_twisted_weights(a: int, r: int, p: int) -> list[int]:
-    """The weights of Psi_r restricted to the p-units, as restricted_moment twists them."""
-    return [w if n % p else 0 for n, w in enumerate(xi_weights(a, r) * p, start=1)]
+    """The dense weights of Psi_r restricted to the p-units on the period r a p:
+    xi_r(n) at the p-units n, else 0."""
+    return [xi(n, a, r) if n % p else 0 for n in range(1, r * a * p + 1)]
+
+
+# (a, p, q) with a prime to pq, p from 2 to 31
+TWIST_GRID = [(a, p, q) for a in (2, 3, 4, 6, 10) for p, q in ((2, 3), (5, 7), (7, 11), (3, 5), (31, 2))
+              if gcd(a, p * q) == 1]
+
+
+def test_unit_pairs_are_the_dense_twisted_list():
+    assert TWIST_GRID
+    for a, p, q in TWIST_GRID:
+        for r in (1, q, 2 * q + 1):
+            got = _unit_pairs(a, r, p)
+            assert got == sparse(unit_twisted_weights(a, r, p)), (a, p, r)
+            assert all(type(n) is int and type(w) is int for n, w in got), (a, p, r)
 
 
 def test_stirling_triangle_rows_are_factorial_times_stirling():
@@ -298,18 +329,23 @@ def _table_calls(seed: int) -> list:
 def test_moments_do_not_depend_on_the_numerator_table(built, monkeypatch):
     monkeypatch.setattr(measures, "_NUMERATORS", {})
     if built is not None:
-        weight_lists = [xi_weights(a, r) for a in (2, 3, 5) for r in (1, 2, 3, 7, 11)]
+        # built from the dense lists, so the keys the moment routes use must be these
+        weight_lists = [(sparse(xi(n, a, r) for n in range(1, r * a + 1)), r * a)
+                        for a in (2, 3, 5) for r in (1, 2, 3, 7, 11)]
         for a, p, q in ((2, 5, 7), (3, 7, 11)):
-            weight_lists += [unit_twisted_weights(a, 1, p), unit_twisted_weights(a, q, p)]
-        for weights in weight_lists:
-            taylor_numerators(weights, built)
+            weight_lists += [(sparse(unit_twisted_weights(a, r, p)), r * a * p) for r in (1, q)]
+        for pairs, period in weight_lists:
+            taylor_numerators(pairs, period, built)
         assert {len(numerators) for numerators in measures._NUMERATORS.values()} == {built + 1}
+    keys = set(measures._NUMERATORS)
     for seed in (1, 2):
         for function, args, want in _table_calls(seed):
             got = function(*args)
             assert got == want, (function.__name__, args)
             for value in got if isinstance(got, list) else [got]:
                 assert type(value) is Fraction, (function.__name__, args)
+    if built is not None:
+        assert set(measures._NUMERATORS) == keys
 
 
 def one_shot_numerators(weights: list[int], upto: int) -> list[int]:
@@ -335,12 +371,40 @@ def test_resumed_numerators_equal_the_one_shot_division(values, steps):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measures, "_NUMERATORS", {})
         for upto in sorted(steps) + [steps[0]]:  # grows, then reads below its top
-            got = taylor_numerators(weights, upto)
+            got = taylor_numerators(sparse(weights), len(weights), upto)
             assert got == one_shot_numerators(weights, upto) and all(type(n) is int for n in got), upto
         assert len(measures._NUMERATORS) == 1
         # a list of the same period whose sum is not zero is refused, with the valid one stored
         with pytest.raises(ArithmeticError, match="period sum is not zero"):
-            taylor_numerators(weights[:-1] + [weights[-1] + 1], max(steps))
+            taylor_numerators(sparse(weights[:-1] + [weights[-1] + 1]), len(weights), max(steps))
+
+
+@st.composite
+def zero_sum_pairs(draw):
+    """A period up to 10^6 and at most 6 nonzero weights of zero sum, ascending in n."""
+    period = draw(st.one_of(st.integers(1, 40), st.integers(1, 10**6)))
+    ns = sorted(draw(st.lists(st.integers(1, period), max_size=6, unique=True)))
+    ws = [draw(st.integers(-(10**6), 10**6).filter(bool)) for _ in ns[1:]]
+    pairs = list(zip(ns[1:], ws))
+    if ns and sum(ws):
+        pairs.insert(0, (ns[0], -sum(ws)))
+    return pairs, period
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_sum_pairs(), st.integers(0, 25))
+@example(case=([(4995000, 1), (9990000, -1)], 9990000), upto=3)
+@example(case=([], 1), upto=5)
+def test_sparse_numerators_equal_the_dense_division(case, upto):
+    """The division on the pairs alone equals the one-shot division of the
+    densified list, however long the period; a nonzero sum is refused."""
+    pairs, period = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_NUMERATORS", {})
+        assert taylor_numerators(pairs, period, upto) == one_shot_numerators(dense(pairs, period), upto)
+        unbalanced = pairs[:-1] + [(pairs[-1][0], pairs[-1][1] + 1)] if pairs else [(period, 1)]
+        with pytest.raises(ArithmeticError, match="period sum is not zero"):
+            taylor_numerators(unbalanced, period, upto)
 
 
 def test_a_moment_that_disagrees_with_zeta_is_an_internal_error(monkeypatch):
@@ -365,15 +429,15 @@ def test_stirling_triangle_equals_the_forward_difference_route():
     """Every order of the triangle route equals the old difference route
     exactly, both all at once and one order alone, on the weights of Psi_r
     and on their p-unit twists."""
-    weight_lists = [xi_weights(a, r) for a in (2, 3, 4, 6, 7) for r in (1, 2, 3)]
+    weight_lists = [(xi_weights(a, r), r * a) for a in (2, 3, 4, 6, 7) for r in (1, 2, 3)]
     for a, p, q in ((2, 5, 7), (3, 5, 7), (2, 7, 11), (4, 3, 5), (6, 5, 7), (7, 3, 5)):
-        weight_lists += [unit_twisted_weights(a, 1, p), unit_twisted_weights(a, q, p)]
-    for weights in weight_lists:
-        want = monomial_moments_by_differences(weights, 30)
-        assert _monomial_moments(weights, 30) == want, weights
+        weight_lists += [(sparse(unit_twisted_weights(a, r, p)), r * a * p) for r in (1, q)]
+    for pairs, period in weight_lists:
+        want = monomial_moments_by_differences(pairs, period, 30)
+        assert _monomial_moments(pairs, period, 30) == want, pairs
         for m in range(31):
-            assert _monomial_moments(weights, m, m) == [want[m]], (weights, m)
-            assert _monomial_moments(weights, 30, m) == want[m:], (weights, m)
+            assert _monomial_moments(pairs, period, m, m) == [want[m]], (pairs, m)
+            assert _monomial_moments(pairs, period, 30, m) == want[m:], (pairs, m)
 
 
 def test_oracle_poly_arithmetic():
@@ -420,7 +484,7 @@ def test_delta_operator_stability_grid():
 
 def test_delta_series_route_matches_rational_route():
     values = delta_at_one(*psi_r_fraction(3, 2), 5)
-    numerators = taylor_numerators([xi(n, 3, 2) for n in range(1, 7)], 5)
+    numerators = taylor_numerators(sparse(xi(n, 3, 2) for n in range(1, 7)), 6, 5)
     for k, n_k in enumerate(numerators):
         assert values[k] == Fraction(n_k, 6 ** (k + 1)), k
 
@@ -581,7 +645,7 @@ def test_measure_on_open_set_is_the_table_entry():
 
 
 def test_a_and_r_are_checked_before_any_weight():
-    assert xi_weights(3, 2) == [0, 1, 0, 1, 0, -2]
+    assert xi_weights(3, 2) == ((2, 1), (4, 1), (6, -2))
     for call in (
         lambda: xi_weights(1, 1),
         lambda: psi_r_series(3, 0, 2),
@@ -599,3 +663,34 @@ def test_a_and_r_are_checked_before_any_weight():
 def test_open_set_closed_form_shape():
     assert open_set_closed_form(2, 5, 1, 0) == Fraction(-1, 4)
     assert open_set_closed_form(2, 5, 1, 3) == Fraction(1, 4)
+
+
+def test_every_table_entry_is_the_single_entry_field_by_field():
+    for a, p, n in OPEN_SET_GRID:
+        for digits, guard in ((0, 3), (4, 3), (6, 0), (2, 9)):
+            table = measure_open_set_table(a, p, n, digits, guard)
+            assert list(table) == list(range(p**n)), (a, p, n)
+            for b, entry in table.items():
+                single = measure_on_open_set(a, p, n, b, digits, guard)
+                for field in OpenSetMeasure.__slots__:
+                    got, want = getattr(entry, field), getattr(single, field)
+                    assert type(got) is type(want) and got == want and repr(got) == repr(want), (a, p, n, b, field)
+
+
+def _refusal(call):
+    """The (type, message) that call raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("a, p, n, digits", [
+    (1, 5, 1, 4), (-2, 5, 1, 4), (0, 7, 2, 4), (5, 5, 1, 4), (10, 5, 0, 4), (2, 4, 1, 4), (2, 1, 1, 4),
+    (2, True, 1, 4), (2, 5.0, 1, 4), (2, 5, -1, 4), (2, 5, 1, -1), (1, 4, -1, -1), (5, 5, 1, -1),
+])
+def test_the_table_and_a_single_entry_refuse_alike(a, p, n, digits):
+    table = _refusal(lambda: measure_open_set_table(a, p, n, digits))
+    assert table is not None and table[0] is ValueError, table
+    assert _refusal(lambda: measure_on_open_set(a, p, n, 0, digits)) == table

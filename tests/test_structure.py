@@ -90,6 +90,7 @@ BERNOULLI_CALLERS = {
 
 OUTSIDE_CONSUMERS = {
     "gamma.morita_gamma_exact": "acceptance criterion 3 (tests/test_acceptance.py)",
+    "measures.measure_on_open_set": "perfbench/wl_open_set.py",
     "measures.open_set_from_moments": "perfbench/wl_open_set.py",
     "zetabranch.excluded_sigma0": "perfbench/wl_zeta_sweep.py and the acceptance tests",
 }
