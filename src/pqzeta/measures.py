@@ -94,7 +94,11 @@ def taylor_numerators(pairs, period: int, upto: int) -> list[int]:
     numerators = _NUMERATORS.setdefault((period, pairs), [])
     if len(numerators) <= upto:
         top = min(upto, period - 1)
-        q_scaled = [comb(period, i + 1) * period ** (i - 1) for i in range(1, top + 1)]
+        # Q_1 P^0 .. Q_top P^(top-1) by Q_(i+1) P^i = Q_i P^(i-1) P (P - i - 1) / (i + 2), exact:
+        # one product per entry, where comb(P, i + 1) would take i of them
+        q_scaled = [period * (period - 1) // 2][:top]
+        for i in range(1, top):
+            q_scaled.append(q_scaled[-1] * period * (period - i - 1) // (i + 2))
         for k in range(len(numerators), upto + 1):
             s_k = -sum([w * comb(n, k + 1) for n, w in pairs]) if k <= top else 0
             # N_(k-1), N_(k-2), ... against Q_1 P^0, Q_2 P^1, ...: map stops at the shorter

@@ -85,25 +85,12 @@ def _strong_probable_prime(n: int) -> bool:
                for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
 
 
-_PROVEN: set[int] = set()
-
-
 def require_primes(*primes: int) -> None:
     """The one prime check of every entry point: ValueError unless each
-    argument is an int prime and no prime repeats.
-
-    Each prime of type exactly int that passes ``is_prime`` goes into the
-    module set ``_PROVEN``, and is not tested again in this process; bools,
-    int subclasses and every other type are tested each time.  The set only
-    grows, by the distinct primes the process checks, and holds no lock (the
-    package starts no threads)."""
+    argument is an int prime and no prime repeats."""
     for p in primes:
-        if type(p) is int and p in _PROVEN:
-            continue
         if not is_prime(p):
             raise ValueError(f"{p} is not a prime")
-        if type(p) is int:
-            _PROVEN.add(p)
     if len(primes) > 1 and len(set(primes)) < len(primes):
         raise ValueError("the primes must be distinct, got " + ", ".join(map(str, primes)))
 

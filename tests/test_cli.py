@@ -312,14 +312,15 @@ _R2150 = "5" + "0" * 2149  # 2 r = 10^2150, whose square has 4301 digits
         (["--a", "2", "--r", "10000000000000000000", "--mmax", "170"], "--mmax", _moment_steps(170, 2, 2 * 10**19),
          "digit steps", 10**8),
         (["--a", "2", "--mmax", "0", "--delta", "1000"], "--delta", _moment_steps(1000, 2, 2), "digit steps", 10**8),
-        (["--a", "3", "--pair", "5,7", "--mmax", "316"], "--mmax", _moment_steps(316, 15, 105), "digit steps", 10**8),
+        (["--a", "3", "--pair", "5,7", "--mmax", "367"], "--mmax", _moment_steps(367, 3, 21), "digit steps", 10**8),
         (["--a", "3", "--pair", "5,7", "--mmax", "316", "--restricted"], "--mmax", _moment_steps(316, 15, 105),
          "digit steps", 10**8),
         (["--a", "2", "--pair", "751,1000000000039", "--mmax", "63", "--restricted"], "--mmax",
          _moment_steps(63, 1502, 1502000000058578), "digit steps", 10**8),
         (["--a", "1000001", "--mmax", "0"], "--a", 1000001, "weight terms", 10**6),
         (["--a", "2", "--pair", "500009,7", "--mmax", "0", "--restricted"], "--pair", 1000018, "weight terms", 10**6),
-        (["--a", "2", "--pair", "75011,7", "--mmax", "6"], "--pair", 7 * 150022, "weight terms", 10**6),
+        (["--a", "2", "--pair", "75011,7", "--mmax", "6", "--restricted"], "--pair", 7 * 150022, "weight terms", 10**6),
+        (["--a", "1000001", "--pair", "2,3", "--mmax", "0"], "--a", 1000001, "weight terms", 10**6),
         (["--a", "2", "--r", _R2150, "--mmax", "1"], "--r", 4301, "digits", 4300),
         (["--a", "2", "--r", "5" + "0" * 4299, "--mmax", "0"], "--r", 4301, "digits", 4300),
     ],
@@ -336,28 +337,45 @@ def test_moments_at_the_work_cap_reach_the_weights(monkeypatch):
     _stand_in(monkeypatch, "measures.xi_weights")
     for argv in (["--a", "2", "--mmax", "462"], ["--a", "2", "--r", "4995000", "--mmax", "0"],
                  ["--a", "2", "--r", "10000000000000000000", "--mmax", "169"],
-                 ["--a", "3", "--pair", "5,7", "--mmax", "315"], ["--a", "2", "--mmax", "0", "--delta", "462"],
+                 ["--a", "3", "--pair", "5,7", "--mmax", "366"], ["--a", "3", "--pair", "5,7", "--mmax", "315", "--restricted"],
+                 ["--a", "2", "--mmax", "0", "--delta", "462"],
                  ["--a", "2", "--pair", "751,1000000000039", "--mmax", "62", "--restricted"],
                  ["--a", "1000000", "--mmax", "0"], ["--a", "2", "--pair", "499979,7", "--mmax", "0", "--restricted"],
                  ["--a", "2", "--pair", "75011,7", "--mmax", "5", "--restricted"],
+                 # without --restricted a pair sweep reads the a weights of xi_1 and xi_q alone
+                 ["--a", "2", "--pair", "500009,7", "--mmax", "0"], ["--a", "2", "--pair", "1000003,3", "--mmax", "0"],
+                 ["--a", "999999", "--pair", "2,1000000000000000000000007", "--mmax", "0"],
+                 ["--a", "2", "--pair", "5,1000000000000000000000007", "--mmax", "157"],
                  ["--a", "2", "--r", "4" + "0" * 2149, "--mmax", "1"], ["--a", "2", "--r", "4" + "0" * 4299, "--mmax", "0"]):
         with pytest.raises(_Started):
             _run(["moments", *argv])
 
 
-@pytest.mark.parametrize("argv, report", [
-    # 2 of 10^7 weights were nonzero; the list of all of them took seconds
-    ("moments --a 2 --r 4995000 --mmax 0", "# schema=2\nm,value,xi_at_m,psi_slot\n0,1/2,-1,1/2\n"),
-    # the twisted lists of period 2 * 1117 * 1109 were rebuilt whole for each order
-    ("moments --a 2 --pair 1109,1117 --mmax 1 --restricted", "# schema=2\nm,value\n0,0\n1,309132\n"),
+@pytest.mark.parametrize("argv, report, divisions, xi_calls", [
+    # 2 of 10^7 weights are nonzero; the list of all of them took seconds
+    ("moments --a 2 --r 4995000 --mmax 0", "# schema=2\nm,value,xi_at_m,psi_slot\n0,1/2,-1,1/2\n",
+     [(9990000, 2)], [(0, 2, 4995000)]),
+    # the p-units among the 2 * 1109 pairs of the p blocks; the twisted lists of period 2 * 1117 * 1109
+    # were rebuilt whole for each order
+    ("moments --a 2 --pair 1109,1117 --mmax 1 --restricted", "# schema=2\nm,value\n0,0\n1,309132\n",
+     [(2218, 2216), (2477506, 2216)] * 2, []),
 ])
-def test_moments_with_a_long_period_and_few_weights_are_quick(argv, report, monkeypatch):
+def test_moments_with_a_long_period_divide_only_the_nonzero_weights(argv, report, divisions, xi_calls, monkeypatch):
     from pqzeta import measures
 
+    seen, called = [], []
+    numerators, xi = measures.taylor_numerators, measures.xi
+
+    def recorded(pairs, period, upto):
+        pairs = tuple(pairs)
+        seen.append((period, len(pairs)))
+        return numerators(pairs, period, upto)
+
+    monkeypatch.setattr(measures, "taylor_numerators", recorded)
+    monkeypatch.setattr(measures, "xi", lambda *args: called.append(args) or xi(*args))
     monkeypatch.setattr(measures, "_NUMERATORS", {})
-    start = time.perf_counter()
     assert _run(argv.split()) == (0, report)
-    assert time.perf_counter() - start < 0.1
+    assert (seen, called) == (divisions, xi_calls)  # (period, pairs) per division; xi only for the xi_at_m column
 
 
 def test_a_float_mode_p_beta_power_past_4300_digits_is_zero():

@@ -1,6 +1,5 @@
 import math
 import random
-from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -614,46 +613,3 @@ def test_the_unchecked_constructor_stores_what_the_checked_one_would():
                     assert [_fields(z) for z in got] == [_fields(_checked(z)) for z in got] \
                         == [_fields(z) for z in checked], (b, p, q, Np, Nq)
     assert repr(teichmuller(2, 5, True)) == "PadicNumber(p=5, v=0, unit=2, N=1)"
-
-
-class _Small(IntEnum):
-    FOUR = 4
-    FIVE = 5
-
-
-def _refusal(*primes):
-    """The (type, message) that require_primes raises, or None."""
-    try:
-        require_primes(*primes)
-    except Exception as exc:  # the type is part of what is compared
-        return type(exc), str(exc)
-    return None
-
-
-@pytest.mark.parametrize("primes", [
-    (0,), (1,), (4,), (True,), (2.0,), ("5",), (_Small.FOUR,), (padics.PSI_13,), (5, 5), (2, 2.0), (7, True),
-    (_Small.FIVE, 5), (5, _Small.FIVE),
-])
-def test_a_recorded_prime_changes_no_refusal(primes, monkeypatch):
-    monkeypatch.setattr(padics, "_PROVEN", set())
-    before = _refusal(*primes)
-    assert before is not None and before[0] is ValueError, before
-    require_primes(2, 3, 5, 7)
-    assert padics._PROVEN == {2, 3, 5, 7}
-    assert _refusal(*primes) == before
-    assert padics._PROVEN == {2, 3, 5, 7}
-
-
-def test_only_exact_int_primes_are_recorded_and_skip_the_test(monkeypatch):
-    monkeypatch.setattr(padics, "_PROVEN", set())
-    require_primes(_Small.FIVE)
-    require_primes(101, 2**61 - 1)
-    assert padics._PROVEN == {101, 2**61 - 1} and all(type(p) is int for p in padics._PROVEN)
-
-    def untested(n):
-        raise AssertionError(f"is_prime({n!r}) called")
-
-    monkeypatch.setattr(padics, "is_prime", untested)
-    require_primes(101, 2**61 - 1)  # recorded: no test
-    with pytest.raises(AssertionError, match="FIVE"):
-        require_primes(_Small.FIVE)  # an int subclass is tested every time
