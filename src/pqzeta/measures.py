@@ -16,9 +16,10 @@ the numerators up to the largest order asked for, for the life of the
 process, and a sweep over m = 0..M divides once.
 
 Every moment is a Mahler pairing against the d_k: x^m pairs with the row
-D^k(x^m)(0) = k! S(m, k) of one Stirling triangle, which gives the monomial
-moments of Psi_r, of the two-prime measure and of its restriction to the
-p-units (the unit indicator twists the weights), each returned one checked
+D^k(x^m)(0) = k! S(m, k) of one Stirling triangle, folded by Horner's rule in
+the period P over P^(m+1), with no power of P per term.  That gives the
+monomial moments of Psi_r, of the two-prime measure and of its restriction
+to the p-units (the unit indicator twists the weights), each returned one checked
 against (1 - a^(m+1)) times r^m zeta(-m), zeta_q(-m) or zeta_{p,q}(-m), read
 from the Bernoulli table as an integer pair and compared by cross-multiplying.
 The triangle is module-level and only grows, so a sweep over m = 0..M builds
@@ -27,8 +28,12 @@ of O(M log M) bits each, for the life of the process.  ``cli`` caps the
 orders of ``moments``, and so what both tables hold.
 ``xi_weights`` builds every weight list, and a and r have one check.  The
 measure of b + p^n Z_p needs no pairing: the formula for xi_1 gives it exactly
-in O(1) (``measure_on_open_set``, reduced by ``padics.reduce_absolute``), and
-``measure_open_set_table`` checks its arguments once for all p^n residues.
+in O(1) (``measure_on_open_set``, reduced by ``padics.reduce_absolute``).
+``measure_open_set_table`` checks its arguments once for all p^n residues,
+and its series sums and conjectured values each take at most a distinct
+values, so it forms each value and each reduction once and its entries share
+them.  Every public function here that takes a prime checks it, except the
+pure formula ``open_set_closed_form``.
 """
 
 from __future__ import annotations
@@ -126,11 +131,20 @@ def _stirling_triangle(order: int) -> list[list[int]]:
 
 def _monomial_moments(pairs, period: int, order: int, first: int = 0) -> list[Fraction]:
     """(t d/dt)^m at t = 1 of the generating function of the weights ``pairs`` of period P,
-    m = first..order: sum_k T(m, k) d_k, as x^m = sum_k T(m, k) C(x, k), paired in
-    integers over P^(order+1)."""
-    scaled = [n * period ** (order - k) for k, n in enumerate(taylor_numerators(pairs, period, order))]
-    den = period ** (order + 1)
-    return [Fraction(sum(map(mul, row, scaled)), den) for row in _stirling_triangle(order)[first:]]
+    m = first..order: sum_k T(m, k) d_k, as x^m = sum_k T(m, k) C(x, k).
+
+    With d_k = N_k / P^(k+1), row m is sum_k T(m, k) N_k P^(m-k) over P^(m+1),
+    and the sum is folded by Horner's rule in P, acc <- acc P + T(m, k) N_k:
+    one product by P per term, and no power of P but the denominator."""
+    numerators = taylor_numerators(pairs, period, order)
+    out, den = [], period ** (first + 1)
+    for row in _stirling_triangle(order)[first:]:
+        acc = 0
+        for t, n in zip(row, numerators):
+            acc = acc * period + t * n
+        out.append(Fraction(acc, den))
+        den *= period
+    return out
 
 
 def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fraction]:
@@ -270,25 +284,30 @@ def _open_set_level(a: int, p: int, n: int, b: int, target_digits: int) -> int:
     return pn
 
 
-def _open_set_entry(a: int, p: int, n: int, inverse: int, b: int, certified: int) -> OpenSetMeasure:
-    """The unchecked core of ``measure_on_open_set``, with inverse = p^(-n) mod a.
+def _open_set_entries(a: int, p: int, n: int, pn: int, certified: int, residues) -> dict[int, OpenSetMeasure]:
+    """The unchecked core of ``measure_on_open_set``, for each b in residues, with pn = p^n.
 
     The weights c_j = xi_1(b + j p^n) over the period j = start..start + a - 1
     are 1 but at the one j0 with a | b + j0 p^n, where c_j0 = 1 - a, so
     -(1/a) sum_j j c_j = k - (a - 1)/2 with k = j0 - start, that is
-    k = (-b p^(-n) - start) mod a."""
-    k = (-b * inverse - (0 if b else 1)) % a
-    series_sum = Fraction(2 * k + 1 - a, 2)
-    return OpenSetMeasure(
-        a=a,
-        p=p,
-        n=n,
-        b=b,
-        series_sum=series_sum,
-        certified_digits=certified,
-        conjectured=open_set_closed_form(a, p, n, b),
-        value=reduce_absolute(series_sum, p, certified),
-    )
+    k = (-b p^(-n) - start) mod a.  So a series sum is one of a values, and so
+    is a conjectured value, by j = floor(ab / p^n) in 0..a-1: each value, and
+    the reduction of each series sum, is formed once for all the residues, and
+    entries that share a value share the object (neither kind is mutable)."""
+    inverse = pow(pn, -1, a)
+    sums, conjectures, out = {}, {}, {}
+    for b in residues:
+        k = (-b * inverse - (0 if b else 1)) % a
+        if k not in sums:
+            series_sum = Fraction(2 * k + 1 - a, 2)
+            sums[k] = series_sum, reduce_absolute(series_sum, p, certified)
+        j = a * b // pn
+        if j not in conjectures:
+            conjectures[j] = open_set_closed_form(a, p, n, b)
+        series_sum, value = sums[k]
+        # positional, in slot order: keywords made a table nearly twice as slow
+        out[b] = OpenSetMeasure(a, p, n, b, series_sum, certified, conjectures[j], value)
+    return out
 
 
 def measure_on_open_set(
@@ -301,29 +320,30 @@ def measure_on_open_set(
     c_j = xi_1(b + j p^n), j >= 0 (j >= 1 for b = 0, as Psi_1 starts at
     t^1).  Since a is prime to p, c has period a in j and zero period sum,
     so its value at t = 1 is -(1/a) sum_j j c_j over one period, read from
-    the formula for xi_1 in O(1) (``_open_set_entry``).  It is the
+    the formula for xi_1 in O(1) (``_open_set_entries``).  It is the
     regularized Bernoulli distribution E_{1,a} at -b (Washington, Cyclotomic
     Fields, section 12.1), and equals the Mahler pairing sum_k a_k(b, n) d_k
     of ``open_set_from_moments``.
     """
     pn = _open_set_level(a, p, n, b, target_digits)
-    return _open_set_entry(a, p, n, pow(pn, -1, a), b, target_digits + guard)
+    return _open_set_entries(a, p, n, pn, target_digits + guard, (b,))[b]
 
 
 def measure_open_set_table(
     a: int, p: int, n: int, target_digits: int = 4, guard: int = 3
 ) -> dict[int, OpenSetMeasure]:
-    """``measure_on_open_set`` for every residue b mod p^n, with (a, p, n) checked once."""
+    """``measure_on_open_set`` for every residue b mod p^n, with (a, p, n) checked once
+    and each of the at most a distinct values formed once."""
     pn = _open_set_level(a, p, n, 0, target_digits)
-    inverse, certified = pow(pn, -1, a), target_digits + guard
-    return {b: _open_set_entry(a, p, n, inverse, b, certified) for b in range(pn)}
+    return _open_set_entries(a, p, n, pn, target_digits + guard, range(pn))
 
 
 def open_set_from_moments(moments: list[Fraction], p: int, n: int, b: int) -> Fraction:
     """Pair a characteristic function against externally supplied binomial
     moments d_k (Corollary-style: the moments determine the measure), as
     sum a_k(b) num_k (L // den_k) over L = lcm(den_k): one ``Fraction`` at the end,
-    with each moment's numerator and denominator read once."""
+    with each moment's numerator and denominator read once.  p is checked first."""
+    require_primes(p)
     a_k = characteristic_coefficients_exact(b, n, p, len(moments) - 1)
     dens = [d.denominator for d in moments]
     nums = [d.numerator for d in moments]

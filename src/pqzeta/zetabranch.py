@@ -230,8 +230,11 @@ def excluded_sigma0(p: int, q: int) -> set[int]:
     Contains -1, the listed multiples k(p-1) (k = 1..q-2) and k(q-1)
     (k = 1..p-2) from both sides, and every class with sigma0 = -1 mod (p-1)
     or mod (q-1), where the index s0 + sigma(p-1)(q-1) + 1 falls out of the
-    Kummer hypotheses.
+    Kummer hypotheses.  p and q are checked as ``DoubleBranch`` checks them.
     """
+    require_primes(p, q)
+    if p < 5 or q < 5:
+        raise ValueError("double branches need p, q >= 5")
     return {s0 for s0 in range(-1, (p - 1) * (q - 1) - 1) if _is_excluded(s0, p, q)}
 
 

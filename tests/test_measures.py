@@ -380,9 +380,9 @@ def test_resumed_numerators_equal_the_one_shot_division(values, steps):
 
 
 @st.composite
-def zero_sum_pairs(draw):
-    """A period up to 10^6 and at most 6 nonzero weights of zero sum, ascending in n."""
-    period = draw(st.one_of(st.integers(1, 40), st.integers(1, 10**6)))
+def zero_sum_pairs(draw, top: int = 10**6):
+    """A period up to top and at most 6 nonzero weights of zero sum, ascending in n."""
+    period = draw(st.one_of(st.integers(1, 40), st.integers(1, top)))
     ns = sorted(draw(st.lists(st.integers(1, period), max_size=6, unique=True)))
     ws = [draw(st.integers(-(10**6), 10**6).filter(bool)) for _ in ns[1:]]
     pairs = list(zip(ns[1:], ws))
@@ -405,6 +405,40 @@ def test_sparse_numerators_equal_the_dense_division(case, upto):
         unbalanced = pairs[:-1] + [(pairs[-1][0], pairs[-1][1] + 1)] if pairs else [(period, 1)]
         with pytest.raises(ArithmeticError, match="period sum is not zero"):
             taylor_numerators(unbalanced, period, upto)
+
+
+def scaled_pairing(pairs, period: int, order: int, first: int = 0) -> list[Fraction]:
+    """The monomial moments as they were paired before the Horner fold: every
+    N_k scaled to P^(order+1), each row summed against the scaled list."""
+    numerators = taylor_numerators(pairs, period, order)
+    scaled = [n * period ** (order - k) for k, n in enumerate(numerators)]
+    den = period ** (order + 1)
+    return [Fraction(sum(t * n for t, n in zip(row, scaled)), den) for row in reference_triangle(order)[first:]]
+
+
+@st.composite
+def horner_cases(draw):
+    """Zero-sum pairs on a period up to 10^24, an order up to 40 and a first order up to it."""
+    pairs, period = draw(zero_sum_pairs(10**24))
+    order = draw(st.integers(0, 40))
+    return pairs, period, order, draw(st.integers(0, order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(horner_cases())
+@example(case=([(3, 1), (3 * 10**24 - 9, -1)], 3 * 10**24 - 9, 40, 0))
+@example(case=([], 1, 0, 0))
+@example(case=([(1, 1), (2, 1), (3, -2)], 3, 40, 40))
+def test_the_horner_fold_is_the_scaled_pairing(case):
+    """Folding row m by Horner's rule in P over P^(m+1) gives the reduced
+    Fraction of the pairing over P^(order+1), for every first order."""
+    pairs, period, order, first = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_NUMERATORS", {})
+        got, want = _monomial_moments(pairs, period, order, first), scaled_pairing(pairs, period, order, first)
+    assert len(got) == order + 1 - first
+    for g, w in zip(got, want):
+        assert type(g) is type(w) is Fraction and g == w, (pairs, period, order, first)
 
 
 def test_a_moment_that_disagrees_with_zeta_is_an_internal_error(monkeypatch):
@@ -675,6 +709,36 @@ def test_every_table_entry_is_the_single_entry_field_by_field():
                 for field in OpenSetMeasure.__slots__:
                     got, want = getattr(entry, field), getattr(single, field)
                     assert type(got) is type(want) and got == want and repr(got) == repr(want), (a, p, n, b, field)
+
+
+@pytest.mark.parametrize("a, p, n", [(2, 5, 2), (3, 7, 2), (6, 7, 1), (4, 3, 3), (10, 3, 1), (2, 11, 0)])
+def test_a_table_reduces_each_distinct_series_sum_once(a, p, n, monkeypatch):
+    """A table of p^n entries makes at most a reductions and a conjectured
+    values, and entries with one value share it; the table is unchanged."""
+    want = {b: measure_on_open_set(a, p, n, b) for b in range(p**n)}
+    calls = {"reduce": 0, "closed": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(measures, "reduce_absolute", counted("reduce", measures.reduce_absolute))
+    monkeypatch.setattr(measures, "open_set_closed_form", counted("closed", measures.open_set_closed_form))
+    table = measure_open_set_table(a, p, n)
+    assert table == want
+    assert calls["reduce"] <= min(a, p**n) and calls["closed"] <= min(a, p**n), calls
+    sums = {e.series_sum: e.value for e in table.values()}
+    for entry in table.values():
+        assert entry.value is sums[entry.series_sum]
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, True, 2.0])
+def test_the_pairing_checks_its_prime_first(p):
+    with pytest.raises(ValueError, match=rf"^{p} is not a prime$"):
+        open_set_from_moments([Fraction(1, 2), 3], p, 1, 0)
 
 
 def _refusal(call):

@@ -3,7 +3,11 @@
 The decision "is this a valid prime, and what do we say if not" lives in
 ``padics.require_primes`` alone; every entry point that takes a prime calls
 it.  ``is_prime`` is left to that helper and to two places where it is
-arithmetic or text validation, not argument checking.
+arithmetic or text validation, not argument checking.  In ``measures`` and
+``zetabranch`` every public function with a parameter ``p`` or ``q`` calls
+``require_primes`` or one of the named checkers that call it first
+(``measures._open_set_level``, ``zetabranch._kummer``); the one exception is
+``measures.open_set_closed_form``, a pure formula.
 
 Bernoulli values reach formulas through ``rationals.zeta_neg_ratio`` (zeta
 at a non-positive integer, with the Euler factors at a tuple of primes
@@ -87,6 +91,11 @@ BERNOULLI_CALLERS = {
     "analytic.zeta_dirichlet",
     "cli._cmd_bernoulli",
 }
+
+PRIME_CHECKERS = {"require_primes", "_open_set_level", "_kummer"}
+
+# public functions of measures and zetabranch that take p or q and check no prime
+UNCHECKED_PRIME_TAKERS = {"measures.open_set_closed_form"}
 
 OUTSIDE_CONSUMERS = {
     "gamma.morita_gamma_exact": "acceptance criterion 3 (tests/test_acceptance.py)",
@@ -264,6 +273,21 @@ def test_no_private_prime_validator():
         if not isinstance(node, ast.ClassDef) and node.name.startswith("_require_prime")
     ]
     assert found == []
+
+
+def test_every_public_function_that_takes_p_or_q_checks_its_primes():
+    trees = dict(_parsed())
+    takers, unchecked = set(), set()
+    for module in ("measures", "zetabranch"):
+        for name, node, _ in _public_definitions(module, trees[module]):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)} & {"p", "q"}:
+                takers.add(name)
+                if not any(_calls(node, checker) for checker in PRIME_CHECKERS):
+                    unchecked.add(name)
+    assert {"measures.double_moment", "zetabranch.kummer_check"} <= takers  # the walk does find them
+    assert unchecked == UNCHECKED_PRIME_TAKERS, sorted(unchecked ^ UNCHECKED_PRIME_TAKERS)
 
 
 def test_only_the_records_that_validate_or_build_containers_define_init():

@@ -261,6 +261,17 @@ def test_double_branch_construction_and_pole():
         double_branch_eval(pole, 0, 2)
 
 
+@pytest.mark.parametrize("p, q", [(4, 6), (5, 5), (2, 3), (3, 7), (5, 2), (1, 7), (True, 7), (5.0, 7), (7, 0)])
+def test_the_excluded_set_checks_its_primes_as_a_branch_does(p, q):
+    """Bad primes, repeated primes and primes below 5 are refused with the
+    message that the double branch itself gives."""
+    with pytest.raises(ValueError) as branch:
+        DoubleBranch(p, q, -1, pole=True)
+    with pytest.raises(ValueError) as excluded:
+        excluded_sigma0(p, q)
+    assert str(excluded.value) == str(branch.value)
+
+
 def test_double_branch_values():
     branch = DoubleBranch(p=5, q=7, sigma0=0)
     for N in (1, 2, 3, 6):
