@@ -4,11 +4,15 @@ Functions N -> Q_p are supplied as exact values (int/Fraction) or
 ``PadicNumber``s on a window [0, L].  By Mahler's theorem the coefficients
 are the forward differences a_n = D^n f(0) and a continuous function is
 recovered as f(x) = sum_n C(x, n) a_n.  Both directions work on exact
-rational representatives, each paired with the absolute precision it is
-known to, and reduce once at the end: ``_differences`` is the one
-difference loop (coefficients, decay checks) and ``_pair`` the one binomial
-pairing (evaluation), reduced by ``padics.reduce_absolute`` for a p each
-entry point checks once.  Decay certificates record the bound
+rational representatives (``_representative``), each paired with the
+absolute precision it is known to, and reduce once at the end:
+``_differences`` is the one difference loop (coefficients, decay checks)
+and ``_pair`` the one binomial pairing (evaluation at any point), reduced by
+``padics.reduce_absolute`` for a p each entry point checks once.  At the
+integers 0, 1, 2, ... in turn a series is evaluated by walking its
+difference table back up instead (``_walked``): the module table ``_WALK``
+holds the walk of the last series walked from x = 0, and only ``_walked``
+reads or writes it.  Decay certificates record the bound
 |a_n|_p <= p^(-s) for n >= s * p^t coming from a uniform-continuity modulus.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from .padics import (
     INFINITY,
@@ -254,6 +259,7 @@ def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     representative u p^v (a ``Fraction`` when v < 0) is added only for
     u != 0.  v_p(C) >= 0, so it is computed only for a term with abs(a_n)
     below the precision known so far: no other term can lower it.
+    At an integer, ``evaluate_mahler`` reads ``_walked`` first.
     """
     p, prec = series.p, series.precision
     coeffs = series.coeffs
@@ -283,11 +289,77 @@ def _pair(series: MahlerSeries, r: int, top: int, digits=INFINITY):
     return total, known
 
 
+# The walk of ``_walked`` for the last series walked from x = 0, or []:
+# [p, precision, a_0..a_X as read, f(0..X), D_X..D_0, then the least
+# precision + v(a_n) and the least abs(a_n) over n < x, for x = 0..X + 1].
+_WALK: list = []
+
+
+def _walked(series: MahlerSeries, x: int):
+    """``_pair(series, x, x)``, value and type, for 0 <= x < len(series),
+    from the walk of the difference table; None when the walk neither holds
+    x nor reaches it next, and any such x is left to ``_pair``, since a table
+    built up to a far x would cost O(x^2) adds of growing numbers.
+
+    The walk keeps f(0..X) and D_k = D^k f(X - k), k <= X, exact sums of the
+    representatives.  C(y, X + 1) = 0 for y <= X, so a_(X+1) changes no f(y)
+    there, and D^k f(X + 1 - k) = D^k f(X - k) + D^(k+1) f(X - k) gives
+    D'_(X+1) = a_(X+1) and D'_k = D_k + D'_(k+1): f(X + 1) = D'_0 in X + 1 adds.
+    known is ``_pair``'s min over n <= x of precision + v(a_n) and
+    abs(a_n) + v_p(C(x, n)), exact zeros (v = abs = +inf) aside: the prefix
+    minima of the two terms without the binomial, and only when the second
+    is below the first, v_p(C(x, n)) from Legendre's v_p(m!) = (m - s_p(m))/(p - 1),
+    s_p the base-p digit sum: (s_p(n) + s_p(x - n) - s_p(x))/(p - 1) (Kummer).
+
+    The walk reads only p, the precision and the slots of a_0..a_X, so it
+    serves any series with the same p and precision whose coefficients 0..X
+    are the ones read or equal to them slot for slot (list ==, identity
+    first); otherwise it restarts at x = 0.  It holds those coefficients and
+    two lists of at most len(series) exact values.
+    """
+    p, prec, coeffs = series.p, series.precision, series.coeffs
+    walk = _WALK
+    if not (walk and walk[0] == p and walk[1] == prec and walk[2] == coeffs[: len(walk[2])]):
+        if x:
+            return None
+        walk[:] = p, prec, coeffs[:0], [], [], [INFINITY], [INFINITY]
+    values, diagonal, least_v, least_abs = walk[3:]
+    if x == len(values):
+        walk[2] = coeffs[: x + 1]
+        a = coeffs[x]
+        diagonal[:] = accumulate(diagonal, initial=_representative(a))
+        values.append(diagonal[-1])
+        least_v.append(min(least_v[-1], prec + a.valuation))
+        least_abs.append(min(least_abs[-1], a.valuation + a.precision))
+    elif x > len(values):
+        return None
+    known = least_v[x + 1]
+    if least_abs[x + 1] < known:
+        s = _digit_sum(x, p)
+        for n, a in enumerate(islice(coeffs, x + 1)):
+            t = a.valuation + a.precision
+            if t < known:
+                t += (_digit_sum(n, p) + _digit_sum(x - n, p) - s) // (p - 1)
+                if t < known:
+                    known = t
+    return values[x], known
+
+
+def _digit_sum(n: int, p: int) -> int:
+    """s_p(n), the sum of the base-p digits of n >= 0."""
+    s = 0
+    while n:
+        n, d = divmod(n, p)
+        s += d
+    return s
+
+
 def evaluate_mahler(series: MahlerSeries, x):
     """Evaluate sum_n C(x, n) a_n.
 
     For an integer x >= 0 the sum is finite (binomials vanish past x) and is
-    computed exactly from the stored residues.  For a PadicNumber x with
+    computed exactly from the stored residues, by ``_walked`` when x is at
+    most one past its walk and by ``_pair`` otherwise.  For a PadicNumber x with
     v >= 0 the series is truncated where the decay certificate puts the tail
     below the working precision; without a certificate the call fails.  The
     value also claims no digit that another representative of x could change
@@ -300,7 +372,7 @@ def evaluate_mahler(series: MahlerSeries, x):
             raise ValueError("integer evaluation needs x >= 0")
         if x >= len(series.coeffs):
             raise InsufficientTailError(f"window of {len(series.coeffs)} ends before x={x}")
-        total, known = _pair(series, x, x)
+        total, known = _walked(series, x) or _pair(series, x, x)
         return PadicNumber.exact_zero(p) if known == INFINITY else reduce_absolute(total, p, known)
 
     if not isinstance(x, PadicNumber) or x.p != p:

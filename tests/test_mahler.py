@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from pqzeta.gamma import morita_gamma_exact
 from pqzeta.mahler import (
+    _WALK,
     InsufficientTailError,
     MahlerSeries,
     _log_floor,
     _pair,
     _representative,
+    _walked,
     characteristic_coefficients_exact,
     characteristic_mahler,
     evaluate_mahler,
@@ -269,14 +271,101 @@ def _typed(value):
 ])
 def test_pair_edge_cases_are_type_identical_to_the_comb_pairing(p, precision, coeffs):
     """At every integer x the pairing and the evaluation are the oracle's
-    down to the type of each field: int against Fraction, int against inf."""
+    down to the type of each field: int against Fraction, int against inf.
+    The evaluation runs in forward order, so it is the walk's."""
     series = MahlerSeries(p, precision, coeffs)
     for x in range(len(coeffs)):
         got, want = _pair(series, x, x), pair_by_comb(series, x, x)
         assert _typed(got) == _typed(want), x
-        total, known = want
-        value = PadicNumber.exact_zero(p) if known == INFINITY else reduce_absolute(total, p, known)
-        assert _typed(evaluate_mahler(series, x)) == _typed(value), x
+        assert _typed(evaluate_mahler(series, x)) == _typed(_by_comb(series, x)), x
+    assert _walk_length(series) == len(coeffs)
+
+
+def _by_comb(series, x):
+    """evaluate_mahler(series, x) at an integer from the oracle pairing, which
+    reads the fields as they are now, as a fresh series of them would."""
+    total, known = pair_by_comb(series, x, x)
+    return PadicNumber.exact_zero(series.p) if known == INFINITY else reduce_absolute(total, series.p, known)
+
+
+def _walk_length(series):
+    """How many points the walk holds for series: 0 when it holds another."""
+    if _WALK[:2] != [series.p, series.precision] or _WALK[2] != series.coeffs[:len(_WALK[2])]:
+        return 0
+    return len(_WALK[2])
+
+
+def _evaluates_as_the_oracle(series, xs):
+    """Each evaluation is the oracle's, field by field, and so is the walk's
+    (total, known) wherever the walk then holds x."""
+    for x in xs:
+        assert _typed(evaluate_mahler(series, x)) == _typed(_by_comb(series, x)), x
+        walked = _walked(series, x)
+        if walked is not None:
+            assert _typed(walked) == _typed(pair_by_comb(series, x, x)), x
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_series(), st.sampled_from(("forward", "reversed", "shuffled", "repeated")), st.randoms())
+def test_the_walk_gives_the_comb_pairing_in_every_order(series, order, rng):
+    """Evaluated at its integers in any order, a series gives the oracle's
+    value, field by field; forward and repeated orders walk the whole series."""
+    xs = list(range(len(series)))
+    if order == "reversed":
+        xs.reverse()
+    elif order == "shuffled":
+        rng.shuffle(xs)
+    elif order == "repeated":
+        xs = [x for x in xs for _ in range(2)] + xs[::-1]
+    _evaluates_as_the_oracle(series, xs)
+    if order in ("forward", "repeated"):
+        assert _walk_length(series) == len(series)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_series(), mixed_series())
+def test_two_interleaved_series_each_give_the_comb_pairing(first, second):
+    """Two series evaluated in turn, x by x, each give the oracle's values."""
+    for x in range(max(len(first), len(second))):
+        for series in (first, second):
+            if x < len(series):
+                _evaluates_as_the_oracle(series, [x])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_series(), st.sampled_from(("replace a coefficient", "reassign coeffs", "reassign precision")),
+       st.data())
+def test_a_series_changed_under_its_walk_gives_the_comb_pairing(series, change, data):
+    """After a coefficient already read is replaced in place, or coeffs or
+    precision is reassigned, every point is a fresh series' value."""
+    p, top = series.p, len(series) - 1
+    walked = data.draw(st.integers(0, top), label="walked to")
+    _evaluates_as_the_oracle(series, range(walked + 1))
+    k = data.draw(st.integers(0, walked), label="k")
+    unit = data.draw(st.integers(1, p**8).filter(lambda u: u % p), label="unit")
+    other = PadicNumber(p, data.draw(st.integers(-3, 3), label="v"), unit, data.draw(st.integers(1, 9), label="n"))
+    if change == "replace a coefficient":
+        series.coeffs[k] = other
+    elif change == "reassign coeffs":
+        series.coeffs = series.coeffs[:k] + [other] + series.coeffs[k + 1:]
+    else:
+        series.precision = data.draw(st.integers(1, 7).filter(lambda n: n != series.precision), label="precision")
+    _evaluates_as_the_oracle(series, [walked, *range(top + 1), *range(top, -1, -1)])
+
+
+def test_a_far_point_does_not_extend_the_walk():
+    """x = 2000 on a fresh 2001-term series is one pairing: the walk keeps the
+    series it held, at the length it had, and builds no table up to x; nor
+    does it once it walks the new series."""
+    held = MahlerSeries(5, 6, [PadicNumber(5, 1, 1 + n % 4, 6) for n in range(10)])
+    _evaluates_as_the_oracle(held, range(10))
+    fresh = MahlerSeries(5, 6, [PadicNumber(5, n % 3, 1 + n % 4, 6) for n in range(2001)])
+    value = _by_comb(fresh, 2000)
+    assert evaluate_mahler(fresh, 2000) == value
+    assert _walk_length(fresh) == 0 and _walk_length(held) == 10
+    _evaluates_as_the_oracle(fresh, range(5))
+    assert evaluate_mahler(fresh, 2000) == value
+    assert _walk_length(fresh) == 5
 
 
 def test_verify_decay_linear_vacuous():

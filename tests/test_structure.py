@@ -32,7 +32,9 @@ out a product-form Euler factor.
 
 Teichmuller roots have one keeper: ``padics._teichmuller_unit`` alone reads
 or writes the module table ``_ROOTS``, so every lift, from ``teichmuller``,
-``double_teichmuller`` or ``angle_bracket``, passes through it.
+``double_teichmuller`` or ``angle_bracket``, passes through it.  The
+difference-table walk of Mahler evaluation has one keeper too:
+``mahler._walked`` alone reads or writes the module table ``_WALK``.
 
 A ``PadicNumber`` is built unchecked in three places only:
 ``PadicNumber._of_unit``, which assigns the four slots with no reduction
@@ -204,6 +206,10 @@ def test_euler_factors_are_read_mod_p_to_the_k_in_one_place():
 
 def test_one_keeper_of_the_teichmuller_roots():
     assert _readers("_ROOTS") == {"padics._teichmuller_unit"}
+
+
+def test_one_keeper_of_the_mahler_walk():
+    assert _readers("_WALK") == {"mahler._walked"}
 
 
 def test_only_three_builders_construct_a_padic_number_unchecked():
