@@ -12,7 +12,11 @@ and ``_pair`` the one binomial pairing (evaluation at any point), reduced by
 integers 0, 1, 2, ... in turn a series is evaluated by walking its
 difference table back up instead (``_walked``): the module table ``_WALK``
 holds the walk of the last series walked from x = 0, and only ``_walked``
-reads or writes it.  Decay certificates record the bound
+reads or writes it.  The indicator coefficients of a class mod p^n come from
+one fold over every class, and the module table ``_COLUMNS`` keeps the fold's
+columns keyed by (min(p^n, upto + 1), upto), at most ``_COLUMN_LIMIT`` = 4096
+integers in all; only ``characteristic_coefficients_exact`` reads or writes
+it.  Decay certificates record the bound
 |a_n|_p <= p^(-s) for n >= s * p^t coming from a uniform-continuity modulus.
 """
 
@@ -315,13 +319,16 @@ def _walked(series: MahlerSeries, x: int):
     serves any series with the same p and precision whose coefficients 0..X
     are the ones read or equal to them slot for slot (list ==, identity
     first); otherwise it restarts at x = 0.  It holds those coefficients and
-    two lists of at most len(series) exact values.
+    two lists of at most len(series) exact values.  A walk starts only at a p
+    that ``require_primes`` passes, so a call served from a walk held at p
+    needs no check of its own.
     """
     p, prec, coeffs = series.p, series.precision, series.coeffs
     walk = _WALK
     if not (walk and walk[0] == p and walk[1] == prec and walk[2] == coeffs[: len(walk[2])]):
         if x:
             return None
+        require_primes(p)
         walk[:] = p, prec, coeffs[:0], [], [], [INFINITY], [INFINITY]
     values, diagonal, least_v, least_abs = walk[3:]
     if x == len(values):
@@ -364,17 +371,23 @@ def evaluate_mahler(series: MahlerSeries, x):
     below the working precision; without a certificate the call fails.  The
     value also claims no digit that another representative of x could change
     (see ``_log_floor``), and a value left with no digit raises PrecisionError.
+    p is checked first, except at a point served from a walk held at p,
+    which checked p when it began.
     """
     p, n_prec = series.p, series.precision
-    require_primes(p)
     if isinstance(x, int):
-        if x < 0:
-            raise ValueError("integer evaluation needs x >= 0")
-        if x >= len(series.coeffs):
-            raise InsufficientTailError(f"window of {len(series.coeffs)} ends before x={x}")
-        total, known = _walked(series, x) or _pair(series, x, x)
+        walked = _walked(series, x) if 0 <= x < len(series.coeffs) else None
+        if walked is None:
+            require_primes(p)
+            if x < 0:
+                raise ValueError("integer evaluation needs x >= 0")
+            if x >= len(series.coeffs):
+                raise InsufficientTailError(f"window of {len(series.coeffs)} ends before x={x}")
+            walked = _pair(series, x, x)
+        total, known = walked
         return PadicNumber.exact_zero(p) if known == INFINITY else reduce_absolute(total, p, known)
 
+    require_primes(p)
     if not isinstance(x, PadicNumber) or x.p != p:
         raise TypeError("x must be an int or a PadicNumber over the same prime")
     if x.valuation < 0:
@@ -390,9 +403,17 @@ def evaluate_mahler(series: MahlerSeries, x):
     return reduce_absolute(total, p, known)
 
 
+# The columns of the indicator fold of ``characteristic_coefficients_exact``,
+# keyed by (width, upto) with width = min(p^n, upto + 1): column c is the
+# tuple a_0(c)..a_upto(c).  The folds held store at most _COLUMN_LIMIT
+# integers in all.
+_COLUMNS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+_COLUMN_LIMIT = 2**12
+
+
 def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list[int]:
     """Integer Mahler coefficients a_k(b), k = 0..upto, of the indicator of
-    the class b mod p^n.
+    the class b mod p^n, as a new list.
 
     a_k(b) = sum over j <= k with j = b mod p^n of (-1)^(k-j) C(k, j).  Pascal's
     rule C(k, j) = C(k-1, j-1) + C(k-1, j), summed over a class and folded mod
@@ -402,6 +423,20 @@ def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list
     length k.  No class c > upto holds a j <= upto, so when p^n > upto + 1 a
     row stops after c = upto (the entries past it are all zero) and the fold
     reads a zero.  A class needs n >= 0.
+
+    The fold is the same for every class and depends on p^n only through
+    width = min(p^n, upto + 1), so the module table ``_COLUMNS`` keeps its
+    columns per (width, upto), and a call at a key already folded reads its
+    column.  A fold stores width (upto + 1) integers, and the table holds at
+    most ``_COLUMN_LIMIT`` = 4096 in all: a fold that would take it past the
+    limit clears it first, and a fold larger than the limit stores nothing
+    and keeps one row at a time.  The limit bounds the memory too, since
+    |a_k(c)| <= sum_j C(k, j) = 2^k: entry k has at most k bits, and
+    width >= 2 (width 1 holds only 1 and 0s) gives upto <= 2047, so the
+    entries hold at most 4096 * 2047 / 2 bits, 0.5 MB, and the table stays
+    under 1 MB.  An ``open-set`` round needs (5, 35) and (7, 49), 530
+    integers; the ``mahler-coeffs --char`` cap, (2121, 2120), would need 4.5
+    million.
     """
     if n < 0:
         raise ValueError(f"need a class exponent n >= 0, got n = {n}")
@@ -410,12 +445,22 @@ def characteristic_coefficients_exact(b: int, n: int, p: int, upto: int) -> list
     if b > upto:
         return [0] * (upto + 1)
     width = min(p**n, upto + 1)
-    row = [1] + [0] * (width - 1)
-    coeffs = [row[b]]
-    for _ in range(upto):
-        row = [row[c - 1] - row[c] for c in range(width)]
-        coeffs.append(row[b])
-    return coeffs
+    key = width, upto
+    columns = _COLUMNS.get(key)
+    if columns is None:
+        size = width * (upto + 1)
+        store = size <= _COLUMN_LIMIT
+        row = [1] + [0] * (width - 1)
+        kept = [row if store else row[b]]
+        for _ in range(upto):
+            row = [row[c - 1] - row[c] for c in range(width)]
+            kept.append(row if store else row[b])
+        if not store:
+            return kept
+        if size + sum([w * (u + 1) for w, u in _COLUMNS]) > _COLUMN_LIMIT:
+            _COLUMNS.clear()
+        columns = _COLUMNS[key] = tuple(zip(*kept))
+    return list(columns[b])
 
 
 def characteristic_mahler(b: int, n: int, p: int, upto: int) -> MahlerSeries:

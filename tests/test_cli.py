@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -627,6 +628,38 @@ def test_batch_moments_argv_do_not_depend_on_the_triangle(monkeypatch):
         reports.append({tuple(argv): _run(argv) for argv in order})
     assert reports[0] == reports[1] == reports[2]
     assert all(code == 0 for code, _ in reports[0].values())
+
+
+def test_batch_open_set_and_char_argv_do_not_depend_on_the_columns(monkeypatch, capsys):
+    """The benchmark's open-set-measure and mahler-coeffs --char argv print
+    the exit code, stdout and stderr they print from an empty column table
+    in forward, reversed and shuffled order, and after --char folds that
+    share the --char argv's key or fill the table until it is cleared."""
+    from pqzeta import mahler
+
+    def job(argv):
+        code, out = _run(argv)
+        return code, out, capsys.readouterr().err
+
+    batch = [argv for argv in _cli_batch_argv() if "open-set-measure" in argv or "--char" in argv]
+    assert len(batch) == 2
+    fresh = {}
+    for argv in batch:
+        monkeypatch.setattr(mahler, "_COLUMNS", {})
+        fresh[tuple(argv)] = job(argv)
+    assert all(code == 0 and out and not err for code, out, err in fresh.values())
+    warmers = [["mahler-coeffs", "--char", "0,1", "--p", "3", "--upto", "12"],
+               ["mahler-coeffs", "--char", "4,2", "--p", "3", "--upto", "40"],
+               ["mahler-coeffs", "--char", "3,2", "--p", "7", "--upto", "60"],
+               ["mahler-coeffs", "--char", "1,1", "--p", "2", "--upto", "600"]]
+    shuffled = batch * 2 + warmers
+    random.Random(37).shuffle(shuffled)
+    monkeypatch.setattr(mahler, "_COLUMNS", {})
+    for order in (batch, batch[::-1], warmers + batch, shuffled):
+        for argv in order:
+            result = job(argv)
+            if argv in batch:
+                assert result == fresh[tuple(argv)], argv
 
 
 def test_chain_limits_exact_agreement_exits_0():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from pqzeta.gamma import morita_gamma_exact
 from pqzeta.mahler import (
+    _COLUMN_LIMIT,
+    _COLUMNS,
     _WALK,
     InsufficientTailError,
     MahlerSeries,
@@ -437,23 +439,112 @@ def test_characteristic_series():
     assert evaluate_mahler(series, 3).unit == 0 or evaluate_mahler(series, 3).is_exact_zero
 
 
+def class_sums(b: int, pn: int, upto: int) -> list[int]:
+    """The explicit a_k(b) = sum over j <= k with j = b mod p^n of (-1)^(k-j) C(k, j)."""
+    return [sum((-1) ** (k - j) * comb(k, j) for j in range(b, k + 1, pn)) for k in range(upto + 1)]
+
+
+def _stored() -> int:
+    """How many integers the column table holds."""
+    return sum(len(column) for columns in _COLUMNS.values() for column in columns)
+
+
 def test_characteristic_coefficients_match_alternating_sum():
     """The folded Pascal recurrence against the explicit class sums for every
-    b; (3, 4) has p^n > upto + 1, where a row stops at class upto and every
-    b > upto has only zero coefficients."""
-    upto = 60
-    for p, n in ((2, 3), (3, 2), (5, 0), (5, 1), (5, 2), (7, 2), (3, 4)):
+    b, from an empty column table and then read back warm; (3, 4) has
+    p^n > upto + 1, where a row stops at class upto and every b > upto has only
+    zero coefficients.  Folds of at most _COLUMN_LIMIT integers are stored and
+    larger ones, from (5, 3, 64) on, are not.  Mod 2 the sums are
+    a_k(c) = (-1)^(k-c) 2^(k-1) for k >= 1, since each class holds half of the
+    binomials of row k, all of one sign: the folds of 4096 and 4098 integers."""
+    for p, n, upto in ((2, 3, 60), (3, 2, 60), (5, 0, 60), (5, 1, 60), (5, 2, 60), (7, 2, 60), (3, 4, 60),
+                       (5, 1, 35), (7, 1, 49), (5, 3, 64), (11, 2, 70), (2, 1, 2047), (2, 1, 2048)):
         pn = p**n
-        for b in range(pn):
-            explicit = [
-                sum((-1) ** (k - j) * comb(k, j) for j in range(b, k + 1, pn))
-                for k in range(upto + 1)
-            ]
-            assert characteristic_coefficients_exact(b, n, p, upto) == explicit, (p, n, b)
+        if pn == 2:
+            explicit = [[1 - c] + [(-1) ** (k - c) * 2 ** (k - 1) for k in range(1, upto + 1)] for c in range(2)]
+            assert explicit[1][:40] == class_sums(1, 2, 39)
+        else:
+            explicit = [class_sums(b, pn, upto) for b in range(pn)]
+        _COLUMNS.clear()
+        for b in [*range(pn), *reversed(range(pn))]:
+            assert characteristic_coefficients_exact(b, n, p, upto) == explicit[b], (p, n, b)
+        width = min(pn, upto + 1)
+        assert list(_COLUMNS) == ([(width, upto)] if width * (upto + 1) <= _COLUMN_LIMIT else []), (p, n, upto)
+    upto = 60
     with pytest.raises(ValueError):
         characteristic_coefficients_exact(9, 2, 3, upto)
     with pytest.raises(ValueError, match="need a class exponent n >= 0, got n = -3"):
         characteristic_coefficients_exact(0, -3, 5, upto)
+
+
+def test_a_returned_column_is_the_callers_own():
+    """Changing a returned list changes no later call, warm or cold."""
+    _COLUMNS.clear()
+    first = characteristic_coefficients_exact(2, 1, 5, 35)
+    expected = class_sums(2, 5, 35)
+    assert first == expected and type(first) is list
+    first[3] = 10**9
+    first.append(7)
+    second = characteristic_coefficients_exact(2, 1, 5, 35)
+    assert second == expected and second is not first
+    second.clear()
+    assert characteristic_coefficients_exact(2, 1, 5, 35) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(0, 3), st.integers(0, 120), st.data()),
+                min_size=1, max_size=12))
+def test_the_column_table_never_holds_more_than_its_limit(calls):
+    """Any sequence of calls gives the class sums, and the table holds at most
+    _COLUMN_LIMIT integers after each, every fold in it whole."""
+    _COLUMNS.clear()
+    for p, n, upto, data in calls:
+        pn = p**n
+        b = data.draw(st.integers(0, pn - 1), label="b")
+        assert characteristic_coefficients_exact(b, n, p, upto) == class_sums(b, pn, upto), (p, n, b, upto)
+        assert _stored() <= _COLUMN_LIMIT
+        assert all(len(columns) == width and {len(c) for c in columns} == {upto + 1}
+                   for (width, upto), columns in _COLUMNS.items())
+
+
+def test_a_fold_past_the_limit_stores_nothing():
+    """The mahler-coeffs --char cap, upto = 2120 with p^n > 2121, keeps one row
+    at a time: the table is left as it was."""
+    _COLUMNS.clear()
+    characteristic_coefficients_exact(1, 1, 5, 35)
+    held = dict(_COLUMNS)
+    coeffs = characteristic_coefficients_exact(3, 1, 2131, 2120)
+    assert coeffs[:5] == [0, 0, 0, 1, -4] and coeffs[2120] == -comb(2120, 3)
+    assert len(coeffs) == 2121 and _COLUMNS == held and _stored() == 5 * 36
+
+
+def test_a_fold_that_would_pass_the_limit_clears_the_table_first():
+    _COLUMNS.clear()
+    characteristic_coefficients_exact(3, 2, 5, 60)
+    characteristic_coefficients_exact(3, 2, 7, 40)
+    assert list(_COLUMNS) == [(25, 60), (41, 40)] and _stored() == 25 * 61 + 41 * 41
+    assert characteristic_coefficients_exact(1, 1, 2, 1000)[:4] == [0, 1, -2, 4]
+    assert list(_COLUMNS) == [(2, 1000)] and _stored() == 2002
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_indicator_refusals_and_empty_classes_read_no_table(warm):
+    """b > upto returns zeros, n < 0 and b outside 0..p^n - 1 raise, in that
+    order, with the messages they always had, whatever the table holds."""
+    _COLUMNS.clear()
+    if warm:
+        for b in range(9):
+            characteristic_coefficients_exact(b, 2, 3, 5)
+    held = dict(_COLUMNS)
+    assert characteristic_coefficients_exact(7, 2, 3, 5) == [0] * 6
+    assert characteristic_coefficients_exact(3, 1, 5, 2) == [0, 0, 0]
+    assert characteristic_coefficients_exact(0, 1, 5, -1) == []
+    with pytest.raises(ValueError, match="need a class exponent n >= 0, got n = -1"):
+        characteristic_coefficients_exact(9, -1, 3, 5)
+    for b, n in ((9, 2), (-1, 2), (1, 0)):
+        with pytest.raises(ValueError, match=r"need 0 <= b < p\^n"):
+            characteristic_coefficients_exact(b, n, 3, 5)
+    assert _COLUMNS == held
 
 
 def test_characteristic_series_at_padic_points():
@@ -673,3 +764,19 @@ def test_every_mahler_entry_refuses_a_composite_prime():
     for b, n in ((0, 0), (1, 1), (5, 2)):
         with pytest.raises(ValueError, match="4 is not a prime"):
             characteristic_mahler(b, n, 4, 8)
+
+
+def test_a_composite_prime_is_refused_after_a_walk_at_a_prime():
+    """A walk is begun only at a checked prime, so a series built directly
+    with a composite p still raises at 0, 1 and 5 after a prime series has
+    been walked there, and the prime series' walk is left as it was."""
+    prime = MahlerSeries(5, 4, [PadicNumber(5, 0, 1 + k % 4, 4) for k in range(8)])
+    values = [evaluate_mahler(prime, x) for x in range(8)]
+    assert _walk_length(prime) == 8
+    for coeffs in ([PadicNumber(4, 0, 1, 4)] * 8, [PadicNumber(4, 0, 1 + k % 3, 4) for k in range(8)]):
+        composite = MahlerSeries(4, 4, coeffs)
+        for x in (0, 1, 5, 0):
+            with pytest.raises(ValueError, match="4 is not a prime"):
+                evaluate_mahler(composite, x)
+        assert _walk_length(prime) == 8
+    assert [evaluate_mahler(prime, x) for x in range(8)] == values

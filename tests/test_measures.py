@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
-from pqzeta import measures
+from pqzeta import mahler, measures
 from pqzeta.mahler import _differences, characteristic_coefficients_exact
 from pqzeta.measures import (
     OpenSetMeasure,
@@ -612,13 +612,24 @@ def fraction_fold_pairing(moments: list, p: int, n: int, b: int) -> Fraction:
 
 
 def test_common_denominator_pairing_equals_the_fraction_fold():
+    """The first pass folds every pairing's indicator coefficients afresh
+    (the column table emptied before each call); the second pairs each case
+    twice with the table kept, so the second call reads a stored column
+    wherever the fold fits the table, and gives the same value and type."""
+    cold = {}
     for a, p, n in ((2, 5, 1), (3, 5, 1), (2, 7, 1), (3, 7, 1), (2, 3, 2), (2, 5, 2), (4, 3, 1)):
         d = binomial_moments(a, p, 7 * p**n)
         for b in range(p**n):
             for moments in (d, d[: b + 1], d[:1], []):
-                got = open_set_from_moments(moments, p, n, b)
+                mahler._COLUMNS.clear()
+                got = cold[a, p, n, b, len(moments)] = open_set_from_moments(moments, p, n, b)
                 assert type(got) is Fraction, (a, p, n, b)
                 assert got == fraction_fold_pairing(moments, p, n, b), (a, p, n, b, len(moments))
+    for (a, p, n, b, length), got in cold.items():
+        moments = binomial_moments(a, p, 7 * p**n)[:length]
+        for _ in range(2):
+            warm = open_set_from_moments(moments, p, n, b)
+            assert type(warm) is Fraction and warm == got, (a, p, n, b, length)
 
 
 @st.composite

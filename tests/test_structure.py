@@ -212,6 +212,10 @@ def test_one_keeper_of_the_mahler_walk():
     assert _readers("_WALK") == {"mahler._walked"}
 
 
+def test_one_keeper_of_the_indicator_columns():
+    assert _readers("_COLUMNS") == {"mahler.characteristic_coefficients_exact"}
+
+
 def test_only_three_builders_construct_a_padic_number_unchecked():
     assert _callers("_of_unit") == {"padics._padic_unit", "padics.teichmuller", "padics.angle_bracket"}
 
