@@ -410,10 +410,10 @@ def _cmd_moments(args):
                 )
                 rows.append({"m": m, "value": value})
         else:
-            r = 1 if args.r is None else args.r
-            psi = measures.psi_r_series(args.a, r, args.mmax)
             if args.restricted:
                 raise ValueError("--restricted needs --pair p,q")
+            r = 1 if args.r is None else args.r
+            psi = measures.psi_r_series(args.a, r, args.mmax)
             for m, slot in enumerate(psi):
                 rows.append(
                     {
@@ -644,10 +644,10 @@ def _window_digits(text: str) -> int:
 def _moment_sizes(a) -> tuple[str, int, int, int]:
     """(order flag, order, weights, period) of a ``moments`` argv: the order is
     --mmax, or --delta if larger, and the weights and the period are those of
-    its largest weight list: the a nonzero weights of xi_r on the period r a
-    (with --pair, of xi_q on the period a q), or with --pair and --restricted
-    the a p of the p-unit twist on the period a q p.  All 0 for an argv that
-    the handler refuses with a message of its own."""
+    its largest weight list, the a nonzero weights of xi_r on the period r a
+    (with --pair, of xi_q on the period a q; with --restricted too, of xi_pq
+    on the period a p q, counted as a p, a conservative bound).  All 0 for an
+    argv that the handler refuses with a message of its own."""
     try:
         p, q = map(int, a.pair.split(",")) if a.pair else (1, 1)
     except ValueError:  # the handler names the malformed pair
@@ -677,9 +677,9 @@ def _moment_digits(a) -> tuple[str, int]:
 
 
 def _moment_terms(a) -> tuple[str, int]:
-    """(order + 1) * weights weight terms: a pair sweep builds, hashes and sums
-    its weight lists once per order, and a weight term costs far more than a
-    digit step.  Named by --pair when p multiplies the weights."""
+    """(order + 1) * weights weight terms: the series division sums a binomial
+    per weight for each order it forms, and a weight term costs far more than
+    a digit step.  Named by --pair when p multiplies the weights."""
     _, order, weights, _ = _moment_sizes(a)
     return "--pair" if a.pair and a.restricted else "--a", (order + 1) * weights
 

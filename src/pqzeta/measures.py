@@ -5,22 +5,23 @@ property that (t d/dt)^m Psi_r at t = 1 equals (1 - a^(m+1)) r^m zeta(-m).
 Every generating function here is sum_{n=1}^{P} w_n t^n / (1 - t^P) for
 periodic integer weights w whose period sum vanishes, so its pole at t = 1 is
 removable.  A weight list is its period P and its nonzero weights as pairs
-(n, w_n): a pairs for xi_r on the period ra, whatever r, and the p-unit pairs
-of p blocks for the twist by the unit indicator.  ``taylor_numerators`` is the
-one series division that expands it at t = 1, with work that scales with the
-pairs and the order, not the period: its Taylor coefficients
-d_k = [T^k] F(1 + T) are the binomial moments, the integrals of C(x, k)
-(Mahler's theorem).  No numerator depends on the order asked for, so the
-division resumes: the module table ``_NUMERATORS`` keeps, per weight list,
-the numerators up to the largest order asked for, for the life of the
-process, and a sweep over m = 0..M divides once.
+(n, w_n); the library forms only those of xi_r, a pairs on the period ra.
+``taylor_numerators`` is the one series division that expands it at t = 1,
+with work that scales with the pairs and the order, not the period: its
+Taylor coefficients d_k = [T^k] F(1 + T) are the binomial moments, the
+integrals of C(x, k) (Mahler's theorem).  No numerator depends on the order
+asked for, so the division resumes: the module table ``_NUMERATORS`` keeps,
+per (a, r), the numerators of xi_r up to the largest order asked for, for the
+life of the process; a sweep over m = 0..M divides once, and a call that
+finds its numerators there builds no weight list.
 
 Every moment is a Mahler pairing against the d_k: x^m pairs with the row
 D^k(x^m)(0) = k! S(m, k) of one Stirling triangle, folded by Horner's rule in
 the period P over P^(m+1), with no power of P per term.  That gives the
-monomial moments of Psi_r, of the two-prime measure and of its restriction
-to the p-units (the unit indicator twists the weights), each returned one checked
-against (1 - a^(m+1)) times r^m zeta(-m), zeta_q(-m) or zeta_{p,q}(-m), read
+monomial moments of Psi_r, each checked against (1 - a^(m+1)) r^m zeta(-m).
+The two-prime measure has the weights xi_1 - xi_q, and its restriction to the
+p-units xi_1 - xi_p - xi_q + xi_pq, so their moments are sums of those, each
+sum checked against zeta_q(-m) or zeta_{p,q}(-m).  Every zeta value is read
 from the Bernoulli table as an integer pair and compared by cross-multiplying.
 The triangle is module-level and only grows, so a sweep over m = 0..M builds
 it once; it keeps the rows up to the largest order asked for, O(M^2) integers
@@ -72,10 +73,10 @@ def xi_weights(a: int, r: int) -> tuple[tuple[int, int], ...]:
     return tuple([(r * b, 1) for b in range(1, a)] + [(r * a, 1 - a)])
 
 
-_NUMERATORS: dict[tuple[int, tuple[tuple[int, int], ...]], list[int]] = {}
+_NUMERATORS: dict[tuple[int, int], list[int]] = {}
 
 
-def taylor_numerators(pairs, period: int, upto: int) -> list[int]:
+def taylor_numerators(pairs, period: int, upto: int, numerators: list[int] | None = None) -> list[int]:
     """N_k with d_k = N_k / P^(k+1) the Taylor coefficients at t = 1 of
     sum_{n=1}^{P} w_n t^n / (1 - t^P), k = 0..upto, for the period P and the
     nonzero weights as pairs (n, w_n), 1 <= n <= P, ascending in n.
@@ -88,15 +89,13 @@ def taylor_numerators(pairs, period: int, upto: int) -> list[int]:
     N_k = P^k S_k - sum_{i>=1} Q_i P^(i-1) N_(k-i).  The work is
     O(upto * len(pairs)) binomials and O(upto^2) products, whatever the period.
 
-    No N_k depends on upto, so the division resumes: the module table
-    ``_NUMERATORS``, keyed by P and the pairs, keeps the numerators up to the
-    largest upto asked for, and a call forms only the S_k past them.  The
-    table only grows, and holds no lock (the package starts no threads).
+    No N_k depends on upto, so the division resumes: given the list ``numerators``
+    of the N_k formed so far, it appends those past them to N_upto and returns it.
     """
     pairs = tuple(pairs)
     if sum([w for _, w in pairs]):
         raise ArithmeticError("non-removable singularity: the weights' period sum is not zero")
-    numerators = _NUMERATORS.setdefault((period, pairs), [])
+    numerators = [] if numerators is None else numerators
     if len(numerators) <= upto:
         top = min(upto, period - 1)
         # Q_1 P^0 .. Q_top P^(top-1) by Q_(i+1) P^i = Q_i P^(i-1) P (P - i - 1) / (i + 2), exact:
@@ -109,7 +108,18 @@ def taylor_numerators(pairs, period: int, upto: int) -> list[int]:
             # N_(k-1), N_(k-2), ... against Q_1 P^0, Q_2 P^1, ...: map stops at the shorter
             lagged = sum(map(mul, q_scaled, reversed(numerators)))
             numerators.append(period**k * s_k - lagged)
-    return numerators[: upto + 1]
+    return numerators
+
+
+def _xi_numerators(a: int, r: int, upto: int) -> list[int]:
+    """N_0..N_upto, or more, of the weights xi_r on the period ra, from the module table
+    ``_NUMERATORS`` keyed by (a, r).  Only a call that finds too few there builds the
+    weights (``xi_weights``, which checks a and r) and resumes the division.  The table
+    only grows, and holds no lock (the package starts no threads)."""
+    numerators = _NUMERATORS.get((a, r))
+    if numerators is None or len(numerators) <= upto:
+        numerators = _NUMERATORS[a, r] = taylor_numerators(xi_weights(a, r), r * a, upto, numerators)
+    return numerators
 
 
 _TRIANGLE: list[list[int]] = [[1]]
@@ -129,14 +139,13 @@ def _stirling_triangle(order: int) -> list[list[int]]:
     return rows[: order + 1]
 
 
-def _monomial_moments(pairs, period: int, order: int, first: int = 0) -> list[Fraction]:
-    """(t d/dt)^m at t = 1 of the generating function of the weights ``pairs`` of period P,
-    m = first..order: sum_k T(m, k) d_k, as x^m = sum_k T(m, k) C(x, k).
+def _monomial_moments(numerators, period: int, order: int, first: int = 0) -> list[Fraction]:
+    """(t d/dt)^m at t = 1, m = first..order, of the generating function of period P whose
+    division gives N_0..N_order, or more: sum_k T(m, k) d_k, as x^m = sum_k T(m, k) C(x, k).
 
     With d_k = N_k / P^(k+1), row m is sum_k T(m, k) N_k P^(m-k) over P^(m+1),
     and the sum is folded by Horner's rule in P, acc <- acc P + T(m, k) N_k:
     one product by P per term, and no power of P but the denominator."""
-    numerators = taylor_numerators(pairs, period, order)
     out, den = [], period ** (first + 1)
     for row in _stirling_triangle(order)[first:]:
         acc = 0
@@ -150,7 +159,7 @@ def _monomial_moments(pairs, period: int, order: int, first: int = 0) -> list[Fr
 def _checked_moments(a: int, r: int, order: int, first: int = 0) -> list[Fraction]:
     """M_m = (t d/dt)^m Psi_r at t = 1 for m = first..order, each asserted equal to
     (1 - a^(m+1)) r^m zeta(-m); a mismatch is an internal error, never a return."""
-    out = _monomial_moments(xi_weights(a, r), r * a, order, first)
+    out = _monomial_moments(_xi_numerators(a, r, order), r * a, order, first)
     for m, lhs in enumerate(out, start=first):
         num, den = zeta_neg_ratio(m)
         num *= (1 - a ** (m + 1)) * r**m
@@ -192,35 +201,23 @@ def double_moment(a: int, p: int, q: int, m: int) -> Fraction:
     return value
 
 
-def _unit_pairs(a: int, r: int, p: int) -> list[tuple[int, int]]:
-    """The nonzero weights of Psi_r times the indicator of the p-units, on the
-    period r a p: of the p blocks of the a pairs of ``xi_weights``, the pairs
-    at p-units, ascending in n."""
-    pairs, block = xi_weights(a, r), r * a
-    return [(s + n, w) for s in range(0, block * p, block) for n, w in pairs if (s + n) % p]
-
-
 def restricted_moment(a: int, p: int, q: int, m: int) -> Fraction:
     """Moment of x^m over the p-units: (1-a^(m+1))(1-p^m)(1-q^m) zeta(-m).
 
-    The unit indicator twists the weights of Psi_1 and Psi_q on the period
-    a r p (``_unit_pairs``); the twisted moments are compared against the
-    closed form, and both must agree.
+    On the period r a p, with p prime to r a, Psi_r restricted to the p-units
+    has the weights xi_r - xi_(rp): xi_r(pn) = xi_(rp)(pn), and xi_(rp)
+    vanishes off the multiples of p (Washington, Cyclotomic Fields, 12.2).
+    So the moment is moment(a, 1, m) - moment(a, p, m) - moment(a, q, m)
+    + moment(a, pq, m), four checked moments, whose sum must equal the closed form.
     """
     require_primes(p, q)
     if gcd(a, p * q) != 1:
         raise ValueError("a must be coprime to pq")
-
-    def unit_twist(r: int) -> Fraction:
-        return _monomial_moments(_unit_pairs(a, r, p), r * a * p, m, m)[0]
-
-    twisted = unit_twist(1) - unit_twist(q)
+    value = moment(a, 1, m) - moment(a, p, m) - moment(a, q, m) + moment(a, p * q, m)
     num, den = zeta_neg_ratio(m, (p, q))
-    if twisted.numerator * den != (1 - a ** (m + 1)) * num * twisted.denominator:
-        raise ArithmeticError(
-            f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})"
-        )
-    return twisted  # equal to the closed form, so the same reduced Fraction
+    if value.numerator * den != (1 - a ** (m + 1)) * num * value.denominator:
+        raise ArithmeticError(f"restricted moment routes disagree at (a={a}, p={p}, q={q}, m={m})")
+    return value  # equal to the closed form, so the same reduced Fraction
 
 
 # -- binomial moments and open sets -------------------------------------------
@@ -231,7 +228,7 @@ def binomial_moments(a: int, p: int, n: int, r: int = 1) -> list[Fraction]:
     t = 1, for k = 0..n; for r = 1 the integral of C(x, k) against the
     measure with moments (1-a^(m+1)) zeta(-m).
 
-    Read from ``taylor_numerators`` on the a nonzero weights xi_r of period
+    Read from ``_xi_numerators``, of the a nonzero weights xi_r of period
     ra: d_k = N_k / (ra)^(k+1).  That is O(n * (n + a)) integer operations on
     numbers of O(n log ra) bits.  Each d_k must lie in Z_p, the stability
     lemma of the delta operator, else ``ArithmeticError``.  The textbook expansion
@@ -245,7 +242,7 @@ def binomial_moments(a: int, p: int, n: int, r: int = 1) -> list[Fraction]:
         raise ValueError("n must be >= 0")
     out = []
     period = den = r * a
-    for n_k in taylor_numerators(xi_weights(a, r), period, n):
+    for n_k in _xi_numerators(a, r, n)[: n + 1]:
         d_k = Fraction(n_k, den)
         if padic_valuation(d_k, p) < 0:
             raise ArithmeticError("binomial moment escaped Z_p")

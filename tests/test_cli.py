@@ -171,11 +171,10 @@ def test_moments_delta_usage_errors(capsys):
     [
         # no weight list exists for r < 1 or a < 2; each used to print the
         # error row Fraction(0, 0) and exit 1, or a value from no weights
-        *(["moments", "--a", "3", "--r", r, *mode] for r in ("0", "-2")
-          for mode in ((), ("--restricted",), ("--delta", "3"))),
+        # (--restricted without --pair is refused first, by name)
+        *(["moments", "--a", "3", "--r", r, *mode] for r in ("0", "-2") for mode in ((), ("--delta", "3"))),
         *(["moments", "--a", "-3", *mode]
-          for mode in ((), ("--pair", "5,7"), ("--pair", "5,7", "--restricted"), ("--restricted",),
-                       ("--delta", "3"))),
+          for mode in ((), ("--pair", "5,7"), ("--pair", "5,7", "--restricted"), ("--delta", "3"))),
         ["open-set-measure", "--a", "-2", "--p", "5", "--n", "0"],
         ["open-set-measure", "--a", "-2", "--p", "5", "--n", "1"],
     ],
@@ -191,6 +190,15 @@ def test_a_negative_kummer_n_is_a_usage_error(capsys):
         (["kummer", "--p", "5", "--q", "7", "--i", "2", "--j", "2", "--n", "-2"], -2),
     ):
         assert _rejected(argv, capsys) == f"usage error: need n >= 0, got n = {n}", argv
+
+
+@pytest.mark.parametrize("argv", ["--a 2 --mmax 462 --restricted", "--a 1 --restricted", "--a -3 --restricted",
+                                  "--a 3 --r 0 --restricted", "--a 3 --r -2 --restricted",
+                                  "--a 2 --mmax 3 --delta 2 --restricted"])
+def test_restricted_without_a_pair_is_refused_before_the_series(argv, monkeypatch, capsys):
+    # the series was formed first, and --a 1 or --r 0 was named instead of --restricted
+    _stand_in(monkeypatch, "measures.psi_r_series")
+    assert _rejected(["moments", *argv.split()], capsys) == "usage error: --restricted needs --pair p,q"
 
 
 def test_malformed_moments_pair_argv_are_usage_errors(capsys):
@@ -327,7 +335,7 @@ _R2150 = "5" + "0" * 2149  # 2 r = 10^2150, whose square has 4301 digits
     ],
 )
 def test_moments_past_the_work_cap_are_refused_before_any_work(argv, flag, work, unit, cap, monkeypatch, capsys):
-    _stand_in(monkeypatch, "measures.xi_weights")
+    _stand_in(monkeypatch, "measures._xi_numerators")
     assert work > cap
     value = argv[argv.index(flag) + 1]
     line = f"usage error: {flag} {value} asks for at least {min(work, 10**18)} {unit}, past the cap of {cap}"
@@ -335,7 +343,8 @@ def test_moments_past_the_work_cap_are_refused_before_any_work(argv, flag, work,
 
 
 def test_moments_at_the_work_cap_reach_the_weights(monkeypatch):
-    _stand_in(monkeypatch, "measures.xi_weights")
+    # every moment route reads its numerators through _xi_numerators, warm table or not
+    _stand_in(monkeypatch, "measures._xi_numerators")
     for argv in (["--a", "2", "--mmax", "462"], ["--a", "2", "--r", "4995000", "--mmax", "0"],
                  ["--a", "2", "--r", "10000000000000000000", "--mmax", "169"],
                  ["--a", "3", "--pair", "5,7", "--mmax", "366"], ["--a", "3", "--pair", "5,7", "--mmax", "315", "--restricted"],
@@ -356,10 +365,10 @@ def test_moments_at_the_work_cap_reach_the_weights(monkeypatch):
     # 2 of 10^7 weights are nonzero; the list of all of them took seconds
     ("moments --a 2 --r 4995000 --mmax 0", "# schema=2\nm,value,xi_at_m,psi_slot\n0,1/2,-1,1/2\n",
      [(9990000, 2)], [(0, 2, 4995000)]),
-    # the p-units among the 2 * 1109 pairs of the p blocks; the twisted lists of period 2 * 1117 * 1109
-    # were rebuilt whole for each order
+    # xi_1, xi_p, xi_q and xi_pq, 2 weights each: the p-unit twists, of 2216 pairs on the periods
+    # 2 * 1109 and 2 * 1117 * 1109, were rebuilt whole for each order; each order resumes each division
     ("moments --a 2 --pair 1109,1117 --mmax 1 --restricted", "# schema=2\nm,value\n0,0\n1,309132\n",
-     [(2218, 2216), (2477506, 2216)] * 2, []),
+     [(2, 2), (2218, 2), (2234, 2), (2477506, 2)] * 2, []),
 ])
 def test_moments_with_a_long_period_divide_only_the_nonzero_weights(argv, report, divisions, xi_calls, monkeypatch):
     from pqzeta import measures
@@ -367,10 +376,10 @@ def test_moments_with_a_long_period_divide_only_the_nonzero_weights(argv, report
     seen, called = [], []
     numerators, xi = measures.taylor_numerators, measures.xi
 
-    def recorded(pairs, period, upto):
+    def recorded(pairs, period, upto, stored=None):
         pairs = tuple(pairs)
         seen.append((period, len(pairs)))
-        return numerators(pairs, period, upto)
+        return numerators(pairs, period, upto, stored)
 
     monkeypatch.setattr(measures, "taylor_numerators", recorded)
     monkeypatch.setattr(measures, "xi", lambda *args: called.append(args) or xi(*args))
@@ -469,11 +478,11 @@ _CAP_CASES = [
      f"pq-hurwitz --n -2399 --b 2 --F 35{'0' * 59} --p 5 --q 7", "zetabranch.pq_hurwitz"),
     (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 1{'0' * 19}1 --F 35{'0' * 40} --p 5 --q 7",
      f"pq-hurwitz --n -2399 --b 1{'0' * 18}1 --F 35{'0' * 40} --p 5 --q 7", "zetabranch.pq_hurwitz"),
-    (("moments", 0), "moments --a 2 --mmax 463", "moments --a 2 --mmax 462", "measures.xi_weights"),
+    (("moments", 0), "moments --a 2 --mmax 463", "moments --a 2 --mmax 462", "measures._xi_numerators"),
     (("moments", 1), "moments --a 2 --pair 500009,7 --mmax 0 --restricted",
-     "moments --a 2 --pair 499979,7 --mmax 0 --restricted", "measures.xi_weights"),
+     "moments --a 2 --pair 499979,7 --mmax 0 --restricted", "measures._xi_numerators"),
     (("moments", 2), f"moments --a 2 --r {_R2150} --mmax 1", f"moments --a 2 --r 4{'0' * 2149} --mmax 1",
-     "measures.xi_weights"),
+     "measures._xi_numerators"),
     (("open-set-measure", 0), "open-set-measure --a 3 --p 2 --n 1 --digits 14282",
      "open-set-measure --a 3 --p 2 --n 1 --digits 14281", "measures.measure_open_set_table"),
     (("open-set-measure", 1), "open-set-measure --a 66 --p 5 --n 5", "open-set-measure --a 64 --p 5 --n 5",

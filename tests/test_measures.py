@@ -13,7 +13,6 @@ from pqzeta.measures import (
     OpenSetMeasure,
     _monomial_moments,
     _stirling_triangle,
-    _unit_pairs,
     binomial_moments,
     double_moment,
     measure_on_open_set,
@@ -253,13 +252,28 @@ TWIST_GRID = [(a, p, q) for a in (2, 3, 4, 6, 10) for p, q in ((2, 3), (5, 7), (
               if gcd(a, p * q) == 1]
 
 
-def test_unit_pairs_are_the_dense_twisted_list():
+def test_the_dense_unit_twist_is_xi_r_minus_xi_rp():
+    """Psi_r restricted to the p-units has the weights xi_r - xi_(rp) on the period r a p
+    when p is prime to r a (a is, on the grid); when p | r it has none."""
     assert TWIST_GRID
     for a, p, q in TWIST_GRID:
         for r in (1, q, 2 * q + 1):
-            got = _unit_pairs(a, r, p)
-            assert got == sparse(unit_twisted_weights(a, r, p)), (a, p, r)
-            assert all(type(n) is int and type(w) is int for n, w in got), (a, p, r)
+            want = [xi(n, a, r) - xi(n, a, r * p) if r % p else 0 for n in range(1, r * a * p + 1)]
+            assert unit_twisted_weights(a, r, p) == want, (a, p, r)
+
+
+def test_restricted_moment_is_the_moment_of_the_dense_unit_twist():
+    """The four xi_r moments equal the moments of the dense twisted weights of
+    Psi_1 and Psi_q, divided in one pass and paired over P^(order+1), in value and type."""
+    order = 12
+    for a, p, q in TWIST_GRID:
+        twist = []
+        for r in (1, q):
+            weights = unit_twisted_weights(a, r, p)
+            twist.append(scaled_pairing(one_shot_numerators(weights, order), len(weights), order))
+        for m in range(order + 1):
+            got, want = restricted_moment(a, p, q, m), twist[0][m] - twist[1][m]
+            assert type(got) is type(want) is Fraction and got == want, (a, p, q, m)
 
 
 def test_stirling_triangle_rows_are_factorial_times_stirling():
@@ -329,14 +343,15 @@ def _table_calls(seed: int) -> list:
 def test_moments_do_not_depend_on_the_numerator_table(built, monkeypatch):
     monkeypatch.setattr(measures, "_NUMERATORS", {})
     if built is not None:
-        # built from the dense lists, so the keys the moment routes use must be these
-        weight_lists = [(sparse(xi(n, a, r) for n in range(1, r * a + 1)), r * a)
-                        for a in (2, 3, 5) for r in (1, 2, 3, 7, 11)]
-        for a, p, q in ((2, 5, 7), (3, 7, 11)):
-            weight_lists += [(sparse(unit_twisted_weights(a, r, p)), r * a * p) for r in (1, q)]
-        for pairs, period in weight_lists:
-            taylor_numerators(pairs, period, built)
+        # built from the dense lists under (a, r), so the keys the moment routes use must be these:
+        # xi_1, xi_p, xi_q and xi_pq for each (a, p, q) of ``_table_calls``
+        for a in (2, 3, 5):
+            for r in (1, 2, 3, 5, 7, 11, 35, 77):
+                pairs = sparse(xi(n, a, r) for n in range(1, r * a + 1))
+                measures._NUMERATORS[a, r] = taylor_numerators(pairs, r * a, built)
         assert {len(numerators) for numerators in measures._NUMERATORS.values()} == {built + 1}
+    if built == 60:  # past every order asked for: no call builds a weight list
+        monkeypatch.setattr(measures, "xi_weights", lambda a, r: pytest.fail(f"xi_weights({a}, {r})"))
     keys = set(measures._NUMERATORS)
     for seed in (1, 2):
         for function, args, want in _table_calls(seed):
@@ -368,15 +383,21 @@ def one_shot_numerators(weights: list[int], upto: int) -> list[int]:
 @given(st.lists(st.integers(-6, 6), max_size=14), st.lists(st.integers(0, 40), min_size=2, max_size=3))
 def test_resumed_numerators_equal_the_one_shot_division(values, steps):
     weights = values + [-sum(values)]  # a zero period sum
+    stored: list[int] = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measures, "_NUMERATORS", {})
+        top = -1
         for upto in sorted(steps) + [steps[0]]:  # grows, then reads below its top
-            got = taylor_numerators(sparse(weights), len(weights), upto)
-            assert got == one_shot_numerators(weights, upto) and all(type(n) is int for n in got), upto
-        assert len(measures._NUMERATORS) == 1
-        # a list of the same period whose sum is not zero is refused, with the valid one stored
+            top = max(top, upto)
+            got = taylor_numerators(sparse(weights), len(weights), upto, stored)
+            assert got is stored and len(got) == top + 1, upto
+            assert got[: upto + 1] == one_shot_numerators(weights, upto), upto
+            assert all(type(n) is int for n in got), upto
+        # a list of the same period whose sum is not zero is refused, and the stored list kept
         with pytest.raises(ArithmeticError, match="period sum is not zero"):
-            taylor_numerators(sparse(weights[:-1] + [weights[-1] + 1]), len(weights), max(steps))
+            taylor_numerators(sparse(weights[:-1] + [weights[-1] + 1]), len(weights), max(steps) + 1, stored)
+        assert len(stored) == max(steps) + 1
+        assert measures._NUMERATORS == {}  # the division keeps no table of its own
 
 
 @st.composite
@@ -399,18 +420,15 @@ def test_sparse_numerators_equal_the_dense_division(case, upto):
     """The division on the pairs alone equals the one-shot division of the
     densified list, however long the period; a nonzero sum is refused."""
     pairs, period = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "_NUMERATORS", {})
-        assert taylor_numerators(pairs, period, upto) == one_shot_numerators(dense(pairs, period), upto)
-        unbalanced = pairs[:-1] + [(pairs[-1][0], pairs[-1][1] + 1)] if pairs else [(period, 1)]
-        with pytest.raises(ArithmeticError, match="period sum is not zero"):
-            taylor_numerators(unbalanced, period, upto)
+    assert taylor_numerators(pairs, period, upto) == one_shot_numerators(dense(pairs, period), upto)
+    unbalanced = pairs[:-1] + [(pairs[-1][0], pairs[-1][1] + 1)] if pairs else [(period, 1)]
+    with pytest.raises(ArithmeticError, match="period sum is not zero"):
+        taylor_numerators(unbalanced, period, upto)
 
 
-def scaled_pairing(pairs, period: int, order: int, first: int = 0) -> list[Fraction]:
+def scaled_pairing(numerators: list[int], period: int, order: int, first: int = 0) -> list[Fraction]:
     """The monomial moments as they were paired before the Horner fold: every
-    N_k scaled to P^(order+1), each row summed against the scaled list."""
-    numerators = taylor_numerators(pairs, period, order)
+    N_k, k <= order, scaled to P^(order+1), each row summed against the scaled list."""
     scaled = [n * period ** (order - k) for k, n in enumerate(numerators)]
     den = period ** (order + 1)
     return [Fraction(sum(t * n for t, n in zip(row, scaled)), den) for row in reference_triangle(order)[first:]]
@@ -431,11 +449,12 @@ def horner_cases(draw):
 @example(case=([(1, 1), (2, 1), (3, -2)], 3, 40, 40))
 def test_the_horner_fold_is_the_scaled_pairing(case):
     """Folding row m by Horner's rule in P over P^(m+1) gives the reduced
-    Fraction of the pairing over P^(order+1), for every first order."""
+    Fraction of the pairing over P^(order+1), for every first order, and
+    numerators past the order are not read."""
     pairs, period, order, first = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "_NUMERATORS", {})
-        got, want = _monomial_moments(pairs, period, order, first), scaled_pairing(pairs, period, order, first)
+    numerators = taylor_numerators(pairs, period, order + 2)
+    got = _monomial_moments(numerators, period, order, first)
+    want = scaled_pairing(numerators[: order + 1], period, order, first)
     assert len(got) == order + 1 - first
     for g, w in zip(got, want):
         assert type(g) is type(w) is Fraction and g == w, (pairs, period, order, first)
@@ -468,10 +487,11 @@ def test_stirling_triangle_equals_the_forward_difference_route():
         weight_lists += [(sparse(unit_twisted_weights(a, r, p)), r * a * p) for r in (1, q)]
     for pairs, period in weight_lists:
         want = monomial_moments_by_differences(pairs, period, 30)
-        assert _monomial_moments(pairs, period, 30) == want, pairs
+        numerators = taylor_numerators(pairs, period, 30)
+        assert _monomial_moments(numerators, period, 30) == want, pairs
         for m in range(31):
-            assert _monomial_moments(pairs, period, m, m) == [want[m]], (pairs, m)
-            assert _monomial_moments(pairs, period, 30, m) == want[m:], (pairs, m)
+            assert _monomial_moments(numerators[: m + 1], period, m, m) == [want[m]], (pairs, m)
+            assert _monomial_moments(numerators, period, 30, m) == want[m:], (pairs, m)
 
 
 def test_oracle_poly_arithmetic():

@@ -21,8 +21,11 @@ The rows k! S(m, k) of the Stirling triangle have one source too:
 ``measures._stirling_triangle`` alone reads or extends the module triangle
 ``_TRIANGLE``, no other definition is named for Stirling numbers, and only
 ``measures._monomial_moments`` asks it for rows.  The numerators of the
-one Taylor division are kept the same way: ``measures.taylor_numerators``
-alone reads or extends the module table ``_NUMERATORS``.
+one Taylor division are kept the same way: ``measures._xi_numerators``
+alone reads or extends the module table ``_NUMERATORS``, keyed by (a, r),
+and it alone calls ``xi_weights``, so every weight list the library forms
+is the a weights of some xi_r, built only when its numerators are not
+already in the table.
 
 Euler factors are read mod p^K in one place: ``padics.factored_numerator``,
 the numerator of a factored pair (num, den, m, primes) mod p^K, is called
@@ -192,7 +195,11 @@ def test_one_stirling_triangle():
 
 
 def test_one_keeper_of_the_taylor_numerators():
-    assert _readers("_NUMERATORS") == {"measures.taylor_numerators"}
+    assert _readers("_NUMERATORS") == {"measures._xi_numerators"}
+
+
+def test_only_the_numerator_keeper_builds_weight_lists():
+    assert _callers("xi_weights") == {"measures._xi_numerators"}
 
 
 def test_euler_factors_are_read_mod_p_to_the_k_in_one_place():
