@@ -644,10 +644,10 @@ def _window_digits(text: str) -> int:
 def _moment_sizes(a) -> tuple[str, int, int, int]:
     """(order flag, order, weights, period) of a ``moments`` argv: the order is
     --mmax, or --delta if larger, and the weights and the period are those of
-    its largest weight list, the a nonzero weights of xi_r on the period r a
-    (with --pair, of xi_q on the period a q; with --restricted too, of xi_pq
-    on the period a p q, counted as a p, a conservative bound).  All 0 for an
-    argv that the handler refuses with a message of its own."""
+    its largest weight list.  Every list is the a nonzero weights of some
+    xi_r, on the period r a: xi_r itself, xi_q with --pair, and xi_pq, on
+    the period a p q, with --restricted too.  All 0 for an argv that the
+    handler refuses with a message of its own."""
     try:
         p, q = map(int, a.pair.split(",")) if a.pair else (1, 1)
     except ValueError:  # the handler names the malformed pair
@@ -656,8 +656,8 @@ def _moment_sizes(a) -> tuple[str, int, int, int]:
     if a.mmax < 0 or a.a < 2 or r < 1 or a.pair and (a.r, a.delta, a.delta_prime) != (None,) * 3:
         return "--mmax", 0, 0, 0
     order = max(a.mmax, a.delta or 0)
-    weights, period = (a.a * p, a.a * p * q) if a.pair and a.restricted else (a.a, a.a * q * r)
-    return "--delta" if order > a.mmax else "--mmax", order, weights, period
+    period = a.a * r * q * (p if a.restricted else 1)
+    return "--delta" if order > a.mmax else "--mmax", order, a.a, period
 
 
 def _moment_steps(a) -> tuple[str, int]:
@@ -679,9 +679,9 @@ def _moment_digits(a) -> tuple[str, int]:
 def _moment_terms(a) -> tuple[str, int]:
     """(order + 1) * weights weight terms: the series division sums a binomial
     per weight for each order it forms, and a weight term costs far more than
-    a digit step.  Named by --pair when p multiplies the weights."""
+    a digit step."""
     _, order, weights, _ = _moment_sizes(a)
-    return "--pair" if a.pair and a.restricted else "--a", (order + 1) * weights
+    return "--a", (order + 1) * weights
 
 
 def _chain_limits(a) -> tuple[str, int]:

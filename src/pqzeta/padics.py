@@ -85,12 +85,30 @@ def _strong_probable_prime(n: int) -> bool:
                for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
 
 
+# exact ints that require_primes has proven prime, at most _PRIME_LIMIT of them
+_PRIMES: set[int] = set()
+_PRIME_LIMIT = 2**12
+
+
 def require_primes(*primes: int) -> None:
     """The one prime check of every entry point: ValueError unless each
-    argument is an int prime and no prime repeats."""
+    argument is an int prime and no prime repeats.
+
+    The module set ``_PRIMES`` remembers the primes it has proven, so an int
+    checked once is one set read after that.  It tests the exact type, since
+    5.0 and True compare equal to ints: only an ``int`` is read from it or
+    stored, and a bool, an int subclass or any other argument is tested by
+    ``is_prime`` on every call.  Only a proven prime is stored, so each is
+    below PSI_13, 82 bits.  The set stops growing at ``_PRIME_LIMIT`` = 4096
+    primes, about 0.3 MB with its hash table, and a prime past it is tested
+    on every call.  Primality never changes, so the set changes no result.
+    """
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not a prime")
+        if type(p) is not int or p not in _PRIMES:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not a prime")
+            if type(p) is int and len(_PRIMES) < _PRIME_LIMIT:
+                _PRIMES.add(p)
     if len(primes) > 1 and len(set(primes)) < len(primes):
         raise ValueError("the primes must be distinct, got " + ", ".join(map(str, primes)))
 
@@ -510,56 +528,81 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     """The (p-1)-st root of unity congruent to n mod p, mod p^N.
 
     It is the root of x^(p-1) = 1 that Hensel's lemma lifts from n mod p;
-    ``_teichmuller_unit`` finds it by Newton's method, and the fixed point
-    of x -> x^p is asserted.
+    ``_teichmuller_lift`` finds it by Newton's method and asserts the fixed
+    point of x -> x^p, and a second call at the same p, N and class of n is
+    one read of its table.  A precision below 1 is a ValueError, and an n or
+    precision that is not an int a TypeError, warm or cold.
     """
     require_primes(p)
     if n % p == 0:
         raise ValueError("teichmuller needs gcd(n, p) = 1")
     # the root is reduced mod p^N and is n mod p, a unit
-    return PadicNumber._of_unit(p, 0, _teichmuller_unit(n, p, precision), int(precision))
+    return PadicNumber._of_unit(p, 0, _teichmuller_lift(n, p, precision)[0], int(precision))
 
 
-# (p, n mod p) -> (k, the Teichmuller root mod p^k): at most p - 1 roots per prime
-_ROOTS: dict[tuple[int, int], tuple[int, int]] = {}
+# (p, N, n mod p) -> (the Teichmuller root mod p^N, its inverse mod p^N, p^N)
+_LIFTS: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+_LIFT_LIMIT = 2**11
+_LIFT_BITS = 256
 
 
-def _teichmuller_unit(n: int, p: int, precision: int) -> int:
-    """The lift of ``teichmuller`` as an int, for a prime p checked by the caller.
+def _teichmuller_lift(n: int, p: int, precision: int) -> tuple[int, int, int]:
+    """(omega, 1/omega, p^N) for the lift omega of ``teichmuller``, as ints,
+    for a prime p checked by the caller.
 
-    The root of each class lives in the module table ``_ROOTS``, which only
-    grows and holds no lock (the package starts no threads).  It keeps the
-    root mod p^k at the largest k asked for: a request for N <= k is the
-    residue mod p^N, and one for N > k goes on from it to N by Newton's method.
+    The lifts live in the module table ``_LIFTS``, keyed by (p, N, n mod p),
+    which holds no lock (the package starts no threads).  A call with an int
+    n and precision at a stored key is one read.  Any other call first
+    refuses a precision below 1 (ValueError), then an n or precision that is
+    not an int (TypeError), so a float or ``Fraction`` is refused at a
+    stored key too; a bool or an int subclass is read as the int it equals.
+    The inverse 1/omega is omega^(p-2), the root in the class of 1/n mod p.
 
-    Newton's method on f(x) = x^(p-1) - 1, from x = n mod p or from the
-    stored root mod p^k.  The step
+    A lift is stored only when p^N has at most ``_LIFT_BITS`` = 256 bits,
+    and the table holds at most ``_LIFT_LIMIT`` = 2048 lifts: a lift that
+    would take it past the limit clears it first.  That bounds the memory:
+    a key holds p < PSI_13 (82 bits), N < 256 and a class below p, a value
+    three ints of at most 256 bits, about 420 bytes a lift with its dict
+    slot, so the table stays under 1 MB.  A ``padic-mahler`` round needs
+    about 1300 lifts; the ``teichmuller`` digit cap, 2^14284, stores none.
+
+    Newton's method on f(x) = x^(p-1) - 1, from x = n mod p.  The step
     x - f/f' is x - (x^p - x)/((p-1) x^(p-1)).  At a root mod p^k both
     x^p - x = 0 and x^(p-1) = 1 hold mod p^k, so dropping x^(p-1) moves
     the step only mod p^2k: x + (x - x^p)/(p - 1) is a root mod p^2k.  The
     precision doubles per step.  No inverse is taken: (p - 1) times
     (p^k - 1)/(p - 1) = 1 + p + ... + p^(k-1) is p^k - 1 = -1 mod p^k, so
     1/(p - 1) = -(p^k - 1)/(p - 1) mod p^k.  The result is n^(p^(N-1))
-    mod p^N, the one root in the class of n.
+    mod p^N, the one root in the class of n, and it is stored only once it
+    is checked to be a fixed point of x -> x^p.
     """
+    if type(n) is int and type(precision) is int:
+        lift = _LIFTS.get((p, precision, n % p))
+        if lift is not None:
+            return lift
     if precision < 1:
         raise ValueError("teichmuller needs precision >= 1")
     if not isinstance(n, int) or not isinstance(precision, int):
-        # pow(x, p, m) refuses them too, but a table residue would not
+        # pow(x, p, m) refuses them too, but a table read would not
         raise TypeError("teichmuller needs an int n and precision")
-    key = (p, n % p)
-    k, x = _ROOTS.get(key, (1, key[1]))
-    if k >= precision:
-        return x % p**precision
-    while k < precision:
-        k = min(2 * k, precision)
+    N, x, k = int(precision), int(n) % p, 1
+    key = (p, N, x)
+    lift = _LIFTS.get(key)  # a bool or an int subclass at a stored key
+    if lift is not None:
+        return lift
+    while k < N:
+        k = min(2 * k, N)
         m = p**k
         x = (x - (x - pow(x, p, m)) * ((m - 1) // (p - 1))) % m
-    mod = p**precision
+    mod = p**N
     if pow(x, p, mod) != x:
         raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
-    _ROOTS[key] = (precision, x)
-    return x
+    lift = (x, pow(x, p - 2, mod), mod)  # x^(p-1) = 1, and pow(x, -1, mod) is slower
+    if mod.bit_length() <= _LIFT_BITS:
+        if len(_LIFTS) >= _LIFT_LIMIT:
+            _LIFTS.clear()
+        _LIFTS[key] = lift
+    return lift
 
 
 def crt_pair(a: int, modulus_a: int, b: int, modulus_b: int) -> int:
@@ -580,9 +623,9 @@ def double_teichmuller(n: int, p: int, q: int, prec_p: int, prec_q: int) -> int:
     require_primes(p, q)
     if n % p == 0 or n % q == 0:
         raise ValueError("double_teichmuller needs gcd(n, pq) = 1")
-    wp = _teichmuller_unit(n, p, prec_p)
-    wq = _teichmuller_unit(n, q, prec_q)
-    return crt_pair(wp, p**prec_p, wq, q**prec_q)
+    wp, _, mod_p = _teichmuller_lift(n, p, prec_p)
+    wq, _, mod_q = _teichmuller_lift(n, q, prec_q)
+    return crt_pair(wp, mod_p, wq, mod_q)
 
 
 def angle_bracket(
@@ -590,19 +633,23 @@ def angle_bracket(
 ) -> tuple[PadicNumber, PadicNumber]:
     """<b> = b / omega_{p,q}(b), reduced mod p^prec_p and mod q^prec_q.
 
-    Each prime on its own, with no CRT: omega_p(b)^(-1) is the root of unity
-    in the class of b^(-1) mod p, so mod p^prec_p
-    <b> = b omega_p(b^(-1) mod p), one lift and an inverse mod p only
-    (likewise at q).  Each component lies in 1 + pZ_p resp. 1 + qZ_q.
+    Each prime on its own, with no CRT: mod p^prec_p, <b> is b times the
+    inverse lift that ``_teichmuller_lift`` stores beside omega_p(b), so a
+    warm call takes no inverse (likewise at q).  A b that is not an int
+    goes the way of omega_p(b)^(-1) = omega_p(b^(-1) mod p), so
+    pow(b, -1, p) refuses a float or a ``Fraction`` as it always has.  Each
+    component lies in 1 + pZ_p resp. 1 + qZ_q.
     """
     require_primes(p, q)
     if b % p == 0 or b % q == 0:
         raise ValueError("angle_bracket needs gcd(b, pq) = 1")
     out = []
     for prime, prec in ((p, prec_p), (q, prec_q)):
-        w = _teichmuller_unit(pow(b, -1, prime), prime, prec)
-        mod = prime**prec
-        out.append(PadicNumber._of_unit(prime, 0, b * w % mod, int(prec)))  # a product of units, reduced
+        if type(b) is int:
+            _, inverse, mod = _teichmuller_lift(b, prime, prec)
+        else:
+            inverse, _, mod = _teichmuller_lift(pow(b, -1, prime), prime, prec)
+        out.append(PadicNumber._of_unit(prime, 0, b * inverse % mod, int(prec)))  # a product of units, reduced
     return out[0], out[1]
 
 

@@ -322,13 +322,15 @@ _R2150 = "5" + "0" * 2149  # 2 r = 10^2150, whose square has 4301 digits
          "digit steps", 10**8),
         (["--a", "2", "--mmax", "0", "--delta", "1000"], "--delta", _moment_steps(1000, 2, 2), "digit steps", 10**8),
         (["--a", "3", "--pair", "5,7", "--mmax", "367"], "--mmax", _moment_steps(367, 3, 21), "digit steps", 10**8),
-        (["--a", "3", "--pair", "5,7", "--mmax", "316", "--restricted"], "--mmax", _moment_steps(316, 15, 105),
+        (["--a", "3", "--pair", "5,7", "--mmax", "320", "--restricted"], "--mmax", _moment_steps(320, 3, 105),
          "digit steps", 10**8),
-        (["--a", "2", "--pair", "751,1000000000039", "--mmax", "63", "--restricted"], "--mmax",
-         _moment_steps(63, 1502, 1502000000058578), "digit steps", 10**8),
+        (["--a", "2", "--pair", "751,1000000000039", "--mmax", "183", "--restricted"], "--mmax",
+         _moment_steps(183, 2, 1502000000058578), "digit steps", 10**8),
+        (["--a", "101", "--pair", "5,1000000000000000000000007", "--mmax", "127", "--restricted"], "--mmax",
+         _moment_steps(127, 101, 505000000000000000000003535), "digit steps", 10**8),
         (["--a", "1000001", "--mmax", "0"], "--a", 1000001, "weight terms", 10**6),
-        (["--a", "2", "--pair", "500009,7", "--mmax", "0", "--restricted"], "--pair", 1000018, "weight terms", 10**6),
-        (["--a", "2", "--pair", "75011,7", "--mmax", "6", "--restricted"], "--pair", 7 * 150022, "weight terms", 10**6),
+        (["--a", "1000001", "--pair", "3,7", "--mmax", "0", "--restricted"], "--a", 1000001, "weight terms", 10**6),
+        (["--a", "142858", "--pair", "3,5", "--mmax", "6", "--restricted"], "--a", 7 * 142858, "weight terms", 10**6),
         (["--a", "1000001", "--pair", "2,3", "--mmax", "0"], "--a", 1000001, "weight terms", 10**6),
         (["--a", "2", "--r", _R2150, "--mmax", "1"], "--r", 4301, "digits", 4300),
         (["--a", "2", "--r", "5" + "0" * 4299, "--mmax", "0"], "--r", 4301, "digits", 4300),
@@ -347,11 +349,17 @@ def test_moments_at_the_work_cap_reach_the_weights(monkeypatch):
     _stand_in(monkeypatch, "measures._xi_numerators")
     for argv in (["--a", "2", "--mmax", "462"], ["--a", "2", "--r", "4995000", "--mmax", "0"],
                  ["--a", "2", "--r", "10000000000000000000", "--mmax", "169"],
-                 ["--a", "3", "--pair", "5,7", "--mmax", "366"], ["--a", "3", "--pair", "5,7", "--mmax", "315", "--restricted"],
+                 ["--a", "3", "--pair", "5,7", "--mmax", "366"], ["--a", "3", "--pair", "5,7", "--mmax", "319", "--restricted"],
                  ["--a", "2", "--mmax", "0", "--delta", "462"],
-                 ["--a", "2", "--pair", "751,1000000000039", "--mmax", "62", "--restricted"],
-                 ["--a", "1000000", "--mmax", "0"], ["--a", "2", "--pair", "499979,7", "--mmax", "0", "--restricted"],
-                 ["--a", "2", "--pair", "75011,7", "--mmax", "5", "--restricted"],
+                 ["--a", "2", "--pair", "751,1000000000039", "--mmax", "182", "--restricted"],
+                 ["--a", "1000000", "--mmax", "0"], ["--a", "1000000", "--pair", "3,7", "--mmax", "0", "--restricted"],
+                 # --restricted reads four lists of a weights each, the largest on the period a p q
+                 ["--a", "2", "--pair", "500009,7", "--mmax", "0", "--restricted"],
+                 ["--a", "2", "--pair", "1000003,3", "--mmax", "0", "--restricted"],
+                 ["--a", "2", "--pair", "75011,7", "--mmax", "6", "--restricted"],
+                 ["--a", "142857", "--pair", "2,5", "--mmax", "6", "--restricted"],
+                 ["--a", "101", "--pair", "5,1000000000000000000000007", "--mmax", "126", "--restricted"],
+                 ["--a", "1001", "--pair", "3,1000000000000000000000007", "--mmax", "57", "--restricted"],
                  # without --restricted a pair sweep reads the a weights of xi_1 and xi_q alone
                  ["--a", "2", "--pair", "500009,7", "--mmax", "0"], ["--a", "2", "--pair", "1000003,3", "--mmax", "0"],
                  ["--a", "999999", "--pair", "2,1000000000000000000000007", "--mmax", "0"],
@@ -406,7 +414,7 @@ def test_a_float_mode_p_beta_power_past_4300_digits_is_zero():
     ],
 )
 def test_teichmuller_past_the_digit_cap_is_refused_before_any_lift(argv, modulus, monkeypatch, capsys):
-    _stand_in(monkeypatch, "padics._teichmuller_unit")
+    _stand_in(monkeypatch, "padics._teichmuller_lift")
     m = _CAP_LINE.fullmatch(_rejected(["teichmuller", *argv], capsys))
     assert m and m.group(1, 2, 4, 5) == ("--precision", argv[-1], "digits", "4300"), m
     # the modulus has more than 4300 digits, and the count is exact or a lower bound
@@ -416,7 +424,7 @@ def test_teichmuller_past_the_digit_cap_is_refused_before_any_lift(argv, modulus
 
 def test_teichmuller_at_the_digit_cap_reaches_the_lift(monkeypatch):
     # the largest precisions whose modulus has at most 4300 digits pass the cap
-    _stand_in(monkeypatch, "padics._teichmuller_unit")
+    _stand_in(monkeypatch, "padics._teichmuller_lift")
     for argv in (["--p", "2", "--precision", "14284"], ["--p", "2", "--q", "3", "--precision", "5525"],
                  ["--p", "101", "--precision", "2145"], ["--p", "101", "--q", "103", "--precision", "1070"]):
         with pytest.raises(_Started):
@@ -434,7 +442,7 @@ _CAP_CASES = [
     (("padic", 1), "padic --value 1.5e-4300 --p 5", "padic --value 1.5e-4299 --p 5", "padics.padic_of_rational"),
     (("padic", 1), f"padic --value {'7' * 4301} --p 5", f"padic --value {'7' * 4300} --p 5", "padics.padic_of_rational"),
     (("teichmuller", 0), "teichmuller --n 2 --p 5 --q 7 --precision 2785",
-     "teichmuller --n 2 --p 5 --q 7 --precision 2784", "padics._teichmuller_unit"),
+     "teichmuller --n 2 --p 5 --q 7 --precision 2784", "padics._teichmuller_lift"),
     (("mahler-coeffs", 0), "mahler-coeffs --char 1,1 --p 3 --upto 2121", "mahler-coeffs --char 1,1 --p 3 --upto 2120",
      "mahler.characteristic_mahler"),
     (("mahler-coeffs", 1), "mahler-coeffs --char 0,14285 --p 2", "mahler-coeffs --char 0,14284 --p 2",
@@ -479,8 +487,8 @@ _CAP_CASES = [
     (("pq-hurwitz", 2), f"pq-hurwitz --n -2399 --b 1{'0' * 19}1 --F 35{'0' * 40} --p 5 --q 7",
      f"pq-hurwitz --n -2399 --b 1{'0' * 18}1 --F 35{'0' * 40} --p 5 --q 7", "zetabranch.pq_hurwitz"),
     (("moments", 0), "moments --a 2 --mmax 463", "moments --a 2 --mmax 462", "measures._xi_numerators"),
-    (("moments", 1), "moments --a 2 --pair 500009,7 --mmax 0 --restricted",
-     "moments --a 2 --pair 499979,7 --mmax 0 --restricted", "measures._xi_numerators"),
+    (("moments", 1), "moments --a 1000001 --pair 3,7 --mmax 0 --restricted",
+     "moments --a 1000000 --pair 3,7 --mmax 0 --restricted", "measures._xi_numerators"),
     (("moments", 2), f"moments --a 2 --r {_R2150} --mmax 1", f"moments --a 2 --r 4{'0' * 2149} --mmax 1",
      "measures._xi_numerators"),
     (("open-set-measure", 0), "open-set-measure --a 3 --p 2 --n 1 --digits 14282",

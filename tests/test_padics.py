@@ -11,7 +11,7 @@ from pqzeta.padics import (
     PadicNumber,
     PrecisionError,
     Record,
-    _teichmuller_unit,
+    _teichmuller_lift,
     angle_bracket,
     crt_pair,
     double_teichmuller,
@@ -353,50 +353,172 @@ TABLE_PRIMES = (2, 3, 5, 7, 101)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
-def test_root_table_serves_any_order_of_precisions(order, monkeypatch):
-    monkeypatch.setattr(padics, "_ROOTS", {})
-    precisions = list(range(1, 41))
+def test_lift_table_serves_any_order_of_precisions(order, monkeypatch):
+    monkeypatch.setattr(padics, "_LIFTS", {})
+    precisions = list(range(1, 31))
     if order == "descending":
         precisions.reverse()
     elif order == "interleaved":
         random.Random(31).shuffle(precisions)
-    # several n per class, negative and large ones too: one entry per class
+    # several n per class, negative and large ones too: one entry per (p, N, class)
     args = {p: [n for n in (*range(-2 * p, 2 * p + 1), -(10**6) - 1, 10**12 + 3) if n % p][:40]
             for p in TABLE_PRIMES}
     for N in precisions:
         for p, ns in args.items():
             for n in ns:
-                assert _teichmuller_unit(n, p, N) == lift_by_power(n, p, N), (order, n, p, N)
-    for p, ns in args.items():
-        classes = {n % p for n in ns}
-        assert {r for q, r in padics._ROOTS if q == p} == classes
-        assert len(classes) <= p - 1
-        assert all(padics._ROOTS[p, r][0] == 40 for r in classes)
+                assert _teichmuller_lift(n, p, N)[0] == lift_by_power(n, p, N), (order, n, p, N)
+    keys = {(p, N, n % p) for p, ns in args.items() for n in ns for N in precisions}
+    assert len(keys) <= padics._LIFT_LIMIT and padics._LIFTS.keys() == keys
+    for (p, N, r), (root, inverse, mod) in padics._LIFTS.items():
+        assert (root, root * inverse % mod, mod) == (lift_by_power(r, p, N), 1 % mod, p**N)
+
+
+class _Int(int):
+    """An int subclass: read as the int it equals."""
 
 
 def test_refused_lifts_leave_the_root_table_unchanged(monkeypatch):
-    monkeypatch.setattr(padics, "_ROOTS", {})
+    monkeypatch.setattr(padics, "_LIFTS", {})
     teichmuller(2, 5, 6)
-    before = dict(padics._ROOTS)
-    for args in ((10, 5, 8), (2, 5, 0), (2, 5, -3), (2, 9, 8), (3, 1, 4)):
+    teichmuller(1, 5, 1)
+    angle_bracket(2, 5, 7, 3, 3)
+    double_teichmuller(2, 5, 7, 3, 1)
+    before = dict(padics._LIFTS)
+    assert {(5, 6, 2), (5, 1, 1), (5, 3, 2), (7, 3, 2), (7, 1, 2)} <= before.keys()
+    for args in ((10, 5, 8), (2, 5, 0), (2, 5, -3), (2, 9, 8), (3, 1, 4), (2, 5, 0.5), (2.0, 5, 0)):
         with pytest.raises(ValueError):
             teichmuller(*args)
-    for args in ((2.0, 5, 8), (2, 5, 8.0), (Fraction(2), 5, 3)):
-        with pytest.raises(TypeError):
-            teichmuller(*args)
-    assert padics._ROOTS == before
+    # every key these would read is already in the table
+    lift_message = "teichmuller needs an int n and precision"
+    refusals = [
+        (teichmuller, (2.0, 5, 6), lift_message),
+        (teichmuller, (Fraction(2), 5, 6), lift_message),
+        (teichmuller, (2, 5, 6.0), lift_message),
+        (teichmuller, (_Int(2), 5, 6.0), lift_message),
+        (double_teichmuller, (2.0, 5, 7, 3, 1), lift_message),
+        (double_teichmuller, (2, 5, 7, 3, 1.0), lift_message),
+        (angle_bracket, (2, 5, 7, 3.0, 3), lift_message),
+        (angle_bracket, (2, 5, 7, 3, 3.0), lift_message),
+        # a b that is not an int is refused where it always was, by pow(b, -1, p)
+        (angle_bracket, (2.0, 5, 7, 3, 3), "pow() 3rd argument not allowed unless all arguments are integers"),
+        (angle_bracket, (Fraction(2), 5, 7, 3, 3), "Fraction.__pow__() takes 2 positional arguments but 3 were given"),
+    ]
+    for function, args, message in refusals:
+        with pytest.raises(TypeError) as info:
+            function(*args)
+        assert str(info.value) == message, (function.__name__, args)
+    assert padics._LIFTS == before
+    # a bool or an int subclass is read as the int it equals, and every unit is an int
+    for value, want in (
+        (teichmuller(True, 5, 1), teichmuller(1, 5, 1)),
+        (teichmuller(_Int(2), 5, _Int(6)), teichmuller(2, 5, 6)),
+        (teichmuller(_Int(7), 5, True), teichmuller(2, 5, 1)),
+        (angle_bracket(True, 5, 7, 3, 3), angle_bracket(1, 5, 7, 3, 3)),
+        (angle_bracket(_Int(2), 5, 7, _Int(3), 3), angle_bracket(2, 5, 7, 3, 3)),
+        (double_teichmuller(_Int(2), 5, 7, 3, True), double_teichmuller(2, 5, 7, 3, 1)),
+    ):
+        assert value == want
+        for x in value if isinstance(value, tuple) else (value,):
+            fields = (x.unit, x.valuation, x.precision) if isinstance(x, PadicNumber) else (x,)
+            assert all(type(field) is int for field in fields), value
 
 
-def test_a_wrong_stored_root_fails_the_fixed_point_check(monkeypatch):
-    # a root wrong mod p^2 but in the right class: Newton from it gains too few
-    # digits to reach p^4 or p^8, and the check on the new lift catches it
+def test_a_wrong_lift_fails_the_fixed_point_check_and_is_not_stored(monkeypatch):
+    # a Newton step to p^2 that reads x^p off by 2p leaves x in the right class
+    # but 2p off the root mod p^2: the steps after it gain too few digits to
+    # reach p^4 or p^8, and the check on the new lift catches it before it is stored
     for p in (3, 5, 7, 101):
         for N in (4, 8):
-            wrong = {(p, 2): (2, (lift_by_power(2, p, 2) + 2 * p) % p**2)}
-            monkeypatch.setattr(padics, "_ROOTS", dict(wrong))
+            def off_mod_p_squared(x, e, m, p=p):
+                return (pow(x, e, m) + 2 * p) % m if m == p**2 else pow(x, e, m)
+
+            monkeypatch.setattr(padics, "_LIFTS", {})
+            monkeypatch.setattr(padics, "pow", off_mod_p_squared, raising=False)
             with pytest.raises(ArithmeticError, match="fixed point"):
                 teichmuller(2, p, N)
-            assert padics._ROOTS == wrong
+            assert padics._LIFTS == {}
+            monkeypatch.delattr(padics, "pow")
+            assert teichmuller(2, p, N).unit == lift_by_power(2, p, N)
+
+
+def test_the_lift_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(padics, "_LIFTS", {})
+    # p^N of more than 256 bits is lifted, checked and not stored
+    assert (101**38).bit_length() <= 256 < (101**39).bit_length()
+    for n in (2, 3):
+        assert teichmuller(n, 101, 39).unit == lift_by_power(n, 101, 39)
+        assert teichmuller(n, 101, 38).unit == lift_by_power(n, 101, 38)
+    assert set(padics._LIFTS) == {(101, 38, 2), (101, 38, 3)}
+    # the worst case: every key holds a prime near PSI_13 of its own and a large
+    # class, and every value three ints of nearly 256 bits
+    p = padics.PSI_13 - 2
+    while not is_prime(p):
+        p -= 2
+    assert (p**3).bit_length() <= 256
+    limit = padics._LIFT_LIMIT
+    padics._LIFTS.clear()
+    for n in range(p - 1, p - 1 - limit, -1):
+        _teichmuller_lift(n, int(str(p)), 3)
+        assert len(padics._LIFTS) <= limit
+    assert len(padics._LIFTS) == limit
+    assert _deep_size(padics._LIFTS) < 10**6  # 0.85 MB
+    # one lift more clears the table first
+    _teichmuller_lift(2, p, 3)
+    assert list(padics._LIFTS) == [(p, 3, 2)]
+
+
+def _deep_size(table: dict) -> int:
+    """Bytes of a dict of tuples of ints, with its keys and values, each object counted once."""
+    import sys
+
+    objects = {id(x): x for pair in table.items() for part in pair for x in (part, *part)}
+    return sys.getsizeof(table) + sum(map(sys.getsizeof, objects.values()))
+
+
+def test_the_prime_memo_reads_only_exact_ints(monkeypatch):
+    monkeypatch.setattr(padics, "_PRIMES", set())
+    require_primes(5)
+    assert padics._PRIMES == {5}
+
+    class LikeFive(int):
+        """4, but equal to 5 and hashed as 5: a memo read by == would pass it."""
+
+        def __eq__(self, other):
+            return other == 5 or int(self) == other
+
+        def __hash__(self):
+            return hash(5)
+
+    assert LikeFive(4) in padics._PRIMES
+    for args, message in (((5.0,), "5.0 is not a prime"), ((True,), "True is not a prime"),
+                          ((LikeFive(4),), "4 is not a prime"), ((5, 5), "the primes must be distinct, got 5, 5")):
+        with pytest.raises(ValueError) as info:
+            require_primes(*args)
+        assert str(info.value) == message, args
+    # an int subclass is tested on every call, and never stored
+    tested = []
+    monkeypatch.setattr(padics, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    require_primes(_Int(5))
+    require_primes(5)
+    assert tested == [5] and padics._PRIMES == {5} and all(type(p) is int for p in padics._PRIMES)
+
+
+def test_the_prime_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(padics, "_PRIMES", set())
+    limit = padics._PRIME_LIMIT
+    primes = [n for n in range(2, 50_000) if is_prime(n)]
+    assert len(primes) > limit
+    for p in primes:
+        require_primes(p)
+        assert len(padics._PRIMES) <= limit
+    assert padics._PRIMES == set(primes[:limit])
+    require_primes(primes[-1])  # past the bound, still checked
+    # from PSI_13 up nothing is proven, so nothing is stored
+    monkeypatch.setattr(padics, "_PRIMES", set())
+    for n in (padics.PSI_13, padics.PSI_13 + 2, 10**30 + 57):
+        with pytest.raises(ValueError, match="cannot decide"):
+            require_primes(n)
+    assert padics._PRIMES == set()
 
 
 def test_angle_bracket_equals_crt_and_inverse():
@@ -433,8 +555,9 @@ def test_lift_of_the_inverse_class_is_the_inverse_lift():
         for N in range(1, 31):
             for b in bs:
                 if b % p:
-                    inverse = _teichmuller_unit(pow(b, -1, p), p, N)
-                    assert inverse * _teichmuller_unit(b, p, N) % p**N == 1, (b, p, N)
+                    root, inverse, mod = _teichmuller_lift(b, p, N)
+                    assert inverse == _teichmuller_lift(pow(b, -1, p), p, N)[0], (b, p, N)
+                    assert root * inverse % mod == 1 and mod == p**N, (b, p, N)
 
 
 def test_of_rational_equals_fraction_path():

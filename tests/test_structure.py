@@ -33,18 +33,23 @@ only by ``padics.reduce_relative`` and ``zetabranch._kummer``, and
 ``_kummer`` asks ``zeta_neg_ratio`` for no primes, so it never multiplies
 out a product-form Euler factor.
 
-Teichmuller roots have one keeper: ``padics._teichmuller_unit`` alone reads
-or writes the module table ``_ROOTS``, so every lift, from ``teichmuller``,
-``double_teichmuller`` or ``angle_bracket``, passes through it.  The
-difference-table walk of Mahler evaluation has one keeper too:
-``mahler._walked`` alone reads or writes the module table ``_WALK``.
+Every module table has one keeper.  A module-level name that some function
+writes (an item or attribute stored or deleted, a mutating method called,
+through a local alias too, or any method of a library object called) is a
+key of ``TABLE_KEEPERS``, and its keeper is the one function that reads or
+writes it: so every Teichmuller lift, from ``teichmuller``,
+``double_teichmuller`` or ``angle_bracket``, passes through
+``padics._teichmuller_lift``, and every prime check through the memo of
+``padics.require_primes``.  The subcommand registry ``cli.COMMANDS`` is
+written by one keeper and read by the dispatcher.
 
 A ``PadicNumber`` is built unchecked in three places only:
 ``PadicNumber._of_unit``, which assigns the four slots with no reduction
-or test, is called by ``padics._padic_unit`` (the one core under
+or test, is named by ``padics._padic_unit`` (the one core under
 ``reduce_relative`` and ``reduce_absolute``), ``padics.teichmuller`` and
-``padics.angle_bracket``, whose units are already reduced and prime to p;
-every other value goes through the checked ``PadicNumber(...)``.
+``padics.angle_bracket``, whose units are already reduced and prime to p,
+and by no other code, so no alias hides a caller; every other value goes
+through the checked ``PadicNumber(...)``.
 
 No module reads another module's private names: an underscore name is
 imported, or read off an imported module, only inside the module that
@@ -102,6 +107,23 @@ PRIME_CHECKERS = {"require_primes", "_open_set_level", "_kummer"}
 # public functions of measures and zetabranch that take p or q and check no prime
 UNCHECKED_PRIME_TAKERS = {"measures.open_set_closed_form"}
 
+# module table -> its keeper, the one function that reads or writes it
+TABLE_KEEPERS = {
+    "padics._LIFTS": "padics._teichmuller_lift",
+    "padics._PRIMES": "padics.require_primes",
+    "measures._NUMERATORS": "measures._xi_numerators",
+    "measures._TRIANGLE": "measures._stirling_triangle",
+    "mahler._WALK": "mahler._walked",
+    "mahler._COLUMNS": "mahler.characteristic_coefficients_exact",
+    "rationals._TABLE": "rationals.bernoulli",
+}
+
+# module registry -> its keeper, the one function that writes it
+REGISTRY_KEEPERS = {"cli.COMMANDS": "cli.command.register"}
+
+MUTATING_METHODS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault",
+                    "add", "discard", "sort", "reverse"}
+
 OUTSIDE_CONSUMERS = {
     "gamma.morita_gamma_exact": "acceptance criterion 3 (tests/test_acceptance.py)",
     "measures.measure_on_open_set": "perfbench/wl_open_set.py",
@@ -125,19 +147,19 @@ def _definitions(tree, module):
     yield from walk(tree, module)
 
 
+def _own_nodes(node):
+    """The nodes of node's body, nested definitions excluded."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from _own_nodes(child)
+
+
 def _calls(node, callee):
     """True when the body of node itself (not a nested definition) calls callee."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == callee:
-                return True
-        if _calls(child, callee):
-            return True
-    return False
+    return any(isinstance(child, ast.Call) and (child.func.id if isinstance(child.func, ast.Name)
+                                                else getattr(child.func, "attr", None)) == callee
+               for child in _own_nodes(node))
 
 
 def _parsed():
@@ -167,19 +189,19 @@ def test_bernoulli_values_reach_formulas_through_zeta_neg():
     assert callers <= BERNOULLI_CALLERS, sorted(callers - BERNOULLI_CALLERS)
 
 
+def _names(node, name) -> bool:
+    """Whether node names name, as a plain name or as an attribute."""
+    return any(isinstance(child, ast.Name) and child.id == name or isinstance(child, ast.Attribute)
+               and child.attr == name for child in ast.walk(node))
+
+
 def _readers(table):
-    """The functions whose code, nested definitions included, names table, as a
-    plain name or as an attribute."""
+    """The functions whose code, nested definitions included, names table."""
     return {
         name
         for module, tree in _parsed()
         for name, node in _definitions(tree, module)
-        if not isinstance(node, ast.ClassDef)
-        and any(
-            isinstance(child, ast.Name) and child.id == table
-            or isinstance(child, ast.Attribute) and child.attr == table
-            for child in ast.walk(node)
-        )
+        if not isinstance(node, ast.ClassDef) and _names(node, table)
     }
 
 
@@ -192,10 +214,6 @@ def test_one_stirling_triangle():
     }
     assert named == _readers("_TRIANGLE") == {"measures._stirling_triangle"}
     assert _callers("_stirling_triangle") == {"measures._monomial_moments"}
-
-
-def test_one_keeper_of_the_taylor_numerators():
-    assert _readers("_NUMERATORS") == {"measures._xi_numerators"}
 
 
 def test_only_the_numerator_keeper_builds_weight_lists():
@@ -211,20 +229,103 @@ def test_euler_factors_are_read_mod_p_to_the_k_in_one_place():
     assert reads and all(len(node.args) == 1 and not node.keywords for node in reads)
 
 
-def test_one_keeper_of_the_teichmuller_roots():
-    assert _readers("_ROOTS") == {"padics._teichmuller_unit"}
-
-
-def test_one_keeper_of_the_mahler_walk():
-    assert _readers("_WALK") == {"mahler._walked"}
-
-
-def test_one_keeper_of_the_indicator_columns():
-    assert _readers("_COLUMNS") == {"mahler.characteristic_coefficients_exact"}
+def _outside_functions(tree):
+    """The statements of a module or class body that no function holds, class bodies included."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _outside_functions(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
 
 
 def test_only_three_builders_construct_a_padic_number_unchecked():
-    assert _callers("_of_unit") == {"padics._padic_unit", "padics.teichmuller", "padics.angle_bracket"}
+    # a reference counts, not only a call, so an alias such as new = PadicNumber._of_unit hides no caller
+    assert _readers("_of_unit") == {"padics._padic_unit", "padics.teichmuller", "padics.angle_bracket"}
+    assert [node.lineno for _, tree in _parsed() for node in _outside_functions(tree) if _names(node, "_of_unit")] == []
+
+
+def _root(node):
+    """The name under a chain of items and attributes, X in X[k].y, or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _written(function, names, objects) -> set:
+    """The module-level names among names that the body of function writes: an
+    item or attribute stored or deleted, a mutating method called or a global
+    rebound, also through a local alias (rows = _TRIANGLE); for the names of
+    library objects (objects), any method called."""
+    nodes = list(_own_nodes(function))
+    aliases = {name: name for name in names}
+    for node in nodes:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            aliases.update({target.id: aliases[node.value.id] for target in node.targets if isinstance(target, ast.Name)})
+    written = set()
+    for node in nodes:
+        if isinstance(node, ast.Global):
+            written.update(set(node.names) & names)
+        elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            written.add(aliases.get(_root(node)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = aliases.get(_root(node.func.value))
+            if node.func.attr in MUTATING_METHODS or name in objects:
+                written.add(name)
+    return written - {None}
+
+
+def _writers(trees: dict) -> dict:
+    """"module.NAME" -> the functions that write it, for each module-level name that some function writes."""
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    writers = {}
+    for module, tree in trees.items():
+        names, objects = set(), set()
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                # a, b = x, y binds a to x and b to y
+                pairs = zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple) and isinstance(
+                    node.value, ast.Tuple) else [(target, node.value)]
+                for name, value in pairs:
+                    if isinstance(name, ast.Name):
+                        names.add(name.id)
+                        if isinstance(value, ast.Call) and getattr(value.func, "id", None) in classes:
+                            objects.add(name.id)
+        for name, node in _definitions(tree, module):
+            if not isinstance(node, ast.ClassDef):
+                for table in _written(node, names, objects):
+                    writers.setdefault(f"{module}.{table}", set()).add(name)
+    return writers
+
+
+def test_every_module_table_has_one_keeper():
+    writers = _writers(dict(_parsed()))
+    keepers = TABLE_KEEPERS | REGISTRY_KEEPERS
+    assert writers.keys() == keepers.keys(), sorted(writers.keys() ^ keepers.keys())
+    assert {table: writers[table] for table in keepers} == {table: {keeper} for table, keeper in keepers.items()}
+    assert {table: _readers(table.split(".")[1]) for table in TABLE_KEEPERS} == {
+        table: {keeper} for table, keeper in TABLE_KEEPERS.items()}
+
+
+def test_the_table_rule_finds_every_kind_of_write():
+    source = """
+class Box: ...
+ITEMS, ROWS, BOX, SEEN, FLAG, READ = {}, [], Box(), set(), 0, {}
+def store(k): ITEMS[k] = 1
+def drop(k): del ITEMS[k]
+def grow():
+    rows = ROWS
+    rows.append([])
+def ask(): return BOX.get(3)
+def see(): SEEN.add(1)
+def flip():
+    global FLAG
+    FLAG = 1
+def read(k): return READ.get(k), ROWS[0]
+"""
+    assert _writers({"m": ast.parse(source)}) == {
+        "m.ITEMS": {"m.store", "m.drop"}, "m.ROWS": {"m.grow"}, "m.BOX": {"m.ask"}, "m.SEEN": {"m.see"},
+        "m.FLAG": {"m.flip"}}
 
 
 def test_no_module_imports_a_private_name_of_another():
