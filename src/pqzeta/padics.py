@@ -99,15 +99,18 @@ def require_primes(*primes: int) -> None:
     5.0 and True compare equal to ints: only an ``int`` is read from it or
     stored, and a bool, an int subclass or any other argument is tested by
     ``is_prime`` on every call.  Only a proven prime is stored, so each is
-    below PSI_13, 82 bits.  The set stops growing at ``_PRIME_LIMIT`` = 4096
-    primes, about 0.3 MB with its hash table, and a prime past it is tested
-    on every call.  Primality never changes, so the set changes no result.
+    below PSI_13, 82 bits.  The set holds at most ``_PRIME_LIMIT`` = 4096
+    primes, about 0.3 MB with its hash table: a prime that would take it
+    past the limit clears it first, as the lift table does.  Primality never
+    changes, so the set changes no result.
     """
     for p in primes:
         if type(p) is not int or p not in _PRIMES:
             if not is_prime(p):
                 raise ValueError(f"{p} is not a prime")
-            if type(p) is int and len(_PRIMES) < _PRIME_LIMIT:
+            if type(p) is int:
+                if len(_PRIMES) >= _PRIME_LIMIT:
+                    _PRIMES.clear()
                 _PRIMES.add(p)
     if len(primes) > 1 and len(set(primes)) < len(primes):
         raise ValueError("the primes must be distinct, got " + ", ".join(map(str, primes)))
@@ -540,33 +543,39 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     return PadicNumber._of_unit(p, 0, _teichmuller_lift(n, p, precision)[0], int(precision))
 
 
-# (p, N, n mod p) -> (the Teichmuller root mod p^N, its inverse mod p^N, p^N)
-_LIFTS: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+# (p, n mod p) -> (k, the Teichmuller root mod p^k): at most p - 1 roots per prime
+_ROOTS: dict[tuple[int, int], tuple[int, int]] = {}
+# (p, N, n mod p) -> (the Teichmuller root mod p^N, p^N), for p^N of at most
+# _LIFT_BITS bits, at most _LIFT_LIMIT of them
+_LIFTS: dict[tuple[int, int, int], tuple[int, int]] = {}
 _LIFT_LIMIT = 2**11
 _LIFT_BITS = 256
 
 
-def _teichmuller_lift(n: int, p: int, precision: int) -> tuple[int, int, int]:
-    """(omega, 1/omega, p^N) for the lift omega of ``teichmuller``, as ints,
-    for a prime p checked by the caller.
+def _teichmuller_lift(n: int, p: int, precision: int) -> tuple[int, int]:
+    """(omega, p^N) for the lift omega of ``teichmuller``, as ints, for a
+    prime p checked by the caller.
 
-    The lifts live in the module table ``_LIFTS``, keyed by (p, N, n mod p),
-    which holds no lock (the package starts no threads).  A call with an int
-    n and precision at a stored key is one read.  Any other call first
+    Two module tables hold the lifts, with no lock (the package starts no
+    threads).  ``_LIFTS``, keyed by (p, N, n mod p), makes a call with an
+    int n and precision at a stored key one read.  Any other call first
     refuses a precision below 1 (ValueError), then an n or precision that is
     not an int (TypeError), so a float or ``Fraction`` is refused at a
     stored key too; a bool or an int subclass is read as the int it equals.
-    The inverse 1/omega is omega^(p-2), the root in the class of 1/n mod p.
 
-    A lift is stored only when p^N has at most ``_LIFT_BITS`` = 256 bits,
-    and the table holds at most ``_LIFT_LIMIT`` = 2048 lifts: a lift that
-    would take it past the limit clears it first.  That bounds the memory:
-    a key holds p < PSI_13 (82 bits), N < 256 and a class below p, a value
-    three ints of at most 256 bits, about 420 bytes a lift with its dict
-    slot, so the table stays under 1 MB.  A ``padic-mahler`` round needs
-    about 1300 lifts; the ``teichmuller`` digit cap, 2^14284, stores none.
+    ``_ROOTS`` keeps the root of each class (p, n mod p) mod p^k at the
+    largest k asked for, and only grows: a miss at N <= k is the residue mod
+    p^N, and one at N > k goes on from it to N by Newton's method.  The miss
+    is stored in ``_LIFTS`` when p^N has at most ``_LIFT_BITS`` = 256 bits,
+    and that table holds at most ``_LIFT_LIMIT`` = 2048 lifts: one that
+    would take it past the limit clears it first.  A key holds p < PSI_13
+    (82 bits), N < 256 and a class below p, a value two ints of at most 256
+    bits, so the table stays under 1 MB (0.7 MB by ``sys.getsizeof`` at
+    the worst case, 2048 lifts at one prime near PSI_13).  A larger p^N, or
+    a key the cleared table lost, costs one reduction of the class's root.
 
-    Newton's method on f(x) = x^(p-1) - 1, from x = n mod p.  The step
+    Newton's method on f(x) = x^(p-1) - 1, from x = n mod p or from the
+    stored root mod p^k.  The step
     x - f/f' is x - (x^p - x)/((p-1) x^(p-1)).  At a root mod p^k both
     x^p - x = 0 and x^(p-1) = 1 hold mod p^k, so dropping x^(p-1) moves
     the step only mod p^2k: x + (x - x^p)/(p - 1) is a root mod p^2k.  The
@@ -576,8 +585,10 @@ def _teichmuller_lift(n: int, p: int, precision: int) -> tuple[int, int, int]:
     mod p^N, the one root in the class of n, and it is stored only once it
     is checked to be a fixed point of x -> x^p.
     """
-    if type(n) is int and type(precision) is int:
-        lift = _LIFTS.get((p, precision, n % p))
+    exact = type(n) is int and type(precision) is int
+    if exact:
+        key = (p, precision, n % p)
+        lift = _LIFTS.get(key)
         if lift is not None:
             return lift
     if precision < 1:
@@ -585,23 +596,25 @@ def _teichmuller_lift(n: int, p: int, precision: int) -> tuple[int, int, int]:
     if not isinstance(n, int) or not isinstance(precision, int):
         # pow(x, p, m) refuses them too, but a table read would not
         raise TypeError("teichmuller needs an int n and precision")
-    N, x, k = int(precision), int(n) % p, 1
-    key = (p, N, x)
-    lift = _LIFTS.get(key)  # a bool or an int subclass at a stored key
-    if lift is not None:
-        return lift
-    while k < N:
-        k = min(2 * k, N)
-        m = p**k
-        x = (x - (x - pow(x, p, m)) * ((m - 1) // (p - 1))) % m
-    mod = p**N
-    if pow(x, p, mod) != x:
-        raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
-    lift = (x, pow(x, p - 2, mod), mod)  # x^(p-1) = 1, and pow(x, -1, mod) is slower
-    if mod.bit_length() <= _LIFT_BITS:
-        if len(_LIFTS) >= _LIFT_LIMIT:
-            _LIFTS.clear()
-        _LIFTS[key] = lift
+    if not exact:
+        return _teichmuller_lift(int(n), p, int(precision))
+    k, x = _ROOTS.get((p, key[2]), (1, key[2]))
+    mod = p**precision
+    if k >= precision:
+        x %= mod
+    else:
+        while k < precision:
+            k = min(2 * k, precision)
+            m = p**k
+            x = (x - (x - pow(x, p, m)) * ((m - 1) // (p - 1))) % m
+        if pow(x, p, mod) != x:
+            raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
+        _ROOTS[p, key[2]] = (precision, x)
+    if mod.bit_length() > _LIFT_BITS:
+        return x, mod
+    if len(_LIFTS) >= _LIFT_LIMIT:
+        _LIFTS.clear()
+    _LIFTS[key] = lift = (x, mod)
     return lift
 
 
@@ -623,8 +636,8 @@ def double_teichmuller(n: int, p: int, q: int, prec_p: int, prec_q: int) -> int:
     require_primes(p, q)
     if n % p == 0 or n % q == 0:
         raise ValueError("double_teichmuller needs gcd(n, pq) = 1")
-    wp, _, mod_p = _teichmuller_lift(n, p, prec_p)
-    wq, _, mod_q = _teichmuller_lift(n, q, prec_q)
+    wp, mod_p = _teichmuller_lift(n, p, prec_p)
+    wq, mod_q = _teichmuller_lift(n, q, prec_q)
     return crt_pair(wp, mod_p, wq, mod_q)
 
 
@@ -633,11 +646,11 @@ def angle_bracket(
 ) -> tuple[PadicNumber, PadicNumber]:
     """<b> = b / omega_{p,q}(b), reduced mod p^prec_p and mod q^prec_q.
 
-    Each prime on its own, with no CRT: mod p^prec_p, <b> is b times the
-    inverse lift that ``_teichmuller_lift`` stores beside omega_p(b), so a
-    warm call takes no inverse (likewise at q).  A b that is not an int
-    goes the way of omega_p(b)^(-1) = omega_p(b^(-1) mod p), so
-    pow(b, -1, p) refuses a float or a ``Fraction`` as it always has.  Each
+    Each prime on its own, with no CRT: omega_p(b)^(-1) is the root of unity
+    in the class of b^(-1) mod p, so mod p^prec_p
+    <b> = b omega_p(b^(-1) mod p), one read of the lift table and an inverse
+    mod p only (likewise at q).  A b that is not an int is refused as it
+    always was, by pow(b, -1, p) or by the lift of what it returns.  Each
     component lies in 1 + pZ_p resp. 1 + qZ_q.
     """
     require_primes(p, q)
@@ -645,11 +658,8 @@ def angle_bracket(
         raise ValueError("angle_bracket needs gcd(b, pq) = 1")
     out = []
     for prime, prec in ((p, prec_p), (q, prec_q)):
-        if type(b) is int:
-            _, inverse, mod = _teichmuller_lift(b, prime, prec)
-        else:
-            inverse, _, mod = _teichmuller_lift(pow(b, -1, prime), prime, prec)
-        out.append(PadicNumber._of_unit(prime, 0, b * inverse % mod, int(prec)))  # a product of units, reduced
+        w, mod = _teichmuller_lift(pow(b, -1, prime), prime, prec)
+        out.append(PadicNumber._of_unit(prime, 0, b * w % mod, int(prec)))  # a product of units, reduced
     return out[0], out[1]
 
 

@@ -353,24 +353,33 @@ TABLE_PRIMES = (2, 3, 5, 7, 101)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
-def test_lift_table_serves_any_order_of_precisions(order, monkeypatch):
+def test_root_table_serves_any_order_of_precisions(order, monkeypatch):
+    monkeypatch.setattr(padics, "_ROOTS", {})
     monkeypatch.setattr(padics, "_LIFTS", {})
-    precisions = list(range(1, 31))
+    precisions = list(range(1, 41))
     if order == "descending":
         precisions.reverse()
     elif order == "interleaved":
         random.Random(31).shuffle(precisions)
-    # several n per class, negative and large ones too: one entry per (p, N, class)
+    # several n per class, negative and large ones too: one root per class,
+    # and one lift per (p, N, class) whose p^N fits the lift table
     args = {p: [n for n in (*range(-2 * p, 2 * p + 1), -(10**6) - 1, 10**12 + 3) if n % p][:40]
             for p in TABLE_PRIMES}
     for N in precisions:
         for p, ns in args.items():
             for n in ns:
-                assert _teichmuller_lift(n, p, N)[0] == lift_by_power(n, p, N), (order, n, p, N)
-    keys = {(p, N, n % p) for p, ns in args.items() for n in ns for N in precisions}
-    assert len(keys) <= padics._LIFT_LIMIT and padics._LIFTS.keys() == keys
-    for (p, N, r), (root, inverse, mod) in padics._LIFTS.items():
-        assert (root, root * inverse % mod, mod) == (lift_by_power(r, p, N), 1 % mod, p**N)
+                assert _teichmuller_lift(n, p, N) == (lift_by_power(n, p, N), p**N), (order, n, p, N)
+    for p, ns in args.items():
+        classes = {n % p for n in ns}
+        assert {r for q, r in padics._ROOTS if q == p} == classes
+        assert len(classes) <= p - 1
+        assert all(padics._ROOTS[p, r][0] == 40 for r in classes)
+    keys = {(p, N, n % p) for p, ns in args.items() for n in ns for N in precisions
+            if (p**N).bit_length() <= padics._LIFT_BITS}
+    assert (101**39).bit_length() > padics._LIFT_BITS and len(keys) <= padics._LIFT_LIMIT
+    assert padics._LIFTS.keys() == keys
+    for (p, N, r), lift in padics._LIFTS.items():
+        assert lift == (lift_by_power(r, p, N), p**N)
 
 
 class _Int(int):
@@ -378,13 +387,14 @@ class _Int(int):
 
 
 def test_refused_lifts_leave_the_root_table_unchanged(monkeypatch):
+    monkeypatch.setattr(padics, "_ROOTS", {})
     monkeypatch.setattr(padics, "_LIFTS", {})
     teichmuller(2, 5, 6)
     teichmuller(1, 5, 1)
     angle_bracket(2, 5, 7, 3, 3)
     double_teichmuller(2, 5, 7, 3, 1)
-    before = dict(padics._LIFTS)
-    assert {(5, 6, 2), (5, 1, 1), (5, 3, 2), (7, 3, 2), (7, 1, 2)} <= before.keys()
+    before = dict(padics._ROOTS), dict(padics._LIFTS)
+    assert {(5, 6, 2), (5, 1, 1), (5, 3, 3), (7, 3, 4), (5, 3, 2), (7, 1, 2)} <= before[1].keys()
     for args in ((10, 5, 8), (2, 5, 0), (2, 5, -3), (2, 9, 8), (3, 1, 4), (2, 5, 0.5), (2.0, 5, 0)):
         with pytest.raises(ValueError):
             teichmuller(*args)
@@ -407,7 +417,7 @@ def test_refused_lifts_leave_the_root_table_unchanged(monkeypatch):
         with pytest.raises(TypeError) as info:
             function(*args)
         assert str(info.value) == message, (function.__name__, args)
-    assert padics._LIFTS == before
+    assert (padics._ROOTS, padics._LIFTS) == before
     # a bool or an int subclass is read as the int it equals, and every unit is an int
     for value, want in (
         (teichmuller(True, 5, 1), teichmuller(1, 5, 1)),
@@ -423,34 +433,32 @@ def test_refused_lifts_leave_the_root_table_unchanged(monkeypatch):
             assert all(type(field) is int for field in fields), value
 
 
-def test_a_wrong_lift_fails_the_fixed_point_check_and_is_not_stored(monkeypatch):
-    # a Newton step to p^2 that reads x^p off by 2p leaves x in the right class
-    # but 2p off the root mod p^2: the steps after it gain too few digits to
-    # reach p^4 or p^8, and the check on the new lift catches it before it is stored
+def test_a_wrong_stored_root_fails_the_fixed_point_check(monkeypatch):
+    # a root wrong mod p^2 but in the right class: Newton from it gains too few
+    # digits to reach p^4 or p^8, and the check on the new lift catches it
+    # before it is stored in either table
     for p in (3, 5, 7, 101):
         for N in (4, 8):
-            def off_mod_p_squared(x, e, m, p=p):
-                return (pow(x, e, m) + 2 * p) % m if m == p**2 else pow(x, e, m)
-
+            wrong = {(p, 2): (2, (lift_by_power(2, p, 2) + 2 * p) % p**2)}
+            monkeypatch.setattr(padics, "_ROOTS", dict(wrong))
             monkeypatch.setattr(padics, "_LIFTS", {})
-            monkeypatch.setattr(padics, "pow", off_mod_p_squared, raising=False)
             with pytest.raises(ArithmeticError, match="fixed point"):
                 teichmuller(2, p, N)
-            assert padics._LIFTS == {}
-            monkeypatch.delattr(padics, "pow")
-            assert teichmuller(2, p, N).unit == lift_by_power(2, p, N)
+            assert padics._ROOTS == wrong and padics._LIFTS == {}
 
 
 def test_the_lift_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(padics, "_ROOTS", {})
     monkeypatch.setattr(padics, "_LIFTS", {})
-    # p^N of more than 256 bits is lifted, checked and not stored
+    # p^N of more than 256 bits is served by the class's root and not stored
     assert (101**38).bit_length() <= 256 < (101**39).bit_length()
     for n in (2, 3):
-        assert teichmuller(n, 101, 39).unit == lift_by_power(n, 101, 39)
-        assert teichmuller(n, 101, 38).unit == lift_by_power(n, 101, 38)
+        for N in (39, 38, 40):
+            assert teichmuller(n, 101, N).unit == lift_by_power(n, 101, N)
     assert set(padics._LIFTS) == {(101, 38, 2), (101, 38, 3)}
-    # the worst case: every key holds a prime near PSI_13 of its own and a large
-    # class, and every value three ints of nearly 256 bits
+    assert padics._ROOTS == {(101, 2): (40, lift_by_power(2, 101, 40)), (101, 3): (40, lift_by_power(3, 101, 40))}
+    # the worst case: every key holds a prime near PSI_13 and a large class,
+    # and every value two ints of nearly 256 bits
     p = padics.PSI_13 - 2
     while not is_prime(p):
         p -= 2
@@ -461,7 +469,7 @@ def test_the_lift_table_is_bounded(monkeypatch):
         _teichmuller_lift(n, int(str(p)), 3)
         assert len(padics._LIFTS) <= limit
     assert len(padics._LIFTS) == limit
-    assert _deep_size(padics._LIFTS) < 10**6  # 0.85 MB
+    assert _deep_size(padics._LIFTS) < 10**6
     # one lift more clears the table first
     _teichmuller_lift(2, p, 3)
     assert list(padics._LIFTS) == [(p, 3, 2)]
@@ -508,11 +516,13 @@ def test_the_prime_memo_is_bounded(monkeypatch):
     limit = padics._PRIME_LIMIT
     primes = [n for n in range(2, 50_000) if is_prime(n)]
     assert len(primes) > limit
-    for p in primes:
+    for i, p in enumerate(primes):
         require_primes(p)
         assert len(padics._PRIMES) <= limit
-    assert padics._PRIMES == set(primes[:limit])
-    require_primes(primes[-1])  # past the bound, still checked
+        if i == limit - 1:
+            assert padics._PRIMES == set(primes[:limit])
+    # the prime past the bound cleared the set first
+    assert padics._PRIMES == set(primes[(len(primes) - 1) // limit * limit:])
     # from PSI_13 up nothing is proven, so nothing is stored
     monkeypatch.setattr(padics, "_PRIMES", set())
     for n in (padics.PSI_13, padics.PSI_13 + 2, 10**30 + 57):
@@ -555,9 +565,8 @@ def test_lift_of_the_inverse_class_is_the_inverse_lift():
         for N in range(1, 31):
             for b in bs:
                 if b % p:
-                    root, inverse, mod = _teichmuller_lift(b, p, N)
-                    assert inverse == _teichmuller_lift(pow(b, -1, p), p, N)[0], (b, p, N)
-                    assert root * inverse % mod == 1 and mod == p**N, (b, p, N)
+                    inverse, mod = _teichmuller_lift(pow(b, -1, p), p, N)
+                    assert inverse * _teichmuller_lift(b, p, N)[0] % mod == 1 and mod == p**N, (b, p, N)
 
 
 def test_of_rational_equals_fraction_path():

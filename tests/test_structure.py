@@ -109,6 +109,7 @@ UNCHECKED_PRIME_TAKERS = {"measures.open_set_closed_form"}
 
 # module table -> its keeper, the one function that reads or writes it
 TABLE_KEEPERS = {
+    "padics._ROOTS": "padics._teichmuller_lift",
     "padics._LIFTS": "padics._teichmuller_lift",
     "padics._PRIMES": "padics.require_primes",
     "measures._NUMERATORS": "measures._xi_numerators",
