@@ -9,6 +9,10 @@ with finite ``valuation`` M, meaning only "congruent to 0 mod p^M" is known.
 
 Subtraction of nearly equal values loses relative precision; every operation
 propagates the minimum guaranteed absolute precision of its inputs.
+
+Every computed value, an arithmetic result or a reduction, a lift or a
+bracket, is built unchecked by ``_padic_unit`` or ``PadicNumber._of_unit``
+from a unit already prime to p (``_split`` strips p from it).
 """
 
 from __future__ import annotations
@@ -168,20 +172,20 @@ class Record:
 class PadicNumber:
     """p^valuation * unit, the unit known mod p^precision.
 
-    ``PadicNumber(...)`` is the checked way in: it reads infinity as exact
-    zero, converts valuation and precision to int, reduces the unit mod
-    p^precision and refuses a unit divisible by p.  ``exact_zero``,
-    ``zero_mod``, the arithmetic operators and ``MahlerSeries.deserialize``
-    go through it.  Only p >= 2 is checked: that p is a prime is left to the
-    public entry points, which call ``require_primes``, since a check per
-    construction would be paid on every arithmetic result.
+    ``PadicNumber(...)`` is the checked way in, for values from outside the
+    library (a caller's own, ``exact_zero``, ``zero_mod`` and
+    ``MahlerSeries.deserialize``): it reads infinity as exact zero, converts
+    valuation and precision to int, reduces the unit mod p^precision and
+    refuses a unit divisible by p.  Only p >= 2 is checked: that p is a
+    prime is left to the public entry points, which call ``require_primes``.
 
     ``_of_unit`` is the unchecked way in, for the three builders whose value
-    is already in that form (``_padic_unit``, under every reduction, and
-    ``teichmuller`` and ``angle_bracket``).  Its caller holds the invariant:
-    p is a prime >= 2, valuation and precision are ints (not bools), and
-    either 0 < unit < p^precision with p not dividing unit, or unit = 0 with
-    precision = 0.  It then stores what ``PadicNumber(...)`` would store.
+    is already in that form (``_padic_unit``, under every reduction and
+    arithmetic result, and ``teichmuller`` and ``angle_bracket``).  Its
+    caller holds the invariant: p is a prime >= 2, valuation and precision
+    are ints (not bools), and either 0 < unit < p^precision with p not
+    dividing unit, or unit = 0 with precision = 0.  It then stores what
+    ``PadicNumber(...)`` would store.
     """
 
     __slots__ = ("p", "valuation", "unit", "precision")
@@ -259,8 +263,8 @@ class PadicNumber:
             )
         if self.valuation < 0:
             raise PrecisionError("residue undefined for negative valuation")
-        if self.unit == 0:
-            return 0
+        if self.unit == 0 or self.valuation >= abs_prec:
+            return 0  # no p^valuation is formed for a residue that is 0
         return self.unit * self.p**self.valuation % self.p**abs_prec
 
     def congruent_mod(self, other: "PadicNumber", abs_prec: int) -> bool:
@@ -285,7 +289,7 @@ class PadicNumber:
     def __neg__(self) -> "PadicNumber":
         if self.unit == 0:
             return self
-        return PadicNumber(self.p, self.valuation, -self.unit, self.precision)
+        return _padic_unit(self.p, self.valuation, -self.unit, 1, self.precision)
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         self._check(other)
@@ -301,16 +305,12 @@ class PadicNumber:
             # both terms are 0 mod p^abs_prec and nothing finer is known
             return PadicNumber.zero_mod(p, abs_prec)
         mod = p**digits
-        a = self.unit * p ** (self.valuation - vmin) % mod
-        b = other.unit * p ** (other.valuation - vmin) % mod
-        r = (a + b) % mod
+        # pow(p, k, mod): a gap k past the digits is a 0 term, with no p^k formed
+        r = (self.unit * pow(p, self.valuation - vmin, mod) + other.unit * pow(p, other.valuation - vmin, mod)) % mod
         if r == 0:
             return PadicNumber.zero_mod(p, abs_prec)
-        shift = 0
-        while r % p == 0:
-            r //= p
-            shift += 1
-        return PadicNumber(p, vmin + shift, r, digits - shift)
+        shift, r, _ = _split(r, 1, p)
+        return _padic_unit(p, vmin + shift, r, 1, digits - shift)
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
         return self + (-other)
@@ -323,9 +323,7 @@ class PadicNumber:
             # product of "0 mod p^M" with anything of valuation v: 0 mod p^(M+v)
             return PadicNumber.zero_mod(self.p, self.valuation + other.valuation)
         prec = min(self.precision, other.precision)
-        return PadicNumber(
-            self.p, self.valuation + other.valuation, self.unit * other.unit, prec
-        )
+        return _padic_unit(self.p, self.valuation + other.valuation, self.unit * other.unit, 1, prec)
 
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
         self._check(other)
@@ -337,30 +335,25 @@ class PadicNumber:
             )
         if self.is_exact_zero:
             return self
-        prec = min(self.precision, other.precision) if self.unit else other.precision
         if self.unit == 0:
             return PadicNumber.zero_mod(self.p, self.valuation)
-        inv = pow(other.unit, -1, self.p**prec)
-        return PadicNumber(self.p, self.valuation, self.unit * inv, prec)
+        prec = min(self.precision, other.precision)
+        return _padic_unit(self.p, self.valuation, self.unit, other.unit, prec)
 
     def __pow__(self, e: int) -> "PadicNumber":
         if not isinstance(e, int):
             raise TypeError("integer exponents only")
-        if e < 0:
-            if self.valuation != 0 or self.unit == 0:
-                raise PrecisionError("negative power of a non-unit")
-            inv = pow(self.unit, -1, self.p**self.precision)
-            return PadicNumber(self.p, 0, inv, self.precision) ** (-e)
+        if e < 0 and (self.valuation != 0 or self.unit == 0):
+            raise PrecisionError("negative power of a non-unit")
         if self.is_exact_zero:
-            return self if e else PadicNumber(self.p, 0, 1, 1)
+            return self if e else _padic_unit(self.p, 0, 1, 1, 1)
         if self.unit == 0:
             if e == 0:
                 raise PrecisionError("0^0 undetermined for approximate zero")
             return PadicNumber.zero_mod(self.p, self.valuation * e)
-        if e == 0:
-            return PadicNumber(self.p, 0, 1, self.precision)
+        # pow reads e < 0 as a power of the inverse, and e = 0 gives the unit 1
         u = pow(self.unit, e, self.p**self.precision)
-        return PadicNumber(self.p, self.valuation * e, u, self.precision)
+        return _padic_unit(self.p, self.valuation * e, u, 1, self.precision)
 
     def __eq__(self, other) -> bool:
         return (
@@ -543,7 +536,7 @@ def teichmuller(n: int, p: int, precision: int) -> PadicNumber:
     return PadicNumber._of_unit(p, 0, _teichmuller_lift(n, p, precision)[0], int(precision))
 
 
-# (p, n mod p) -> (k, the Teichmuller root mod p^k): at most p - 1 roots per prime
+# (p, n mod p) -> (k, the Teichmuller root mod p^k), at most _LIFT_LIMIT of them
 _ROOTS: dict[tuple[int, int], tuple[int, int]] = {}
 # (p, N, n mod p) -> (the Teichmuller root mod p^N, p^N), for p^N of at most
 # _LIFT_BITS bits, at most _LIFT_LIMIT of them
@@ -564,15 +557,16 @@ def _teichmuller_lift(n: int, p: int, precision: int) -> tuple[int, int]:
     stored key too; a bool or an int subclass is read as the int it equals.
 
     ``_ROOTS`` keeps the root of each class (p, n mod p) mod p^k at the
-    largest k asked for, and only grows: a miss at N <= k is the residue mod
-    p^N, and one at N > k goes on from it to N by Newton's method.  The miss
-    is stored in ``_LIFTS`` when p^N has at most ``_LIFT_BITS`` = 256 bits,
-    and that table holds at most ``_LIFT_LIMIT`` = 2048 lifts: one that
+    largest k asked for: a miss at N <= k is the residue mod p^N, and one at
+    N > k goes on from it to N by Newton's method.  The miss is stored in
+    ``_LIFTS`` when p^N has at most ``_LIFT_BITS`` = 256 bits.  Each table
+    holds at most ``_LIFT_LIMIT`` = 2048 entries: a new class or key that
     would take it past the limit clears it first.  A key holds p < PSI_13
     (82 bits), N < 256 and a class below p, a value two ints of at most 256
-    bits, so the table stays under 1 MB (0.7 MB by ``sys.getsizeof`` at
+    bits, so ``_LIFTS`` stays under 1 MB (0.7 MB by ``sys.getsizeof`` at
     the worst case, 2048 lifts at one prime near PSI_13).  A larger p^N, or
-    a key the cleared table lost, costs one reduction of the class's root.
+    a key the cleared table lost, costs one reduction of the class's root,
+    and a class the cleared ``_ROOTS`` lost one Newton lift from n mod p.
 
     Newton's method on f(x) = x^(p-1) - 1, from x = n mod p or from the
     stored root mod p^k.  The step
@@ -609,6 +603,8 @@ def _teichmuller_lift(n: int, p: int, precision: int) -> tuple[int, int]:
             x = (x - (x - pow(x, p, m)) * ((m - 1) // (p - 1))) % m
         if pow(x, p, mod) != x:
             raise ArithmeticError("teichmuller lift is not a fixed point of x -> x^p")
+        if len(_ROOTS) >= _LIFT_LIMIT and (p, key[2]) not in _ROOTS:
+            _ROOTS.clear()
         _ROOTS[p, key[2]] = (precision, x)
     if mod.bit_length() > _LIFT_BITS:
         return x, mod

@@ -475,6 +475,25 @@ def test_the_lift_table_is_bounded(monkeypatch):
     assert list(padics._LIFTS) == [(p, 3, 2)]
 
 
+def test_the_root_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(padics, "_ROOTS", {})
+    monkeypatch.setattr(padics, "_LIFTS", {})
+    limit = padics._LIFT_LIMIT
+    primes = [n for n in range(3, 20_000) if is_prime(n)]
+    assert len(primes) > limit
+    for i, p in enumerate(primes):
+        assert _teichmuller_lift(2, p, 2) == (lift_by_power(2, p, 2), p**2)
+        assert len(padics._ROOTS) <= limit
+        if i == limit - 1:
+            # a deeper root of a stored class replaces it, with no clear
+            full = set(padics._ROOTS)
+            assert len(full) == limit
+            assert _teichmuller_lift(2, p, 3)[0] == lift_by_power(2, p, 3)
+            assert set(padics._ROOTS) == full and padics._ROOTS[p, 2] == (3, lift_by_power(2, p, 3))
+    # the root of a new class past the limit cleared the table first
+    assert set(padics._ROOTS) == {(p, 2) for p in primes[limit:]}
+
+
 def _deep_size(table: dict) -> int:
     """Bytes of a dict of tuples of ints, with its keys and values, each object counted once."""
     import sys
@@ -745,3 +764,83 @@ def test_the_unchecked_constructor_stores_what_the_checked_one_would():
                     assert [_fields(z) for z in got] == [_fields(_checked(z)) for z in got] \
                         == [_fields(z) for z in checked], (b, p, q, Np, Nq)
     assert repr(teichmuller(2, 5, True)) == "PadicNumber(p=5, v=0, unit=2, N=1)"
+
+
+def test_a_wide_gap_in_a_sum_forms_no_large_power():
+    # 5^(10^7) in full is about 2.9 MB: no term or residue below may form it
+    import tracemalloc
+
+    near, far = PadicNumber(5, 0, 1, 5), PadicNumber(5, 10**7, 1, 5)
+    tracemalloc.start()
+    try:
+        got = [near + far, far + near, near - far, far.residue(5), far.residue(10**7)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [_fields(z) for z in got[:3]] == [_fields(near)] * 3 and got[3:] == [0, 0]
+    assert peak < 10**5, peak
+
+
+_PRIMES_DRAWN = (2, 3, 5, 7, 101)
+
+
+@st.composite
+def _operand(draw, p):
+    """(x, X): a PadicNumber x at p and an exact rational X that x approximates at
+    every digit it claims; x is exact zero, an inexact zero zero_mod(M) or a
+    value of valuation -3..3 read to precision 1..12."""
+    def unit():
+        return draw(st.integers(0, 10**6)) * p + draw(st.integers(1, p - 1))
+
+    kind = draw(st.sampled_from(("value", "value", "value", "exact zero", "inexact zero")))
+    v = draw(st.integers(-3, 3))
+    if kind == "exact zero":
+        return PadicNumber.exact_zero(p), Fraction(0)
+    if kind == "inexact zero":
+        X = Fraction(p) ** v * draw(st.integers(-(10**6), 10**6)) / unit()
+        return PadicNumber.zero_mod(p, v), X
+    X = Fraction(p) ** v * draw(st.sampled_from((1, -1))) * unit() / unit()
+    return padic_of_rational(X, p, draw(st.integers(1, 12))), X
+
+
+def _claims_hold(z, Z) -> bool:
+    """Whether the exact rational Z agrees with z at every digit z claims."""
+    if z.is_exact_zero:
+        return Z == 0
+    diff = Z - (Fraction(z.p) ** z.valuation * z.unit if z.unit else 0)
+    return diff == 0 or padic_valuation(diff, z.p) >= z.abs_precision
+
+
+def _refused(operation, kind, message):
+    with pytest.raises(kind) as info:
+        operation()
+    assert str(info.value) == message
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_operator_agrees_with_the_fraction_oracle_at_every_claimed_digit(data):
+    p = data.draw(st.sampled_from(_PRIMES_DRAWN))
+    (x, X), (y, Y) = data.draw(_operand(p)), data.draw(_operand(p))
+    results = [(-x, -X), (x + y, X + Y), (x - y, X - Y), (x * y, X * Y)]
+    if y.is_exact_zero or y.unit == 0:
+        _refused(lambda: x / y, ZeroDivisionError, "division by (approximate) zero")
+    elif y.valuation != 0:
+        _refused(lambda: x / y, PrecisionError, "division by a non-unit; rescale through the rational constructor")
+    else:
+        results.append((x / y, X / Y))
+    for e in range(-3, 6):
+        if e < 0 and (x.valuation != 0 or x.unit == 0):
+            _refused(lambda: x**e, PrecisionError, "negative power of a non-unit")
+        elif e == 0 and x.unit == 0 and not x.is_exact_zero:
+            _refused(lambda: x**e, PrecisionError, "0^0 undetermined for approximate zero")
+        else:
+            results.append((x**e, X**e))
+    for z, Z in results:
+        # every result is what the checked constructor stores from its fields
+        assert _fields(z) == _fields(_checked(z)), z
+        assert _claims_hold(z, Z), (x, y, z, Z)
+    q = data.draw(st.sampled_from([q for q in _PRIMES_DRAWN if q != p]))
+    other = data.draw(_operand(q))[0]
+    for operation in (lambda: x + other, lambda: x - other, lambda: x * other, lambda: x / other):
+        _refused(operation, ValueError, "mixed primes")

@@ -48,8 +48,11 @@ A ``PadicNumber`` is built unchecked in three places only:
 or test, is named by ``padics._padic_unit`` (the one core under
 ``reduce_relative`` and ``reduce_absolute``), ``padics.teichmuller`` and
 ``padics.angle_bracket``, whose units are already reduced and prime to p,
-and by no other code, so no alias hides a caller; every other value goes
-through the checked ``PadicNumber(...)``.
+and by no other code, so no alias hides a caller; the arithmetic operators
+build their results through ``_padic_unit`` too.  The checked
+``PadicNumber(...)`` reads only values from outside the library: the
+library calls it only from ``PadicNumber.exact_zero`` and
+``PadicNumber.zero_mod`` (as ``cls``) and ``MahlerSeries.deserialize``.
 
 No module reads another module's private names: an underscore name is
 imported, or read off an imported module, only inside the module that
@@ -243,6 +246,17 @@ def test_only_three_builders_construct_a_padic_number_unchecked():
     # a reference counts, not only a call, so an alias such as new = PadicNumber._of_unit hides no caller
     assert _readers("_of_unit") == {"padics._padic_unit", "padics.teichmuller", "padics.angle_bracket"}
     assert [node.lineno for _, tree in _parsed() for node in _outside_functions(tree) if _names(node, "_of_unit")] == []
+
+
+def test_only_outside_values_go_through_the_checked_constructor():
+    # a call of PadicNumber, of cls in its own classmethods, or of its class read off a value
+    checked = _callers("PadicNumber") | {name for name in _callers("cls") if name.startswith("padics.PadicNumber.")}
+    assert checked == {"padics.PadicNumber.exact_zero", "padics.PadicNumber.zero_mod",
+                       "mahler.MahlerSeries.deserialize"}
+    tree = dict(_parsed())["padics"]
+    padic = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "PadicNumber")
+    assert [node.lineno for node in ast.walk(padic) if isinstance(node, ast.Call) and (
+        getattr(node.func, "attr", None) == "__class__" or isinstance(node.func, ast.Call))] == []
 
 
 def _root(node):
