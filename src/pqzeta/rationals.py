@@ -7,7 +7,8 @@ Everything here is pure.  The public values are fully reduced
 The ``_ratio`` cores, ``zeta_neg_ratio`` and ``bernoulli_polynomial_ratio``,
 return the same values as unreduced integers (a numerator and a positive
 denominator, or numerators over one common denominator): a caller that only
-reduces them mod p^N or reads a valuation pays no gcd.
+reduces them mod p^N or reads a valuation pays no gcd.  The p-adic
+formulas read ``zeta_neg_ratio``; the other serves ``bernoulli_polynomial``.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ class BernoulliTable:
 
     The pass is not incremental, so a table that must grow is rebuilt to
     max(upto, 2 * max_index): reading B_0..B_n in order costs O(log n)
-    rebuilds.  Every rebuild checks each denominator against von
-    Staudt-Clausen (the product of the primes p with (p - 1) | 2k) and
-    raises ArithmeticError on a mismatch.  A read of an odd k >= 3 past the
-    table answers 0 without a rebuild.  The table only grows, and holds no
+    rebuilds.  Every rebuild sieves the von Staudt-Clausen denominators D_2k
+    (the product of the primes p with (p - 1) | 2k) and forms B_2k over D_2k
+    from 2k T_k D_2k / (4^k (4^k - 1)): a remainder, or a numerator that
+    shares a factor with D_2k, raises ArithmeticError.  A read of an odd
+    k >= 3 past the table answers 0 without a rebuild.  The table only grows, and holds no
     lock: the package starts no threads.
     """
 
@@ -60,20 +62,17 @@ class BernoulliTable:
             return
         top = max(upto, 2 * self.max_index)
         half = top // 2
-        # tangent numbers T_1..T_half, in place (T[0] is unused)
-        T = [0, 1] + [0] * (half - 1)
-        for k in range(2, half + 1):
-            T[k] = (k - 1) * T[k - 1]
-        for k in range(2, half + 1):
-            for j in range(k, half + 1):
-                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        T = _tangent_numbers(half)
+        dens = _staudt_clausen_denominators(half)
         vals = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (top - 1)
         for k in range(1, half + 1):
-            four_k = 4**k
-            b = Fraction(2 * k * T[k], four_k * (four_k - 1))
-            if b.denominator != _staudt_clausen_denominator(2 * k):
+            x = 2 * k * T[k] * dens[k]  # |B_2k| D_2k 4^k (4^k - 1)
+            num, rem = divmod(x >> 2 * k, (1 << 2 * k) - 1)
+            b = Fraction(num if k % 2 else -num, dens[k])
+            if rem or x & ((1 << 2 * k) - 1) or b.denominator != dens[k]:
+                b = Fraction(2 * k * T[k], 4**k * (4**k - 1))
                 raise ArithmeticError(f"B_{2 * k} = {b} fails von Staudt-Clausen")
-            vals[2 * k] = b if k % 2 else -b
+            vals[2 * k] = b
         self._values = vals
 
     def get(self, k: int) -> Fraction:
@@ -86,18 +85,28 @@ class BernoulliTable:
         return self._values[k]
 
 
-def _staudt_clausen_denominator(n: int) -> int:
-    """Product of the primes p with (p - 1) | n, the denominator of B_n for
-    even n >= 2 (von Staudt-Clausen)."""
-    den = 1
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for e in {d, n // d}:
-                if is_prime(e + 1):
-                    den *= e + 1
-        d += 1
-    return den
+def _tangent_numbers(half: int) -> list[int]:
+    """T[k] = T_k for 1 <= k <= half (T[0] is unused), in place."""
+    T = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
+
+
+def _staudt_clausen_denominators(half: int) -> list[int]:
+    """[1, D_2, D_4, ..., D_2half] by one sieve: D_2k, the denominator of B_2k
+    (von Staudt-Clausen), is the product of the primes l with (l - 1) | 2k, so
+    each prime l <= 2 half + 1 multiplies every D_2k with 2k a multiple of l - 1."""
+    dens = [1] * (half + 1)
+    for ell in range(2, 2 * half + 2):
+        if is_prime(ell):
+            step = (ell - 1) // 2 or 1
+            for k in range(step, half + 1, step):
+                dens[k] *= ell
+    return dens
 
 
 _TABLE = BernoulliTable()

@@ -4,11 +4,12 @@ along classes mod (p-1)(q-1), one Kummer congruence verifier for one or two
 primes, the everywhere-interpolable power function, and the two-prime
 Hurwitz values.
 
-The two-prime branch values, the Kummer valuations and the Hurwitz sums
-are read from the unreduced integer pairs of ``rationals.zeta_neg_ratio``
-and ``rationals.bernoulli_polynomial_ratio``, and reduced mod p^N by
-``padics.reduce_relative`` with no gcd, as is the ``Fraction`` of a KL-branch
-value from ``kl_value``; each entry checks its primes once, the core never.
+The two-prime branch values and the Kummer valuations are read from the
+unreduced integer pairs of ``rationals.zeta_neg_ratio``, and reduced mod p^N
+by ``padics.reduce_relative`` with no gcd, as is the ``Fraction`` of a
+KL-branch value from ``kl_value``; each entry checks its primes once, the
+core never.  A Hurwitz sum is read mod l^K from its first K/v_l(F) + 1
+terms, which by von Staudt-Clausen are the only ones nonzero mod l^K.
 A two-prime branch value goes to the core as the pair of zeta(-k) with its
 Euler factors, (num, den, k, (p, q)), so (1 - p^k)(1 - q^k) is never
 multiplied out: each factor is reduced mod p^N on its own.  The Kummer
@@ -31,7 +32,7 @@ from .padics import (
     reduce_relative,
     require_primes,
 )
-from .rationals import bernoulli_polynomial_ratio, zeta_neg, zeta_neg_ratio
+from .rationals import zeta_neg, zeta_neg_ratio
 
 
 def kl_value(p: int, n: int) -> Fraction:
@@ -298,9 +299,18 @@ def pq_hurwitz(
 ) -> tuple[PadicNumber, PadicNumber]:
     """Two-prime Hurwitz value at a non-positive integer n.
 
-    -(1/(1-n)) (1/F) <b>^(1-n) sum_{k=0}^{1-n} C(1-n,k) (F/b)^k B_k, with the
-    angle bracket and the whole expression taken per prime.  The binomial sum is p- and
-    q-integral (von Staudt-Clausen), which is asserted.
+    -(1/m) (1/F) <b>^m S, S = sum_{k=0}^{m} C(m, k) B_k (F/b)^k, m = 1 - n,
+    with the angle bracket and the whole expression taken per prime l.  By
+    von Staudt-Clausen v_l(B_k) >= -1, so with f = v_l(F) >= 1 a term has
+    v_l >= k f - 1: l S mod l^(K+1) is the sum of the terms with k f <= K,
+    at most K + 1, each read from B_k mod l^(K+1) with C(m, k) carried from
+    k - 1, and S mod l^K holds v_l(S) and N more digits once v_l(S) + N <= K.
+    A B_k read whose denominator l divides twice has lost integrality
+    (ArithmeticError).  For odd l, S = 1 mod l (B_1 = -1/2 is a unit), so
+    the first K = N + 1 holds.  At l = 2 K doubles, until it holds or until
+    l^(K+1) passes l 2^bits: the numerator X of S over L b^m, L | (m + 1)!
+    the lcm of the denominators, has |X| <= (m + 1)! m! (F + b)^m < 2^bits
+    since |B_k| <= k!, and l^K divides X, so then X = 0 and S is exactly 0.
     """
     require_primes(p, q)
     if n > 0:
@@ -312,20 +322,26 @@ def pq_hurwitz(
     if gcd(b, p * q) != 1:
         raise ValueError("b must be coprime to pq")
     m = 1 - n
-    # sum_k C(m, k) B_k y^k at y = F/b by Horner's rule over the ascending
-    # coefficients c_i = C(m, m-i) B_(m-i) of B_m(x), carried as the integer
-    # A = acc L b^i: A <- A F + (c_i L) b^i, so acc = A / (L b^m)
-    numerators, L = bernoulli_polynomial_ratio(m)
-    A, power = 0, 1
-    for c in numerators:
-        A = A * F + c * power
-        power *= b
-    den = L * b**m
     bp, bq = angle_bracket(b, p, q, precision, precision)
+    bits = (m + 1) * (2 * (m + 1).bit_length() + F.bit_length() + 1)
     out = []
-    for prime, bracket in ((p, bp), (q, bq)):
-        acc = reduce_relative((A, den), prime, precision)
-        if acc.valuation < 0:
-            raise ArithmeticError("binomial Bernoulli sum lost integrality")
-        out.append(reduce_relative((-1, m * F), prime, precision) * bracket**m * acc)
+    for ell, bracket in ((p, bp), (q, bq)):
+        f, K = padic_valuation(F, ell), precision + 1
+        while True:
+            mod = ell ** (K + 1)
+            y = F * pow(b, -1, mod) % mod
+            total, c, yk = ell, 1, 1  # l B_0
+            for k in range(1, min(m, K // f) + 1):
+                c, yk = c * (m - k + 1) // k, yk * y % mod
+                a, d = zeta_neg_ratio(k - 1)  # ((-1)^(k-1) B_k.numerator, k B_k.denominator)
+                e = padic_valuation(d // k, ell)
+                if e > 1:
+                    raise ArithmeticError("binomial Bernoulli sum lost integrality")
+                total += c * (a if k % 2 else -a) * ell ** (1 - e) * pow(d // k // ell**e, -1, mod) * yk
+            r = total % mod // ell  # S mod l^K
+            w = padic_valuation(r, ell)  # +inf for r = 0
+            if w + precision <= K or w == INFINITY and mod.bit_length() > bits + ell.bit_length():
+                break
+            K *= 2
+        out.append(reduce_relative((-1, m * F), ell, precision) * bracket**m * reduce_relative(r, ell, precision))
     return out[0], out[1]

@@ -4,6 +4,7 @@ from math import ceil, comb, lcm, log2
 import pytest
 
 from pqzeta import rationals
+from pqzeta.padics import is_prime
 from pqzeta.rationals import (
     BernoulliTable,
     bernoulli,
@@ -104,10 +105,44 @@ def test_odd_reads_past_the_table_build_nothing():
     assert [table.get(k) for k in range(1301)] == built
 
 
+def _trial_division_denominator(n):
+    """Product of the primes p with (p - 1) | n, for even n >= 2, by trial
+    division of n: the per-index reference for the sieve."""
+    den = 1
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            for e in {d, n // d}:
+                if is_prime(e + 1):
+                    den *= e + 1
+        d += 1
+    return den
+
+
+def test_the_sieve_matches_trial_division():
+    dens = rationals._staudt_clausen_denominators(2048)
+    assert dens == [1] + [_trial_division_denominator(2 * k) for k in range(1, 2049)]
+    assert rationals._staudt_clausen_denominators(0) == [1]
+
+
 def test_bernoulli_denominator_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(rationals, "_staudt_clausen_denominator", lambda n: 1)
+    monkeypatch.setattr(rationals, "_staudt_clausen_denominators", lambda half: [1] * (half + 1))
     with pytest.raises(ArithmeticError, match="von Staudt-Clausen"):
         BernoulliTable().values(2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 10, 49, 50])
+def test_a_wrong_tangent_number_fails_von_staudt_clausen(monkeypatch, k):
+    tangent_numbers = rationals._tangent_numbers
+
+    def mutant(half):
+        T = tangent_numbers(half)
+        T[k] += 1
+        return T
+
+    monkeypatch.setattr(rationals, "_tangent_numbers", mutant)
+    with pytest.raises(ArithmeticError, match=f"B_{2 * k} = .* fails von Staudt-Clausen"):
+        BernoulliTable().values(100)
 
 
 def test_bernoulli_polynomial_values():

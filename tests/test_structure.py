@@ -94,7 +94,7 @@ SOURCES = sorted(Path(pqzeta.__file__).parent.glob("*.py"))
 
 IS_PRIME_CALLERS = {
     "padics.require_primes",
-    "rationals._staudt_clausen_denominator",
+    "rationals._staudt_clausen_denominators",
     "mahler.MahlerSeries.deserialize",
 }
 

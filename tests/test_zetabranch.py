@@ -561,3 +561,45 @@ def test_pq_hurwitz_matches_the_fraction_horner():
                 got = pq_hurwitz(n, b, F, p, q, 4)
                 want = _fraction_pq_hurwitz(n, b, F, p, q, 4)
                 assert all(map(_identical, got, want)), (n, b, F, p, q)
+
+
+def test_the_truncated_hurwitz_sum_matches_the_fraction_horner_on_every_grid_point():
+    # l in {2, 3} and v_l(F) > 1 included; at l = 2 the sum is sometimes
+    # divisible by 4, so its precision doubles at least once
+    for p, q in ((5, 7), (3, 5), (2, 3), (2, 5), (5, 11), (3, 7), (7, 13)):
+        for F in (p * q, 2 * p * q, 3 * p * q, p * p * q, p * q**3):
+            units = [b for b in range(1, F) if b % p and b % q]
+            for b in {units[0], units[1], units[len(units) // 2], units[-1]}:
+                y = Fraction(F, b)
+                for n in [*range(0, -40, -1), -77, -130]:
+                    m = 1 - n
+                    acc = Fraction(0)
+                    for c in [comb(m, j) * bernoulli(j) for j in range(m, -1, -1)]:
+                        acc = acc * y + c
+                    for N in (1, 2, 4, 6):
+                        bp, bq = angle_bracket(b, p, q, N, N)
+                        want = [padic_of_rational(-Fraction(1, m * F), prime, N) * bracket**m
+                                * padic_of_rational(acc, prime, N) for prime, bracket in ((p, bp), (q, bq))]
+                        got = pq_hurwitz(n, b, F, p, q, N)
+                        assert all(map(_identical, got, want)), (n, b, F, p, q, N)
+
+
+def test_pq_hurwitz_reads_only_the_first_bernoulli_numbers(monkeypatch):
+    # the value at the pq-hurwitz cap, n = -2399, from the terms k <= 5 alone
+    # (l = 5 and 7, v_l(35) = 1, N = 4, so K = 5), where the full sum reads
+    # B_0..B_2400; the value is the Fraction Horner sum's
+    monkeypatch.setattr(rationals, "_TABLE", rationals.BernoulliTable())
+    got = pq_hurwitz(-2399, 2, 35, 5, 7, 4)
+    assert rationals._TABLE.max_index == 4
+    assert [(x.p, x.valuation, x.unit, x.precision) for x in got] == [(5, -3, 242, 4), (7, -1, 752, 4)]
+
+
+def test_a_bernoulli_number_with_25_in_its_denominator_breaks_integrality(monkeypatch):
+    table = rationals.BernoulliTable()
+    table.values(20)
+    table._values[4] = Fraction(-1, 150)  # B_4 = -1/30
+    monkeypatch.setattr(rationals, "_TABLE", table)
+    with pytest.raises(ArithmeticError, match="binomial Bernoulli sum lost integrality"):
+        pq_hurwitz(-9, 2, 35, 5, 7, 4)
+    # m = 3 reads no B_4
+    assert all(map(_identical, pq_hurwitz(-2, 2, 35, 5, 7, 4), _fraction_pq_hurwitz(-2, 2, 35, 5, 7, 4)))
