@@ -460,10 +460,12 @@ def reduce_relative(x, p: int, precision: int) -> PadicNumber:
     with den != 0, taken with no gcd, or such a pair with its Euler factors,
     (num, den, m, primes) for num/den prod_{l in primes} (1 - l^m), m >= 0.
 
-    No Euler factor is multiplied out: 1 - l^m is 0 at m = 0, and otherwise
-    ``factored_numerator`` reads the unit of num/den times the factors mod
-    p^K, K doubling from N + 1 until the product holds its valuation w and
-    N more digits (it is not 0, so K stops)."""
+    The numerator is reduced once per modulus and never divided by p: its
+    residue r mod p^K from ``factored_numerator`` (num % p^K with no Euler
+    factors; no factor is multiplied out, and 1 - l^m is 0 at m = 0), has
+    v_p(r) = w and the unit of num/p^w to K - w digits whenever r != 0 and
+    w < K.  K doubles from N + 1 until w + N <= K; the numerator is not 0,
+    so K stops.  Only the denominator is stripped of p, by division."""
     if not isinstance(precision, int) or precision < 0:
         raise ValueError(f"precision must be an int >= 0, got {precision}")
     if isinstance(x, tuple) and len(x) == 4:
@@ -472,20 +474,18 @@ def reduce_relative(x, p: int, precision: int) -> PadicNumber:
             num = 0
     else:
         num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
-        primes = ()
+        m, primes = 0, ()
     if num == 0:
         return PadicNumber.exact_zero(p)
-    v, num, den = _split(num, den, p)
+    v, _, den = _split(1, den, p)
     K = precision + 1
-    while primes:  # left by the break once p^K holds the product's valuation and N digits
+    while True:
         r = factored_numerator(num, m, primes, p**K)
         if r:
             w, r, _ = _split(r, 1, p)
             if w + precision <= K:
-                v, num = v + w, r
-                break
+                return _padic_unit(p, v + w, r, den, int(precision))  # int(): a bool precision is stored as an int
         K *= 2
-    return _padic_unit(p, v, num, den, int(precision))  # int(): a bool precision is stored as an int
 
 
 def reduce_absolute(x, p: int, abs_precision: int) -> PadicNumber:

@@ -4,17 +4,15 @@ the Euler factors at a tuple of primes removed, rising factorials.
 
 Everything here is pure.  The public values are fully reduced
 ``fractions.Fraction`` values, so equality tests downstream are structural.
-The ``_ratio`` cores, ``zeta_neg_ratio`` and ``bernoulli_polynomial_ratio``,
-return the same values as unreduced integers (a numerator and a positive
-denominator, or numerators over one common denominator): a caller that only
-reduces them mod p^N or reads a valuation pays no gcd.  The p-adic
-formulas read ``zeta_neg_ratio``; the other serves ``bernoulli_polynomial``.
+The core ``zeta_neg_ratio`` returns zeta_neg as an unreduced integer pair (a
+numerator and a positive denominator): the p-adic formulas, which only
+reduce it mod p^N or read a valuation, pay no gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .padics import is_prime
 
@@ -120,19 +118,9 @@ def bernoulli(k: int) -> Fraction:
 def bernoulli_polynomial(k: int) -> list[Fraction]:
     """The coefficients of B_k(x) = sum_j C(k,j) B_j x^(k-j), ascending by
     degree: entry i is C(k, k-i) B_(k-i), and entry k is 1."""
-    numerators, den = bernoulli_polynomial_ratio(k)
-    return [Fraction(c, den) for c in numerators]
-
-
-def bernoulli_polynomial_ratio(k: int) -> tuple[list[int], int]:
-    """(numerators, L): the coefficients of ``bernoulli_polynomial(k)`` as
-    numerators over one common denominator L, the lcm of the denominators
-    of B_0..B_k; entry i is C(k, k-i) B_(k-i) L."""
     if k < 0:
         raise ValueError("index must be >= 0")
-    values = [bernoulli(j) for j in range(k, -1, -1)]
-    den = lcm(*(b.denominator for b in values))
-    return [comb(k, k - i) * b.numerator * (den // b.denominator) for i, b in enumerate(values)], den
+    return [comb(k, k - i) * bernoulli(k - i) for i in range(k + 1)]
 
 
 def zeta_neg(m: int, primes: tuple[int, ...] = ()) -> Fraction:
@@ -147,11 +135,11 @@ def zeta_neg_ratio(m: int, primes: tuple[int, ...] = ()) -> tuple[int, int]:
     ((-1)^m prod (1 - l^m) B.numerator, B.denominator (m + 1)) for B = B_(m+1)."""
     if m < 0:
         raise ValueError("zeta_neg expects m >= 0")
-    factor = (-1) ** m
-    for ell in primes:
-        factor *= 1 - ell**m
     b = bernoulli(m + 1)
-    return factor * b.numerator, b.denominator * (m + 1)
+    num = b.numerator
+    for ell in primes:
+        num *= 1 - ell**m
+    return -num if m % 2 else num, b.denominator * (m + 1)
 
 
 def rising_factorial(x: Fraction | int, k: int) -> Fraction:

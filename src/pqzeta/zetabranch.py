@@ -6,10 +6,12 @@ Hurwitz values.
 
 The two-prime branch values and the Kummer valuations are read from the
 unreduced integer pairs of ``rationals.zeta_neg_ratio``, and reduced mod p^N
-by ``padics.reduce_relative`` with no gcd, as is the ``Fraction`` of a
-KL-branch value from ``kl_value``; each entry checks its primes once, the
-core never.  A Hurwitz sum is read mod l^K from its first K/v_l(F) + 1
-terms, which by von Staudt-Clausen are the only ones nonzero mod l^K.
+by ``padics.reduce_relative`` with no gcd and one big-integer reduction
+per modulus, as is the ``Fraction`` of a KL-branch value from ``kl_value``;
+each entry checks its primes once, the core never.  A Kummer pair of odd
+indices is answered (+inf) once its hypotheses hold, before any table read.
+A Hurwitz sum is read mod l^K from its first K/v_l(F) + 1 terms, which by
+von Staudt-Clausen are the only ones nonzero mod l^K.
 A two-prime branch value goes to the core as the pair of zeta(-k) with its
 Euler factors, (num, den, k, (p, q)), so (1 - p^k)(1 - q^k) is never
 multiplied out: each factor is reduced mod p^N on its own.  The Kummer
@@ -80,12 +82,14 @@ def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, Congru
     in primes, under the hypotheses i, j >= 2, then n >= 0, then (l-1) not dividing
     i for every l, then i = j mod l^n (l-1) for every l (else HypothesisError).
 
-    The two sides are the factored pairs (a, b, m, primes) and (c, d, k,
-    primes) of zeta_neg(m, primes) = a prod (1 - l'^m) / b and of
-    zeta_neg(k, primes), m >= k >= 1 (the larger index is read first).  When
-    a = c = 0 (both Bernoulli numbers vanish) every valuation is +inf.
-    Otherwise, with A and C the Euler-factored numerators, the difference is
-    X / (b d), X = A d - b C, and per l the residue r = X mod l^K is read from
+    Under the hypotheses every l is odd (2 - 1 divides i), so l - 1 is even
+    and i = j mod 2.  For odd i and j, B_i = B_j = 0, so every valuation is
+    +inf, answered before any table read.  Otherwise the two sides are the
+    factored pairs (a, b, m, primes) and (c, d, k, primes) of
+    zeta_neg(m, primes) = a prod (1 - l'^m) / b and of zeta_neg(k, primes),
+    m >= k >= 1 (the larger index is read first), with a and c not 0.  With A
+    and C the Euler-factored numerators, the difference is X / (b d),
+    X = A d - b C, and per l the residue r = X mod l^K is read from
     ``factored_numerator`` with K = n + 2 + v_l(b d) first:
 
     - r != 0: v_l(X) = v_l(r) < K exactly, and the valuation is v_l(r) - v_l(b d);
@@ -106,13 +110,13 @@ def _kummer(primes: tuple[int, ...], i: int, j: int, n: int) -> dict[int, Congru
     for ell in primes:
         if (i - j) % (ell**n * (ell - 1)) != 0:
             raise HypothesisError(f"i != j mod {ell}^{n} ({ell} - 1)")
+    if i % 2:
+        return {ell: CongruenceResult(ok=True, required=n + 1, valuation=INFINITY) for ell in primes}
     # the larger index first, so that a growing table is built once; the
     # valuation of the difference does not depend on its sign
     m, k = max(i, j) - 1, min(i, j) - 1
     a, b = zeta_neg_ratio(m)
     c, d = zeta_neg_ratio(k)
-    if a == 0 and c == 0:
-        return {ell: CongruenceResult(ok=True, required=n + 1, valuation=INFINITY) for ell in primes}
     width = sum(ell.bit_length() for ell in primes)
     bits = 1 + max(a.bit_length() + m * width + d.bit_length(), c.bit_length() + k * width + b.bit_length())
     out = {}

@@ -655,6 +655,43 @@ def test_reduce_relative_reads_the_euler_factors_one_at_a_time():
     assert _fields(reduce_relative((5, 3, 0, ()), 5, 3)) == _fields(reduce_relative((5, 3), 5, 3))
 
 
+def test_reduce_relative_reads_a_numerator_whose_valuation_passes_the_first_modulus():
+    # v_p(num) = e >= N + 1, so num is 0 mod the first modulus p^(N + 1) and K
+    # doubles; the own prime's factor 1 - p^m is read at m < K and at m >= K
+    def oracle(value, p, N):
+        v = 0
+        while value.numerator % p == 0:
+            value, v = value / p, v + 1
+        while value.denominator % p == 0:
+            value, v = value * p, v - 1
+        unit = value.numerator * pow(value.denominator, -1, p**N) % p**N
+        return [(int, p), (int, v), (int, unit), (int, N)]
+
+    below, at_or_above = False, False
+    for p in (2, 3, 5, 7):
+        for N in (0, 1, 3, 8):
+            for e in (N + 1, 2 * N + 3, 40, 300):
+                for u in (1, -(p + 1), p * 10**20 + 1):
+                    num = p**e * u
+                    for den in (1, -(p + 1), (p + 1) * p**2):
+                        value = Fraction(num, den)
+                        for x in ((num, den), value) + ((num,) if den == 1 else ()):
+                            assert _fields(reduce_relative(x, p, N)) == oracle(value, p, N), (x, p, N)
+                        for m in (1, N + 1, 50):
+                            for primes in ((p,), (11, p)):
+                                want = value
+                                for ell in primes:
+                                    want *= 1 - ell**m
+                                got = reduce_relative((num, den, m, primes), p, N)
+                                assert _fields(got) == oracle(want, p, N), (num, den, m, primes, p, N)
+                                Ks = [N + 1]  # the moduli p^K read, until K holds v_p(numerator) + N
+                                while Ks[-1] < padic_valuation(want * den, p) + N:
+                                    Ks.append(2 * Ks[-1])
+                                below |= any(m < K for K in Ks)
+                                at_or_above |= any(m >= K for K in Ks)
+    assert below and at_or_above
+
+
 def test_factored_numerator_is_the_product_form_mod_p_to_the_k():
     # num prod (1 - l^m) mod p^K without l^m: l = p, m = 0, and factors of
     # valuation >= 3 (v_5(1 - 11^m) = 1 + v_5(m), v_5(1 - 7^m) = 2 + v_5(m/4) for 4 | m)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil, comb, lcm, log2
+from math import ceil, comb, log2
 
 import pytest
 
@@ -9,7 +9,6 @@ from pqzeta.rationals import (
     BernoulliTable,
     bernoulli,
     bernoulli_polynomial,
-    bernoulli_polynomial_ratio,
     binomial,
     rising_factorial,
     zeta_neg,
@@ -159,14 +158,13 @@ def test_bernoulli_polynomial_values():
             assert at_one == bernoulli(k)
 
 
-def test_bernoulli_polynomial_ratio_is_the_coefficient_list_over_the_lcm():
+def test_bernoulli_polynomial_entry_i_is_the_binomial_times_a_bernoulli_number():
     for k in range(81):
-        numerators, den = bernoulli_polynomial_ratio(k)
-        assert den == lcm(*(bernoulli(j).denominator for j in range(k + 1))), k
-        want = [comb(k, j) * bernoulli(j) for j in range(k, -1, -1)]
-        assert [Fraction(c, den) for c in numerators] == want == bernoulli_polynomial(k), k
-    with pytest.raises(ValueError):
-        bernoulli_polynomial_ratio(-1)
+        coeffs = bernoulli_polynomial(k)
+        assert all(type(c) is Fraction for c in coeffs), k
+        assert coeffs == [comb(k, k - i) * bernoulli(k - i) for i in range(k + 1)], k
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        bernoulli_polynomial(-1)
 
 
 def test_zeta_neg_ratio_is_the_unreduced_pair():

@@ -13,7 +13,7 @@ Bernoulli values reach formulas through ``rationals.zeta_neg_ratio`` (zeta
 at a non-positive integer, with the Euler factors at a tuple of primes
 removed, as an unreduced integer pair, or with none removed, the pair
 that ``padics.reduce_relative`` takes beside its Euler factors) and
-``rationals.bernoulli_polynomial_ratio``; ``bernoulli`` itself is read only
+``rationals.bernoulli_polynomial``; ``bernoulli`` itself is read only
 by those two, by the real-analytic Euler-Maclaurin tail and by the table
 printer, so no module writes out a Bernoulli-value formula of its own.
 
@@ -99,7 +99,7 @@ IS_PRIME_CALLERS = {
 }
 
 BERNOULLI_CALLERS = {
-    "rationals.bernoulli_polynomial_ratio",
+    "rationals.bernoulli_polynomial",
     "rationals.zeta_neg_ratio",
     "analytic.zeta_dirichlet",
     "cli._cmd_bernoulli",

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
 
-from pqzeta import rationals
+from pqzeta import rationals, zetabranch
 from pqzeta.padics import PadicNumber, angle_bracket, padic_of_rational, padic_valuation, require_primes
 from pqzeta.rationals import bernoulli, zeta_neg
 from pqzeta.zetabranch import (
@@ -200,6 +201,35 @@ def test_kummer_hypothesis_failures_name_the_prime():
         (extended_kummer_check, (5, 7, 6, 30, 0), "7 - 1 divides i = 6"),
         (extended_kummer_check, (5, 7, 2, 26, 1), "i != j mod 5^1 (5 - 1)"),
         (extended_kummer_check, (5, 7, 2, 122, 1), "i != j mod 7^1 (7 - 1)"),
+    ):
+        with pytest.raises(HypothesisError) as info:
+            check(*args)
+        assert str(info.value) == message, args
+
+
+def test_odd_kummer_pairs_are_answered_before_any_table_read(monkeypatch):
+    # B_i = B_j = 0 at odd i and j, so the difference is exactly 0
+    def refuse(*args):
+        raise AssertionError(f"zeta_neg_ratio read at {args}")
+
+    monkeypatch.setattr(zetabranch, "zeta_neg_ratio", refuse)
+    for p, i, j, n in ((5, 3, 7, 0), (5, 3, 23, 1), (5, 23, 3, 1), (7, 5, 47, 1), (11, 9, 9, 2), (13, 3, 15, 0)):
+        assert kummer_check(p, i, j, n) == CongruenceResult(ok=True, required=n + 1, valuation=math.inf)
+    for p, q, i, j, n in ((5, 7, 5, 17, 0), (5, 7, 3, 423, 1), (7, 11, 63, 3, 0)):
+        res = CongruenceResult(ok=True, required=n + 1, valuation=math.inf)
+        assert extended_kummer_check(p, q, i, j, n) == {p: res, q: res}
+    # every hypothesis is still checked first, with its message
+    for check, args, message in (
+        (kummer_check, (5, 1, 5, 0), "need i, j >= 2"),
+        (kummer_check, (5, 3, 1, 0), "need i, j >= 2"),
+        (kummer_check, (5, 3, 7, -1), "need n >= 0, got n = -1"),
+        (kummer_check, (2, 3, 5, 0), "2 - 1 divides i = 3"),
+        (kummer_check, (5, 3, 5, 0), "i != j mod 5^0 (5 - 1)"),
+        (kummer_check, (5, 3, 7, 1), "i != j mod 5^1 (5 - 1)"),
+        (extended_kummer_check, (5, 7, 3, 1, 0), "need i, j >= 2"),
+        (extended_kummer_check, (5, 7, 3, 5, -2), "need n >= 0, got n = -2"),
+        (extended_kummer_check, (5, 7, 3, 9, 0), "i != j mod 5^0 (5 - 1)"),
+        (extended_kummer_check, (5, 7, 3, 7, 0), "i != j mod 7^0 (7 - 1)"),
     ):
         with pytest.raises(HypothesisError) as info:
             check(*args)
